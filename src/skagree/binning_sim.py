@@ -5,18 +5,16 @@ binning tables over (m, x^n): one producing the key, one producing the
 public reconciliation message.  Bob decodes with the joint ML-MAP rule
 (maximize the product of per-letter p(x_i, y_i | s_i(m)) over bin-consistent
 pairs).  Everything at these blocklengths is small enough to enumerate, so
-error probability and key leakage are computed exactly; Monte-Carlo is kept
-only as a cross-check for the error probability.
+error probability and key leakage are computed exactly.  Monte-Carlo shares
+the exact evaluation's decoder, so it cross-checks the sampling of the
+protocol; the tests cross-check the decoder against a brute-force search.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -28,7 +26,7 @@ from .probability import mutual_information
 
 DEFAULT_TABLE_BUDGET = 2**24
 DEFAULT_ENUM_BUDGET = 2**26
-THREADS_ENV_VAR = "SKAGREE_THREADS"
+_DECODE_BLOCK_CELLS = 2**22  # Monte-Carlo decodes at most this many cells at once
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -39,13 +37,6 @@ class BudgetError(ValueError):
 def _size_from_rate(n: int, rate: float) -> int:
     """|set| = 2^ceil(n*rate), robust to float fuzz in n*rate."""
     return 2 ** max(0, math.ceil(n * rate - 1e-9))
-
-
-def num_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -114,10 +105,6 @@ def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
                          seed=seed)
 
 
-def _xy_table(channel):
-    return marginal_channel(channel, "xy")  # (S, X, Y)
-
-
 def sequence_index(symbols, base: int) -> int:
     """Lexicographic index of a symbol sequence (first symbol most significant)."""
     idx = 0
@@ -134,10 +121,37 @@ def index_sequence(idx: int, base: int, n: int) -> np.ndarray:
     return out
 
 
-def _score_matrix(codeword, table):
-    """(X^n, Y^n) array of prod_i p(x_i, y_i | s_i), lexicographic on both axes."""
-    mats = [table[int(s)] for s in codeword]
-    return reduce(np.kron, mats)
+def _likelihoods(code: SecretKeyCode, table: np.ndarray, outputs: np.ndarray):
+    """(|M|*|X|^n, D) array of prod_i table[s_i(m), x_i, outputs[i, d]], rows
+    (m, x^n) in lexicographic order.  The product runs left to right over i
+    and the result is C-contiguous: both fix the bits of the sums taken over it.
+    """
+    num_cols = outputs.shape[1]
+    scores = table[code.codewords[:, 0]].take(outputs[0], axis=2)  # (M, X, D)
+    for i in range(1, code.n):
+        letter = table[code.codewords[:, i]].take(outputs[i], axis=2)
+        scores = (scores[:, :, None, :] * letter[:, None, :, :]).reshape(
+            code.num_messages, -1, num_cols)
+    return scores.reshape(-1, num_cols)
+
+
+def _bin_winners(scores: np.ndarray, pub_flat: np.ndarray, num_public: int):
+    """(num_public, columns) array: the winning row of each bin per column.
+
+    Each bin takes the first maximum over its own rows in their original
+    order (smallest m, then lexicographically smallest x^n); an empty bin
+    falls back to row 0 (first message, all-zero sequence).
+    """
+    order = np.argsort(pub_flat, kind="stable")
+    ends = np.cumsum(np.bincount(pub_flat, minlength=num_public))
+    winners = np.zeros((num_public, scores.shape[1]), dtype=np.int64)
+    start = 0
+    for phi, end in enumerate(ends):
+        if end > start:
+            rows = order[start:end]
+            winners[phi] = rows[np.argmax(scores[rows], axis=0)]
+        start = end
+    return winners
 
 
 def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
@@ -153,67 +167,46 @@ def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
         raise ValueError("y sequence length must equal the blocklength")
     if not 0 <= phi < code.num_public:
         raise ValueError("public message index out of range")
-    W = _xy_table(channel)
-    X = W.shape[1]
-    scores = np.empty((code.num_messages, X**code.n))
-    for m in range(code.num_messages):
-        vecs = [W[int(s)][:, int(y)] for s, y in zip(code.codewords[m], y_seq)]
-        scores[m] = reduce(np.kron, vecs)
-    mask = code.public_bins == phi
-    if not mask.any():
-        return 0, np.zeros(code.n, dtype=np.int64)
-    masked = np.where(mask, scores, -1.0)
-    flat = int(np.argmax(masked))  # first maximum: smallest m, then lex x^n
-    m_hat, x_idx = divmod(flat, X**code.n)
+    scores = _likelihoods(code, marginal_channel(channel, "xy"), y_seq[:, None])
+    winners = _bin_winners(scores, code.public_bins.ravel(), code.num_public)
+    X = channel.alphabet_sizes[1]
+    m_hat, x_idx = divmod(int(winners[phi, 0]), X**code.n)
     return m_hat, index_sequence(x_idx, X, code.n)
-
-
-def _full_score_tensors(code, channel, output: str):
-    """score[m, x_idx, o_idx] = prod_i p(x_i, o_i | s_i(m)) for o in {y,z}."""
-    table = marginal_channel(channel, "x" + output)
-    return np.stack([_score_matrix(code.codewords[m], table)
-                     for m in range(code.num_messages)])
 
 
 def exact_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
                    enum_budget: int = DEFAULT_ENUM_BUDGET) -> SimReport:
     """Exact error probability and key leakage by full enumeration."""
     S, X, Y, Z = channel.alphabet_sizes
-    m_x = code.num_messages * X**code.n
-    if m_x * Y**code.n > enum_budget or m_x * Z**code.n > enum_budget:
+    n = code.n
+    m_x = code.num_messages * X**n
+    if m_x * Y**n > enum_budget or m_x * Z**n > enum_budget:
         raise BudgetError(
             "enumeration needs %d cells, over the budget %d"
-            % (max(m_x * Y**code.n, m_x * Z**code.n), enum_budget))
+            % (max(m_x * Y**n, m_x * Z**n), enum_budget))
+    pub_flat, key_flat = code.public_bins.ravel(), code.key_bins.ravel()
 
-    score_y = _full_score_tensors(code, channel, "y")  # (M, X^n, Y^n)
-    flat = score_y.reshape(m_x, Y**code.n)
-    pub_flat = code.public_bins.reshape(m_x)
-    key_flat = code.key_bins.reshape(m_x)
-
-    # Decode table: K_B for every (y^n, phi).
-    k_b = np.zeros((Y**code.n, code.num_public), dtype=np.int64)
-    for phi in range(code.num_public):
-        in_bin = pub_flat == phi
-        if not in_bin.any():
-            # empty bin: decoder falls back to (message 0, all-zero x^n)
-            k_b[:, phi] = code.key_bins[0, 0]
-            continue
-        masked = np.where(in_bin[:, None], flat, -1.0)
-        winners = np.argmax(masked, axis=0)  # first max = smallest m, lex x^n
-        k_b[:, phi] = key_flat[winners]
-    mismatch = key_flat[:, None] != k_b.T[pub_flat]  # (m_x, Y^n)
-    error = float((flat * mismatch).sum() / code.num_messages)
+    # Decode table: K_B for every (phi, y^n).
+    score_y = _likelihoods(code, marginal_channel(channel, "xy"),
+                           np.indices((Y,) * n).reshape(n, -1))
+    k_b = key_flat[_bin_winners(score_y, pub_flat, code.num_public)]
+    # In-place products keep the peak memory at one (m_x, Y^n) float array.
+    np.multiply(score_y, key_flat[:, None] != k_b[pub_flat], out=score_y)
+    error = float(score_y.sum() / code.num_messages)
+    del score_y, k_b
 
     # Exact joint of (K_A, Phi, Z^n) for the leakage.
-    score_z = _full_score_tensors(code, channel, "z").reshape(m_x, Z**code.n)
-    joint_kpz = np.zeros((code.num_keys * code.num_public, Z**code.n))
+    score_z = _likelihoods(code, marginal_channel(channel, "xz"),
+                           np.indices((Z,) * n).reshape(n, -1))
+    score_z /= code.num_messages
     cell = key_flat * code.num_public + pub_flat
-    np.add.at(joint_kpz, cell, score_z / code.num_messages)
-    joint_k_vs_rest = joint_kpz.reshape(code.num_keys, code.num_public * Z**code.n)
-    leakage = mutual_information(joint_k_vs_rest)
+    joint_kpz = np.bincount((cell[:, None] * Z**n + np.arange(Z**n)).ravel(),
+                            weights=score_z.ravel(),
+                            minlength=code.num_keys * code.num_public * Z**n)
+    leakage = mutual_information(joint_kpz.reshape(code.num_keys, -1))
 
     return SimReport(error_probability=error, leakage_bits=leakage,
-                     method="exact", trials=m_x * Y**code.n)
+                     method="exact", trials=m_x * Y**n)
 
 
 def monte_carlo_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
@@ -226,25 +219,34 @@ def monte_carlo_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    W = _xy_table(channel)
+    W = marginal_channel(channel, "xy")
     S, X, Y = W.shape
     cdf = W.reshape(S, X * Y).cumsum(axis=1)
-    failures = 0
-    for _ in range(trials):
-        m = int(rng.integers(code.num_messages))
-        u = rng.random(code.n)
-        xs = np.zeros(code.n, dtype=np.int64)
-        ys = np.zeros(code.n, dtype=np.int64)
-        for i, s in enumerate(code.codewords[m]):
-            cell = int(np.searchsorted(cdf[int(s)], u[i], side="right"))
-            xs[i], ys[i] = divmod(cell, Y)
-        x_idx = sequence_index(xs, X)
-        phi = int(code.public_bins[m, x_idx])
-        k_a = int(code.key_bins[m, x_idx])
-        m_hat, x_hat = mlmap_decode(code, channel, ys, phi)
-        k_b = int(code.key_bins[m_hat, sequence_index(x_hat, X)])
-        if k_a != k_b:
-            failures += 1
+    draws = [(rng.integers(code.num_messages), rng.random(code.n))
+             for _ in range(trials)]  # the per-trial RNG order of the protocol
+    messages = np.array([m for m, _ in draws])
+    uniforms = np.array([u for _, u in draws])
+    letters = code.codewords[messages]  # (trials, n)
+    cells = np.empty_like(letters)
+    for s in range(S):
+        here = letters == s
+        cells[here] = np.searchsorted(cdf[s], uniforms[here], side="right")
+    xs, ys = np.divmod(cells, Y)
+    powers = np.arange(code.n - 1, -1, -1)
+    x_idx, y_idx = xs @ X**powers, ys @ Y**powers
+    phi = code.public_bins[messages, x_idx]
+    k_a = code.key_bins[messages, x_idx]
+
+    # Decode each distinct y^n once, for every public bin.
+    _, first, y_col = np.unique(y_idx, return_index=True, return_inverse=True)
+    pub_flat, key_flat = code.public_bins.ravel(), code.key_bins.ravel()
+    k_b = np.empty((code.num_public, len(first)), dtype=np.int64)
+    block = max(1, _DECODE_BLOCK_CELLS // pub_flat.size)
+    for lo in range(0, len(first), block):
+        scores = _likelihoods(code, W, ys[first[lo:lo + block]].T)
+        k_b[:, lo:lo + block] = key_flat[
+            _bin_winners(scores, pub_flat, code.num_public)]
+    failures = int(np.count_nonzero(k_a != k_b[phi, y_col]))
     p_hat = failures / trials
     z2 = _WILSON_Z**2
     center = (p_hat + z2 / (2 * trials)) / (1 + z2 / trials)
@@ -327,24 +329,19 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: InputDistribution,
 
     Returns (avg_error, avg_leakage, check) where check carries the bounds,
     the 3*sigma/sqrt(N) slack terms, per-codebook rows, and pass verdicts.
-    Each codebook's RNG stream comes from spawning the master seed, so the
-    result does not depend on scheduling.
+    Each codebook's RNG stream comes from spawning the master seed.
     """
+    if num_codebooks < 1:
+        raise ValueError("num_codebooks must be >= 1")
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     children = seq.spawn(num_codebooks)
 
-    def one(child):
+    rows = []
+    for child in children:
         code = generate_code(channel, n, rates, inp, child, table_budget)
         rep = exact_evaluate(code, channel, enum_budget)
-        return rep.error_probability, rep.leakage_bits
-
-    workers = num_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, children))
-    else:
-        rows = [one(c) for c in children]
+        rows.append((rep.error_probability, rep.leakage_bits))
     errors = np.array([r[0] for r in rows])
     leaks = np.array([r[1] for r in rows])
     avg_error = float(errors.mean())

@@ -2,8 +2,7 @@
 
 Subcommands: capacity, upper-bound, sweep-gaussian, sweep-binary, exponents,
 simulate, verify-bounds.  Every command is deterministic given its config
-and seed.  The ``SKAGREE_THREADS`` environment variable sets the worker
-count for ensemble simulations (results are identical regardless).
+and seed.
 """
 
 from __future__ import annotations
@@ -95,6 +94,19 @@ def _resolve_discrete_channel(args):
     raise ChannelError("a channel source is required (--channel or --family)")
 
 
+def _sim_input(args, channel) -> InputDistribution:
+    """Bernoulli(--input-beta, default 0.5) on a binary S alphabet, uniform
+    otherwise; --input-beta with a non-binary S is rejected."""
+    s_size = channel.alphabet_sizes[0]
+    if s_size == 2:
+        return InputDistribution.bernoulli(
+            0.5 if args.input_beta is None else args.input_beta)
+    if args.input_beta is not None:
+        raise ValueError("--input-beta needs a binary S alphabet, got |S| = %d"
+                         % s_size)
+    return InputDistribution.uniform(s_size)
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -121,6 +133,8 @@ def cmd_capacity(args) -> int:
             "capacity_bits": c_sk, "r_ch": r_ch, "r_src": r_src,
             "input_pmf": [1.0 - beta_star, beta_star],
             "expected_cost": 0.0, "beta_star": beta_star,
+            # the figure is the key capacity only on a degraded channel
+            "degraded": is_degraded(build_binary_onoff(params)),
         }
         if abs(c_sk - (r_ch + r_src)) > 1e-9:
             print("self-check failed: r_ch + r_src != capacity", file=sys.stderr)
@@ -241,9 +255,7 @@ def cmd_simulate(args) -> int:
         print("simulate is stochastic: --seed is required", file=sys.stderr)
         return 1
     channel = _resolve_discrete_channel(args)
-    inp = InputDistribution.bernoulli(args.input_beta) \
-        if channel.alphabet_sizes[0] == 2 else \
-        InputDistribution.uniform(channel.alphabet_sizes[0])
+    inp = _sim_input(args, channel)
     rates = expo.RatePoint(r_sk=args.rsk_rate, r_phi=args.rphi_rate, r_m=args.rm_rate)
     rows = []
     checks = {}
@@ -282,9 +294,7 @@ def cmd_verify_bounds(args) -> int:
     exponent objectives, using effective (size-rounded) rates so the identity
     is exact."""
     channel = _resolve_discrete_channel(args)
-    inp = InputDistribution.bernoulli(args.input_beta) \
-        if channel.alphabet_sizes[0] == 2 else \
-        InputDistribution.uniform(channel.alphabet_sizes[0])
+    inp = _sim_input(args, channel)
     rates = expo.RatePoint(r_sk=args.rsk_rate, r_phi=args.rphi_rate, r_m=args.rm_rate)
     worst_e, worst_f = 0.0, 0.0
     for n in _parse_n_range(args.n):
@@ -327,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rsk-rate", type=float, required=True)
             p.add_argument("--rphi-rate", type=float, required=True)
             p.add_argument("--rm-rate", type=float, required=True)
-            p.add_argument("--input-beta", type=float, default=0.5)
+            p.add_argument("--input-beta", type=float, default=None,
+                           help="Bernoulli input for a binary S alphabet "
+                                "(default 0.5)")
             p.add_argument("--n", required=True, help="blocklengths, e.g. 1:3 or 1,2,3")
         if sim:
             p.add_argument("--codebooks", type=int, default=500)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 
@@ -23,6 +24,8 @@ from skagree import (
     secrecy_objective,
 )
 from skagree.binning_sim import (
+    _bin_winners,
+    _likelihoods,
     _size_from_rate,
     index_sequence,
     minimize_error_bound,
@@ -40,6 +43,59 @@ def lossless_channel():
     for s, x in product(range(2), repeat=2):
         tr[s, x, 2 * s + x, 0] = 0.5
     return DiscreteBroadcastChannel(tr, np.zeros(2))
+
+
+def tie_heavy_channel():
+    """Per-letter likelihoods are powers of 2, so many products tie exactly."""
+    w = np.array([[[0.25, 0.25], [0.25, 0.25]],
+                  [[0.5, 0.125], [0.125, 0.25]]])
+    return DiscreteBroadcastChannel(w[:, :, :, None] * 0.5 * np.ones(2),
+                                    np.zeros(2))
+
+
+def ternary_channel(rng):
+    """|X| = |Z| = 3, |Y| = 2: rows and columns of unequal length."""
+    tr = rng.dirichlet(np.ones(3 * 2 * 3), size=2).reshape(2, 3, 2, 3)
+    return DiscreteBroadcastChannel(tr, np.zeros(2))
+
+
+def brute_force_decision(code, W, ys, phi):
+    """First (m, x^n index) of maximal score within bin phi, or None."""
+    X = W.shape[1]
+    best, best_score = None, -1.0
+    for m in range(code.num_messages):
+        for x_idx in range(X**code.n):
+            if code.public_bins[m, x_idx] != phi:
+                continue
+            xs = index_sequence(x_idx, X, code.n)
+            score = 1.0
+            for s, x, y in zip(code.codewords[m], xs, ys):
+                score = score * W[int(s), int(x), int(y)]
+            if score > best_score:
+                best, best_score = (m, x_idx), score
+    return best
+
+
+def reference_monte_carlo_error(code, channel, trials, seed):
+    """Trial-by-trial protocol run with brute-force decoding."""
+    rng = np.random.default_rng(seed)
+    W = marginal_channel(channel, "xy")
+    S, X, Y = W.shape
+    cdf = W.reshape(S, X * Y).cumsum(axis=1)
+    failures = 0
+    for _ in range(trials):
+        m = int(rng.integers(code.num_messages))
+        u = rng.random(code.n)
+        xs = np.zeros(code.n, dtype=np.int64)
+        ys = np.zeros(code.n, dtype=np.int64)
+        for i, s in enumerate(code.codewords[m]):
+            cell = int(np.searchsorted(cdf[int(s)], u[i], side="right"))
+            xs[i], ys[i] = divmod(cell, Y)
+        x_idx = sequence_index(xs, X)
+        phi = int(code.public_bins[m, x_idx])
+        best = brute_force_decision(code, W, ys, phi) or (0, 0)
+        failures += int(code.key_bins[m, x_idx] != code.key_bins[best])
+    return failures / trials
 
 
 class TestSizing:
@@ -95,29 +151,50 @@ class TestGenerateCode:
 
 class TestMlMapDecode:
     def test_matches_brute_force(self):
+        # One random code, one on a tie-heavy channel, and one with an empty
+        # public bin.  The brute-force search decides every (y^n, phi); the
+        # decoder, exact_evaluate's K_B table and Monte-Carlo must all agree.
         rng = np.random.default_rng(74)
         ch = random_binary_channel(rng)
-        code = generate_code(ch, 3, RATES, UNIFORM, seed=9)
-        W = marginal_channel(ch, "xy")
-        for y_idx in range(8):
-            ys = index_sequence(y_idx, 2, 3)
-            for phi in range(code.num_public):
-                best, best_score = None, -1.0
-                for m in range(code.num_messages):
-                    for x_idx in range(8):
-                        if code.public_bins[m, x_idx] != phi:
-                            continue
-                        xs = index_sequence(x_idx, 2, 3)
-                        score = 1.0
-                        for s, x, y in zip(code.codewords[m], xs, ys):
-                            score = score * W[int(s), int(x), int(y)]
-                        if score > best_score:
-                            best, best_score = (m, x_idx), score
-                m_hat, x_hat = mlmap_decode(code, ch, ys, phi)
-                if best is None:
-                    assert m_hat == 0 and not x_hat.any()
-                else:
-                    assert (m_hat, sequence_index(x_hat, 2)) == best
+        ties = tie_heavy_channel()
+        tie_code = generate_code(ties, 3, RATES, UNIFORM, seed=9)
+        gap_code = generate_code(ch, 3, RATES, UNIFORM, seed=9)
+        gap_code = dataclasses.replace(
+            gap_code, public_bins=np.where(gap_code.public_bins == 1, 0,
+                                           gap_code.public_bins))
+        cases = [(ch, generate_code(ch, 3, RATES, UNIFORM, seed=9)),
+                 (ties, tie_code), (ch, gap_code)]
+        tied_maxima = 0
+        for channel, code in cases:
+            W = marginal_channel(channel, "xy")
+            m_x = code.key_bins.size
+            scores = _likelihoods(code, W, np.indices((2,) * 3).reshape(3, -1))
+            table = _bin_winners(scores, code.public_bins.reshape(m_x),
+                                 code.num_public)  # (phi, y^n) -> winner row
+            error = 0.0
+            for y_idx in range(8):
+                ys = index_sequence(y_idx, 2, 3)
+                for phi in range(code.num_public):
+                    best = brute_force_decision(code, W, ys, phi)
+                    m_hat, x_hat = mlmap_decode(code, channel, ys, phi)
+                    if best is None:
+                        assert m_hat == 0 and not x_hat.any()
+                        assert table[phi, y_idx] == 0
+                        best = (0, 0)
+                    else:
+                        assert (m_hat, sequence_index(x_hat, 2)) == best
+                        assert table[phi, y_idx] == best[0] * 8 + best[1]
+                        in_bin = code.public_bins.reshape(m_x) == phi
+                        tied_maxima += int((scores[in_bin, y_idx] == scores[
+                            best[0] * 8 + best[1], y_idx]).sum() > 1)
+                    for m, x_idx in zip(*np.nonzero(code.public_bins == phi)):
+                        if code.key_bins[m, x_idx] != code.key_bins[best]:
+                            error += scores[m * 8 + x_idx, y_idx] / code.num_messages
+            assert exact_evaluate(code, channel).error_probability == pytest.approx(
+                error, abs=1e-12)
+            assert monte_carlo_evaluate(code, channel, 300, seed=3).error_probability \
+                == reference_monte_carlo_error(code, channel, 300, seed=3)
+        assert tied_maxima > 0
 
     def test_input_validation(self):
         rng = np.random.default_rng(75)
@@ -194,6 +271,29 @@ class TestExactEvaluate:
         assert 0.0 <= rep.error_probability <= 1.0
         doc = rep.to_json()
         assert doc["method"] == "exact"
+
+
+class TestFrozenOutputs:
+    # Values recorded before the decoders were merged into one kernel; the
+    # exact and Monte-Carlo results must not move by a single bit.
+    PINS = {
+        ("binary", 3): (0.22679041089065075, 0.18707469547607136, 0.2675),
+        ("binary", 6): (0.6264740982709649, 0.15626811319736333, 0.645),
+        ("ternary", 3): (0.3654825910015084, 0.10062206124239026, 0.3925),
+        ("ternary", 6): (0.7382253303084402, 0.010112286961952321, 0.71),
+    }
+
+    def test_exact_and_monte_carlo_pins(self):
+        channels = {"binary": random_binary_channel(np.random.default_rng(94)),
+                    "ternary": ternary_channel(np.random.default_rng(95))}
+        for (name, n), (error, leakage, mc_error) in self.PINS.items():
+            ch = channels[name]
+            code = generate_code(ch, n, RATES, UNIFORM, seed=[n, 1])
+            rep = exact_evaluate(code, ch)
+            assert rep.error_probability == error
+            assert rep.leakage_bits == leakage
+            mc = monte_carlo_evaluate(code, ch, trials=400, seed=[n, 2])
+            assert mc.error_probability == mc_error
 
 
 class TestMonteCarlo:
@@ -292,6 +392,13 @@ class TestEnsembleAverage:
         b = ensemble_average(ch, UNIFORM, 4, RATES, num_codebooks=16, seed=7)
         assert a[0] == b[0] and a[1] == b[1]
         assert a[2]["error_ok"] and a[2]["leakage_ok"]
+
+    def test_rejects_empty_ensemble(self):
+        rng = np.random.default_rng(94)
+        ch = random_degraded_binary_channel(rng)
+        for count in (0, -1):
+            with pytest.raises(ValueError):
+                ensemble_average(ch, UNIFORM, 3, RATES, num_codebooks=count, seed=1)
 
     def test_thread_count_does_not_change_result(self, monkeypatch):
         rng = np.random.default_rng(90)

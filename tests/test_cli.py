@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import random_degraded_binary_channel
-from skagree import binary_onoff_optimize, binary_onoff_rate, save_channel
+from skagree import (
+    DiscreteBroadcastChannel,
+    binary_onoff_optimize,
+    binary_onoff_rate,
+    build_binary_onoff,
+    is_degraded,
+    save_channel,
+)
 from skagree.channels import BinaryOnOffParams
 from skagree.cli import main
 
@@ -24,6 +31,15 @@ def degraded_channel_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def ternary_input_channel_file(tmp_path):
+    """|S| = 3, binary X, Y, Z."""
+    tr = np.random.default_rng(201).dirichlet(np.ones(8), size=3)
+    path = tmp_path / "ch3.json"
+    save_channel(DiscreteBroadcastChannel(tr.reshape(3, 2, 2, 2), np.zeros(3)), path)
+    return str(path)
+
+
 class TestCapacityCommand:
     def test_binary_onoff_json(self, tmp_path, capsys):
         out = tmp_path / "cap.json"
@@ -36,6 +52,18 @@ class TestCapacityCommand:
         assert doc["capacity_bits"] == pytest.approx(c_sk, abs=1e-12)
         assert doc["capacity_bits"] == pytest.approx(
             doc["r_ch"] + doc["r_src"], abs=1e-9)
+
+    def test_binary_onoff_reports_degradedness(self, tmp_path, degraded_channel_file):
+        # at the reference point the on-off law is not degraded, so the
+        # family figure is max_beta R_SK(beta), not the key capacity
+        out = tmp_path / "cap.json"
+        assert main(["capacity", "--family", "binary-onoff", "--out", str(out)]) == 0
+        params = BinaryOnOffParams(q=0.5, q_tilde=0.8, delta=0.1, delta3=0.2)
+        assert json.loads(out.read_text())["degraded"] is False
+        assert is_degraded(build_binary_onoff(params)) is False
+        assert main(["capacity", "--channel", degraded_channel_file,
+                     "--out", str(out)]) == 0
+        assert "degraded" not in json.loads(out.read_text())
 
     def test_gaussian_json(self, tmp_path):
         out = tmp_path / "cap.json"
@@ -139,6 +167,34 @@ class TestSimulateCommand:
                    "--seed", "5", "--out", str(out)])
         sidecar = json.loads((tmp_path / "s.csv.bounds.json").read_text())
         assert (rc == 0) == (sidecar["4"]["bound_check"] == "pass")
+
+
+    def test_zero_codebooks_exit_2(self, degraded_channel_file, tmp_path):
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--channel", degraded_channel_file,
+                   "--rsk-rate", "0.25", "--rphi-rate", "0.75", "--rm-rate", "0.25",
+                   "--n", "3", "--codebooks", "0", "--seed", "5", "--out", str(out)])
+        assert rc == 2
+        assert not (tmp_path / "s.csv.bounds.json").exists()
+
+    def test_input_beta_needs_binary_s(self, degraded_channel_file,
+                                       ternary_input_channel_file, tmp_path):
+        sim = ["simulate", "--rsk-rate", "0.25", "--rphi-rate", "0.75",
+               "--rm-rate", "0.25", "--n", "2", "--codebooks", "4", "--seed", "5"]
+        verify = ["verify-bounds", "--rsk-rate", "0.2", "--rphi-rate", "0.7",
+                  "--rm-rate", "0.1", "--n", "2"]
+        for argv in (sim, verify):
+            out = str(tmp_path / "o")
+            assert main(argv + ["--channel", ternary_input_channel_file,
+                                "--input-beta", "0.3", "--out", out]) == 2
+            assert main(argv + ["--channel", ternary_input_channel_file,
+                                "--out", out]) in (0, 1)
+            # on a binary S alphabet the default is Bernoulli(0.5)
+            assert main(argv + ["--channel", degraded_channel_file,
+                                "--out", out + "a"]) in (0, 1)
+            assert main(argv + ["--channel", degraded_channel_file,
+                                "--input-beta", "0.5", "--out", out + "b"]) in (0, 1)
+            assert (tmp_path / "oa").read_bytes() == (tmp_path / "ob").read_bytes()
 
 
 class TestVerifyBounds:
