@@ -257,6 +257,36 @@ def monte_carlo_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
                      error_half_width=half + abs(center - p_hat))
 
 
+def _code_size(n: int, rate: float, name: str) -> float:
+    """|set| = 2^ceil(n*rate) as a float, or a ValueError if it has none."""
+    try:
+        return float(_size_from_rate(n, rate))
+    except OverflowError:
+        raise ValueError("%s = 2^ceil(n*rate) at n=%d, rate=%r is too large "
+                         "for a float" % (name, n, rate)) from None
+
+
+def _error_bound_for(channel, inp, n, rates):
+    """rho -> the raw ensemble error bound at a fixed input and n; the
+    rho-free tensors are built once."""
+    num_m = _code_size(n, rates.r_m, "|M|")
+    num_phi = _code_size(n, rates.r_phi, "|Phi|")
+    pxy = marginal_channel(channel, "xy")  # (S,X,Y)
+    py = pxy.sum(axis=1)                   # (S,Y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_x_given_ys = np.where(py[:, None, :] > 0, pxy / py[:, None, :], 0.0)
+    weights = inp.probs[:, None]
+
+    def bound(rho):
+        e = 1.0 / (1.0 + rho)
+        inner = (weights * np.power(py, e)
+                 * np.power(p_x_given_ys, e).sum(axis=1)).sum(axis=0)  # per y
+        total = math.fsum(np.power(inner, 1.0 + rho).tolist())
+        return float(num_phi**-rho * num_m**rho * total**n)
+
+    return bound
+
+
 def ensemble_error_bound(channel: DiscreteBroadcastChannel, inp: InputDistribution,
                          n: int, rho: float, rates: RatePoint) -> float:
     """Ensemble-average error bound |Phi|^-rho |M|^rho [sum_y Psi4(y,rho)]^n,
@@ -264,29 +294,15 @@ def ensemble_error_bound(channel: DiscreteBroadcastChannel, inp: InputDistributi
     exceed 1; clip only when reporting as a probability)."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0,1]")
-    num_m = _size_from_rate(n, rates.r_m)
-    num_phi = _size_from_rate(n, rates.r_phi)
-    pxy = marginal_channel(channel, "xy")  # (S,X,Y)
-    py = pxy.sum(axis=1)                   # (S,Y)
-    e = 1.0 / (1.0 + rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_x_given_ys = np.where(py[:, None, :] > 0, pxy / py[:, None, :], 0.0)
-    inner = (inp.probs[:, None] * np.power(py, e)
-             * np.power(p_x_given_ys, e).sum(axis=1)).sum(axis=0)  # per y
-    total = math.fsum(np.power(inner, 1.0 + rho).tolist())
-    return float(num_phi**-rho * num_m**rho * total**n)
+    return _error_bound_for(channel, inp, n, rates)(rho)
 
 
-def ensemble_leakage_bound(channel: DiscreteBroadcastChannel, inp: InputDistribution,
-                           n: int, alpha: float, rates: RatePoint) -> float:
-    """Ensemble-average leakage bound in bits:
-    c(alpha) |K|^a |Phi|^a |M|^-a [sum Upsilon(s,x,z,alpha)]^n with
-    c(alpha) = log2(e)/alpha."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0,1]")
-    num_m = _size_from_rate(n, rates.r_m)
-    num_phi = _size_from_rate(n, rates.r_phi)
-    num_k = _size_from_rate(n, rates.r_sk)
+def _leakage_bound_for(channel, inp, n, rates):
+    """alpha -> the ensemble leakage bound at a fixed input and n; the
+    alpha-free tensors are built once."""
+    num_m = _code_size(n, rates.r_m, "|M|")
+    num_phi = _code_size(n, rates.r_phi, "|Phi|")
+    num_k = _code_size(n, rates.r_sk, "|K|")
     pxz = marginal_channel(channel, "xz")  # (S,X,Z)
     joint = inp.probs[:, None, None] * pxz
     pz = joint.sum(axis=(0, 1))
@@ -298,25 +314,39 @@ def ensemble_leakage_bound(channel: DiscreteBroadcastChannel, inp: InputDistribu
                         pz_given_s[:, None, :] / np.where(pz[None, None, :] > 0,
                                                           pz[None, None, :], 1.0),
                         0.0) * p_x_given_sz
-    terms = joint * np.power(lift, alpha)
-    total = math.fsum(terms[joint > 0].tolist())
-    c = math.log2(math.e) / alpha
-    return float(c * num_k**alpha * num_phi**alpha * num_m**-alpha * total**n)
+    support = joint > 0
+    joint, lift = joint[support], lift[support]
+
+    def bound(alpha):
+        total = math.fsum((joint * np.power(lift, alpha)).tolist())
+        c = math.log2(math.e) / alpha
+        return float(c * num_k**alpha * num_phi**alpha * num_m**-alpha * total**n)
+
+    return bound
+
+
+def ensemble_leakage_bound(channel: DiscreteBroadcastChannel, inp: InputDistribution,
+                           n: int, alpha: float, rates: RatePoint) -> float:
+    """Ensemble-average leakage bound in bits:
+    c(alpha) |K|^a |Phi|^a |M|^-a [sum Upsilon(s,x,z,alpha)]^n with
+    c(alpha) = log2(e)/alpha."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0,1]")
+    return _leakage_bound_for(channel, inp, n, rates)(alpha)
 
 
 def minimize_error_bound(channel, inp, n, rates, iters: int = 200):
     """(rho*, min over rho of the ensemble error bound); the log-bound is
     convex in rho."""
-    rho, neg = golden_section_max(
-        lambda r: -math.log2(ensemble_error_bound(channel, inp, n, r, rates)),
-        0.0, 1.0, iters)
+    bound = _error_bound_for(channel, inp, n, rates)
+    rho, neg = golden_section_max(lambda r: -math.log2(bound(r)), 0.0, 1.0, iters)
     return rho, 2.0**-neg
 
 
 def minimize_leakage_bound(channel, inp, n, rates, iters: int = 200):
-    alpha, neg = golden_section_max(
-        lambda a: -math.log2(ensemble_leakage_bound(channel, inp, n, a, rates)),
-        ALPHA_MIN, 1.0, iters)
+    bound = _leakage_bound_for(channel, inp, n, rates)
+    alpha, neg = golden_section_max(lambda a: -math.log2(bound(a)),
+                                    ALPHA_MIN, 1.0, iters)
     return alpha, 2.0**-neg
 
 

@@ -29,10 +29,13 @@ from .probability import (
     binary_entropy,
     bsc_convolve,
     conditional_mutual_information,
+    conditional_mutual_information_rows,
     mutual_information,
+    mutual_information_rows,
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_BLOCK = 128  # grid points per batched objective call; bounds memory
 
 # Cardinality bounds for auxiliary systems, in terms of |S| and |X|.  These
 # are guidance (and validation ceilings), not a search space.
@@ -63,6 +66,12 @@ def golden_section_max(f, a: float, b: float, iters: int = 200):
     Ties in interval updates keep the left subinterval, biasing the argmax
     toward smaller arguments for determinism.  The best point actually
     evaluated is returned (including the endpoints).
+
+    ``f`` must be pure: once the bracket has shrunk to a few ulps, the
+    search state (a, b, c, d, f(c), f(d)) can only alternate between two
+    values, so the search stops at the first repeat and returns what all
+    ``iters`` iterations would have returned.  ``f`` may therefore be
+    called fewer than ``iters + 4`` times.
     """
     best_x, best_v = a, f(a)
     vb = f(b)
@@ -71,7 +80,8 @@ def golden_section_max(f, a: float, b: float, iters: int = 200):
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    before_last = last = None  # states after the two previous iterations
+    for i in range(iters):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INVPHI
@@ -82,39 +92,52 @@ def golden_section_max(f, a: float, b: float, iters: int = 200):
             fd = f(d)
         if not (b - a) > 0.0:
             break
+        state = (a, b, c, d, fc, fd)
+        if state == before_last:
+            # a 2-cycle: the remaining iterations alternate last, state, ...
+            if (iters - 1 - i) % 2:
+                a, b, c, d, fc, fd = last
+            break
+        before_last, last = last, state
     for x, v in ((c, fc), (d, fd)):
         if v > best_v:
             best_x, best_v = x, v
     return best_x, best_v
 
 
-def _simplex_grid(k: int, step: float):
-    """Deterministic enumeration of the probability simplex with spacing step."""
-    m = int(round(1.0 / step))
+def _simplex_grid(k: int, step: float) -> np.ndarray:
+    """Deterministic enumeration of the probability simplex with spacing
+    step, one point per row."""
     if k == 1:
-        yield np.array([1.0])
-        return
+        return np.ones((1, 1))
+    if k not in (2, 3):
+        raise ChannelError("input optimization supports |S| <= 3, got %d" % k)
+    m = int(round(1.0 / step))
+    if m < 1:
+        raise ChannelError("grid step %g leaves no simplex grid" % step)
     if k == 2:
-        for i in range(m + 1):
-            yield np.array([1.0 - i / m, i / m])
-        return
-    if k == 3:
-        for i in range(m + 1):
-            for j in range(m + 1 - i):
-                yield np.array([i / m, j / m, 1.0 - (i + j) / m])
-        return
-    raise ChannelError("input optimization supports |S| <= 3, got %d" % k)
+        i = np.arange(m + 1)
+        return np.stack([1.0 - i / m, i / m], axis=1)
+    # rows (i, j) for i = 0..m, j = 0..m-i, in that order; i + j = ij
+    i, ij = np.triu_indices(m + 1)
+    return np.stack([i / m, (ij - i) / m, 1.0 - ij / m], axis=1)
 
 
 def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
-                         config: OptimizerConfig = OptimizerConfig()):
+                         config: OptimizerConfig = OptimizerConfig(),
+                         batched: bool = False):
     """Maximize objective(p) over the feasible part of the simplex.
 
-    ``objective`` takes a length-k probability vector.  Feasibility means
-    dot(p, cost) <= gamma.  Returns (p_star, value).  Deterministic: grid
-    points are scanned in index order and ties keep the earlier point.
+    ``objective`` takes a length-k probability vector, or, with ``batched``,
+    a (G, k) block of them and returns the G values in row order.  The grid
+    is scored in blocks of ``_GRID_BLOCK`` points and the refinement scores
+    one-row blocks.  Feasibility means dot(p, cost) <= gamma.  Returns
+    (p_star, value).  Deterministic: grid points are scanned in index order
+    and ties keep the earlier point.
     """
     cost = np.zeros(k) if cost is None else np.asarray(cost, dtype=float)
+    if not np.isfinite(cost).all():
+        raise ChannelError("costs must be finite")
     if float(cost.min()) > gamma:
         raise ChannelError("cost constraint infeasible: min cost %g > gamma %g"
                            % (float(cost.min()), gamma))
@@ -123,25 +146,30 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
     def feasible(p):
         return float(np.dot(p, cost)) <= gamma + 1e-12
 
+    def score(block):
+        return objective(block) if batched else [objective(p) for p in block]
+
+    def value(p):
+        return score(p[None, :])[0] if feasible(p) else -math.inf
+
+    grid = _simplex_grid(k, step)
+    if gamma != math.inf:  # finite costs: every point is feasible at gamma=inf
+        grid = grid[[feasible(p) for p in grid]]
     best_p, best_v = None, -math.inf
-    for p in _simplex_grid(k, step):
-        if not feasible(p):
-            continue
-        v = objective(p)
-        if v > best_v:
-            best_p, best_v = p, v
+    for start in range(0, len(grid), _GRID_BLOCK):
+        block = grid[start:start + _GRID_BLOCK]
+        for p, v in zip(block, score(block)):
+            if v > best_v:
+                best_p, best_v = p, v
     if best_p is None:
         raise ChannelError("no feasible grid point under the cost constraint")
+    best_p = best_p.copy()
 
     if k == 2:
         beta = best_p[1]
         lo, hi = max(0.0, beta - step), min(1.0, beta + step)
-
-        def g(b):
-            p = np.array([1.0 - b, b])
-            return objective(p) if feasible(p) else -math.inf
-
-        b_ref, v_ref = golden_section_max(g, lo, hi, config.refine_iters)
+        b_ref, v_ref = golden_section_max(lambda b: value(np.array([1.0 - b, b])),
+                                          lo, hi, config.refine_iters)
         if v_ref > best_v or (v_ref == best_v and b_ref < beta):
             best_p, best_v = np.array([1.0 - b_ref, b_ref]), v_ref
     elif k == 3:
@@ -156,7 +184,7 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
                 def g(t, i=i, j=j, mass=mass, p=p):
                     q = p.copy()
                     q[i], q[j] = t, mass - t
-                    return objective(q) if feasible(q) else -math.inf
+                    return value(q)
 
                 t_ref, v_ref = golden_section_max(
                     g, max(0.0, p[i] - step), min(mass, p[i] + step),
@@ -278,21 +306,28 @@ def rate_split(channel: DiscreteBroadcastChannel, inp: InputDistribution):
 
 
 def _difference_objective(channel: DiscreteBroadcastChannel):
+    """Batched p(s) -> I(X,S;Y) - I(X,S;Z) on a (G, |S|) block of inputs."""
     tr = channel.transition
+    S, X, Y, Z = tr.shape
 
-    def f(p):
-        arr = p[:, None, None, None] * tr
-        return _grouped_cmi(arr, (0, 1), (2,), ()) - _grouped_cmi(arr, (0, 1), (3,), ())
+    def f(ps):
+        arr = ps[:, :, None, None, None] * tr  # (G,s,x,y,z)
+        g = len(ps)
+        i_y = mutual_information_rows(arr.sum(axis=4).reshape(g, S * X, Y))
+        i_z = mutual_information_rows(arr.sum(axis=3).reshape(g, S * X, Z))
+        return [a - b for a, b in zip(i_y, i_z)]
 
     return f
 
 
 def _conditional_objective(channel: DiscreteBroadcastChannel):
+    """Batched p(s) -> I(X,S;Y|Z) on a (G, |S|) block of inputs."""
     tr = channel.transition
+    S, X, Y, Z = tr.shape
 
-    def f(p):
-        arr = p[:, None, None, None] * tr
-        return _grouped_cmi(arr, (0, 1), (2,), (3,))
+    def f(ps):
+        arr = ps[:, :, None, None, None] * tr  # (G,s,x,y,z)
+        return conditional_mutual_information_rows(arr.reshape(len(ps), S * X, Y, Z))
 
     return f
 
@@ -312,7 +347,7 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
             "use upper_bound instead")
     k = channel.alphabet_sizes[0]
     p_star, _ = maximize_over_inputs(_difference_objective(channel), k,
-                                     channel.cost, gamma, config)
+                                     channel.cost, gamma, config, batched=True)
     inp = InputDistribution(Pmf(p_star))
     r_ch, r_src = rate_split(channel, inp)
     return CapacityResult(capacity=r_ch + r_src, r_ch=r_ch, r_src=r_src,
@@ -327,7 +362,7 @@ def upper_bound(channel: DiscreteBroadcastChannel, gamma: float = math.inf,
         raise ChannelError("gamma must be positive")
     _, value = maximize_over_inputs(_conditional_objective(channel),
                                     channel.alphabet_sizes[0],
-                                    channel.cost, gamma, config)
+                                    channel.cost, gamma, config, batched=True)
     return value
 
 
@@ -335,7 +370,7 @@ def upper_bound_with_input(channel: DiscreteBroadcastChannel, gamma: float = mat
                            config: OptimizerConfig = OptimizerConfig()):
     p_star, value = maximize_over_inputs(_conditional_objective(channel),
                                          channel.alphabet_sizes[0],
-                                         channel.cost, gamma, config)
+                                         channel.cost, gamma, config, batched=True)
     return Pmf(p_star), value
 
 
@@ -447,21 +482,9 @@ def binary_onoff_rate(params: BinaryOnOffParams, beta: float):
 
 def binary_onoff_optimize(params: BinaryOnOffParams,
                           config: OptimizerConfig = OptimizerConfig()):
-    """Maximize the closed-form R_SK over beta; grid + golden-section refine.
-
-    Ties are broken toward smaller beta.
-    """
-    step = config.step_for(2)
-    m = int(round(1.0 / step))
-    best_b, best_v = 0.0, -math.inf
-    for i in range(m + 1):
-        b = i / m
-        v = binary_onoff_rate(params, b)[0]
-        if v > best_v:
-            best_b, best_v = b, v
-    lo, hi = max(0.0, best_b - step), min(1.0, best_b + step)
-    b_ref, v_ref = golden_section_max(lambda b: binary_onoff_rate(params, b)[0],
-                                      lo, hi, config.refine_iters)
-    if v_ref > best_v or (v_ref == best_v and b_ref < best_b):
-        best_b, best_v = b_ref, v_ref
-    return best_b, best_v
+    """Maximize the closed-form R_SK over beta = p(S=1) with the input
+    optimizer; returns (beta_star, value).  Ties are broken toward smaller
+    beta."""
+    p_star, value = maximize_over_inputs(
+        lambda p: binary_onoff_rate(params, float(p[1]))[0], 2, config=config)
+    return float(p_star[1]), value

@@ -34,6 +34,8 @@ class DiscreteBroadcastChannel:
         arr = np.asarray(self.transition, dtype=float)
         if arr.ndim != 4:
             raise ChannelError("transition must have 4 axes [s,x,y,z], got %d" % arr.ndim)
+        if not np.isfinite(arr).all():
+            raise ChannelError("non-finite transition probability")
         if np.any(arr < 0):
             raise ChannelError("negative transition probability")
         row_mass = arr.sum(axis=(1, 2, 3))
@@ -43,8 +45,8 @@ class DiscreteBroadcastChannel:
         cost = np.asarray(self.cost, dtype=float)
         if cost.shape != (arr.shape[0],):
             raise ChannelError("cost vector length must equal |S|")
-        if np.any(cost < 0):
-            raise ChannelError("costs must be nonnegative")
+        if not np.isfinite(cost).all() or np.any(cost < 0):
+            raise ChannelError("costs must be finite and nonnegative")
         arr.setflags(write=False)
         cost.setflags(write=False)
         object.__setattr__(self, "transition", arr)
@@ -241,6 +243,8 @@ def load_channel(path, renormalize: bool = False) -> DiscreteBroadcastChannel:
         raise ChannelError(
             "transition shape %r does not match alphabets %r" % (tr.shape, expected)
         )
+    if not np.isfinite(tr).all():
+        raise ChannelError("non-finite transition probability in channel file")
     if np.any(tr < 0):
         raise ChannelError("negative transition probability in channel file")
     row_mass = tr.sum(axis=(1, 2, 3))

@@ -34,6 +34,8 @@ def _parse_grid(spec: str):
     """Grid syntax: 'a:b:k' (k evenly spaced points) or a comma list."""
     if ":" in spec:
         a, b, k = spec.split(":")
+        if int(k) < 1:
+            raise ValueError("grid %r needs at least one point (k >= 1)" % spec)
         return list(np.linspace(float(a), float(b), int(k)))
     return [float(v) for v in spec.split(",")]
 
@@ -332,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="input cost budget (default: unconstrained)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
         if rates:
             p.add_argument("--rsk-rate", type=float, required=True)
             p.add_argument("--rphi-rate", type=float, required=True)
@@ -391,6 +392,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ChannelError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # e.g. a bound's [sum]^n at a huge --n
+        print("error: numeric overflow (%s)" % exc, file=sys.stderr)
         return 2
 
 

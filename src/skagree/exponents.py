@@ -51,13 +51,25 @@ class ExponentResult:
     raw_value: float       # unclamped supremum (diagnostic)
 
 
+def _reliability_objective_for(channel, inp, rates):
+    """rho -> the reliability objective at a fixed input, without the domain
+    guard; the input's tensors are built once, not per rho."""
+    weighted = inp.probs[:, None, None]
+    pxy = marginal_channel(channel, "xy")  # (S,X,Y)
+    slope = rates.r_phi - rates.r_m
+
+    def f(rho):
+        e = 1.0 / (1.0 + rho)
+        inner = (weighted * np.power(pxy, e)).sum(axis=(0, 1))  # over y
+        total = math.fsum(np.power(inner, 1.0 + rho).tolist())
+        return rho * slope - math.log2(total)
+
+    return f
+
+
 def _reliability_objective_raw(channel, inp, rho, rates) -> float:
     """The objective without the domain guard (used for slope diagnostics)."""
-    pxy = marginal_channel(channel, "xy")  # (S,X,Y)
-    e = 1.0 / (1.0 + rho)
-    inner = (inp.probs[:, None, None] * np.power(pxy, e)).sum(axis=(0, 1))  # over y
-    total = math.fsum(np.power(inner, 1.0 + rho).tolist())
-    return rho * (rates.r_phi - rates.r_m) - math.log2(total)
+    return _reliability_objective_for(channel, inp, rates)(rho)
 
 
 def reliability_objective(channel: DiscreteBroadcastChannel, inp: InputDistribution,
@@ -68,15 +80,28 @@ def reliability_objective(channel: DiscreteBroadcastChannel, inp: InputDistribut
     return _reliability_objective_raw(channel, inp, rho, rates)
 
 
-def _secrecy_objective_raw(channel, inp, alpha, rates) -> float:
+def _secrecy_objective_for(channel, inp, rates):
+    """alpha -> the secrecy objective at a fixed input, without the domain
+    guard; p(s,x,z), the ratio p(x,z|s)/p(z) and its support are built once,
+    not per alpha."""
     pxz = marginal_channel(channel, "xz")  # (S,X,Z)
     joint = inp.probs[:, None, None] * pxz  # p(s,x,z)
     pz = joint.sum(axis=(0, 1))
     ratio = np.divide(pxz, pz[None, None, :],
                       out=np.zeros_like(pxz), where=pz[None, None, :] > 0)
-    terms = joint * np.power(ratio, alpha)
-    total = math.fsum(terms[joint > 0].tolist())
-    return -alpha * (rates.r_sk + rates.r_phi - rates.r_m) - math.log2(total)
+    support = joint > 0
+    joint, ratio = joint[support], ratio[support]
+    rate = rates.r_sk + rates.r_phi - rates.r_m
+
+    def f(alpha):
+        total = math.fsum((joint * np.power(ratio, alpha)).tolist())
+        return -alpha * rate - math.log2(total)
+
+    return f
+
+
+def _secrecy_objective_raw(channel, inp, alpha, rates) -> float:
+    return _secrecy_objective_for(channel, inp, rates)(alpha)
 
 
 def secrecy_objective(channel: DiscreteBroadcastChannel, inp: InputDistribution,
@@ -102,7 +127,7 @@ def reliability_exponent(channel: DiscreteBroadcastChannel, inp: InputDistributi
     if rates.r_phi - rates.r_m - rel_threshold <= 0.0:
         return ExponentResult(value=0.0, argmax=0.0, clamped=False, raw_value=0.0)
     rho, val = golden_section_max(
-        lambda r: _reliability_objective_raw(channel, inp, r, rates), 0.0, 1.0, iters)
+        _reliability_objective_for(channel, inp, rates), 0.0, 1.0, iters)
     if val <= 0.0:
         return ExponentResult(value=0.0, argmax=0.0, clamped=val < 0.0, raw_value=val)
     return ExponentResult(value=val, argmax=rho, clamped=False, raw_value=val)
@@ -113,7 +138,7 @@ def secrecy_exponent(channel: DiscreteBroadcastChannel, inp: InputDistribution,
     """sup over alpha in (0,1] of the secrecy objective, searched on
     [ALPHA_MIN, 1]; reports both the raw supremum and the clamped max(0,.)."""
     alpha, val = golden_section_max(
-        lambda a: _secrecy_objective_raw(channel, inp, a, rates), ALPHA_MIN, 1.0, iters)
+        _secrecy_objective_for(channel, inp, rates), ALPHA_MIN, 1.0, iters)
     clamped = val < 0.0
     return ExponentResult(value=max(0.0, val), argmax=alpha, clamped=clamped,
                           raw_value=val)

@@ -22,14 +22,23 @@ class PmfError(ValueError):
     """Raised when an array fails probability-mass validation."""
 
 
-def _validate_mass(arr: np.ndarray) -> None:
-    if arr.size < 1:
+def _validate_rows(rows: np.ndarray) -> None:
+    """Probability-mass checks on each row of a 2-D array: every entry is
+    finite and nonnegative, and each row sums to 1 within MASS_TOL."""
+    if rows.size < 1:
         raise PmfError("empty probability array")
-    if np.any(arr < 0):
-        raise PmfError("negative probability entry: min=%r" % float(arr.min()))
-    total = math.fsum(arr.ravel().tolist())
-    if abs(total - 1.0) > MASS_TOL:
-        raise PmfError("total mass %.17g deviates from 1 by more than %g" % (total, MASS_TOL))
+    if not (rows >= 0.0).all():  # also false for NaN
+        if np.isnan(rows).any():
+            raise PmfError("non-finite probability entry")
+        raise PmfError("negative probability entry: min=%r" % float(rows.min()))
+    for total in map(math.fsum, rows.tolist()):
+        if abs(total - 1.0) > MASS_TOL:  # also catches +inf
+            raise PmfError("total mass %.17g deviates from 1 by more than %g"
+                           % (total, MASS_TOL))
+
+
+def _validate_mass(arr: np.ndarray) -> None:
+    _validate_rows(arr.reshape(1, -1))
 
 
 @dataclass(frozen=True)
@@ -97,10 +106,17 @@ def _as_array(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
+def _entropy_rows(stack: np.ndarray) -> list:
+    """Shannon entropy in bits, 0*log(0) = 0, of each row of a (G, ...)
+    array.  Each row's terms are summed with ``math.fsum``, so its entropy
+    does not depend on the other rows or on the order of its entries."""
+    return [-math.fsum(x * math.log2(x) for x in row if x > 0.0)
+            for row in stack.reshape(stack.shape[0], -1).tolist()]
+
+
 def entropy(p) -> float:
     """Shannon entropy in bits, with the 0*log(0)=0 convention."""
-    arr = _as_array(p).ravel()
-    return -math.fsum(x * math.log2(x) for x in arr.tolist() if x > 0.0)
+    return _entropy_rows(_as_array(p).reshape(1, -1))[0]
 
 
 def binary_entropy(a: float) -> float:
@@ -119,16 +135,42 @@ def bsc_convolve(a: float, b: float) -> float:
     return a * (1.0 - b) + (1.0 - a) * b
 
 
+def _mi_rows(joints: np.ndarray) -> list:
+    """I(A;B) = H(A) + H(B) - H(A,B) for each (A, B) joint stacked on axis 0."""
+    ha = _entropy_rows(joints.sum(axis=2))
+    hb = _entropy_rows(joints.sum(axis=1))
+    hab = _entropy_rows(joints)
+    return [a + b - ab for a, b, ab in zip(ha, hb, hab)]
+
+
+def mutual_information_rows(joints: np.ndarray) -> list:
+    """I(A;B) for each validated two-axis joint of a (G, A, B) stack."""
+    _validate_rows(joints.reshape(joints.shape[0], -1))
+    return _mi_rows(joints)
+
+
+def conditional_mutual_information_rows(joints: np.ndarray) -> list:
+    """I(A;B|C) for each validated three-axis joint of a (G, A, B, C) stack,
+    conditioning on the last axis: the fsum over c of p(c) I(A;B|C=c)."""
+    g = joints.shape[0]
+    _validate_rows(joints.reshape(g, -1))
+    terms = [[] for _ in range(g)]
+    for c in range(joints.shape[3]):
+        slab = joints[:, :, :, c]
+        pc = [math.fsum(row) for row in slab.reshape(g, -1).tolist()]
+        scale = np.array([p if p > 0.0 else 1.0 for p in pc])
+        for row, p, mi in zip(terms, pc, _mi_rows(slab / scale[:, None, None])):
+            if p > 0.0:
+                row.append(p * mi)
+    return [math.fsum(row) for row in terms]
+
+
 def mutual_information(joint) -> float:
     """I(A;B) from a two-axis joint pmf, via H(A)+H(B)-H(A,B)."""
     arr = _as_array(joint)
     if arr.ndim != 2:
         raise ValueError("mutual_information expects a 2-axis joint, got ndim=%d" % arr.ndim)
-    if not isinstance(joint, JointPmf):
-        joint = JointPmf(arr)
-    ha = entropy(arr.sum(axis=1))
-    hb = entropy(arr.sum(axis=0))
-    return ha + hb - entropy(arr)
+    return mutual_information_rows(arr[None])[0]
 
 
 def conditional_mutual_information(joint) -> float:
@@ -138,21 +180,7 @@ def conditional_mutual_information(joint) -> float:
         raise ValueError(
             "conditional_mutual_information expects a 3-axis joint, got ndim=%d" % arr.ndim
         )
-    if not isinstance(joint, JointPmf):
-        joint = JointPmf(arr)
-    total = 0.0
-    terms = []
-    for c in range(arr.shape[2]):
-        pc = math.fsum(arr[:, :, c].ravel().tolist())
-        if pc <= 0.0:
-            continue
-        slice_ab = arr[:, :, c] / pc
-        ha = entropy(slice_ab.sum(axis=1))
-        hb = entropy(slice_ab.sum(axis=0))
-        hab = entropy(slice_ab)
-        terms.append(pc * (ha + hb - hab))
-    total = math.fsum(terms)
-    return total
+    return conditional_mutual_information_rows(arr[None])[0]
 
 
 def renyi_entropy(p, order: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import struct
 from itertools import product
 
 import numpy as np
@@ -16,6 +17,7 @@ from skagree import (
     BinaryOnOffParams,
     CapacityResult,
     ChannelError,
+    DiscreteBroadcastChannel,
     GaussianInterferenceParams,
     InputDistribution,
     OptimizerConfig,
@@ -34,6 +36,13 @@ from skagree import (
     public_rate_requirement,
     rate_split,
     upper_bound,
+)
+from skagree import capacity, exponents
+from skagree.capacity import (
+    _conditional_objective,
+    _difference_objective,
+    _grouped_cmi,
+    _simplex_grid,
 )
 
 REFERENCE_PARAMS = BinaryOnOffParams(q=0.5, q_tilde=0.8, delta=0.1, delta3=0.2)
@@ -54,6 +63,189 @@ class TestGoldenSection:
     def test_flat_ties_left(self):
         x, _ = golden_section_max(lambda t: 0.0, 0.0, 1.0)
         assert x == 0.0
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def full_golden_section_max(f, a, b, iters=200):
+    """The golden-section loop that runs all iters iterations: the reference
+    the cycle exit of golden_section_max must reproduce bit for bit."""
+    best_x, best_v = a, f(a)
+    vb = f(b)
+    if vb > best_v:
+        best_x, best_v = b, vb
+    c = b - (b - a) * _INVPHI
+    d = a + (b - a) * _INVPHI
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * _INVPHI
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * _INVPHI
+            fd = f(d)
+        if not (b - a) > 0.0:
+            break
+    for x, v in ((c, fc), (d, fd)):
+        if v > best_v:
+            best_x, best_v = x, v
+    return best_x, best_v
+
+
+def bits(*values):
+    return struct.pack("%dd" % len(values), *values)
+
+
+def counted(f):
+    def g(t):
+        g.calls += 1
+        return f(t)
+    g.calls = 0
+    return g
+
+
+class TestGoldenSectionCycleExit:
+    FUNCTIONS = {
+        "parabola": lambda t: -(t - 0.37) ** 2,
+        "increasing": lambda t: t,
+        "decreasing": lambda t: -t,
+        "flat": lambda t: 0.0,
+        "flat-negative-zero": lambda t: -0.0,
+        "step": lambda t: float(t > 0.5),
+        "multimodal": lambda t: math.sin(13.0 * t) * t,
+        "nan": lambda t: math.nan,
+        "rounded": lambda t: -abs(round(t, 3) - 0.5),
+    }
+    INTERVALS = [(0.0, 1.0), (1e-6, 1.0), (0.35, 0.39), (0.5, 0.5), (-0.0, 1e-300)]
+
+    @pytest.mark.parametrize("iters", [0, 1, 80, 120, 199, 200])
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_matches_full_loop(self, name, iters):
+        f = self.FUNCTIONS[name]
+        for a, b in self.INTERVALS:
+            assert bits(*golden_section_max(f, a, b, iters)) == \
+                bits(*full_golden_section_max(f, a, b, iters)), (a, b)
+
+    @pytest.mark.parametrize("iters", [199, 200])
+    def test_cycle_exit_saves_evaluations(self, iters):
+        # both parities of the remaining iteration count end on the state
+        # the full loop ends on, with fewer evaluations
+        f, ref = counted(self.FUNCTIONS["parabola"]), counted(self.FUNCTIONS["parabola"])
+        assert bits(*golden_section_max(f, 0.0, 1.0, iters)) == \
+            bits(*full_golden_section_max(ref, 0.0, 1.0, iters))
+        assert ref.calls == iters + 4
+        assert f.calls < 100
+
+    def test_exponent_objectives(self):
+        # criterion 12's channel and base rate point, at the search's own
+        # default and at criterion 12's refine_iters
+        ch = random_degraded_binary_channel(np.random.default_rng(2032))
+        inp = InputDistribution.bernoulli(0.3)
+        rel, _ = exponents.positivity_thresholds(ch, inp)
+        rates = exponents.RatePoint(0.02, max(0.1, rel + 0.05), 0.0)
+        for f, lo in ((exponents._reliability_objective_for(ch, inp, rates), 0.0),
+                      (exponents._secrecy_objective_for(ch, inp, rates),
+                       exponents.ALPHA_MIN)):
+            for iters in (80, 120, 199, 200):
+                assert bits(*golden_section_max(f, lo, 1.0, iters)) == \
+                    bits(*full_golden_section_max(f, lo, 1.0, iters))
+
+    def test_criterion_12_config_end_to_end(self, monkeypatch):
+        ch = random_degraded_binary_channel(np.random.default_rng(2032))
+        cfg = OptimizerConfig(grid_step=0.02, refine_iters=80)
+        rel, _ = exponents.positivity_thresholds(ch, InputDistribution.uniform(2))
+        rates = exponents.RatePoint(0.02, max(0.1, rel + 0.05), 0.0)
+        rng = np.random.default_rng(7)  # a degraded |S| = 3 channel
+        pxy = rng.dirichlet(np.ones(4), size=3).reshape(3, 2, 2)
+        pzy = rng.dirichlet(np.ones(2), size=2)
+        ch3 = DiscreteBroadcastChannel(pxy[:, :, :, None] * pzy[None, None],
+                                       np.zeros(3))
+
+        def outputs():
+            (e, e_in), (f, f_in) = exponents.optimized_exponents(ch, rates, cfg)
+            cap = degraded_capacity(ch3, config=COARSE)
+            return (bits(e.value, e.argmax, e.raw_value, f.value, f.argmax,
+                         f.raw_value, *e_in.probs, *f_in.probs)
+                    + bits(cap.capacity, *cap.input_pmf.probs))
+
+        fast = outputs()
+        monkeypatch.setattr(capacity, "golden_section_max", full_golden_section_max)
+        monkeypatch.setattr(exponents, "golden_section_max", full_golden_section_max)
+        assert outputs() == fast
+
+
+def random_channel(rng, sizes, zeros):
+    """Dirichlet rows of p(x,y,z|s); with ``zeros`` about a third of the
+    entries are 0 (each row keeps at least one)."""
+    s_size, rest = sizes[0], int(np.prod(sizes[1:]))
+    tr = rng.dirichlet(np.ones(rest), size=s_size)
+    if zeros:
+        keep = rng.random(tr.shape) >= 0.35
+        keep[np.arange(s_size), rng.integers(rest, size=s_size)] = True
+        tr = tr * keep
+        tr = tr / tr.sum(axis=1, keepdims=True)
+    return DiscreteBroadcastChannel(tr.reshape(sizes), np.zeros(s_size))
+
+
+class TestBatchedObjectives:
+    """The block-batched grid objectives equal the per-point _grouped_cmi
+    path with ==, at every grid point and for any block size."""
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("xyz", [(2, 2, 2), (3, 2, 3), (3, 9, 1), (1, 4, 9)])
+    @pytest.mark.parametrize("s_size", [1, 2, 3])
+    def test_equal_to_grouped_path(self, s_size, xyz, zeros):
+        rng = np.random.default_rng([s_size, *xyz, zeros])
+        ch = random_channel(rng, (s_size, *xyz), zeros)
+        grid = _simplex_grid(s_size, 0.05 if s_size == 3 else 0.01)
+
+        def difference(p):
+            arr = p[:, None, None, None] * ch.transition
+            return (_grouped_cmi(arr, (0, 1), (2,), ())
+                    - _grouped_cmi(arr, (0, 1), (3,), ()))
+
+        def conditional(p):
+            arr = p[:, None, None, None] * ch.transition
+            return _grouped_cmi(arr, (0, 1), (2,), (3,))
+
+        for factory, point in ((_difference_objective, difference),
+                               (_conditional_objective, conditional)):
+            f = factory(ch)
+            expect = [point(p) for p in grid]
+            for block in (1, 7, 128):
+                got = [v for i in range(0, len(grid), block)
+                       for v in f(grid[i:i + block])]
+                assert got == expect, (factory.__name__, block)
+
+    def test_grid_is_the_nested_loop_enumeration(self):
+        for k, step in ((1, 0.1), (2, 1e-3), (3, 1e-2), (3, 0.3)):
+            m = int(round(1.0 / step))
+            if k == 1:
+                expect = [[1.0]]
+            elif k == 2:
+                expect = [[1.0 - i / m, i / m] for i in range(m + 1)]
+            else:
+                expect = [[i / m, j / m, 1.0 - (i + j) / m]
+                          for i in range(m + 1) for j in range(m + 1 - i)]
+            assert _simplex_grid(k, step).tolist() == expect
+
+    def test_block_validation(self):
+        f = _difference_objective(random_channel(np.random.default_rng(3),
+                                                 (2, 2, 2, 2), False))
+        with pytest.raises(ValueError):
+            f(np.array([[0.5, 0.5], [0.5, np.nan]]))
+        with pytest.raises(ValueError):
+            f(np.array([[0.5, 0.5], [1.2, -0.2]]))
+
+    def test_batched_and_pointwise_maximizers_agree(self):
+        ch = random_channel(np.random.default_rng(4), (3, 2, 2, 2), True)
+        f = _conditional_objective(ch)
+        batched = maximize_over_inputs(f, 3, config=COARSE, batched=True)
+        pointwise = maximize_over_inputs(lambda p: f(p[None])[0], 3, config=COARSE)
+        assert bits(batched[1], *batched[0]) == bits(pointwise[1], *pointwise[0])
 
 
 class TestMaximizeOverInputs:
@@ -81,6 +273,12 @@ class TestMaximizeOverInputs:
     def test_unsupported_cardinality(self):
         with pytest.raises(ChannelError):
             maximize_over_inputs(lambda p: 0.0, 4)
+
+    def test_rejects_bad_cost_and_step(self):
+        with pytest.raises(ChannelError):
+            maximize_over_inputs(lambda p: 0.0, 2, cost=[0.0, math.nan])
+        with pytest.raises(ChannelError):
+            maximize_over_inputs(lambda p: 0.0, 2, config=OptimizerConfig(grid_step=5.0))
 
 
 class TestRateSplit:
@@ -377,6 +575,31 @@ class TestBinaryOnOffClosedForm:
     def test_split_sums(self, beta):
         r_sk, r_ch, r_src = binary_onoff_rate(REFERENCE_PARAMS, beta)
         assert r_sk == pytest.approx(r_ch + r_src, abs=1e-12)
+
+    @pytest.mark.parametrize("params", [
+        REFERENCE_PARAMS,
+        BinaryOnOffParams(q=0.9, q_tilde=0.3, delta=0.05, delta3=0.3),
+        BinaryOnOffParams(q=1.0, q_tilde=1.0, delta=0.0, delta3=0.0),
+    ])
+    @pytest.mark.parametrize("config", [OptimizerConfig(), COARSE])
+    def test_optimize_matches_own_grid_loop(self, params, config):
+        # the dedicated beta grid + golden-section loop that the shared
+        # input optimizer replaced: same beta* and C_SK, bit for bit
+        step = config.step_for(2)
+        m = int(round(1.0 / step))
+        best_b, best_v = 0.0, -math.inf
+        for i in range(m + 1):
+            v = binary_onoff_rate(params, i / m)[0]
+            if v > best_v:
+                best_b, best_v = i / m, v
+        b_ref, v_ref = full_golden_section_max(
+            lambda b: binary_onoff_rate(params, b)[0],
+            max(0.0, best_b - step), min(1.0, best_b + step), config.refine_iters)
+        if v_ref > best_v or (v_ref == best_v and b_ref < best_b):
+            best_b, best_v = b_ref, v_ref
+        beta, value = binary_onoff_optimize(params, config)
+        assert bits(beta, value) == bits(best_b, best_v)
+        assert type(beta) is float and type(value) is float
 
     def test_optimize_matches_dense_grid(self):
         beta_star, v_star = binary_onoff_optimize(REFERENCE_PARAMS)

@@ -38,6 +38,20 @@ class TestChannelValidation:
         with pytest.raises(ChannelError):
             DiscreteBroadcastChannel(tr, np.zeros(3))
 
+    @given(st.integers(0, 15), st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.booleans())
+    @settings(max_examples=40)
+    def test_non_finite_entries_rejected(self, index, bad, in_cost):
+        # NaN passes both "< 0" and "|mass - 1| > tol"
+        ch = random_binary_channel(np.random.default_rng(index))
+        tr, cost = ch.transition.copy(), ch.cost.copy()
+        if in_cost:
+            cost[index % 2] = bad
+        else:
+            tr.reshape(-1)[index] = bad
+        with pytest.raises(ChannelError):
+            DiscreteBroadcastChannel(tr, cost)
+
 
 class TestOnOffParams:
     def test_degradedness_precondition(self):
@@ -205,6 +219,18 @@ class TestChannelJson:
             load_channel(path)
         fixed = load_channel(path, renormalize=True)
         assert np.allclose(fixed.transition.sum(axis=(1, 2, 3)), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        import json
+        path = tmp_path / "nan.json"
+        save_channel(random_binary_channel(np.random.default_rng(19)), path)
+        doc = json.loads(path.read_text())
+        doc["transition"][1][0][1][0] = bad
+        path.write_text(json.dumps(doc))  # json writes NaN / Infinity
+        for renormalize in (False, True):
+            with pytest.raises(ChannelError):
+                load_channel(path, renormalize=renormalize)
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -210,6 +210,41 @@ class TestVerifyBounds:
 
 
 class TestErrorHandling:
+    def test_nan_channel_exit_2(self, tmp_path, degraded_channel_file, capsys):
+        doc = json.loads(open(degraded_channel_file).read())
+        doc["transition"][0][0][0][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "cap.json"
+        assert main(["capacity", "--channel", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
+    def test_overflowing_code_size_exit_2(self, degraded_channel_file, tmp_path,
+                                          capsys):
+        out = tmp_path / "v.json"
+        rc = main(["verify-bounds", "--channel", degraded_channel_file,
+                   "--rsk-rate", "0.2", "--rphi-rate", "2000", "--rm-rate", "0.1",
+                   "--n", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_overflowing_bound_exit_2(self, degraded_channel_file, capsys):
+        rc = main(["verify-bounds", "--channel", degraded_channel_file,
+                   "--rsk-rate", "0", "--rphi-rate", "0", "--rm-rate", "0",
+                   "--n", "3000"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-2"])
+    def test_empty_rate_grid_exit_2(self, degraded_channel_file, tmp_path, grid):
+        out = tmp_path / "surface.csv"
+        rc = main(["exponents", "--channel", degraded_channel_file,
+                   "--rsk", "0.01", "--rphi", grid, "--rm", "0", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_bad_family_params_exit_2(self):
         rc = main(["capacity", "--family", "binary-onoff", "--q-tilde", "1.0",
                    "--delta", "0.4", "--delta3", "0.1"])

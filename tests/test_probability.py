@@ -15,6 +15,10 @@ from skagree import (
     mutual_information,
     renyi_entropy,
 )
+from skagree.probability import (
+    conditional_mutual_information_rows,
+    mutual_information_rows,
+)
 
 
 def normalized(values):
@@ -37,6 +41,22 @@ class TestPmfValidation:
     def test_empty_rejected(self):
         with pytest.raises(PmfError):
             Pmf(np.array([]))
+
+    @given(pmf_values, st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_entry_rejected(self, vals, data, bad):
+        # NaN slips through "< 0" and "|mass - 1| > tol"; it must still fail
+        arr = normalized(vals)
+        arr[data.draw(st.integers(0, arr.size - 1))] = bad
+        with pytest.raises(PmfError):
+            Pmf(arr)
+        with pytest.raises(PmfError):
+            JointPmf(arr.reshape(1, -1))
+        # the batched kernels validate every row of the stack
+        stack = np.stack([normalized(vals), arr])[:, :, None]
+        with pytest.raises(PmfError):
+            mutual_information_rows(stack)
+        with pytest.raises(PmfError):
+            conditional_mutual_information_rows(stack[:, :, :, None])
 
     def test_joint_marginal_is_valid(self):
         j = JointPmf(np.array([[0.1, 0.2], [0.3, 0.4]]))
@@ -172,3 +192,52 @@ class TestRenyiEntropy:
     def test_never_exceeds_shannon(self, vals, alpha):
         p = Pmf(normalized(vals))
         assert entropy(p) >= renyi_entropy(p, 1 + alpha) - 1e-12
+
+
+def _loop_entropy(arr):
+    return -math.fsum(x * math.log2(x) for x in arr.ravel().tolist() if x > 0.0)
+
+
+def _loop_mi(arr):
+    return _loop_entropy(arr.sum(axis=1)) + _loop_entropy(arr.sum(axis=0)) \
+        - _loop_entropy(arr)
+
+
+def _loop_cmi(arr):
+    terms = []
+    for c in range(arr.shape[2]):
+        pc = math.fsum(arr[:, :, c].ravel().tolist())
+        if pc > 0.0:
+            terms.append(pc * _loop_mi(arr[:, :, c] / pc))
+    return math.fsum(terms)
+
+
+class TestBatchedKernels:
+    """The row kernels against the per-joint loops they replaced, with ==."""
+
+    @staticmethod
+    def joints(rng, shape, count):
+        out = []
+        for _ in range(count):
+            arr = rng.dirichlet(np.full(int(np.prod(shape)), rng.choice([0.2, 1.0])))
+            keep = rng.random(arr.size) >= 0.25  # zero entries, zero slices
+            keep[rng.integers(arr.size)] = True
+            arr = arr * keep
+            out.append((arr / math.fsum(arr.tolist())).reshape(shape))
+        return np.stack(out)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (9, 2), (3, 11), (12, 9)])
+    def test_mutual_information_rows(self, shape):
+        stack = self.joints(np.random.default_rng(shape), shape, 20)
+        rows = mutual_information_rows(stack)
+        assert rows == [_loop_mi(j) for j in stack]
+        assert rows == [mutual_information(j) for j in stack]
+        assert [entropy(j) for j in stack] == [_loop_entropy(j) for j in stack]
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 3), (9, 2, 2), (3, 10, 4),
+                                       (2, 3, 9)])
+    def test_conditional_mutual_information_rows(self, shape):
+        stack = self.joints(np.random.default_rng(shape), shape, 20)
+        rows = conditional_mutual_information_rows(stack)
+        assert rows == [_loop_cmi(j) for j in stack]
+        assert rows == [conditional_mutual_information(j) for j in stack]
