@@ -22,11 +22,17 @@ import numpy as np
 from .capacity import golden_section_max
 from .channels import DiscreteBroadcastChannel, InputDistribution, marginal_channel
 from .exponents import ALPHA_MIN, RatePoint
-from .probability import mutual_information
+# mutual_information is no longer called here but stays importable from this
+# module: benchmarks/test_benchmark.py checks the tracer's wrapping through it.
+from .probability import mutual_information, mutual_information_rows  # noqa: F401
 
 DEFAULT_TABLE_BUDGET = 2**24
 DEFAULT_ENUM_BUDGET = 2**26
 _DECODE_BLOCK_CELLS = 2**22  # Monte-Carlo decodes at most this many cells at once
+# ensemble_average evaluates its codes in stacks of at most this many cells
+# (one code may exceed it); larger stacks raised peak RSS through the leakage
+# entropies' per-row float lists.
+_STACK_CELLS = 2**14
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -37,6 +43,12 @@ class BudgetError(ValueError):
 def _size_from_rate(n: int, rate: float) -> int:
     """|set| = 2^ceil(n*rate), robust to float fuzz in n*rate."""
     return 2 ** max(0, math.ceil(n * rate - 1e-9))
+
+
+def _code_sizes(n: int, rates: RatePoint):
+    """(|M|, |Phi|, |K|) of a code of blocklength n at the given rates."""
+    return (_size_from_rate(n, rates.r_m), _size_from_rate(n, rates.r_phi),
+            _size_from_rate(n, rates.r_sk))
 
 
 @dataclass(frozen=True)
@@ -87,9 +99,7 @@ def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     S, X = channel.alphabet_sizes[0], channel.alphabet_sizes[1]
-    num_m = _size_from_rate(n, rates.r_m)
-    num_phi = _size_from_rate(n, rates.r_phi)
-    num_k = _size_from_rate(n, rates.r_sk)
+    num_m, num_phi, num_k = _code_sizes(n, rates)
     entries = num_m * X**n
     if entries > table_budget:
         raise BudgetError(
@@ -121,37 +131,75 @@ def index_sequence(idx: int, base: int, n: int) -> np.ndarray:
     return out
 
 
-def _likelihoods(code: SecretKeyCode, table: np.ndarray, outputs: np.ndarray):
-    """(|M|*|X|^n, D) array of prod_i table[s_i(m), x_i, outputs[i, d]], rows
-    (m, x^n) in lexicographic order.  The product runs left to right over i
-    and the result is C-contiguous: both fix the bits of the sums taken over it.
+def _stacked_likelihoods(codewords: np.ndarray, table: np.ndarray,
+                         outputs: np.ndarray):
+    """(C, |M|*|X|^n, D) array of prod_i table[s_i(m), x_i, outputs[i, d]]
+    for each code of a (C, |M|, n) codeword stack, rows (m, x^n) in
+    lexicographic order.  The product runs left to right over i and the
+    result is C-contiguous: both fix the bits of the sums taken over it.
     """
+    num_codes, num_m, n = codewords.shape
     num_cols = outputs.shape[1]
-    scores = table[code.codewords[:, 0]].take(outputs[0], axis=2)  # (M, X, D)
-    for i in range(1, code.n):
-        letter = table[code.codewords[:, i]].take(outputs[i], axis=2)
+    letters = codewords.reshape(num_codes * num_m, n)
+    scores = table[letters[:, 0]].take(outputs[0], axis=2)  # (C*M, X, D)
+    for i in range(1, n):
+        letter = table[letters[:, i]].take(outputs[i], axis=2)
         scores = (scores[:, :, None, :] * letter[:, None, :, :]).reshape(
-            code.num_messages, -1, num_cols)
-    return scores.reshape(-1, num_cols)
+            num_codes * num_m, -1, num_cols)
+    return scores.reshape(num_codes, -1, num_cols)
 
 
-def _bin_winners(scores: np.ndarray, pub_flat: np.ndarray, num_public: int):
-    """(num_public, columns) array: the winning row of each bin per column.
+def _likelihoods(code: SecretKeyCode, table: np.ndarray, outputs: np.ndarray):
+    """One code's (|M|*|X|^n, D) slice of _stacked_likelihoods."""
+    return _stacked_likelihoods(code.codewords[None], table, outputs)[0]
+
+
+def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int):
+    """(C, num_public, columns) array: the winning row of each code's bins
+    per column, for (C, rows, columns) scores and (C, rows) public bins.
 
     Each bin takes the first maximum over its own rows in their original
     order (smallest m, then lexicographically smallest x^n); an empty bin
-    falls back to row 0 (first message, all-zero sequence).
+    falls back to row 0 (first message, all-zero sequence).  The loop runs
+    over bins: a code with fewer rows in a bin than the fullest code is
+    padded with its row 0 at score -1, which never wins (scores are >= 0).
     """
-    order = np.argsort(pub_flat, kind="stable")
-    ends = np.cumsum(np.bincount(pub_flat, minlength=num_public))
-    winners = np.zeros((num_public, scores.shape[1]), dtype=np.int64)
-    start = 0
-    for phi, end in enumerate(ends):
-        if end > start:
-            rows = order[start:end]
-            winners[phi] = rows[np.argmax(scores[rows], axis=0)]
-        start = end
+    num_codes, num_rows, num_cols = scores.shape
+    code_idx = np.arange(num_codes)[:, None]
+    base = num_rows * code_idx  # flat index of each code's row 0
+    # Sorting the (code, bin) keys stably lists each code's bins in turn,
+    # each bin's rows in their original order, as flat row indices.
+    keys = (pub + num_public * code_idx).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    counts = np.bincount(keys, minlength=num_codes * num_public)
+    starts = np.cumsum(counts) - counts
+    counts = counts.reshape(num_codes, num_public)
+    widths = counts.max(axis=0).tolist()
+    padded = (counts.min(axis=0) < counts.max(axis=0)).tolist()
+    # slots[c, phi, j]: flat index of the j-th row of code c in bin phi
+    slots = np.broadcast_to(base[:, :, None],
+                            (num_codes, num_public, max(widths))).copy()
+    slots.reshape(num_codes * num_public, -1)[
+        keys, np.arange(keys.size) - starts[keys]] = order
+    pad = np.arange(slots.shape[2]) >= counts[:, :, None]
+    flat = scores.reshape(num_codes * num_rows, num_cols)
+    best = np.zeros((num_codes, num_public, num_cols), dtype=np.intp)
+    for phi, width in enumerate(widths):
+        if width == 0:
+            continue
+        cand = flat.take(slots[:, phi, :width], axis=0)  # (C, width, columns)
+        if padded[phi]:
+            cand[pad[:, phi, :width]] = -1.0
+        cand.argmax(axis=1, out=best[:, phi])
+    winners = np.take_along_axis(slots, best, axis=2)
+    winners -= base[:, :, None]
     return winners
+
+
+def _bin_winners(scores: np.ndarray, pub_flat: np.ndarray, num_public: int):
+    """One code's (num_public, columns) slice of _stacked_bin_winners."""
+    return _stacked_bin_winners(scores[None], pub_flat[None], num_public)[0]
 
 
 def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
@@ -174,39 +222,56 @@ def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
     return m_hat, index_sequence(x_idx, X, code.n)
 
 
-def exact_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
-                   enum_budget: int = DEFAULT_ENUM_BUDGET) -> SimReport:
-    """Exact error probability and key leakage by full enumeration."""
-    S, X, Y, Z = channel.alphabet_sizes
-    n = code.n
-    m_x = code.num_messages * X**n
+def _evaluate_stack(codes, channel: DiscreteBroadcastChannel,
+                    enum_budget: int):
+    """[(error, leakage)] of each code of a list drawn with one n and one set
+    of sizes, by full enumeration of the stacked codes."""
+    X, Y, Z = channel.alphabet_sizes[1:]
+    first = codes[0]
+    n, num_m, num_phi = first.n, first.num_messages, first.num_public
+    m_x = num_m * X**n
     if m_x * Y**n > enum_budget or m_x * Z**n > enum_budget:
         raise BudgetError(
             "enumeration needs %d cells, over the budget %d"
             % (max(m_x * Y**n, m_x * Z**n), enum_budget))
-    pub_flat, key_flat = code.public_bins.ravel(), code.key_bins.ravel()
+    codewords = np.stack([code.codewords for code in codes])
+    pub = np.stack([code.public_bins.ravel() for code in codes])
+    key = np.stack([code.key_bins.ravel() for code in codes])
+    code_idx = np.arange(len(codes))[:, None]
 
-    # Decode table: K_B for every (phi, y^n).
-    score_y = _likelihoods(code, marginal_channel(channel, "xy"),
-                           np.indices((Y,) * n).reshape(n, -1))
-    k_b = key_flat[_bin_winners(score_y, pub_flat, code.num_public)]
-    # In-place products keep the peak memory at one (m_x, Y^n) float array.
-    np.multiply(score_y, key_flat[:, None] != k_b[pub_flat], out=score_y)
-    error = float(score_y.sum() / code.num_messages)
+    # Decode table: K_B for every (code, phi, y^n).
+    score_y = _stacked_likelihoods(codewords, marginal_channel(channel, "xy"),
+                                   np.indices((Y,) * n).reshape(n, -1))
+    winners = _stacked_bin_winners(score_y, pub, num_phi)
+    k_b = key[code_idx[:, :, None], winners]
+    del winners
+    # In-place products keep the peak memory at one (C, m_x, Y^n) float array.
+    np.multiply(score_y, key[:, :, None] != k_b[code_idx, pub], out=score_y)
+    errors = [float(scores.sum() / num_m) for scores in score_y]
     del score_y, k_b
 
-    # Exact joint of (K_A, Phi, Z^n) for the leakage.
-    score_z = _likelihoods(code, marginal_channel(channel, "xz"),
-                           np.indices((Z,) * n).reshape(n, -1))
-    score_z /= code.num_messages
-    cell = key_flat * code.num_public + pub_flat
-    joint_kpz = np.bincount((cell[:, None] * Z**n + np.arange(Z**n)).ravel(),
-                            weights=score_z.ravel(),
-                            minlength=code.num_keys * code.num_public * Z**n)
-    leakage = mutual_information(joint_kpz.reshape(code.num_keys, -1))
+    # Exact joint of (K_A, Phi, Z^n) for the leakage, one block per code.
+    score_z = _stacked_likelihoods(codewords, marginal_channel(channel, "xz"),
+                                   np.indices((Z,) * n).reshape(n, -1))
+    score_z /= num_m
+    code_cells = first.num_keys * num_phi
+    cell = key * num_phi + pub + code_cells * code_idx
+    joint = np.bincount((cell[:, :, None] * Z**n + np.arange(Z**n)).ravel(),
+                        weights=score_z.ravel(),
+                        minlength=len(codes) * code_cells * Z**n)
+    del score_z, cell
+    leaks = mutual_information_rows(
+        joint.reshape(len(codes), first.num_keys, -1))
+    return list(zip(errors, leaks))
 
+
+def exact_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
+                   enum_budget: int = DEFAULT_ENUM_BUDGET) -> SimReport:
+    """Exact error probability and key leakage by full enumeration."""
+    (error, leakage), = _evaluate_stack([code], channel, enum_budget)
+    Y = channel.alphabet_sizes[2]
     return SimReport(error_probability=error, leakage_bits=leakage,
-                     method="exact", trials=m_x * Y**n)
+                     method="exact", trials=code.key_bins.size * Y**code.n)
 
 
 def monte_carlo_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
@@ -359,7 +424,9 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: InputDistribution,
 
     Returns (avg_error, avg_leakage, check) where check carries the bounds,
     the 3*sigma/sqrt(N) slack terms, per-codebook rows, and pass verdicts.
-    Each codebook's RNG stream comes from spawning the master seed.
+    Each codebook's RNG stream comes from spawning the master seed.  The
+    codebooks are drawn and evaluated in stacks of about _STACK_CELLS cells;
+    every per-codebook row equals exact_evaluate on that codebook.
     """
     if num_codebooks < 1:
         raise ValueError("num_codebooks must be >= 1")
@@ -367,11 +434,16 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: InputDistribution,
         else np.random.SeedSequence(seed)
     children = seq.spawn(num_codebooks)
 
+    X, Y, Z = channel.alphabet_sizes[1:]
+    num_m, num_phi, num_k = _code_sizes(n, rates)
+    m_x = num_m * X**n
+    cells = max(m_x * Y**n, m_x * Z**n, num_k * num_phi * Z**n)
+    stack = max(1, _STACK_CELLS // cells)
     rows = []
-    for child in children:
-        code = generate_code(channel, n, rates, inp, child, table_budget)
-        rep = exact_evaluate(code, channel, enum_budget)
-        rows.append((rep.error_probability, rep.leakage_bits))
+    for lo in range(0, num_codebooks, stack):
+        codes = [generate_code(channel, n, rates, inp, child, table_budget)
+                 for child in children[lo:lo + stack]]
+        rows += _evaluate_stack(codes, channel, enum_budget)
     errors = np.array([r[0] for r in rows])
     leaks = np.array([r[1] for r in rows])
     avg_error = float(errors.mean())

@@ -131,10 +131,12 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
     ``objective`` takes a length-k probability vector, or, with ``batched``,
     a (G, k) block of them and returns the G values in row order.  The grid
     is scored in blocks of ``_GRID_BLOCK`` points and the refinement scores
-    one-row blocks.  Feasibility means dot(p, cost) <= gamma.  Returns
-    (p_star, value).  Deterministic: grid points are scanned in index order
-    and ties keep the earlier point.
+    one-row blocks.  Feasibility means dot(p, cost) <= gamma, and gamma must
+    be positive.  Returns (p_star, value).  Deterministic: grid points are
+    scanned in index order and ties keep the earlier point.
     """
+    if not gamma > 0:  # also rejects NaN
+        raise ChannelError("gamma must be positive")
     cost = np.zeros(k) if cost is None else np.asarray(cost, dtype=float)
     if not np.isfinite(cost).all():
         raise ChannelError("costs must be finite")
@@ -339,8 +341,6 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
     Only valid for (physically) degraded channels; otherwise use
     ``upper_bound``, which bounds the capacity from above for any channel.
     """
-    if gamma <= 0:
-        raise ChannelError("gamma must be positive")
     if not is_degraded(channel):
         raise ChannelError(
             "channel is not degraded; the difference form is not its capacity — "
@@ -358,8 +358,6 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
 def upper_bound(channel: DiscreteBroadcastChannel, gamma: float = math.inf,
                 config: OptimizerConfig = OptimizerConfig()) -> float:
     """max over feasible p(s) of I(X,S;Y|Z)."""
-    if gamma <= 0:
-        raise ChannelError("gamma must be positive")
     _, value = maximize_over_inputs(_conditional_objective(channel),
                                     channel.alphabet_sizes[0],
                                     channel.cost, gamma, config, batched=True)

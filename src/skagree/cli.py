@@ -1,8 +1,8 @@
 """Command-line front end: plot-ready CSV/JSON sweeps and simulations.
 
 Subcommands: capacity, upper-bound, sweep-gaussian, sweep-binary, exponents,
-simulate, verify-bounds.  Every command is deterministic given its config
-and seed.
+simulate, verify-bounds.  Every command is deterministic given its config;
+simulate, the only stochastic one, also needs --seed.
 """
 
 from __future__ import annotations
@@ -167,7 +167,13 @@ def cmd_upper_bound(args) -> int:
     return 0
 
 
+def _require_steps(count: int, flag: str):
+    if count < 1:
+        raise ValueError("%s needs at least one point, got %d" % (flag, count))
+
+
 def cmd_sweep_gaussian(args) -> int:
+    _require_steps(args.p_db_steps, "--p-db-steps")
     grid = np.linspace(args.p_db_min, args.p_db_max, args.p_db_steps)
     rows = []
     for p_db in grid:
@@ -179,6 +185,7 @@ def cmd_sweep_gaussian(args) -> int:
 
 
 def cmd_sweep_binary(args) -> int:
+    _require_steps(args.beta_steps, "--beta-steps")
     params = _onoff_params(args)
     betas = np.linspace(0.0, 1.0, args.beta_steps)
     values = [cap.binary_onoff_rate(params, float(b)) for b in betas]
@@ -328,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "for sender-excited broadcast channels")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rates=False, sim=False):
+    def common(p, rates=False, sim=False, gamma=False):
         _add_channel_flags(p)
-        p.add_argument("--gamma", type=float, default=None,
-                       help="input cost budget (default: unconstrained)")
-        p.add_argument("--seed", type=int, default=None)
+        if gamma:
+            p.add_argument("--gamma", type=float, default=None,
+                           help="input cost budget (default: unconstrained)")
         p.add_argument("--out", help="output path (default: stdout)")
         if rates:
             p.add_argument("--rsk-rate", type=float, required=True)
@@ -344,13 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", required=True, help="blocklengths, e.g. 1:3 or 1,2,3")
         if sim:
             p.add_argument("--codebooks", type=int, default=500)
+            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("capacity", help="capacity (or upper bound) as JSON")
-    common(p)
+    common(p, gamma=True)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("upper-bound", help="conditional-information upper bound")
-    common(p)
+    common(p, gamma=True)
     p.set_defaults(func=cmd_upper_bound)
 
     p = sub.add_parser("sweep-gaussian", help="capacity sweep over power in dB")

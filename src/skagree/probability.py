@@ -31,7 +31,11 @@ def _validate_rows(rows: np.ndarray) -> None:
         if np.isnan(rows).any():
             raise PmfError("non-finite probability entry")
         raise PmfError("negative probability entry: min=%r" % float(rows.min()))
-    for total in map(math.fsum, rows.tolist()):
+    try:
+        totals = list(map(math.fsum, rows.tolist()))
+    except OverflowError:  # fsum's partial sums left the float range
+        raise PmfError("total mass overflows a float") from None
+    for total in totals:
         if abs(total - 1.0) > MASS_TOL:  # also catches +inf
             raise PmfError("total mass %.17g deviates from 1 by more than %g"
                            % (total, MASS_TOL))

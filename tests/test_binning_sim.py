@@ -23,6 +23,7 @@ from skagree import (
     reliability_objective,
     secrecy_objective,
 )
+from skagree import binning_sim
 from skagree.binning_sim import (
     _bin_winners,
     _likelihoods,
@@ -32,6 +33,7 @@ from skagree.binning_sim import (
     minimize_leakage_bound,
     sequence_index,
 )
+from skagree.probability import mutual_information
 
 UNIFORM = InputDistribution.uniform(2)
 RATES = RatePoint(r_sk=0.25, r_phi=0.5, r_m=0.25)
@@ -96,6 +98,62 @@ def reference_monte_carlo_error(code, channel, trials, seed):
         best = brute_force_decision(code, W, ys, phi) or (0, 0)
         failures += int(code.key_bins[m, x_idx] != code.key_bins[best])
     return failures / trials
+
+
+def reference_exact(code, channel):
+    """(error, leakage) of one code, evaluated on its own: the per-code
+    kernels as they were before codes were stacked, copied verbatim."""
+    def likelihoods(table, outputs):
+        num_cols = outputs.shape[1]
+        scores = table[code.codewords[:, 0]].take(outputs[0], axis=2)
+        for i in range(1, code.n):
+            letter = table[code.codewords[:, i]].take(outputs[i], axis=2)
+            scores = (scores[:, :, None, :] * letter[:, None, :, :]).reshape(
+                code.num_messages, -1, num_cols)
+        return scores.reshape(-1, num_cols)
+
+    def bin_winners(scores, pub_flat, num_public):
+        order = np.argsort(pub_flat, kind="stable")
+        ends = np.cumsum(np.bincount(pub_flat, minlength=num_public))
+        winners = np.zeros((num_public, scores.shape[1]), dtype=np.int64)
+        start = 0
+        for phi, end in enumerate(ends):
+            if end > start:
+                rows = order[start:end]
+                winners[phi] = rows[np.argmax(scores[rows], axis=0)]
+            start = end
+        return winners
+
+    S, X, Y, Z = channel.alphabet_sizes
+    n = code.n
+    pub_flat, key_flat = code.public_bins.ravel(), code.key_bins.ravel()
+    score_y = likelihoods(marginal_channel(channel, "xy"),
+                          np.indices((Y,) * n).reshape(n, -1))
+    k_b = key_flat[bin_winners(score_y, pub_flat, code.num_public)]
+    np.multiply(score_y, key_flat[:, None] != k_b[pub_flat], out=score_y)
+    error = float(score_y.sum() / code.num_messages)
+    score_z = likelihoods(marginal_channel(channel, "xz"),
+                          np.indices((Z,) * n).reshape(n, -1))
+    score_z /= code.num_messages
+    cell = key_flat * code.num_public + pub_flat
+    joint_kpz = np.bincount((cell[:, None] * Z**n + np.arange(Z**n)).ravel(),
+                            weights=score_z.ravel(),
+                            minlength=code.num_keys * code.num_public * Z**n)
+    return error, mutual_information(joint_kpz.reshape(code.num_keys, -1))
+
+
+def quantized_channel(rng, sizes):
+    """Random rows rounded to powers of 2 and renormalized: many exact ties."""
+    S, X, Y, Z = sizes
+    tr = np.exp2(np.round(np.log2(rng.dirichlet(np.ones(X * Y * Z), size=S))))
+    return DiscreteBroadcastChannel((tr / tr.sum(axis=1, keepdims=True)).reshape(
+        S, X, Y, Z), np.zeros(S))
+
+
+def random_channel(rng, sizes):
+    S, X, Y, Z = sizes
+    tr = rng.dirichlet(np.ones(X * Y * Z), size=S).reshape(S, X, Y, Z)
+    return DiscreteBroadcastChannel(tr, np.zeros(S))
 
 
 class TestSizing:
@@ -409,6 +467,60 @@ class TestEnsembleAverage:
         assert serial[0] == threaded[0]
         assert serial[1] == threaded[1]
         assert serial[2]["per_codebook"] == threaded[2]["per_codebook"]
+
+
+class TestStackedBitIdentity:
+    # (sizes (S, X, Y, Z), quantized, n, (r_sk, r_phi, r_m), codebooks).
+    # |M| > 1 in most cases; r_phi > log2|X| + r_m leaves public bins empty;
+    # at n=5 with binary letters a stack holds 16 codes, so 37 codebooks
+    # cross two stack boundaries; n=6 at |M|=4 is one code per stack.
+    CASES = [
+        ((2, 2, 2, 2), False, 1, (0.5, 1.0, 1.0), 40),
+        ((3, 2, 3, 2), False, 3, (0.4, 0.7, 0.4), 9),
+        ((2, 3, 2, 3), True, 2, (0.5, 1.0, 0.5), 7),
+        ((3, 3, 3, 3), False, 2, (0.5, 1.5, 0.5), 6),
+        ((2, 2, 3, 3), True, 4, (0.25, 0.5, 0.5), 5),
+        ((2, 2, 2, 2), True, 4, (0.25, 0.75, 0.25), 12),
+        ((2, 2, 2, 2), False, 3, (0.4, 2.0, 0.0), 10),
+        ((2, 2, 2, 2), False, 4, (0.25, 0.5, 0.25), 1),
+        ((2, 2, 2, 2), True, 5, (0.2, 0.6, 0.0), 37),
+        ((2, 2, 2, 2), False, 6, (0.2, 0.5, 0.2), 3),
+    ]
+
+    def test_rows_match_per_code_reference(self):
+        rng = np.random.default_rng(96)
+        empty_bins = 0
+        for sizes, quantized, n, rate_tuple, count in self.CASES:
+            ch = (quantized_channel if quantized else random_channel)(rng, sizes)
+            rates = RatePoint(*rate_tuple)
+            inp = InputDistribution.uniform(sizes[0])
+            seed = int(rng.integers(1 << 30))
+            _, _, check = ensemble_average(ch, inp, n, rates, count, seed)
+            expect = []
+            for child in np.random.SeedSequence(seed).spawn(count):
+                code = generate_code(ch, n, rates, inp, child)
+                expect.append(reference_exact(code, ch))
+                empty_bins += int(np.bincount(code.public_bins.ravel(),
+                                              minlength=code.num_public).min() == 0)
+            assert check["per_codebook"] == expect, (sizes, n, rate_tuple)
+            rep = exact_evaluate(code, ch)
+            assert (rep.error_probability, rep.leakage_bits) == expect[-1]
+        assert empty_bins > 0
+
+    def test_stack_size_does_not_change_rows(self, monkeypatch):
+        # stacks of 1, 2, 3 and all 8 codes give the same rows
+        ch = quantized_channel(np.random.default_rng(97), (3, 2, 3, 2))
+        rates = RatePoint(r_sk=0.4, r_phi=0.7, r_m=0.4)
+        inp = InputDistribution.uniform(3)
+        cells = 4 * 2**3 * 3**3  # |M| * |X|^n * |Y|^n at n=3
+        rows = []
+        for stack in (1, 2, 3, 8):
+            monkeypatch.setattr(binning_sim, "_STACK_CELLS", stack * cells)
+            rows.append(ensemble_average(ch, inp, 3, rates, 8, 5)[2]["per_codebook"])
+        assert rows[0] == rows[1] == rows[2] == rows[3]
+        expect = [reference_exact(generate_code(ch, 3, rates, inp, child), ch)
+                  for child in np.random.SeedSequence(5).spawn(8)]
+        assert rows[0] == expect
 
 
 class TestEmpiricalFit:

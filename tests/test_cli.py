@@ -245,6 +245,43 @@ class TestErrorHandling:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,gamma", [("capacity", "nan"),
+                                               ("upper-bound", "nan"),
+                                               ("upper-bound", "-1")])
+    def test_bad_gamma_exit_2(self, degraded_channel_file, tmp_path, capsys,
+                              command, gamma):
+        out = tmp_path / "out.json"
+        rc = main([command, "--channel", degraded_channel_file,
+                   "--gamma", gamma, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "error: gamma must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [("sweep-gaussian", "--p-db-steps"),
+                                              ("sweep-binary", "--beta-steps")])
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_empty_sweep_exit_2(self, tmp_path, capsys, command, flag, steps):
+        out = tmp_path / "sweep.csv"
+        assert main([command, flag, steps, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize("argv", [
+        ["exponents", "--rsk", "0.01", "--rphi", "0.5", "--rm", "0", "--seed", "1"],
+        ["verify-bounds", "--rsk-rate", "0.2", "--rphi-rate", "0.7",
+         "--rm-rate", "0.1", "--n", "2", "--seed", "1"],
+        ["capacity", "--seed", "1"],
+        ["exponents", "--rsk", "0.01", "--rphi", "0.5", "--rm", "0", "--gamma", "1"],
+        ["simulate", "--rsk-rate", "0.2", "--rphi-rate", "0.7", "--rm-rate", "0",
+         "--n", "2", "--seed", "1", "--gamma", "1"],
+    ])
+    def test_ignored_flags_rejected(self, degraded_channel_file, argv):
+        # --seed belongs to simulate and --gamma to capacity/upper-bound only
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--channel", degraded_channel_file])
+        assert exc.value.code == 2
+
     def test_bad_family_params_exit_2(self):
         rc = main(["capacity", "--family", "binary-onoff", "--q-tilde", "1.0",
                    "--delta", "0.4", "--delta3", "0.1"])

@@ -58,6 +58,16 @@ class TestPmfValidation:
         with pytest.raises(PmfError):
             conditional_mutual_information_rows(stack[:, :, :, None])
 
+    def test_overflowing_mass_rejected(self):
+        # fsum raises OverflowError when its partial sums leave the float range
+        for big in ([1e308, 1e308], [1e308, 1e308, -0.0]):
+            with pytest.raises(PmfError):
+                Pmf(np.array(big))
+            with pytest.raises(PmfError):
+                JointPmf(np.array(big).reshape(1, -1))
+            with pytest.raises(PmfError):
+                mutual_information_rows(np.array([[[0.5, 0.5]], [big[:2]]]))
+
     def test_joint_marginal_is_valid(self):
         j = JointPmf(np.array([[0.1, 0.2], [0.3, 0.4]]))
         assert np.allclose(j.marginal(0).probs, [0.3, 0.7])
