@@ -41,7 +41,6 @@ from .capacity import (
     public_rate_requirement,
     rate_split,
     upper_bound,
-    upper_bound_with_input,
 )
 from .exponents import (
     ExponentResult,

@@ -400,18 +400,17 @@ def ensemble_leakage_bound(channel: DiscreteBroadcastChannel, inp: InputDistribu
     return _leakage_bound_for(channel, inp, n, rates)(alpha)
 
 
-def minimize_error_bound(channel, inp, n, rates, iters: int = 200):
+def minimize_error_bound(channel, inp, n, rates):
     """(rho*, min over rho of the ensemble error bound); the log-bound is
     convex in rho."""
     bound = _error_bound_for(channel, inp, n, rates)
-    rho, neg = golden_section_max(lambda r: -math.log2(bound(r)), 0.0, 1.0, iters)
+    rho, neg = golden_section_max(lambda r: -math.log2(bound(r)), 0.0, 1.0)
     return rho, 2.0**-neg
 
 
-def minimize_leakage_bound(channel, inp, n, rates, iters: int = 200):
+def minimize_leakage_bound(channel, inp, n, rates):
     bound = _leakage_bound_for(channel, inp, n, rates)
-    alpha, neg = golden_section_max(lambda a: -math.log2(bound(a)),
-                                    ALPHA_MIN, 1.0, iters)
+    alpha, neg = golden_section_max(lambda a: -math.log2(bound(a)), ALPHA_MIN, 1.0)
     return alpha, 2.0**-neg
 
 

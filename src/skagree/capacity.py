@@ -3,8 +3,12 @@ channel families.
 
 The degraded capacity and the conditional-information upper bound are both
 optimized over the input distribution p(s) with a dense simplex grid followed
-by local golden-section refinement; the objective need not be concave in
-p(s), so grid+refine is preferred over ascent from a single start.
+by local golden-section refinement.  Both objectives are concave in p(s):
+I(X,S;Y|Z) is H(Y|Z), concave in p(y,z) and so in p(s), minus a term linear
+in p(s), and on degraded channels the difference I(X,S;Y) - I(X,S;Z) equals
+it.  Grid+refine stays because the exponent objectives that share the
+optimizer are not known to be concave, and because it keeps the outputs
+byte-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .probability import (
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GRID_BLOCK = 128  # grid points per batched objective call; bounds memory
+_GRID_BLOCK = 128  # grid points per objective call; bounds memory
 
 # Cardinality bounds for auxiliary systems, in terms of |S| and |X|.  These
 # are guidance (and validation ceilings), not a search space.
@@ -124,16 +128,15 @@ def _simplex_grid(k: int, step: float) -> np.ndarray:
 
 
 def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
-                         config: OptimizerConfig = OptimizerConfig(),
-                         batched: bool = False):
+                         config: OptimizerConfig = OptimizerConfig()):
     """Maximize objective(p) over the feasible part of the simplex.
 
-    ``objective`` takes a length-k probability vector, or, with ``batched``,
-    a (G, k) block of them and returns the G values in row order.  The grid
-    is scored in blocks of ``_GRID_BLOCK`` points and the refinement scores
-    one-row blocks.  Feasibility means dot(p, cost) <= gamma, and gamma must
-    be positive.  Returns (p_star, value).  Deterministic: grid points are
-    scanned in index order and ties keep the earlier point.
+    ``objective`` takes a (G, k) block of probability vectors and returns the
+    G values in row order.  The grid is scored in blocks of ``_GRID_BLOCK``
+    points and the refinement scores one-row blocks.  Feasibility means
+    dot(p, cost) <= gamma, and gamma must be positive.  Returns (p_star,
+    value).  Deterministic: grid points are scanned in index order and ties
+    keep the earlier point.
     """
     if not gamma > 0:  # also rejects NaN
         raise ChannelError("gamma must be positive")
@@ -148,11 +151,8 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
     def feasible(p):
         return float(np.dot(p, cost)) <= gamma + 1e-12
 
-    def score(block):
-        return objective(block) if batched else [objective(p) for p in block]
-
     def value(p):
-        return score(p[None, :])[0] if feasible(p) else -math.inf
+        return objective(p[None, :])[0] if feasible(p) else -math.inf
 
     grid = _simplex_grid(k, step)
     if gamma != math.inf:  # finite costs: every point is feasible at gamma=inf
@@ -160,7 +160,7 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
     best_p, best_v = None, -math.inf
     for start in range(0, len(grid), _GRID_BLOCK):
         block = grid[start:start + _GRID_BLOCK]
-        for p, v in zip(block, score(block)):
+        for p, v in zip(block, objective(block)):
             if v > best_v:
                 best_p, best_v = p, v
     if best_p is None:
@@ -308,7 +308,7 @@ def rate_split(channel: DiscreteBroadcastChannel, inp: InputDistribution):
 
 
 def _difference_objective(channel: DiscreteBroadcastChannel):
-    """Batched p(s) -> I(X,S;Y) - I(X,S;Z) on a (G, |S|) block of inputs."""
+    """p(s) -> I(X,S;Y) - I(X,S;Z) on a (G, |S|) block of inputs."""
     tr = channel.transition
     S, X, Y, Z = tr.shape
 
@@ -323,7 +323,7 @@ def _difference_objective(channel: DiscreteBroadcastChannel):
 
 
 def _conditional_objective(channel: DiscreteBroadcastChannel):
-    """Batched p(s) -> I(X,S;Y|Z) on a (G, |S|) block of inputs."""
+    """p(s) -> I(X,S;Y|Z) on a (G, |S|) block of inputs."""
     tr = channel.transition
     S, X, Y, Z = tr.shape
 
@@ -347,7 +347,7 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
             "use upper_bound instead")
     k = channel.alphabet_sizes[0]
     p_star, _ = maximize_over_inputs(_difference_objective(channel), k,
-                                     channel.cost, gamma, config, batched=True)
+                                     channel.cost, gamma, config)
     inp = InputDistribution(Pmf(p_star))
     r_ch, r_src = rate_split(channel, inp)
     return CapacityResult(capacity=r_ch + r_src, r_ch=r_ch, r_src=r_src,
@@ -356,19 +356,11 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
 
 
 def upper_bound(channel: DiscreteBroadcastChannel, gamma: float = math.inf,
-                config: OptimizerConfig = OptimizerConfig()) -> float:
-    """max over feasible p(s) of I(X,S;Y|Z)."""
-    _, value = maximize_over_inputs(_conditional_objective(channel),
-                                    channel.alphabet_sizes[0],
-                                    channel.cost, gamma, config, batched=True)
-    return value
-
-
-def upper_bound_with_input(channel: DiscreteBroadcastChannel, gamma: float = math.inf,
-                           config: OptimizerConfig = OptimizerConfig()):
+                config: OptimizerConfig = OptimizerConfig()):
+    """max over feasible p(s) of I(X,S;Y|Z); returns (p_star as a Pmf, value)."""
     p_star, value = maximize_over_inputs(_conditional_objective(channel),
                                          channel.alphabet_sizes[0],
-                                         channel.cost, gamma, config, batched=True)
+                                         channel.cost, gamma, config)
     return Pmf(p_star), value
 
 
@@ -484,5 +476,6 @@ def binary_onoff_optimize(params: BinaryOnOffParams,
     optimizer; returns (beta_star, value).  Ties are broken toward smaller
     beta."""
     p_star, value = maximize_over_inputs(
-        lambda p: binary_onoff_rate(params, float(p[1]))[0], 2, config=config)
+        lambda ps: [binary_onoff_rate(params, float(p[1]))[0] for p in ps], 2,
+        config=config)
     return float(p_star[1]), value

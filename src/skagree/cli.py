@@ -1,7 +1,8 @@
 """Command-line front end: plot-ready CSV/JSON sweeps and simulations.
 
 Subcommands: capacity, upper-bound, sweep-gaussian, sweep-binary, exponents,
-simulate, verify-bounds.  Every command is deterministic given its config;
+simulate, verify-bounds.  Each command parses only the flags it reads, so any
+other flag exits 2.  Every command is deterministic given its config;
 simulate, the only stochastic one, also needs --seed.
 """
 
@@ -47,18 +48,21 @@ def _parse_n_range(spec: str):
     return [int(v) for v in spec.split(",")]
 
 
-def _add_channel_flags(p: argparse.ArgumentParser):
+def _add_source_flags(p: argparse.ArgumentParser, families):
     p.add_argument("--channel", help="channel JSON file")
-    p.add_argument("--family", choices=["gaussian", "binary-onoff"],
-                   help="named parametric family")
+    p.add_argument("--family", choices=families, help="named parametric family")
     p.add_argument("--renormalize", action="store_true",
                    help="accept and renormalize off-mass transition rows")
-    # binary on-off parameters
+
+
+def _add_onoff_flags(p: argparse.ArgumentParser):
     p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--q-tilde", type=float, default=0.8)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--delta3", type=float, default=0.2)
-    # gaussian parameters
+
+
+def _add_gaussian_flags(p: argparse.ArgumentParser):
     p.add_argument("--power", type=float, default=1.0)
     p.add_argument("--nu1", type=float, default=1.0)
     p.add_argument("--nu2", type=float, default=1.0)
@@ -90,9 +94,6 @@ def _resolve_discrete_channel(args):
         return load_channel(args.channel, renormalize=args.renormalize)
     if args.family == "binary-onoff":
         return build_binary_onoff(_onoff_params(args))
-    if args.family == "gaussian":
-        raise ChannelError("the gaussian family has no discrete transition; "
-                           "this command needs --channel or --family binary-onoff")
     raise ChannelError("a channel source is required (--channel or --family)")
 
 
@@ -126,42 +127,37 @@ def _csv(header, rows) -> str:
 
 
 def cmd_capacity(args) -> int:
-    gamma = args.gamma if args.gamma is not None else math.inf
-    if args.family == "binary-onoff":
+    if args.channel or not args.family:
+        channel = _resolve_discrete_channel(args)
+        gamma = args.gamma if args.gamma is not None else math.inf
+        if is_degraded(channel):
+            doc = cap.degraded_capacity(channel, gamma).to_json()
+            doc["upper_bound_only"] = False
+        else:
+            pmf, value = cap.upper_bound(channel, gamma)
+            doc = {"capacity_bits": value, "input_pmf": pmf.probs.tolist(),
+                   "upper_bound_only": True}
+    elif args.gamma is not None:
+        raise ValueError("--gamma applies only to --channel")
+    elif args.family == "gaussian":
+        doc = cap.gaussian_capacity(_gaussian_params(args)).to_json()
+    else:
         params = _onoff_params(args)
         beta_star, c_sk = cap.binary_onoff_optimize(params)
         _, r_ch, r_src = cap.binary_onoff_rate(params, beta_star)
-        doc = {
-            "capacity_bits": c_sk, "r_ch": r_ch, "r_src": r_src,
-            "input_pmf": [1.0 - beta_star, beta_star],
-            "expected_cost": 0.0, "beta_star": beta_star,
-            # the figure is the key capacity only on a degraded channel
-            "degraded": is_degraded(build_binary_onoff(params)),
-        }
-        if abs(c_sk - (r_ch + r_src)) > 1e-9:
-            print("self-check failed: r_ch + r_src != capacity", file=sys.stderr)
-            return 1
-    elif args.family == "gaussian":
-        result = cap.gaussian_capacity(_gaussian_params(args))
-        doc = result.to_json()
-    else:
-        channel = _resolve_discrete_channel(args)
-        if is_degraded(channel):
-            result = cap.degraded_capacity(channel, gamma)
-            doc = result.to_json()
-            doc["upper_bound_only"] = False
-        else:
-            pmf, value = cap.upper_bound_with_input(channel, gamma)
-            doc = {"capacity_bits": value, "input_pmf": pmf.probs.tolist(),
-                   "upper_bound_only": True}
+        doc = cap.CapacityResult(capacity=c_sk, r_ch=r_ch, r_src=r_src,
+                                 input_pmf=InputDistribution.bernoulli(beta_star).pmf,
+                                 expected_cost=0.0).to_json()
+        doc["beta_star"] = beta_star
+        # the figure is the key capacity only on a degraded channel
+        doc["degraded"] = is_degraded(build_binary_onoff(params))
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_upper_bound(args) -> int:
     gamma = args.gamma if args.gamma is not None else math.inf
-    channel = _resolve_discrete_channel(args)
-    pmf, value = cap.upper_bound_with_input(channel, gamma)
+    pmf, value = cap.upper_bound(_resolve_discrete_channel(args), gamma)
     doc = {"upper_bound_bits": value, "input_pmf": pmf.probs.tolist()}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
@@ -260,9 +256,6 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.seed is None:
-        print("simulate is stochastic: --seed is required", file=sys.stderr)
-        return 1
     channel = _resolve_discrete_channel(args)
     inp = _sim_input(args, channel)
     rates = expo.RatePoint(r_sk=args.rsk_rate, r_phi=args.rphi_rate, r_m=args.rm_rate)
@@ -335,61 +328,63 @@ def build_parser() -> argparse.ArgumentParser:
                     "for sender-excited broadcast channels")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rates=False, sim=False, gamma=False):
-        _add_channel_flags(p)
-        if gamma:
-            p.add_argument("--gamma", type=float, default=None,
-                           help="input cost budget (default: unconstrained)")
+    def command(name, func, help, *flag_groups):
+        """A subcommand that parses only the flag groups it reads, plus --out."""
+        p = sub.add_parser(name, help=help)
+        for add in flag_groups:
+            add(p)
         p.add_argument("--out", help="output path (default: stdout)")
-        if rates:
-            p.add_argument("--rsk-rate", type=float, required=True)
-            p.add_argument("--rphi-rate", type=float, required=True)
-            p.add_argument("--rm-rate", type=float, required=True)
-            p.add_argument("--input-beta", type=float, default=None,
-                           help="Bernoulli input for a binary S alphabet "
-                                "(default 0.5)")
-            p.add_argument("--n", required=True, help="blocklengths, e.g. 1:3 or 1,2,3")
-        if sim:
-            p.add_argument("--codebooks", type=int, default=500)
-            p.add_argument("--seed", type=int, default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("capacity", help="capacity (or upper bound) as JSON")
-    common(p, gamma=True)
-    p.set_defaults(func=cmd_capacity)
+    def discrete(p):  # a channel file or the on-off law
+        _add_source_flags(p, ["binary-onoff"])
+        _add_onoff_flags(p)
 
-    p = sub.add_parser("upper-bound", help="conditional-information upper bound")
-    common(p, gamma=True)
-    p.set_defaults(func=cmd_upper_bound)
+    def gamma(p):
+        p.add_argument("--gamma", type=float, default=None,
+                       help="input cost budget, with --channel only "
+                            "(default: unconstrained)")
 
-    p = sub.add_parser("sweep-gaussian", help="capacity sweep over power in dB")
-    common(p)
+    def rates(p):
+        p.add_argument("--rsk-rate", type=float, required=True)
+        p.add_argument("--rphi-rate", type=float, required=True)
+        p.add_argument("--rm-rate", type=float, required=True)
+        p.add_argument("--input-beta", type=float, default=None,
+                       help="Bernoulli input for a binary S alphabet (default 0.5)")
+        p.add_argument("--n", required=True, help="blocklengths, e.g. 1:3 or 1,2,3")
+
+    command("capacity", cmd_capacity, "capacity (or upper bound) as JSON",
+            lambda p: _add_source_flags(p, ["gaussian", "binary-onoff"]),
+            _add_onoff_flags, _add_gaussian_flags, gamma)
+    command("upper-bound", cmd_upper_bound, "conditional-information upper bound",
+            discrete, gamma)
+
+    p = command("sweep-gaussian", cmd_sweep_gaussian,
+                "capacity sweep over power in dB", _add_gaussian_flags)
     p.add_argument("--p-db-min", type=float, default=-10.0)
     p.add_argument("--p-db-max", type=float, default=20.0)
     p.add_argument("--p-db-steps", type=int, default=61)
-    p.set_defaults(func=cmd_sweep_gaussian)
 
-    p = sub.add_parser("sweep-binary", help="on-off rate curve over beta")
-    common(p)
+    p = command("sweep-binary", cmd_sweep_binary, "on-off rate curve over beta",
+                _add_onoff_flags)
     p.add_argument("--beta-steps", type=int, default=1001)
-    p.set_defaults(func=cmd_sweep_binary)
 
-    p = sub.add_parser("exponents", help="exponent surface CSV over rate grids")
-    common(p)
+    p = command("exponents", cmd_exponents, "exponent surface CSV over rate grids",
+                discrete)
     p.add_argument("--rsk", required=True, help="R_SK grid, e.g. 0.01 or 0:0.2:5")
     p.add_argument("--rphi", required=True)
     p.add_argument("--rm", required=True)
     p.add_argument("--beta-grid", default=None,
                    help="Bernoulli input sweep (default: 0.5)")
-    p.set_defaults(func=cmd_exponents)
 
-    p = sub.add_parser("simulate", help="ensemble simulation with bound checks")
-    common(p, rates=True, sim=True)
-    p.set_defaults(func=cmd_simulate)
+    p = command("simulate", cmd_simulate, "ensemble simulation with bound checks",
+                discrete, rates)
+    p.add_argument("--codebooks", type=int, default=500)
+    p.add_argument("--seed", type=int, required=True)
 
-    p = sub.add_parser("verify-bounds", help="bound/objective identity checks")
-    common(p, rates=True)
-    p.set_defaults(func=cmd_verify_bounds)
-
+    command("verify-bounds", cmd_verify_bounds, "bound/objective identity checks",
+            discrete, rates)
     return parser
 
 

@@ -67,17 +67,12 @@ def _reliability_objective_for(channel, inp, rates):
     return f
 
 
-def _reliability_objective_raw(channel, inp, rho, rates) -> float:
-    """The objective without the domain guard (used for slope diagnostics)."""
-    return _reliability_objective_for(channel, inp, rates)(rho)
-
-
 def reliability_objective(channel: DiscreteBroadcastChannel, inp: InputDistribution,
                           rho: float, rates: RatePoint) -> float:
     """rho*(R_phi - R_M) - log2 sum_y [sum_{s,x} p(s) p(x,y|s)^(1/(1+rho))]^(1+rho)."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0,1], got %r" % rho)
-    return _reliability_objective_raw(channel, inp, rho, rates)
+    return _reliability_objective_for(channel, inp, rates)(rho)
 
 
 def _secrecy_objective_for(channel, inp, rates):
@@ -100,20 +95,16 @@ def _secrecy_objective_for(channel, inp, rates):
     return f
 
 
-def _secrecy_objective_raw(channel, inp, alpha, rates) -> float:
-    return _secrecy_objective_for(channel, inp, rates)(alpha)
-
-
 def secrecy_objective(channel: DiscreteBroadcastChannel, inp: InputDistribution,
                       alpha: float, rates: RatePoint) -> float:
     """-alpha*(R_SK + R_phi - R_M) - log2 sum_{x,z,s} p(x,z,s) [p(x,z|s)/p(z)]^alpha."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0,1], got %r" % alpha)
-    return _secrecy_objective_raw(channel, inp, alpha, rates)
+    return _secrecy_objective_for(channel, inp, rates)(alpha)
 
 
 def reliability_exponent(channel: DiscreteBroadcastChannel, inp: InputDistribution,
-                         rates: RatePoint, iters: int = 200) -> ExponentResult:
+                         rates: RatePoint) -> ExponentResult:
     """max over rho in [0,1] of the reliability objective.
 
     The objective is concave and exactly 0 at rho=0, so the maximum is
@@ -127,18 +118,18 @@ def reliability_exponent(channel: DiscreteBroadcastChannel, inp: InputDistributi
     if rates.r_phi - rates.r_m - rel_threshold <= 0.0:
         return ExponentResult(value=0.0, argmax=0.0, clamped=False, raw_value=0.0)
     rho, val = golden_section_max(
-        _reliability_objective_for(channel, inp, rates), 0.0, 1.0, iters)
+        _reliability_objective_for(channel, inp, rates), 0.0, 1.0)
     if val <= 0.0:
         return ExponentResult(value=0.0, argmax=0.0, clamped=val < 0.0, raw_value=val)
     return ExponentResult(value=val, argmax=rho, clamped=False, raw_value=val)
 
 
 def secrecy_exponent(channel: DiscreteBroadcastChannel, inp: InputDistribution,
-                     rates: RatePoint, iters: int = 200) -> ExponentResult:
+                     rates: RatePoint) -> ExponentResult:
     """sup over alpha in (0,1] of the secrecy objective, searched on
     [ALPHA_MIN, 1]; reports both the raw supremum and the clamped max(0,.)."""
     alpha, val = golden_section_max(
-        _secrecy_objective_for(channel, inp, rates), ALPHA_MIN, 1.0, iters)
+        _secrecy_objective_for(channel, inp, rates), ALPHA_MIN, 1.0)
     clamped = val < 0.0
     return ExponentResult(value=max(0.0, val), argmax=alpha, clamped=clamped,
                           raw_value=val)
@@ -202,11 +193,13 @@ def optimized_exponents(channel: DiscreteBroadcastChannel, rates: RatePoint,
     """
     k = channel.alphabet_sizes[0]
 
-    def e_obj(p):
-        return reliability_exponent(channel, InputDistribution(Pmf(p)), rates).value
+    def e_obj(ps):
+        return [reliability_exponent(channel, InputDistribution(Pmf(p)), rates).value
+                for p in ps]
 
-    def f_obj(p):
-        return secrecy_exponent(channel, InputDistribution(Pmf(p)), rates).value
+    def f_obj(ps):
+        return [secrecy_exponent(channel, InputDistribution(Pmf(p)), rates).value
+                for p in ps]
 
     p_e, _ = maximize_over_inputs(e_obj, k, channel.cost, math.inf, config)
     p_f, _ = maximize_over_inputs(f_obj, k, channel.cost, math.inf, config)

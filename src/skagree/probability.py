@@ -95,14 +95,6 @@ class JointPmf:
         axes = tuple(i for i in range(self.probs.ndim) if i != axis)
         return Pmf(self.probs.sum(axis=axes))
 
-    def flatten_axes(self, axes) -> "JointPmf":
-        """Merge the given leading axes into one (for grouped-variable MI)."""
-        axes = tuple(axes)
-        rest = tuple(i for i in range(self.probs.ndim) if i not in axes)
-        moved = np.moveaxis(self.probs, axes + rest, range(self.probs.ndim))
-        merged = moved.reshape((-1,) + tuple(self.probs.shape[i] for i in rest))
-        return JointPmf(merged)
-
 
 def _as_array(p) -> np.ndarray:
     if isinstance(p, (Pmf, JointPmf)):

@@ -41,7 +41,7 @@ from skagree import (
     upper_bound,
 )
 from skagree.binning_sim import index_sequence, sequence_index
-from skagree.exponents import _reliability_objective_raw, _secrecy_objective_raw
+from skagree.exponents import _reliability_objective_for, _secrecy_objective_for
 
 REFERENCE_PARAMS = BinaryOnOffParams(q=0.5, q_tilde=0.8, delta=0.1, delta3=0.2)
 UNIFORM = InputDistribution.uniform(2)
@@ -104,7 +104,7 @@ def test_criterion_04_degraded_equality():
     for _ in range(50):
         ch = random_degraded_binary_channel(rng)
         cap = degraded_capacity(ch, config=cfg).capacity
-        ub = upper_bound(ch, config=cfg)
+        _, ub = upper_bound(ch, config=cfg)
         worst = max(worst, abs(cap - ub))
     ok = worst <= 1e-6
     _report(4, "degraded capacity = upper bound", ok, "max gap %.3e" % worst)
@@ -142,10 +142,10 @@ def test_criterion_06_exponent_slope_identities():
         inp = InputDistribution.bernoulli(float(rng.uniform(0.05, 0.95)))
         rates = RatePoint(*(float(v) for v in rng.uniform(0.0, 1.0, 3)))
         rel_thr, sec_thr = positivity_thresholds(ch, inp)
-        slope_e = (_reliability_objective_raw(ch, inp, h, rates)
-                   - _reliability_objective_raw(ch, inp, -h, rates)) / (2 * h)
-        slope_f = (_secrecy_objective_raw(ch, inp, h, rates)
-                   - _secrecy_objective_raw(ch, inp, -h, rates)) / (2 * h)
+        e_obj = _reliability_objective_for(ch, inp, rates)
+        f_obj = _secrecy_objective_for(ch, inp, rates)
+        slope_e = (e_obj(h) - e_obj(-h)) / (2 * h)
+        slope_f = (f_obj(h) - f_obj(-h)) / (2 * h)
         worst = max(worst,
                     abs(slope_e - ((rates.r_phi - rates.r_m) - rel_thr)),
                     abs(slope_f - (sec_thr - (rates.r_sk + rates.r_phi
@@ -345,9 +345,9 @@ def test_criterion_13_strong_achievability_consistency():
         ch = random_degraded_binary_channel(rng)
         cap = degraded_capacity(ch, config=cfg).capacity
 
-        def value(p, ch=ch):
-            return strong_achievability_bound(
-                ch, InputDistribution(Pmf(p))).value
+        def value(ps, ch=ch):
+            return [strong_achievability_bound(ch, InputDistribution(Pmf(p))).value
+                    for p in ps]
 
         _, best = maximize_over_inputs(value, 2, config=cfg)
         worst = max(worst, abs(best - cap))

@@ -243,42 +243,46 @@ class TestBatchedObjectives:
     def test_batched_and_pointwise_maximizers_agree(self):
         ch = random_channel(np.random.default_rng(4), (3, 2, 2, 2), True)
         f = _conditional_objective(ch)
-        batched = maximize_over_inputs(f, 3, config=COARSE, batched=True)
-        pointwise = maximize_over_inputs(lambda p: f(p[None])[0], 3, config=COARSE)
+        batched = maximize_over_inputs(f, 3, config=COARSE)
+        pointwise = maximize_over_inputs(lambda ps: [f(p[None])[0] for p in ps], 3,
+                                         config=COARSE)
         assert bits(batched[1], *batched[0]) == bits(pointwise[1], *pointwise[0])
 
 
 class TestMaximizeOverInputs:
     def test_quadratic_k2(self):
-        p, v = maximize_over_inputs(lambda p: -(p[1] - 0.3) ** 2, 2)
+        p, v = maximize_over_inputs(lambda ps: [-(p[1] - 0.3) ** 2 for p in ps], 2)
         assert p[1] == pytest.approx(0.3, abs=1e-9)
         assert v == pytest.approx(0.0, abs=1e-15)
 
     def test_cost_constraint_binds(self):
         # maximize p[1] subject to 2*p[1] <= 1
-        p, v = maximize_over_inputs(lambda p: p[1], 2, cost=[0.0, 2.0], gamma=1.0)
+        p, v = maximize_over_inputs(lambda ps: [p[1] for p in ps], 2, cost=[0.0, 2.0],
+                                    gamma=1.0)
         assert v == pytest.approx(0.5, abs=1e-9)
 
     def test_infeasible(self):
         with pytest.raises(ChannelError):
-            maximize_over_inputs(lambda p: 0.0, 2, cost=[5.0, 5.0], gamma=1.0)
+            maximize_over_inputs(lambda ps: [0.0] * len(ps), 2, cost=[5.0, 5.0],
+                                 gamma=1.0)
 
     def test_k3_coordinate_refine(self):
         target = np.array([0.2, 0.3, 0.5])
         p, v = maximize_over_inputs(
-            lambda p: -float(np.sum((p - target) ** 2)), 3,
+            lambda ps: [-float(np.sum((p - target) ** 2)) for p in ps], 3,
             config=OptimizerConfig(grid_step=0.05))
         assert np.allclose(p, target, atol=1e-6)
 
     def test_unsupported_cardinality(self):
         with pytest.raises(ChannelError):
-            maximize_over_inputs(lambda p: 0.0, 4)
+            maximize_over_inputs(lambda ps: [0.0] * len(ps), 4)
 
     def test_rejects_bad_cost_and_step(self):
         with pytest.raises(ChannelError):
-            maximize_over_inputs(lambda p: 0.0, 2, cost=[0.0, math.nan])
+            maximize_over_inputs(lambda ps: [0.0] * len(ps), 2, cost=[0.0, math.nan])
         with pytest.raises(ChannelError):
-            maximize_over_inputs(lambda p: 0.0, 2, config=OptimizerConfig(grid_step=5.0))
+            maximize_over_inputs(lambda ps: [0.0] * len(ps), 2,
+                                 config=OptimizerConfig(grid_step=5.0))
 
 
 class TestRateSplit:
@@ -333,7 +337,7 @@ class TestDegradedCapacity:
         for _ in range(4):
             ch = random_degraded_binary_channel(rng)
             cap = degraded_capacity(ch, config=COARSE).capacity
-            ub = upper_bound(ch, config=COARSE)
+            _, ub = upper_bound(ch, config=COARSE)
             assert cap == pytest.approx(ub, abs=1e-7)
 
     def test_cost_constraint_reduces_capacity(self):
@@ -359,7 +363,7 @@ class TestUpperBound:
         rng = np.random.default_rng(26)
         for _ in range(4):
             ch = random_binary_channel(rng)
-            ub = upper_bound(ch, config=COARSE)
+            _, ub = upper_bound(ch, config=COARSE)
             r_ch, r_src = rate_split(ch, InputDistribution.uniform(2))
             assert ub >= r_ch + r_src - 1e-9
 
@@ -368,8 +372,12 @@ class TestUpperBound:
         ch = random_degraded_binary_channel(rng)
         from skagree import DiscreteBroadcastChannel
         ch = DiscreteBroadcastChannel(ch.transition, np.array([0.0, 1.0]))
-        vals = [upper_bound(ch, gamma=g, config=COARSE) for g in (0.1, 0.4, 1.0)]
+        gammas = (0.1, 0.4, 1.0)
+        results = [upper_bound(ch, gamma=g, config=COARSE) for g in gammas]
+        vals = [v for _, v in results]
         assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
+        for g, (pmf, _) in zip(gammas, results):  # the returned input meets g
+            assert float(np.dot(pmf.probs, ch.cost)) <= g + 1e-12
 
 
 class TestAuxiliarySystem:

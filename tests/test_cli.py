@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from skagree import (
     save_channel,
 )
 from skagree.channels import BinaryOnOffParams
-from skagree.cli import main
+from skagree.cli import build_parser, main
 
 
 def read_csv(path):
@@ -135,11 +137,14 @@ class TestExponentsCommand:
 
 class TestSimulateCommand:
     def test_requires_seed(self, degraded_channel_file, tmp_path):
-        rc = main(["simulate", "--channel", degraded_channel_file,
-                   "--rsk-rate", "0.25", "--rphi-rate", "0.5", "--rm-rate", "0.25",
-                   "--n", "3", "--codebooks", "4",
-                   "--out", str(tmp_path / "s.csv")])
-        assert rc == 1
+        # a usage error (2), not the "a bound check failed" code (1)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--channel", degraded_channel_file,
+                  "--rsk-rate", "0.25", "--rphi-rate", "0.5", "--rm-rate", "0.25",
+                  "--n", "3", "--codebooks", "4",
+                  "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "s.csv").exists()
 
     def test_deterministic_outputs(self, degraded_channel_file, tmp_path):
         args = ["simulate", "--channel", degraded_channel_file,
@@ -275,12 +280,27 @@ class TestErrorHandling:
         ["exponents", "--rsk", "0.01", "--rphi", "0.5", "--rm", "0", "--gamma", "1"],
         ["simulate", "--rsk-rate", "0.2", "--rphi-rate", "0.7", "--rm-rate", "0",
          "--n", "2", "--seed", "1", "--gamma", "1"],
+        ["sweep-binary", "--beta-steps", "3"],  # with the appended --channel
+        ["sweep-gaussian", "--p-db-steps", "2", "--family", "binary-onoff"],
+        ["upper-bound", "--nu3", "5"],
+        ["exponents", "--rsk", "0.01", "--rphi", "0.5", "--rm", "0",
+         "--family", "gaussian"],
     ])
     def test_ignored_flags_rejected(self, degraded_channel_file, argv):
-        # --seed belongs to simulate and --gamma to capacity/upper-bound only
+        # --seed belongs to simulate, --gamma to capacity/upper-bound, the
+        # channel source to the commands that read a channel, and each
+        # family's parameters to the commands that build that family
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--channel", degraded_channel_file])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("family", ["binary-onoff", "gaussian"])
+    def test_family_gamma_rejected(self, tmp_path, capsys, family):
+        out = tmp_path / "cap.json"
+        rc = main(["capacity", "--family", family, "--gamma", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "error: --gamma applies only to --channel" in capsys.readouterr().err
 
     def test_bad_family_params_exit_2(self):
         rc = main(["capacity", "--family", "binary-onoff", "--q-tilde", "1.0",
@@ -291,3 +311,22 @@ class TestErrorHandling:
         rc = main(["upper-bound", "--channel", degraded_channel_file,
                    "--family", "binary-onoff"])
         assert rc == 2
+        for family in ("binary-onoff", "gaussian"):
+            assert main(["capacity", "--channel", degraded_channel_file,
+                         "--family", family]) == 2
+
+
+def test_readme_cli_calls_parse():
+    # README's CLI block is the documented entry point: every call in it
+    # (continuation lines joined) must parse, and it covers every command
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    calls = [shlex.split(line)[1:]
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("skagree ")]
+    parser = build_parser()
+    for argv in calls:
+        assert parser.parse_args(argv).command == argv[0]
+    assert {argv[0] for argv in calls} == {
+        "capacity", "upper-bound", "sweep-gaussian", "sweep-binary",
+        "exponents", "simulate", "verify-bounds"}

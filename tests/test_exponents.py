@@ -30,7 +30,7 @@ from skagree import (
     secrecy_objective,
     strong_achievability_bound,
 )
-from skagree.exponents import _reliability_objective_raw, _secrecy_objective_raw
+from skagree.exponents import _reliability_objective_for, _secrecy_objective_for
 
 UNIFORM = InputDistribution.uniform(2)
 
@@ -98,8 +98,8 @@ class TestReliabilityObjective:
         ch = random_binary_channel(rng)
         rates = RatePoint(0.0, 0.9, 0.2)
         h = 1e-5
-        slope = (_reliability_objective_raw(ch, UNIFORM, h, rates)
-                 - _reliability_objective_raw(ch, UNIFORM, -h, rates)) / (2 * h)
+        obj = _reliability_objective_for(ch, UNIFORM, rates)
+        slope = (obj(h) - obj(-h)) / (2 * h)
         rel_thr, _ = positivity_thresholds(ch, UNIFORM)
         assert slope == pytest.approx((rates.r_phi - rates.r_m) - rel_thr, abs=1e-6)
 
@@ -156,8 +156,8 @@ class TestSecrecyObjective:
         ch = random_binary_channel(rng)
         rates = RatePoint(0.2, 0.3, 0.1)
         h = 1e-5
-        slope = (_secrecy_objective_raw(ch, UNIFORM, h, rates)
-                 - _secrecy_objective_raw(ch, UNIFORM, -h, rates)) / (2 * h)
+        obj = _secrecy_objective_for(ch, UNIFORM, rates)
+        slope = (obj(h) - obj(-h)) / (2 * h)
         _, sec_thr = positivity_thresholds(ch, UNIFORM)
         assert slope == pytest.approx(
             sec_thr - (rates.r_sk + rates.r_phi - rates.r_m), abs=1e-6)
