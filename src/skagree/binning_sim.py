@@ -66,12 +66,18 @@ class SecretKeyCode:
     def __post_init__(self):
         if self.codewords.shape[0] != self.num_messages:
             raise ValueError("codeword table size mismatch")
-        for table, size in ((self.key_bins, self.num_keys),
-                            (self.public_bins, self.num_public)):
-            if table.shape != self.key_bins.shape:
-                raise ValueError("binning tables must share shape")
-            if table.min() < 0 or table.max() >= size:
-                raise ValueError("bin index out of range")
+        if self.public_bins.shape != self.key_bins.shape:
+            raise ValueError("binning tables must share shape")
+        _check_bins(self.key_bins, self.num_keys, self.public_bins,
+                    self.num_public)
+
+
+def _check_bins(key, num_keys: int, pub, num_public: int):
+    """ValueError unless every key bin lies in [0, num_keys) and every public
+    bin in [0, num_public)."""
+    for table, size in ((key, num_keys), (pub, num_public)):
+        if table.min() < 0 or table.max() >= size:
+            raise ValueError("bin index out of range")
 
 
 @dataclass(frozen=True)
@@ -92,27 +98,74 @@ class SimReport:
         }
 
 
-def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
-                  inp: InputDistribution, seed,
-                  table_budget: int = DEFAULT_TABLE_BUDGET) -> SecretKeyCode:
-    """Draw a codebook and both binning tables; deterministic given seed."""
+def _table_sizes(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
+                 inp: InputDistribution, table_budget: int):
+    """(|M|, |Phi|, |K|, |X|^n) of the codes of one draw, after the checks
+    that every draw needs: n >= 1, an input over the channel's S alphabet and
+    binning tables within table_budget."""
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     S, X = channel.alphabet_sizes[0], channel.alphabet_sizes[1]
+    if inp.probs.size != S:
+        raise ValueError("input distribution has %d letters, the channel's S "
+                         "alphabet %d" % (inp.probs.size, S))
     num_m, num_phi, num_k = _code_sizes(n, rates)
     entries = num_m * X**n
     if entries > table_budget:
         raise BudgetError(
             "binning tables need |M|*|X|^n = %d entries, over the budget %d"
             % (entries, table_budget))
-    rng = np.random.default_rng(seed)
-    codewords = rng.choice(S, size=(num_m, n), p=inp.probs)
-    key_bins = rng.integers(0, num_k, size=(num_m, X**n))
-    public_bins = rng.integers(0, num_phi, size=(num_m, X**n))
-    return SecretKeyCode(n=n, codewords=codewords, key_bins=key_bins,
-                         public_bins=public_bins, num_messages=num_m,
-                         num_public=num_phi, num_keys=num_k, rates=rates,
-                         seed=seed)
+    return num_m, num_phi, num_k, X**n
+
+
+def _input_cdf(inp: InputDistribution) -> np.ndarray:
+    """The normalized cdf that Generator.choice(S, p=inp.probs) samples by."""
+    cdf = inp.probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_tables(seeds, cdf: np.ndarray, n: int, num_m: int, width: int,
+                 num_k: int, num_phi: int):
+    """Stacked tables of one code per seed: (C, |M|, n) codewords and
+    (C, |M|*width) key and public bins, all int64.
+
+    Code c comes from default_rng(seeds[c]): the codewords are
+    cdf.searchsorted(random((|M|, n)), side="right"), which is what
+    choice(S, size=(|M|, n), p=...) draws, then the key bins are
+    integers(0, |K|) and the public bins integers(0, |Phi|), each filling an
+    (|M|, width) table in row order.
+    """
+    codewords = np.empty((len(seeds), num_m, n), dtype=np.int64)
+    key = np.empty((len(seeds), num_m * width), dtype=np.int64)
+    pub = np.empty_like(key)
+    for c, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        codewords[c] = cdf.searchsorted(rng.random((num_m, n)), side="right")
+        key[c] = rng.integers(0, num_k, size=num_m * width)
+        pub[c] = rng.integers(0, num_phi, size=num_m * width)
+    return codewords, key, pub
+
+
+def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
+                  inp: InputDistribution, seed,
+                  table_budget: int = DEFAULT_TABLE_BUDGET) -> SecretKeyCode:
+    """Draw a codebook and both binning tables; deterministic given seed.
+
+    The stream of default_rng(seed) is drawn as random((|M|, n)) for the
+    codewords (through the input's cdf, as Generator.choice does), then
+    integers(0, |K|) for the key bins, then integers(0, |Phi|) for the
+    public bins; ensemble_average draws each of its codebooks the same way.
+    """
+    num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp,
+                                                table_budget)
+    codewords, key, pub = _draw_tables([seed], _input_cdf(inp), n, num_m,
+                                       width, num_k, num_phi)
+    return SecretKeyCode(n=n, codewords=codewords[0],
+                         key_bins=key.reshape(num_m, width),
+                         public_bins=pub.reshape(num_m, width),
+                         num_messages=num_m, num_public=num_phi, num_keys=num_k,
+                         rates=rates, seed=seed)
 
 
 def sequence_index(symbols, base: int) -> int:
@@ -222,22 +275,20 @@ def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
     return m_hat, index_sequence(x_idx, X, code.n)
 
 
-def _evaluate_stack(codes, channel: DiscreteBroadcastChannel,
+def _evaluate_stack(channel: DiscreteBroadcastChannel, codewords: np.ndarray,
+                    key: np.ndarray, pub: np.ndarray, num_k: int, num_phi: int,
                     enum_budget: int):
-    """[(error, leakage)] of each code of a list drawn with one n and one set
-    of sizes, by full enumeration of the stacked codes."""
-    X, Y, Z = channel.alphabet_sizes[1:]
-    first = codes[0]
-    n, num_m, num_phi = first.n, first.num_messages, first.num_public
-    m_x = num_m * X**n
+    """[(error, leakage)] of each code of a stack, by full enumeration: (C,
+    |M|, n) codewords and (C, |M|*|X|^n) key and public bins, rows (m, x^n)
+    in lexicographic order, of codes with |K| = num_k and |Phi| = num_phi."""
+    Y, Z = channel.alphabet_sizes[2:]
+    num_codes, num_m, n = codewords.shape
+    m_x = key.shape[1]
     if m_x * Y**n > enum_budget or m_x * Z**n > enum_budget:
         raise BudgetError(
             "enumeration needs %d cells, over the budget %d"
             % (max(m_x * Y**n, m_x * Z**n), enum_budget))
-    codewords = np.stack([code.codewords for code in codes])
-    pub = np.stack([code.public_bins.ravel() for code in codes])
-    key = np.stack([code.key_bins.ravel() for code in codes])
-    code_idx = np.arange(len(codes))[:, None]
+    code_idx = np.arange(num_codes)[:, None]
 
     # Decode table: K_B for every (code, phi, y^n).
     score_y = _stacked_likelihoods(codewords, marginal_channel(channel, "xy"),
@@ -254,21 +305,23 @@ def _evaluate_stack(codes, channel: DiscreteBroadcastChannel,
     score_z = _stacked_likelihoods(codewords, marginal_channel(channel, "xz"),
                                    np.indices((Z,) * n).reshape(n, -1))
     score_z /= num_m
-    code_cells = first.num_keys * num_phi
+    code_cells = num_k * num_phi
     cell = key * num_phi + pub + code_cells * code_idx
     joint = np.bincount((cell[:, :, None] * Z**n + np.arange(Z**n)).ravel(),
                         weights=score_z.ravel(),
-                        minlength=len(codes) * code_cells * Z**n)
+                        minlength=num_codes * code_cells * Z**n)
     del score_z, cell
-    leaks = mutual_information_rows(
-        joint.reshape(len(codes), first.num_keys, -1))
+    leaks = mutual_information_rows(joint.reshape(num_codes, num_k, -1))
     return list(zip(errors, leaks))
 
 
 def exact_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
                    enum_budget: int = DEFAULT_ENUM_BUDGET) -> SimReport:
     """Exact error probability and key leakage by full enumeration."""
-    (error, leakage), = _evaluate_stack([code], channel, enum_budget)
+    (error, leakage), = _evaluate_stack(
+        channel, code.codewords[None], code.key_bins.reshape(1, -1),
+        code.public_bins.reshape(1, -1), code.num_keys, code.num_public,
+        enum_budget)
     Y = channel.alphabet_sizes[2]
     return SimReport(error_probability=error, leakage_bits=leakage,
                      method="exact", trials=code.key_bins.size * Y**code.n)
@@ -423,26 +476,33 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: InputDistribution,
 
     Returns (avg_error, avg_leakage, check) where check carries the bounds,
     the 3*sigma/sqrt(N) slack terms, per-codebook rows, and pass verdicts.
-    Each codebook's RNG stream comes from spawning the master seed.  The
-    codebooks are drawn and evaluated in stacks of about _STACK_CELLS cells;
-    every per-codebook row equals exact_evaluate on that codebook.
+    Codebook i is drawn from child i of seed.spawn(num_codebooks) (seed
+    wrapped in a SeedSequence if it is not one) exactly as generate_code
+    draws it: random((|M|, n)) for the codewords, then the key integers,
+    then the public integers.  The codebooks are drawn straight into stacked
+    tables and evaluated in stacks of about _STACK_CELLS cells; every
+    per-codebook row equals exact_evaluate on generate_code(..., child i).
     """
     if num_codebooks < 1:
         raise ValueError("num_codebooks must be >= 1")
+    num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp,
+                                                table_budget)
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     children = seq.spawn(num_codebooks)
+    cdf = _input_cdf(inp)
 
-    X, Y, Z = channel.alphabet_sizes[1:]
-    num_m, num_phi, num_k = _code_sizes(n, rates)
-    m_x = num_m * X**n
+    Y, Z = channel.alphabet_sizes[2:]
+    m_x = num_m * width
     cells = max(m_x * Y**n, m_x * Z**n, num_k * num_phi * Z**n)
     stack = max(1, _STACK_CELLS // cells)
     rows = []
     for lo in range(0, num_codebooks, stack):
-        codes = [generate_code(channel, n, rates, inp, child, table_budget)
-                 for child in children[lo:lo + stack]]
-        rows += _evaluate_stack(codes, channel, enum_budget)
+        codewords, key, pub = _draw_tables(children[lo:lo + stack], cdf, n,
+                                           num_m, width, num_k, num_phi)
+        _check_bins(key, num_k, pub, num_phi)
+        rows += _evaluate_stack(channel, codewords, key, pub, num_k, num_phi,
+                                enum_budget)
     errors = np.array([r[0] for r in rows])
     leaks = np.array([r[1] for r in rows])
     avg_error = float(errors.mean())

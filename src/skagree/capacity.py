@@ -175,26 +175,35 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
         if v_ref > best_v or (v_ref == best_v and b_ref < beta):
             best_p, best_v = np.array([1.0 - b_ref, b_ref]), v_ref
     elif k == 3:
+        # Sweeps over the pairs (0,1), (0,2), (1,2).  A pair's search depends
+        # only on p (f is pure), so once all three have run on the current p
+        # without moving it, all later sweeps would only repeat them.
         p = best_p.copy()
         v_cur = best_v
-        for _ in range(config.refine_sweeps):
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                mass = p[i] + p[j]
-                if mass <= 0.0:
-                    continue
+        pairs = ((0, 1), (0, 2), (1, 2))
+        idle = 0  # searches in a row that left p where it was
+        for step_no in range(3 * config.refine_sweeps):
+            if idle == 3:
+                break
+            i, j = pairs[step_no % 3]
+            idle += 1
+            mass = p[i] + p[j]
+            if mass <= 0.0:
+                continue
 
-                def g(t, i=i, j=j, mass=mass, p=p):
-                    q = p.copy()
-                    q[i], q[j] = t, mass - t
-                    return value(q)
+            def g(t, i=i, j=j, mass=mass, p=p):
+                q = p.copy()
+                q[i], q[j] = t, mass - t
+                return value(q)
 
-                t_ref, v_ref = golden_section_max(
-                    g, max(0.0, p[i] - step), min(mass, p[i] + step),
-                    config.refine_iters)
-                if v_ref > v_cur:
-                    p = p.copy()
-                    p[i], p[j] = t_ref, mass - t_ref
-                    v_cur = v_ref
+            t_ref, v_ref = golden_section_max(
+                g, max(0.0, p[i] - step), min(mass, p[i] + step),
+                config.refine_iters)
+            if v_ref > v_cur:
+                p = p.copy()
+                p[i], p[j] = t_ref, mass - t_ref
+                v_cur = v_ref
+                idle = 0
         if v_cur > best_v:
             best_p, best_v = p, v_cur
     return best_p, best_v

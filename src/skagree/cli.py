@@ -42,10 +42,18 @@ def _parse_grid(spec: str):
 
 
 def _parse_n_range(spec: str):
+    """Blocklengths 'a:b' (a..b inclusive) or a comma list; each must be >= 1
+    and the list must not be empty."""
     if ":" in spec:
         a, b = spec.split(":")
-        return list(range(int(a), int(b) + 1))
-    return [int(v) for v in spec.split(",")]
+        n_list = list(range(int(a), int(b) + 1))
+    else:
+        n_list = [int(v) for v in spec.split(",")]
+    if not n_list:
+        raise ValueError("--n %r lists no blocklength" % spec)
+    if min(n_list) < 1:
+        raise ValueError("blocklength must be >= 1, got %d" % min(n_list))
+    return n_list
 
 
 def _add_source_flags(p: argparse.ArgumentParser, families):
@@ -55,36 +63,58 @@ def _add_source_flags(p: argparse.ArgumentParser, families):
                    help="accept and renormalize off-mass transition rows")
 
 
+# Each family's parameter flags and their defaults.  The flags parse to None,
+# so a command can tell a given flag from an absent one; the defaults are
+# filled in where the family is built.
+_ONOFF_DEFAULTS = {"q": 0.5, "q_tilde": 0.8, "delta": 0.1, "delta3": 0.2}
+_GAUSSIAN_DEFAULTS = {"power": 1.0, "nu1": 1.0, "nu2": 1.0, "nu3": 2.0,
+                      "sigma1": 1.0, "sigma2": 1.0, "sigma3": 1.0,
+                      "rho12": 0.8, "rho13": 0.3}
+
+
+def _add_param_flags(p: argparse.ArgumentParser, defaults: dict):
+    for name, value in defaults.items():
+        p.add_argument("--" + name.replace("_", "-"), type=float, default=None,
+                       help="default %g" % value)
+
+
 def _add_onoff_flags(p: argparse.ArgumentParser):
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--q-tilde", type=float, default=0.8)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--delta3", type=float, default=0.2)
+    _add_param_flags(p, _ONOFF_DEFAULTS)
 
 
 def _add_gaussian_flags(p: argparse.ArgumentParser):
-    p.add_argument("--power", type=float, default=1.0)
-    p.add_argument("--nu1", type=float, default=1.0)
-    p.add_argument("--nu2", type=float, default=1.0)
-    p.add_argument("--nu3", type=float, default=2.0)
-    p.add_argument("--sigma1", type=float, default=1.0)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--sigma3", type=float, default=1.0)
-    p.add_argument("--rho12", type=float, default=0.8)
-    p.add_argument("--rho13", type=float, default=0.3)
+    _add_param_flags(p, _GAUSSIAN_DEFAULTS)
+
+
+def _params(args, defaults: dict) -> dict:
+    return {name: value if getattr(args, name) is None else getattr(args, name)
+            for name, value in defaults.items()}
 
 
 def _onoff_params(args) -> BinaryOnOffParams:
-    return BinaryOnOffParams(q=args.q, q_tilde=args.q_tilde,
-                             delta=args.delta, delta3=args.delta3)
+    return BinaryOnOffParams(**_params(args, _ONOFF_DEFAULTS))
 
 
 def _gaussian_params(args, power=None) -> GaussianInterferenceParams:
-    return GaussianInterferenceParams(
-        power=args.power if power is None else power,
-        nu1=args.nu1, nu2=args.nu2, nu3=args.nu3,
-        sigma1=args.sigma1, sigma2=args.sigma2, sigma3=args.sigma3,
-        rho12=args.rho12, rho13=args.rho13)
+    params = _params(args, _GAUSSIAN_DEFAULTS)
+    if power is not None:
+        params["power"] = power
+    return GaussianInterferenceParams(**params)
+
+
+def _unread_source_flags(args):
+    """A message naming the flags that the chosen channel source does not
+    read, or None: --renormalize is read only with --channel, and each
+    family's parameters only with that --family."""
+    if getattr(args, "renormalize", False) and args.family:
+        return "--renormalize applies only to --channel"
+    for family, defaults in (("binary-onoff", _ONOFF_DEFAULTS),
+                             ("gaussian", _GAUSSIAN_DEFAULTS)):
+        given = ["--" + name.replace("_", "-") for name in defaults
+                 if getattr(args, name, None) is not None]
+        if given and args.family != family:
+            return "only --family %s reads %s" % (family, ", ".join(given))
+    return None
 
 
 def _resolve_discrete_channel(args):
@@ -259,12 +289,12 @@ def cmd_simulate(args) -> int:
     channel = _resolve_discrete_channel(args)
     inp = _sim_input(args, channel)
     rates = expo.RatePoint(r_sk=args.rsk_rate, r_phi=args.rphi_rate, r_m=args.rm_rate)
+    n_list = _parse_n_range(args.n)
     rows = []
     checks = {}
     all_ok = True
-    seq = np.random.SeedSequence(args.seed)
-    children = seq.spawn(len(_parse_n_range(args.n)))
-    for n, child in zip(_parse_n_range(args.n), children):
+    children = np.random.SeedSequence(args.seed).spawn(len(n_list))
+    for n, child in zip(n_list, children):
         avg_e, avg_l, check = binning_sim.ensemble_average(
             channel, inp, n, rates, args.codebooks, child)
         for idx, (err, leak) in enumerate(check["per_codebook"]):
@@ -391,6 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "family"):  # commands with a channel-source choice
+        unread = _unread_source_flags(args)
+        if unread:
+            parser.error(unread)
     try:
         return args.func(args)
     except (ChannelError, ValueError) as exc:

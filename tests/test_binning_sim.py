@@ -33,7 +33,7 @@ from skagree.binning_sim import (
     minimize_leakage_bound,
     sequence_index,
 )
-from skagree.probability import mutual_information
+from skagree.probability import Pmf, mutual_information
 
 UNIFORM = InputDistribution.uniform(2)
 RATES = RatePoint(r_sk=0.25, r_phi=0.5, r_m=0.25)
@@ -205,6 +205,76 @@ class TestGenerateCode:
         ch = random_binary_channel(rng)
         code = generate_code(ch, 5, RATES, InputDistribution.bernoulli(1.0), seed=3)
         assert np.all(code.codewords == 1)
+
+
+def choice_tables(seed, s_size, probs, num_m, n, width, num_k, num_phi):
+    """One code's tables drawn with Generator.choice for the codewords, then
+    two integers calls: the draws the sampler must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    codewords = rng.choice(s_size, size=(num_m, n), p=probs)
+    key_bins = rng.integers(0, num_k, size=(num_m, width))
+    public_bins = rng.integers(0, num_phi, size=(num_m, width))
+    return codewords, key_bins, public_bins
+
+
+class TestSampler:
+    # (input probabilities, |X|, n, rates): a zero-probability letter at
+    # |S| = 2 and 3, Bern(0) and Bern(1), |M| > 1, n up to 6
+    CASES = [
+        ([0.3, 0.7], 2, 1, RatePoint(r_sk=0.5, r_phi=1.0, r_m=1.0)),
+        ([0.0, 1.0], 2, 3, RatePoint(r_sk=0.4, r_phi=0.7, r_m=0.4)),
+        ([1.0, 0.0], 2, 4, RatePoint(r_sk=0.25, r_phi=0.5, r_m=0.5)),
+        ([0.5, 0.0, 0.5], 3, 2, RatePoint(r_sk=0.5, r_phi=1.5, r_m=1.0)),
+        ([0.0, 0.25, 0.75], 2, 5, RatePoint(r_sk=0.2, r_phi=0.6, r_m=0.4)),
+        ([0.2, 0.3, 0.5], 2, 6, RatePoint(r_sk=0.2, r_phi=0.5, r_m=0.2)),
+    ]
+
+    @pytest.mark.parametrize("probs,x_size,n,rates", CASES)
+    def test_tables_equal_choice_draws(self, probs, x_size, n, rates):
+        s_size = len(probs)
+        ch = random_channel(np.random.default_rng(98), (s_size, x_size, 2, 2))
+        inp = InputDistribution(Pmf(np.array(probs)))
+        num_m, num_phi, num_k = binning_sim._code_sizes(n, rates)
+        width = x_size**n
+        children = np.random.SeedSequence(len(probs) * 100 + n).spawn(40)
+        codewords, key, pub = binning_sim._draw_tables(
+            children, binning_sim._input_cdf(inp), n, num_m, width, num_k,
+            num_phi)
+        assert codewords.dtype == key.dtype == pub.dtype == np.int64
+        assert num_m > 1
+        for c, child in enumerate(children):
+            expect = choice_tables(child, s_size, inp.probs, num_m, n, width,
+                                   num_k, num_phi)
+            code = generate_code(ch, n, rates, inp, child)
+            for got in ((codewords[c], key[c].reshape(num_m, width),
+                         pub[c].reshape(num_m, width)),
+                        (code.codewords, code.key_bins, code.public_bins)):
+                for table, want in zip(got, expect):
+                    assert table.dtype == np.int64
+                    assert table.shape == want.shape
+                    assert (table == want).all()
+        zero = [s for s, p in enumerate(probs) if p == 0.0]
+        assert not np.isin(codewords, zero).any()
+
+    def test_input_size_must_match_channel(self):
+        ch = random_binary_channel(np.random.default_rng(99))
+        for inp in (InputDistribution.uniform(3), InputDistribution.uniform(1)):
+            with pytest.raises(ValueError, match="S alphabet"):
+                generate_code(ch, 3, RATES, inp, seed=1)
+            with pytest.raises(ValueError, match="S alphabet"):
+                ensemble_average(ch, inp, 3, RATES, 4, seed=1)
+
+    def test_checks_run_before_any_draw(self, monkeypatch):
+        ch = random_binary_channel(np.random.default_rng(100))
+
+        def no_draws(*args):
+            raise AssertionError("tables drawn before the checks")
+
+        monkeypatch.setattr(binning_sim, "_draw_tables", no_draws)
+        with pytest.raises(ValueError, match="blocklength"):
+            ensemble_average(ch, UNIFORM, 0, RATES, 4, seed=1)
+        with pytest.raises(BudgetError):
+            ensemble_average(ch, UNIFORM, 8, RATES, 4, seed=1, table_budget=100)
 
 
 class TestMlMapDecode:

@@ -285,6 +285,75 @@ class TestMaximizeOverInputs:
                                  config=OptimizerConfig(grid_step=5.0))
 
 
+def four_sweep_maximize(objective, config=OptimizerConfig()):
+    """maximize_over_inputs at |S| = 3 without a cost, with the coordinate
+    refinement running all refine_sweeps sweeps (the loop before its early
+    stop)."""
+    step = config.step_for(3)
+    grid = _simplex_grid(3, step)
+    best_p, best_v = None, -math.inf
+    for start in range(0, len(grid), capacity._GRID_BLOCK):
+        block = grid[start:start + capacity._GRID_BLOCK]
+        for p, v in zip(block, objective(block)):
+            if v > best_v:
+                best_p, best_v = p, v
+    best_p = best_p.copy()
+    p = best_p.copy()
+    v_cur = best_v
+    for _ in range(config.refine_sweeps):
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            mass = p[i] + p[j]
+            if mass <= 0.0:
+                continue
+
+            def g(t, i=i, j=j, mass=mass, p=p):
+                q = p.copy()
+                q[i], q[j] = t, mass - t
+                return objective(q[None, :])[0]
+
+            t_ref, v_ref = golden_section_max(
+                g, max(0.0, p[i] - step), min(mass, p[i] + step),
+                config.refine_iters)
+            if v_ref > v_cur:
+                p = p.copy()
+                p[i], p[j] = t_ref, mass - t_ref
+                v_cur = v_ref
+    if v_cur > best_v:
+        best_p, best_v = p, v_cur
+    return best_p, best_v
+
+
+class TestCoordinateRefineEarlyStop:
+    # (random_channel seed, zeros, objective); seed 11 puts the argmax of
+    # I(X,S;Y|Z) on the edge p(s=2) = 0 of the simplex
+    CASES = [(3, False, _conditional_objective), (9, False, _conditional_objective),
+             (12, True, _conditional_objective), (11, False, _conditional_objective),
+             (16, True, _conditional_objective), (3, False, _difference_objective),
+             (19, True, _difference_objective)]
+
+    @pytest.mark.parametrize("seed,zeros,make", CASES)
+    def test_matches_four_sweeps(self, seed, zeros, make):
+        ch = random_channel(np.random.default_rng(seed), (3, 2, 2, 2), zeros)
+        f = make(ch)
+        calls = {"new": 0, "old": 0}
+
+        def counted_block(key):
+            def g(ps):
+                calls[key] += len(ps)
+                return f(ps)
+            return g
+
+        edge = (seed, zeros) == (11, False)
+        for config in (COARSE, OptimizerConfig()) if edge else (COARSE,):
+            new = maximize_over_inputs(counted_block("new"), 3, config=config)
+            old = four_sweep_maximize(counted_block("old"), config)
+            assert bits(*new[0], new[1]) == bits(*old[0], old[1])
+            assert calls["new"] <= calls["old"]
+        if edge:
+            assert new[0][2] == 0.0
+            assert calls["new"] < calls["old"]
+
+
 class TestRateSplit:
     def test_z_copies_y_gives_zero(self):
         rng = np.random.default_rng(20)

@@ -182,6 +182,20 @@ class TestSimulateCommand:
         assert rc == 2
         assert not (tmp_path / "s.csv.bounds.json").exists()
 
+    @pytest.mark.parametrize("n_spec,message", [
+        ("0", "blocklength must be >= 1"), ("0:2", "blocklength must be >= 1"),
+        ("3:1", "lists no blocklength")])
+    def test_bad_blocklengths_exit_2(self, degraded_channel_file, tmp_path,
+                                     capsys, n_spec, message):
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--channel", degraded_channel_file,
+                   "--rsk-rate", "0.25", "--rphi-rate", "0.75", "--rm-rate", "0.25",
+                   "--n", n_spec, "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert not (tmp_path / "s.csv.bounds.json").exists()
+        assert message in capsys.readouterr().err
+
     def test_input_beta_needs_binary_s(self, degraded_channel_file,
                                        ternary_input_channel_file, tmp_path):
         sim = ["simulate", "--rsk-rate", "0.25", "--rphi-rate", "0.75",
@@ -212,6 +226,17 @@ class TestVerifyBounds:
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "pass"
         assert doc["max_rel_error_identity_gap"] <= 1e-10
+
+    @pytest.mark.parametrize("n_spec", ["0", "2,0", "5:4"])
+    def test_bad_blocklengths_exit_2(self, degraded_channel_file, tmp_path,
+                                     capsys, n_spec):
+        out = tmp_path / "v.json"
+        rc = main(["verify-bounds", "--channel", degraded_channel_file,
+                   "--rsk-rate", "0.2", "--rphi-rate", "0.7", "--rm-rate", "0.1",
+                   "--n", n_spec, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestErrorHandling:
@@ -285,11 +310,22 @@ class TestErrorHandling:
         ["upper-bound", "--nu3", "5"],
         ["exponents", "--rsk", "0.01", "--rphi", "0.5", "--rm", "0",
          "--family", "gaussian"],
+        # parsed, but not read by the chosen source
+        ["capacity", "--q", "0.3", "--nu3", "5"],
+        ["capacity", "--nu3", "5"],
+        ["capacity", "--family", "gaussian", "--delta", "0.1"],
+        ["capacity", "--family", "binary-onoff", "--rho12", "0.5"],
+        ["capacity", "--family", "gaussian", "--renormalize"],
+        ["upper-bound", "--family", "binary-onoff", "--renormalize"],
+        ["upper-bound", "--q", "0.5"],
+        ["simulate", "--rsk-rate", "0.2", "--rphi-rate", "0.7", "--rm-rate", "0",
+         "--n", "2", "--seed", "1", "--delta3", "0.2"],
     ])
     def test_ignored_flags_rejected(self, degraded_channel_file, argv):
         # --seed belongs to simulate, --gamma to capacity/upper-bound, the
-        # channel source to the commands that read a channel, and each
-        # family's parameters to the commands that build that family
+        # channel source to the commands that read a channel, each family's
+        # parameters to the commands that build that family, and
+        # --renormalize to a --channel source
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--channel", degraded_channel_file])
         assert exc.value.code == 2
@@ -301,6 +337,19 @@ class TestErrorHandling:
         assert rc == 2
         assert not out.exists()
         assert "error: --gamma applies only to --channel" in capsys.readouterr().err
+
+    def test_family_defaults_unchanged(self, tmp_path):
+        # a flag given at its default value writes the bytes of the flag left out
+        for family, flags in (("binary-onoff", ["--q", "0.5", "--delta3", "0.2"]),
+                              ("gaussian", ["--nu3", "2", "--power", "1"])):
+            bare, given = tmp_path / "bare.json", tmp_path / "given.json"
+            assert main(["capacity", "--family", family, "--out", str(bare)]) == 0
+            assert main(["capacity", "--family", family, *flags,
+                         "--out", str(given)]) == 0
+            assert bare.read_bytes() == given.read_bytes()
+        assert main(["capacity", "--family", "gaussian", "--nu3", "3",
+                     "--out", str(given)]) == 0
+        assert bare.read_bytes() != given.read_bytes()
 
     def test_bad_family_params_exit_2(self):
         rc = main(["capacity", "--family", "binary-onoff", "--q-tilde", "1.0",
