@@ -34,21 +34,31 @@ _DECODE_BLOCK_CELLS = 2**22  # Monte-Carlo decodes at most this many cells at on
 # entropies' per-row float lists.
 _STACK_CELLS = 2**14
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_TABLE_BITS = 62    # code sizes in the int64 codebook and bin tables
+_FLOAT_BITS = 1023  # code sizes in the float ensemble bounds
 
 
 class BudgetError(ValueError):
     pass
 
 
-def _size_from_rate(n: int, rate: float) -> int:
-    """|set| = 2^ceil(n*rate), robust to float fuzz in n*rate."""
-    return 2 ** max(0, math.ceil(n * rate - 1e-9))
+def _size_from_rate(n: int, rate: float, name: str = "|set|",
+                    max_bits: int = _TABLE_BITS) -> int:
+    """|set| = 2^ceil(n*rate), robust to float fuzz in n*rate, or a
+    ValueError naming the set if that exceeds 2^max_bits.  The exponent is
+    checked before the power, which would take forever at n*rate = 1e300."""
+    bits = n * rate - 1e-9
+    if bits > max_bits:
+        raise ValueError("%s = 2^ceil(n*rate) at n=%d, rate=%r exceeds 2^%d"
+                         % (name, n, rate, max_bits))
+    return 2 ** max(0, math.ceil(bits))
 
 
 def _code_sizes(n: int, rates: RatePoint):
     """(|M|, |Phi|, |K|) of a code of blocklength n at the given rates."""
-    return (_size_from_rate(n, rates.r_m), _size_from_rate(n, rates.r_phi),
-            _size_from_rate(n, rates.r_sk))
+    return (_size_from_rate(n, rates.r_m, "|M|"),
+            _size_from_rate(n, rates.r_phi, "|Phi|"),
+            _size_from_rate(n, rates.r_sk, "|K|"))
 
 
 @dataclass(frozen=True)
@@ -284,10 +294,11 @@ def _evaluate_stack(channel: DiscreteBroadcastChannel, codewords: np.ndarray,
     Y, Z = channel.alphabet_sizes[2:]
     num_codes, num_m, n = codewords.shape
     m_x = key.shape[1]
-    if m_x * Y**n > enum_budget or m_x * Z**n > enum_budget:
-        raise BudgetError(
-            "enumeration needs %d cells, over the budget %d"
-            % (max(m_x * Y**n, m_x * Z**n), enum_budget))
+    # (m, x^n, y^n) and (m, x^n, z^n) cells, and the (k, phi, z^n) leakage joint
+    cells = max(m_x * Y**n, m_x * Z**n, num_k * num_phi * Z**n)
+    if cells > enum_budget:
+        raise BudgetError("enumeration needs %d cells, over the budget %d"
+                          % (cells, enum_budget))
     code_idx = np.arange(num_codes)[:, None]
 
     # Decode table: K_B for every (code, phi, y^n).
@@ -377,11 +388,7 @@ def monte_carlo_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
 
 def _code_size(n: int, rate: float, name: str) -> float:
     """|set| = 2^ceil(n*rate) as a float, or a ValueError if it has none."""
-    try:
-        return float(_size_from_rate(n, rate))
-    except OverflowError:
-        raise ValueError("%s = 2^ceil(n*rate) at n=%d, rate=%r is too large "
-                         "for a float" % (name, n, rate)) from None
+    return float(_size_from_rate(n, rate, name, _FLOAT_BITS))
 
 
 def _error_bound_for(channel, inp, n, rates):

@@ -5,10 +5,13 @@ The degraded capacity and the conditional-information upper bound are both
 optimized over the input distribution p(s) with a dense simplex grid followed
 by local golden-section refinement.  Both objectives are concave in p(s):
 I(X,S;Y|Z) is H(Y|Z), concave in p(y,z) and so in p(s), minus a term linear
-in p(s), and on degraded channels the difference I(X,S;Y) - I(X,S;Z) equals
-it.  Grid+refine stays because the exponent objectives that share the
-optimizer are not known to be concave, and because it keeps the outputs
-byte-identical.
+in p(s), and by the chain rule I(X,S;Y) - I(X,S;Z) = I(X,S;Y|Z) - I(X,S;Z|Y)
+is at most it, with equality on degraded channels.  Grid+refine stays because
+the exponent objectives that share the optimizer are not known to be
+concave, and because it keeps the outputs byte-identical.  The two concave
+maxima scan their grid with I(X,S;Y|Z) as a concave majorant: grid cells
+that its values on a coarse sub-lattice rule out are never scored, and the
+grid argmax is the one a full scan finds.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import lattice
 from .channels import (
     BinaryOnOffParams,
     ChannelError,
@@ -109,6 +113,16 @@ def golden_section_max(f, a: float, b: float, iters: int = 200):
     return best_x, best_v
 
 
+def _grid_divisions(step: float) -> int:
+    """m = round(1/step), the number of grid intervals along each axis."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ChannelError("grid step must be finite and positive, got %r" % step)
+    m = int(round(1.0 / step))
+    if m < 1:
+        raise ChannelError("grid step %g leaves no simplex grid" % step)
+    return m
+
+
 def _simplex_grid(k: int, step: float) -> np.ndarray:
     """Deterministic enumeration of the probability simplex with spacing
     step, one point per row."""
@@ -116,27 +130,41 @@ def _simplex_grid(k: int, step: float) -> np.ndarray:
         return np.ones((1, 1))
     if k not in (2, 3):
         raise ChannelError("input optimization supports |S| <= 3, got %d" % k)
-    m = int(round(1.0 / step))
-    if m < 1:
-        raise ChannelError("grid step %g leaves no simplex grid" % step)
+    m = _grid_divisions(step)
+    c = lattice.points(k, m)
     if k == 2:
-        i = np.arange(m + 1)
-        return np.stack([1.0 - i / m, i / m], axis=1)
-    # rows (i, j) for i = 0..m, j = 0..m-i, in that order; i + j = ij
-    i, ij = np.triu_indices(m + 1)
-    return np.stack([i / m, (ij - i) / m, 1.0 - ij / m], axis=1)
+        return np.stack([1.0 - c[:, 0] / m, c[:, 0] / m], axis=1)
+    return np.stack([c[:, 0] / m, c[:, 1] / m, 1.0 - (c[:, 0] + c[:, 1]) / m], axis=1)
+
+
+def _score(f, grid, rows) -> list:
+    """f on the grid rows ``rows``, in blocks of _GRID_BLOCK."""
+    return [v for start in range(0, len(rows), _GRID_BLOCK)
+            for v in f(grid[rows[start:start + _GRID_BLOCK]])]
 
 
 def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
-                         config: OptimizerConfig = OptimizerConfig()):
+                         config: OptimizerConfig = OptimizerConfig(), majorant=None):
     """Maximize objective(p) over the feasible part of the simplex.
 
     ``objective`` takes a (G, k) block of probability vectors and returns the
-    G values in row order.  The grid is scored in blocks of ``_GRID_BLOCK``
-    points and the refinement scores one-row blocks.  Feasibility means
-    dot(p, cost) <= gamma, and gamma must be positive.  Returns (p_star,
-    value).  Deterministic: grid points are scanned in index order and ties
-    keep the earlier point.
+    G values in row order, each row's value independent of the rest of the
+    block.  The grid is scored in blocks of ``_GRID_BLOCK`` points and the
+    refinement scores one-row blocks.  Feasibility means dot(p, cost) <=
+    gamma, and gamma must be positive.  Returns (p_star, value).
+    Deterministic: the grid maximum is the first in grid order (ties keep
+    the earlier point), then refined.
+
+    ``majorant``, if given, is a block function of the same kind that is
+    concave in p on the whole simplex and >= objective at every feasible
+    point; pass the objective itself when it is concave (it is then scored
+    once per point).  The grid scan then scores the majorant on a coarse
+    sub-lattice and skips the grid cells whose bound from it lies more than
+    a margin of 1e-9 (`lattice.MARGIN`) below the best objective value at a
+    feasible sample, which assumes computed values within well under 1e-9
+    of exact.  Every skipped point scores strictly less than the grid
+    maximum, so p_star and value are those of the full scan.  A non-finite
+    sample turns the skipping off.
     """
     if not gamma > 0:  # also rejects NaN
         raise ChannelError("gamma must be positive")
@@ -155,17 +183,33 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
         return objective(p[None, :])[0] if feasible(p) else -math.inf
 
     grid = _simplex_grid(k, step)
-    if gamma != math.inf:  # finite costs: every point is feasible at gamma=inf
-        grid = grid[[feasible(p) for p in grid]]
-    best_p, best_v = None, -math.inf
-    for start in range(0, len(grid), _GRID_BLOCK):
-        block = grid[start:start + _GRID_BLOCK]
-        for p, v in zip(block, objective(block)):
-            if v > best_v:
-                best_p, best_v = p, v
-    if best_p is None:
+    # keep: the grid rows to scan, the feasible ones less any ruled out
+    if gamma == math.inf:  # finite costs: every point is feasible at gamma=inf
+        keep = np.ones(len(grid), dtype=bool)
+    else:
+        keep = np.array([feasible(p) for p in grid])
+    values = np.empty(len(grid))
+    scored = np.zeros(len(grid), dtype=bool)
+    if majorant is not None and k > 1:
+        m = _grid_divisions(step)
+        samples = lattice.sample_rows(k, m)
+        bounds = _score(majorant, grid, samples)
+        done = samples[keep[samples]]  # objective values needed only here
+        values[done] = (np.array(bounds)[keep[samples]] if majorant is objective
+                        else _score(objective, grid, done))
+        scored[done] = True
+        if np.isfinite(bounds).all() and np.isfinite(values[done]).all():
+            keep &= lattice.unruled(k, m, bounds, values[done].max(initial=-math.inf))
+    todo = np.flatnonzero(keep & ~scored)
+    values[todo] = _score(objective, grid, todo)
+    rows = np.flatnonzero(keep)
+    best_r, best_v = None, -math.inf
+    for r, v in zip(rows.tolist(), values[rows].tolist()):
+        if v > best_v:
+            best_r, best_v = r, v
+    if best_r is None:
         raise ChannelError("no feasible grid point under the cost constraint")
-    best_p = best_p.copy()
+    best_p = grid[best_r].copy()
 
     if k == 2:
         beta = best_p[1]
@@ -356,7 +400,8 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
             "use upper_bound instead")
     k = channel.alphabet_sizes[0]
     p_star, _ = maximize_over_inputs(_difference_objective(channel), k,
-                                     channel.cost, gamma, config)
+                                     channel.cost, gamma, config,
+                                     majorant=_conditional_objective(channel))
     inp = InputDistribution(Pmf(p_star))
     r_ch, r_src = rate_split(channel, inp)
     return CapacityResult(capacity=r_ch + r_src, r_ch=r_ch, r_src=r_src,
@@ -367,9 +412,10 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
 def upper_bound(channel: DiscreteBroadcastChannel, gamma: float = math.inf,
                 config: OptimizerConfig = OptimizerConfig()):
     """max over feasible p(s) of I(X,S;Y|Z); returns (p_star as a Pmf, value)."""
-    p_star, value = maximize_over_inputs(_conditional_objective(channel),
-                                         channel.alphabet_sizes[0],
-                                         channel.cost, gamma, config)
+    objective = _conditional_objective(channel)
+    p_star, value = maximize_over_inputs(objective, channel.alphabet_sizes[0],
+                                         channel.cost, gamma, config,
+                                         majorant=objective)
     return Pmf(p_star), value
 
 

@@ -163,6 +163,23 @@ class TestSizing:
         assert _size_from_rate(3, 1.0 / 3.0) == 2  # robust to float fuzz
         assert _size_from_rate(5, 0.5) == 8  # ceil(2.5) = 3
 
+    def test_size_limits(self):
+        assert _size_from_rate(1, 62.0) == 2**62
+        with pytest.raises(ValueError, match=r"\|K\| = .* exceeds 2\^62"):
+            _size_from_rate(1, 63.0, "|K|")
+        assert _size_from_rate(1, 63.0, "|K|", 1023) == 2**63
+        with pytest.raises(ValueError, match=r"\|Phi\|"):
+            binning_sim._code_size(1, 1024.0, "|Phi|")
+
+    def test_leakage_joint_counts_against_enum_budget(self):
+        # |K| |Phi| |Z|^n = 16 * 2 * 2 = 64 leakage cells, while the decoder
+        # enumerates only |M| |X|^n |Y|^n = 1 * 2 * 2 = 4 cells
+        ch = random_binary_channel(np.random.default_rng(80))
+        code = generate_code(ch, 1, RatePoint(4.0, 1.0, 0.0), UNIFORM, seed=3)
+        with pytest.raises(BudgetError, match="64 cells"):
+            exact_evaluate(code, ch, enum_budget=63)
+        assert exact_evaluate(code, ch, enum_budget=64).trials == 4
+
     def test_sequence_index_round_trip(self):
         for idx in range(27):
             seq = index_sequence(idx, 3, 3)

@@ -31,6 +31,7 @@ from skagree import (
     gaussian_capacity,
     general_rate_objective,
     golden_section_max,
+    is_degraded,
     joint_distribution,
     maximize_over_inputs,
     public_rate_requirement,
@@ -280,17 +281,32 @@ class TestMaximizeOverInputs:
     def test_rejects_bad_cost_and_step(self):
         with pytest.raises(ChannelError):
             maximize_over_inputs(lambda ps: [0.0] * len(ps), 2, cost=[0.0, math.nan])
-        with pytest.raises(ChannelError):
-            maximize_over_inputs(lambda ps: [0.0] * len(ps), 2,
-                                 config=OptimizerConfig(grid_step=5.0))
+        for step in (5.0, 0.0, -0.01, math.nan, math.inf):
+            for k in (2, 3):
+                with pytest.raises(ChannelError):
+                    maximize_over_inputs(lambda ps: [0.0] * len(ps), k,
+                                         config=OptimizerConfig(grid_step=step))
+        with pytest.raises(ChannelError, match="finite and positive"):
+            upper_bound(random_channel(np.random.default_rng(0), (3, 2, 2, 2), False),
+                        config=OptimizerConfig(grid_step=math.nan))
 
 
-def four_sweep_maximize(objective, config=OptimizerConfig()):
-    """maximize_over_inputs at |S| = 3 without a cost, with the coordinate
-    refinement running all refine_sweeps sweeps (the loop before its early
-    stop)."""
-    step = config.step_for(3)
-    grid = _simplex_grid(3, step)
+def full_scan_maximize(objective, k=3, cost=None, gamma=math.inf,
+                       config=OptimizerConfig()):
+    """maximize_over_inputs scoring every feasible grid point, with the
+    |S| = 3 coordinate refinement running all refine_sweeps sweeps (the loop
+    before its early stop)."""
+    cost = np.zeros(k) if cost is None else np.asarray(cost, dtype=float)
+    step = config.step_for(k)
+
+    def feasible(p):
+        return float(np.dot(p, cost)) <= gamma + 1e-12
+
+    def value(p):
+        return objective(p[None, :])[0] if feasible(p) else -math.inf
+
+    grid = _simplex_grid(k, step)
+    grid = grid[[feasible(p) for p in grid]]
     best_p, best_v = None, -math.inf
     for start in range(0, len(grid), capacity._GRID_BLOCK):
         block = grid[start:start + capacity._GRID_BLOCK]
@@ -298,6 +314,14 @@ def four_sweep_maximize(objective, config=OptimizerConfig()):
             if v > best_v:
                 best_p, best_v = p, v
     best_p = best_p.copy()
+    if k == 2:
+        beta = best_p[1]
+        b_ref, v_ref = golden_section_max(
+            lambda b: value(np.array([1.0 - b, b])), max(0.0, beta - step),
+            min(1.0, beta + step), config.refine_iters)
+        if v_ref > best_v or (v_ref == best_v and b_ref < beta):
+            best_p, best_v = np.array([1.0 - b_ref, b_ref]), v_ref
+        return best_p, best_v
     p = best_p.copy()
     v_cur = best_v
     for _ in range(config.refine_sweeps):
@@ -309,7 +333,7 @@ def four_sweep_maximize(objective, config=OptimizerConfig()):
             def g(t, i=i, j=j, mass=mass, p=p):
                 q = p.copy()
                 q[i], q[j] = t, mass - t
-                return objective(q[None, :])[0]
+                return value(q)
 
             t_ref, v_ref = golden_section_max(
                 g, max(0.0, p[i] - step), min(mass, p[i] + step),
@@ -346,12 +370,187 @@ class TestCoordinateRefineEarlyStop:
         edge = (seed, zeros) == (11, False)
         for config in (COARSE, OptimizerConfig()) if edge else (COARSE,):
             new = maximize_over_inputs(counted_block("new"), 3, config=config)
-            old = four_sweep_maximize(counted_block("old"), config)
+            old = full_scan_maximize(counted_block("old"), config=config)
             assert bits(*new[0], new[1]) == bits(*old[0], old[1])
             assert calls["new"] <= calls["old"]
         if edge:
             assert new[0][2] == 0.0
             assert calls["new"] < calls["old"]
+
+
+def recipe_degraded(rng, k, zeros=False):
+    """The benchmark's degraded recipe: Dirichlet rows of p(x,y|s) composed
+    with a random p(z|y); with ``zeros`` about a third of p(x,y|s) is 0."""
+    pxy = rng.dirichlet(np.ones(4), size=k).reshape(k, 2, 2)
+    pzy = rng.dirichlet(np.ones(2), size=2)
+    if zeros:
+        pxy = pxy * (rng.random(pxy.shape) >= 0.35)
+        pxy[:, 0, 0] += 1e-3
+        pxy /= pxy.sum(axis=(1, 2), keepdims=True)
+    return pxy[:, :, :, None] * pzy[None, None, :, :]
+
+
+def corner_transition(k):
+    """s = 0 sends a uniform X with Y = X and Z = 0, every other input sends
+    X = Y = Z = 0: both maxima sit on the corner p(s=0) = 1."""
+    tr = np.zeros((k, 2, 2, 2))
+    tr[0, 0, 0, 0] = tr[0, 1, 1, 0] = 0.5
+    tr[1:, 0, 0, 0] = 1.0
+    return tr
+
+
+def skip_scan_transition(kind, k, seed):
+    rng = np.random.default_rng([seed, k])
+    if kind == "general":
+        return random_channel(rng, (k, 2, 2, 2), seed % 2 == 1).transition
+    if kind == "edge":  # seed 11 puts the |S| = 3 argmax on the edge p(s=2) = 0
+        rng = np.random.default_rng(11)
+        return random_channel(rng, (k, 2, 2, 2), False).transition
+    if kind == "corner":
+        return corner_transition(k)
+    if kind == "z-copies-y":  # I(X,S;Y|Z) = 0 everywhere: nothing can be skipped
+        tr = np.zeros((k, 2, 2, 2))
+        pxy = rng.dirichlet(np.ones(4), size=k).reshape(k, 2, 2)
+        for y in range(2):
+            tr[:, :, y, y] = pxy[:, :, y]
+        return tr
+    tr = recipe_degraded(rng, k, zeros=kind == "zeros")
+    if kind == "near-degraded":  # within is_degraded's tolerance only
+        tr = tr + 1e-11 * rng.random(tr.shape)
+        tr /= tr.sum(axis=(1, 2, 3), keepdims=True)
+    return tr
+
+
+SKIP_KINDS = ["general", "edge", "corner", "z-copies-y", "degraded", "zeros",
+              "near-degraded"]
+# (|S|, grid step, kind): default and coarse steps, with m = round(1/step)
+# a multiple of the skipping scan's stride isqrt(m) (m = 100) and not
+# (m = 1000, 50); the 5,151-point default |S| = 3 grid only on two kinds,
+# for time.  test_capacity_and_upper_bound_match_full_scan covers the
+# degraded kinds.
+SKIP_CASES = ([(k, step, kind) for k, step in ((2, None), (2, 0.01), (3, 0.02))
+               for kind in SKIP_KINDS[:5]]
+              + [(3, None, kind) for kind in ("edge", "zeros")])
+
+
+class TestMajorantSkipping:
+    """With a concave majorant the grid scan skips the cells it rules out;
+    (p_star, value) stay bit-identical to a scan of every grid point."""
+
+    @pytest.mark.parametrize("k,step,kind", SKIP_CASES)
+    def test_matches_full_scan(self, k, step, kind):
+        tr = skip_scan_transition(kind, k, 5)
+        cost = np.arange(k, dtype=float)
+        ch = DiscreteBroadcastChannel(tr, cost)
+        cond, diff = _conditional_objective(ch), _difference_objective(ch)
+        config = OptimizerConfig(grid_step=step, refine_iters=20, refine_sweeps=1)
+        # gamma = 0.5 binds wherever the unconstrained argmax costs more
+        for gamma in (math.inf, 0.5):
+            for objective, majorant in ((cond, cond), (diff, cond)):
+                got = maximize_over_inputs(objective, k, cost, gamma, config,
+                                           majorant=majorant)
+                want = full_scan_maximize(objective, k, cost, gamma, config)
+                assert bits(*got[0], got[1]) == bits(*want[0], want[1]), \
+                    (objective.__name__, gamma)
+        if kind == "corner":
+            assert got[0][0] > 1.0 - 1e-6
+        if kind == "edge" and k == 3:
+            assert got[0][2] == 0.0
+
+    @pytest.mark.parametrize("kind", ["degraded", "near-degraded", "zeros",
+                                      "z-copies-y", "corner"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_capacity_and_upper_bound_match_full_scan(self, k, kind):
+        tr = skip_scan_transition(kind, k, 7)
+        config = OptimizerConfig() if k == 2 else COARSE
+        for cost, gamma in ((np.zeros(k), math.inf),
+                            (np.arange(k, dtype=float), 0.4)):
+            ch = DiscreteBroadcastChannel(tr, cost)
+            assert is_degraded(ch)
+            p_ub, v_ub = upper_bound(ch, gamma, config)
+            want = full_scan_maximize(_conditional_objective(ch), k, cost, gamma,
+                                      config)
+            assert bits(*p_ub.probs, v_ub) == bits(*want[0], want[1])
+            cap = degraded_capacity(ch, gamma, config)
+            p_full, _ = full_scan_maximize(_difference_objective(ch), k, cost, gamma,
+                                           config)
+            r_ch, r_src = rate_split(ch, InputDistribution(Pmf(p_full)))
+            got = bits(*cap.input_pmf.probs, cap.r_ch, cap.r_src, cap.expected_cost)
+            assert got == bits(*p_full, r_ch, r_src, float(np.dot(p_full, cost)))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_steep_ridge(self, k):
+        # a concave ridge rising along direction theta from the coarse sample
+        # p(s=0) = p(s=k-1) = 0.3: for many theta the grid maximum lies in a
+        # cell whose corners are all far below that sample, so bounding a
+        # cell by its own corners would skip it
+        config = OptimizerConfig(refine_iters=20, refine_sweeps=1)
+        for theta in np.linspace(0.05, 6.2, 12):
+            d = (math.cos(theta), math.sin(theta))
+            n = (-d[1], d[0])
+
+            def ridge(ps):
+                return [-100.0 * abs(n[0] * (p[0] - 0.3) + n[1] * (p[-1] - 0.3))
+                        + d[0] * (p[0] - 0.3) + d[1] * (p[-1] - 0.3)
+                        for p in ps.tolist()]
+
+            got = maximize_over_inputs(ridge, k, config=config, majorant=ridge)
+            want = full_scan_maximize(ridge, k, config=config)
+            assert bits(*got[0], got[1]) == bits(*want[0], want[1]), theta
+
+    def test_finite_gamma_binds(self):
+        # the gamma = 0.5 of test_matches_full_scan on its degraded channel
+        ch = DiscreteBroadcastChannel(skip_scan_transition("degraded", 3, 5),
+                                      np.arange(3, dtype=float))
+        free, _ = upper_bound(ch)
+        assert float(np.dot(free.probs, ch.cost)) > 0.5
+
+    def test_difference_is_below_conditional(self):
+        # I(X,S;Y) - I(X,S;Z) = I(X,S;Y|Z) - I(X,S;Z|Y)
+        rng = np.random.default_rng(40)
+        for trial in range(20):
+            k = 2 + trial % 2
+            ps = rng.dirichlet(np.ones(k), size=16)
+            general = random_channel(rng, (k, 2, 3, 2), trial % 4 == 1)
+            diff = _difference_objective(general)(ps)
+            cond = _conditional_objective(general)(ps)
+            assert all(a <= b + 1e-12 for a, b in zip(diff, cond))
+            degraded = DiscreteBroadcastChannel(recipe_degraded(rng, k), np.zeros(k))
+            diff = _difference_objective(degraded)(ps)
+            cond = _conditional_objective(degraded)(ps)
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(diff, cond))
+
+    def test_conditional_objective_is_midpoint_concave(self):
+        rng = np.random.default_rng(41)
+        for trial in range(20):
+            k = 2 + trial % 2
+            ch = random_channel(rng, (k, 2, 2, 3), trial % 3 == 0)
+            f = _conditional_objective(ch)
+            p, q = rng.dirichlet(np.ones(k), size=(2, 16))
+            for fp, fq, fm in zip(f(p), f(q), f((p + q) / 2)):
+                assert fm >= (fp + fq) / 2 - 1e-12
+
+    @staticmethod
+    def grid_rows_scored(majorant):
+        """Rows the |S| = 3 grid scan scores on a benchmark-recipe channel,
+        with the refinement off."""
+        f = _conditional_objective(DiscreteBroadcastChannel(
+            recipe_degraded(np.random.default_rng(2031), 3), np.zeros(3)))
+        rows = []
+
+        def g(ps):
+            rows.append(len(ps))
+            return f(ps)
+
+        maximize_over_inputs(g, 3, config=OptimizerConfig(refine_sweeps=0),
+                             majorant=g if majorant else None)
+        return sum(rows)
+
+    def test_skipping_scores_under_a_quarter_of_the_grid(self):
+        assert self.grid_rows_scored(True) < 0.25 * len(_simplex_grid(3, 1e-2))
+
+    def test_without_majorant_every_point_is_scored(self):
+        assert self.grid_rows_scored(False) == len(_simplex_grid(3, 1e-2))
 
 
 class TestRateSplit:

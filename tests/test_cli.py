@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from skagree import (
     is_degraded,
     save_channel,
 )
+import skagree
 from skagree.channels import BinaryOnOffParams
 from skagree.cli import build_parser, main
 
@@ -259,6 +263,30 @@ class TestErrorHandling:
         assert rc == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command,extra", [("simulate", ["--seed", "1"]),
+                                               ("verify-bounds", [])])
+    def test_huge_key_rate_exit_2(self, degraded_channel_file, command, extra):
+        # 2^ceil(n*rate) at n*rate = 1e300 never returns, so the size must be
+        # checked before the power; a subprocess keeps a hang from stalling
+        # the suite
+        src = str(Path(skagree.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "skagree.cli", command,
+             "--channel", degraded_channel_file, "--rsk-rate", "1e300",
+             "--rphi-rate", "0.5", "--rm-rate", "0.1", "--n", "1", *extra],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2
+        assert "error: |K| = 2^ceil(n*rate) at n=1, rate=1e+300" in proc.stderr
+
+    def test_key_table_over_int64_exit_2(self, degraded_channel_file, capsys):
+        rc = main(["simulate", "--channel", degraded_channel_file,
+                   "--rsk-rate", "1000", "--rphi-rate", "0.5", "--rm-rate", "0.1",
+                   "--n", "1", "--seed", "1"])
+        assert rc == 2
+        assert "error: |K| = 2^ceil(n*rate) at n=1, rate=1000.0 exceeds 2^62" \
+            in capsys.readouterr().err
 
     def test_overflowing_bound_exit_2(self, degraded_channel_file, capsys):
         rc = main(["verify-bounds", "--channel", degraded_channel_file,
