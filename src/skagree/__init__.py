@@ -36,6 +36,7 @@ from .capacity import (
     degraded_capacity,
     gaussian_capacity,
     general_rate_objective,
+    golden_section_lanes,
     golden_section_max,
     maximize_over_inputs,
     public_rate_requirement,
@@ -49,8 +50,10 @@ from .exponents import (
     positivity_thresholds,
     region_membership,
     reliability_exponent,
+    reliability_exponents,
     reliability_objective,
     secrecy_exponent,
+    secrecy_exponents,
     secrecy_objective,
     strong_achievability_bound,
 )

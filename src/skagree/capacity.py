@@ -12,6 +12,12 @@ concave, and because it keeps the outputs byte-identical.  The two concave
 maxima scan their grid with I(X,S;Y|Z) as a concave majorant: grid cells
 that its values on a coarse sub-lattice rule out are never scored, and the
 grid argmax is the one a full scan finds.
+
+There is one golden-section loop, the generator `_golden_search`: it yields
+each point it needs and is sent back the value there.  `golden_section_max`
+drives one search with a scalar function; `golden_section_lanes` drives many
+independent searches in lockstep and evaluates all their pending points with
+one call per step.  Both give the same argmax and value for a lane.
 """
 
 from __future__ import annotations
@@ -68,36 +74,27 @@ class OptimizerConfig:
         return 1e-3 if k <= 2 else 1e-2
 
 
-def golden_section_max(f, a: float, b: float, iters: int = 200):
-    """Maximize a scalar function on [a, b]; returns (argmax, value).
-
-    Ties in interval updates keep the left subinterval, biasing the argmax
-    toward smaller arguments for determinism.  The best point actually
-    evaluated is returned (including the endpoints).
-
-    ``f`` must be pure: once the bracket has shrunk to a few ulps, the
-    search state (a, b, c, d, f(c), f(d)) can only alternate between two
-    values, so the search stops at the first repeat and returns what all
-    ``iters`` iterations would have returned.  ``f`` may therefore be
-    called fewer than ``iters + 4`` times.
-    """
-    best_x, best_v = a, f(a)
-    vb = f(b)
+def _golden_search(a: float, b: float, iters: int):
+    """The golden-section loop as a generator: it yields each point it needs,
+    is sent back the value there, and returns (argmax, value)."""
+    best_x, best_v = a, (yield a)
+    vb = yield b
     if vb > best_v:
         best_x, best_v = b, vb
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     before_last = last = None  # states after the two previous iterations
     for i in range(iters):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INVPHI
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INVPHI
-            fd = f(d)
+            fd = yield d
         if not (b - a) > 0.0:
             break
         state = (a, b, c, d, fc, fd)
@@ -111,6 +108,58 @@ def golden_section_max(f, a: float, b: float, iters: int = 200):
         if v > best_v:
             best_x, best_v = x, v
     return best_x, best_v
+
+
+def golden_section_max(f, a: float, b: float, iters: int = 200):
+    """Maximize a scalar function on [a, b]; returns (argmax, value).
+
+    Ties in interval updates keep the left subinterval, biasing the argmax
+    toward smaller arguments for determinism.  The best point actually
+    evaluated is returned (including the endpoints).
+
+    ``f`` must be pure: once the bracket has shrunk to a few ulps, the
+    search state (a, b, c, d, f(c), f(d)) can only alternate between two
+    values, so the search stops at the first repeat and returns what all
+    ``iters`` iterations would have returned.  ``f`` may therefore be
+    called fewer than ``iters + 4`` times.
+    """
+    search = _golden_search(a, b, iters)
+    send = search.send
+    x = next(search)
+    try:
+        while True:
+            x = send(f(x))
+    except StopIteration as done:
+        return done.value
+
+
+def golden_section_lanes(F, brackets, iters: int = 200):
+    """Run one golden-section search per (a, b) bracket in lockstep; returns
+    a list of (argmax, value), lane for lane what ``golden_section_max``
+    returns for that lane's function.
+
+    Each step calls ``F(lanes, xs)`` once, with the indices of the lanes
+    still searching (an int array, ascending) and each one's pending point
+    (a float array); it returns their values in that order.  Lanes leave
+    the step set as their searches end, so F's value for a lane must depend
+    only on that lane and its point, as ``golden_section_max`` asks of f.
+    """
+    searches = [_golden_search(a, b, iters) for a, b in brackets]
+    sends = [search.send for search in searches]
+    results = [None] * len(searches)
+    lanes = list(range(len(searches)))
+    xs = [next(search) for search in searches]
+    while lanes:
+        values = F(np.array(lanes, dtype=np.intp), np.array(xs, dtype=float))
+        active, xs = [], []
+        for lane, v in zip(lanes, values):
+            try:
+                xs.append(sends[lane](v))
+                active.append(lane)
+            except StopIteration as done:
+                results[lane] = done.value
+        lanes = active
+    return results
 
 
 def _grid_divisions(step: float) -> int:

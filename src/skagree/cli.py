@@ -262,20 +262,21 @@ def cmd_exponents(args) -> int:
     rphi_grid = _parse_grid(args.rphi)
     rm_grid = _parse_grid(args.rm)
     beta_grid = _parse_grid(args.beta_grid) if args.beta_grid else [0.5]
-    rows = []
-    for rsk in rsk_grid:
-        for rphi in rphi_grid:
-            for rm in rm_grid:
-                rates = expo.RatePoint(r_sk=rsk, r_phi=rphi, r_m=rm)
-                for beta in beta_grid:
-                    inp = InputDistribution.bernoulli(beta)
-                    e = expo.reliability_exponent(channel, inp, rates)
-                    f = expo.secrecy_exponent(channel, inp, rates)
-                    rows.append({"R_SK": rsk, "R_phi": rphi, "R_M": rm,
-                                 "beta_or_input_id": beta,
-                                 "E_o": e.value, "rho_star": e.argmax,
-                                 "F_o_raw": f.raw_value, "F_o": f.value,
-                                 "alpha_star": f.argmax})
+    if channel.alphabet_sizes[0] != 2:
+        raise ChannelError(
+            "exponents sweeps Bernoulli inputs (--beta-grid, default 0.5), so it "
+            "needs a binary S alphabet, got |S| = %d" % channel.alphabet_sizes[0])
+    grid = [(expo.RatePoint(r_sk=rsk, r_phi=rphi, r_m=rm), beta)
+            for rsk in rsk_grid for rphi in rphi_grid for rm in rm_grid
+            for beta in beta_grid]
+    rates = [r for r, _ in grid]
+    inputs = [InputDistribution.bernoulli(beta) for _, beta in grid]
+    rows = [{"R_SK": r.r_sk, "R_phi": r.r_phi, "R_M": r.r_m, "beta_or_input_id": beta,
+             "E_o": e.value, "rho_star": e.argmax,
+             "F_o_raw": f.raw_value, "F_o": f.value, "alpha_star": f.argmax}
+            for (r, beta), e, f in zip(grid,
+                                       expo.reliability_exponents(channel, inputs, rates),
+                                       expo.secrecy_exponents(channel, inputs, rates))]
     header = ["R_SK", "R_phi", "R_M", "beta_or_input_id", "E_o", "rho_star",
               "F_o_raw", "F_o", "alpha_star"]
     _emit(_csv(header, [tuple(r[h] for h in header) for r in rows]), args.out)
@@ -324,7 +325,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify_bounds(args) -> int:
     """Check the algebraic ties between the finite-n ensemble bounds and the
     exponent objectives, using effective (size-rounded) rates so the identity
-    is exact."""
+    is exact.  Each n builds its bounds and objectives once; every rho and
+    alpha checked lies in their domains."""
     channel = _resolve_discrete_channel(args)
     inp = _sim_input(args, channel)
     rates = expo.RatePoint(r_sk=args.rsk_rate, r_phi=args.rphi_rate, r_m=args.rm_rate)
@@ -334,14 +336,18 @@ def cmd_verify_bounds(args) -> int:
             r_sk=math.ceil(n * rates.r_sk - 1e-9) / n,
             r_phi=math.ceil(n * rates.r_phi - 1e-9) / n,
             r_m=math.ceil(n * rates.r_m - 1e-9) / n)
-        for rho in np.linspace(0.0, 1.0, 21):
-            lhs = binning_sim.ensemble_error_bound(channel, inp, n, float(rho), rates)
-            rhs = 2.0 ** (-n * expo.reliability_objective(channel, inp, float(rho), eff))
+        bound = binning_sim._error_bound_for(channel, inp, n, rates)
+        objective = expo._reliability_objective_for(channel, inp, eff)
+        for rho in np.linspace(0.0, 1.0, 21).tolist():
+            lhs = bound(rho)
+            rhs = 2.0 ** (-n * objective(rho))
             worst_e = max(worst_e, abs(lhs - rhs) / max(rhs, 1e-300))
-        for alpha in np.linspace(0.05, 1.0, 20):
-            lhs = binning_sim.ensemble_leakage_bound(channel, inp, n, float(alpha), rates)
-            c = math.log2(math.e) / float(alpha)
-            rhs = c * 2.0 ** (-n * expo.secrecy_objective(channel, inp, float(alpha), eff))
+        bound = binning_sim._leakage_bound_for(channel, inp, n, rates)
+        objective = expo._secrecy_objective_for(channel, inp, eff)
+        for alpha in np.linspace(0.05, 1.0, 20).tolist():
+            lhs = bound(alpha)
+            c = math.log2(math.e) / alpha
+            rhs = c * 2.0 ** (-n * objective(alpha))
             worst_f = max(worst_f, abs(lhs - rhs) / max(rhs, 1e-300))
     ok = worst_e <= 1e-10 and worst_f <= 1e-10
     doc = {"max_rel_error_identity_gap": worst_e,
@@ -351,21 +357,27 @@ def cmd_verify_bounds(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The skagree parser.  Every subcommand is listed with its help text, so
+    the top-level help and usage are the same either way; with ``only``, a
+    command name, only that subcommand gets its flags."""
     parser = argparse.ArgumentParser(
         prog="skagree",
         description="Secret-key capacities, exponents, and binning simulations "
                     "for sender-excited broadcast channels")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, *flag_groups):
-        """A subcommand that parses only the flag groups it reads, plus --out."""
+    def command(name, func, help, *flag_groups, extra=None):
+        """A subcommand that parses only the flag groups it reads, plus --out
+        and then its own ``extra`` flags."""
         p = sub.add_parser(name, help=help)
-        for add in flag_groups:
-            add(p)
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.set_defaults(func=func)
-        return p
+        if only in (None, name):
+            for add in flag_groups:
+                add(p)
+            p.add_argument("--out", help="output path (default: stdout)")
+            if extra:
+                extra(p)
+            p.set_defaults(func=func)
 
     def discrete(p):  # a channel file or the on-off law
         _add_source_flags(p, ["binary-onoff"])
@@ -384,42 +396,48 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Bernoulli input for a binary S alphabet (default 0.5)")
         p.add_argument("--n", required=True, help="blocklengths, e.g. 1:3 or 1,2,3")
 
+    def power_sweep(p):
+        p.add_argument("--p-db-min", type=float, default=-10.0)
+        p.add_argument("--p-db-max", type=float, default=20.0)
+        p.add_argument("--p-db-steps", type=int, default=61)
+
+    def beta_sweep(p):
+        p.add_argument("--beta-steps", type=int, default=1001)
+
+    def rate_grids(p):
+        p.add_argument("--rsk", required=True, help="R_SK grid, e.g. 0.01 or 0:0.2:5")
+        p.add_argument("--rphi", required=True)
+        p.add_argument("--rm", required=True)
+        p.add_argument("--beta-grid", default=None,
+                       help="Bernoulli input sweep (default: 0.5)")
+
+    def ensemble(p):
+        p.add_argument("--codebooks", type=int, default=500)
+        p.add_argument("--seed", type=int, required=True)
+
     command("capacity", cmd_capacity, "capacity (or upper bound) as JSON",
             lambda p: _add_source_flags(p, ["gaussian", "binary-onoff"]),
             _add_onoff_flags, _add_gaussian_flags, gamma)
     command("upper-bound", cmd_upper_bound, "conditional-information upper bound",
             discrete, gamma)
-
-    p = command("sweep-gaussian", cmd_sweep_gaussian,
-                "capacity sweep over power in dB", _add_gaussian_flags)
-    p.add_argument("--p-db-min", type=float, default=-10.0)
-    p.add_argument("--p-db-max", type=float, default=20.0)
-    p.add_argument("--p-db-steps", type=int, default=61)
-
-    p = command("sweep-binary", cmd_sweep_binary, "on-off rate curve over beta",
-                _add_onoff_flags)
-    p.add_argument("--beta-steps", type=int, default=1001)
-
-    p = command("exponents", cmd_exponents, "exponent surface CSV over rate grids",
-                discrete)
-    p.add_argument("--rsk", required=True, help="R_SK grid, e.g. 0.01 or 0:0.2:5")
-    p.add_argument("--rphi", required=True)
-    p.add_argument("--rm", required=True)
-    p.add_argument("--beta-grid", default=None,
-                   help="Bernoulli input sweep (default: 0.5)")
-
-    p = command("simulate", cmd_simulate, "ensemble simulation with bound checks",
-                discrete, rates)
-    p.add_argument("--codebooks", type=int, default=500)
-    p.add_argument("--seed", type=int, required=True)
-
+    command("sweep-gaussian", cmd_sweep_gaussian, "capacity sweep over power in dB",
+            _add_gaussian_flags, extra=power_sweep)
+    command("sweep-binary", cmd_sweep_binary, "on-off rate curve over beta",
+            _add_onoff_flags, extra=beta_sweep)
+    command("exponents", cmd_exponents, "exponent surface CSV over rate grids",
+            discrete, extra=rate_grids)
+    command("simulate", cmd_simulate, "ensemble simulation with bound checks",
+            discrete, rates, extra=ensemble)
     command("verify-bounds", cmd_verify_bounds, "bound/objective identity checks",
             discrete, rates)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command comes first; after an option such as --help or "--" the
+    # whole parser is built
+    parser = build_parser(argv[0] if argv and not argv[0].startswith("-") else None)
     args = parser.parse_args(argv)
     if hasattr(args, "family"):  # commands with a channel-source choice
         unread = _unread_source_flags(args)

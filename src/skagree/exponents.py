@@ -6,18 +6,36 @@ eavesdropper.  Both are single-parameter maximizations of concave objectives
 (over rho in [0,1] and alpha in (0,1] respectively), solved by golden-section
 search.  Input-distribution optimization reuses the simplex-grid machinery
 from the capacity module.
+
+Many independent searches, such as the rows of an exponent surface or the
+points of an input grid block, run as lanes of `golden_section_lanes`: one
+objective call per step evaluates every active lane's pending point, and the
+rate-free tensors and positivity thresholds are built once per distinct
+input.  The lane objectives give the scalar closures' values bit for bit.
+numpy's power takes a sqrt, square or reciprocal path for a scalar exponent
+of 0.5, 2 or -1, which an array of exponents does not, so a lane whose
+exponent is one of those is evaluated with the scalar call.  A single
+search, such as each of the input refinement's one-row calls, keeps the
+scalar closure, which is cheaper at one lane.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .capacity import OptimizerConfig, golden_section_max, maximize_over_inputs
+from .capacity import (
+    OptimizerConfig,
+    golden_section_lanes,
+    golden_section_max,
+    maximize_over_inputs,
+)
 from .channels import (
+    ChannelError,
     DiscreteBroadcastChannel,
     InputDistribution,
     is_degraded,
@@ -51,20 +69,75 @@ class ExponentResult:
     raw_value: float       # unclamped supremum (diagnostic)
 
 
+# np.power special-cases these scalar exponents (sqrt, square, reciprocal),
+# and its results there can differ in the last bit from the general power
+# that an array of exponents gets.  A lane at such an exponent is evaluated
+# with the scalar call, so lanes and scalar closures agree bit for bit.
+_POWER_FAST_PATHS = np.array([0.5, 2.0, -1.0])
+
+
+def _fast_path_positions(*exponents) -> list:
+    """Positions at which any of the equally long exponent arrays holds one
+    of _POWER_FAST_PATHS."""
+    hit = np.zeros(len(exponents[0]), dtype=bool)
+    for x in exponents:
+        hit |= (x[:, None] == _POWER_FAST_PATHS).any(axis=1)
+    return np.flatnonzero(hit).tolist()
+
+
+def _log2_fsums(rows) -> np.ndarray:
+    """log2 of each row's fsum, with math.log2 as the scalar objectives use."""
+    return np.fromiter(map(math.log2, map(math.fsum, rows)), dtype=float, count=len(rows))
+
+
+def _distinct_inputs(channel, inputs):
+    """(the distinct inputs in first-seen order, each input's index among
+    them as an int array)."""
+    s_size = channel.alphabet_sizes[0]
+    rows, which = {}, []
+    for inp in inputs:
+        if inp.probs.shape != (s_size,):
+            raise ChannelError("input alphabet size does not match channel")
+        which.append(rows.setdefault(inp.probs.tobytes(), (len(rows), inp))[0])
+    return [inp for _, inp in rows.values()], np.array(which, dtype=np.intp)
+
+
+def _reliability_value(pxy, weighted, slope, rho):
+    e = 1.0 / (1.0 + rho)
+    inner = (weighted * np.power(pxy, e)).sum(axis=(0, 1))  # over y
+    total = math.fsum(np.power(inner, 1.0 + rho).tolist())
+    return rho * slope - math.log2(total)
+
+
 def _reliability_objective_for(channel, inp, rates):
     """rho -> the reliability objective at a fixed input, without the domain
     guard; the input's tensors are built once, not per rho."""
-    weighted = inp.probs[:, None, None]
     pxy = marginal_channel(channel, "xy")  # (S,X,Y)
-    slope = rates.r_phi - rates.r_m
+    return functools.partial(_reliability_value, pxy, inp.probs[:, None, None],
+                             rates.r_phi - rates.r_m)
 
-    def f(rho):
-        e = 1.0 / (1.0 + rho)
-        inner = (weighted * np.power(pxy, e)).sum(axis=(0, 1))  # over y
-        total = math.fsum(np.power(inner, 1.0 + rho).tolist())
-        return rho * slope - math.log2(total)
 
-    return f
+def _reliability_lanes_for(channel, inputs, which, slopes):
+    """F(lanes, rhos) for `golden_section_lanes`: lane l's reliability
+    objective at input inputs[which[l]] and slope R_phi - R_M slopes[l],
+    equal to what `_reliability_objective_for` gives."""
+    pxy = marginal_channel(channel, "xy")  # (S,X,Y)
+    weighted = np.array([inp.probs for inp in inputs])[:, :, None, None]  # (D,S,1,1)
+
+    slopes = np.array(slopes, dtype=float)
+
+    def F(lanes, rhos):
+        e, power = 1.0 / (1.0 + rhos), 1.0 + rhos
+        d = which[lanes]
+        inner = (weighted[d] * np.power(pxy, e[:, None, None, None])).sum(axis=(1, 2))
+        terms = np.power(inner, power[:, None]).tolist()
+        values = (rhos * slopes[lanes] - _log2_fsums(terms)).tolist()
+        for j in _fast_path_positions(e, power):
+            values[j] = _reliability_value(pxy, weighted[d[j]], slopes[lanes[j]].item(),
+                                           rhos[j].item())
+        return values
+
+    return F
 
 
 def reliability_objective(channel: DiscreteBroadcastChannel, inp: InputDistribution,
@@ -75,24 +148,54 @@ def reliability_objective(channel: DiscreteBroadcastChannel, inp: InputDistribut
     return _reliability_objective_for(channel, inp, rates)(rho)
 
 
+def _secrecy_tensors(pxz, probs):
+    """p(s,x,z) and the ratio p(x,z|s)/p(z), both as an (S,X,Z) array, and
+    the support p(s,x,z) > 0."""
+    joint = probs[:, None, None] * pxz  # p(s,x,z)
+    pz = joint.sum(axis=(0, 1))
+    ratio = np.divide(pxz, pz[None, None, :],
+                      out=np.zeros_like(pxz), where=pz[None, None, :] > 0)
+    return joint, ratio, joint > 0
+
+
+def _secrecy_value(joint, ratio, rate, alpha):
+    total = math.fsum((joint * np.power(ratio, alpha)).tolist())
+    return -alpha * rate - math.log2(total)
+
+
 def _secrecy_objective_for(channel, inp, rates):
     """alpha -> the secrecy objective at a fixed input, without the domain
     guard; p(s,x,z), the ratio p(x,z|s)/p(z) and its support are built once,
     not per alpha."""
+    joint, ratio, support = _secrecy_tensors(marginal_channel(channel, "xz"), inp.probs)
+    return functools.partial(_secrecy_value, joint[support], ratio[support],
+                             rates.r_sk + rates.r_phi - rates.r_m)
+
+
+def _secrecy_lanes_for(channel, inputs, which, rates):
+    """F(lanes, alphas) for `golden_section_lanes`: lane l's secrecy
+    objective at input inputs[which[l]] and rate R_SK + R_phi - R_M rates[l],
+    equal to what `_secrecy_objective_for` gives.  Each input's terms are
+    padded to all (s,x,z) with joint 0 and ratio 1 off its support; the
+    padding adds exact zeros to the fsum."""
     pxz = marginal_channel(channel, "xz")  # (S,X,Z)
-    joint = inp.probs[:, None, None] * pxz  # p(s,x,z)
-    pz = joint.sum(axis=(0, 1))
-    ratio = np.divide(pxz, pz[None, None, :],
-                      out=np.zeros_like(pxz), where=pz[None, None, :] > 0)
-    support = joint > 0
-    joint, ratio = joint[support], ratio[support]
-    rate = rates.r_sk + rates.r_phi - rates.r_m
+    tensors = [_secrecy_tensors(pxz, inp.probs) for inp in inputs]
+    on_support = [(joint[support], ratio[support]) for joint, ratio, support in tensors]
+    joints = np.array([np.where(s, j, 0.0).ravel() for j, _, s in tensors])
+    ratios = np.array([np.where(s, r, 1.0).ravel() for _, r, s in tensors])
 
-    def f(alpha):
-        total = math.fsum((joint * np.power(ratio, alpha)).tolist())
-        return -alpha * rate - math.log2(total)
+    rates = np.array(rates, dtype=float)
 
-    return f
+    def F(lanes, alphas):
+        d = which[lanes]
+        terms = (joints[d] * np.power(ratios[d], alphas[:, None])).tolist()
+        values = (-alphas * rates[lanes] - _log2_fsums(terms)).tolist()
+        for j in _fast_path_positions(alphas):
+            values[j] = _secrecy_value(*on_support[d[j]], rates[lanes[j]].item(),
+                                       alphas[j].item())
+        return values
+
+    return F
 
 
 def secrecy_objective(channel: DiscreteBroadcastChannel, inp: InputDistribution,
@@ -101,6 +204,15 @@ def secrecy_objective(channel: DiscreteBroadcastChannel, inp: InputDistribution,
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0,1], got %r" % alpha)
     return _secrecy_objective_for(channel, inp, rates)(alpha)
+
+
+def _reliability_result(rho, val):
+    if val <= 0.0:
+        return ExponentResult(value=0.0, argmax=0.0, clamped=val < 0.0, raw_value=val)
+    return ExponentResult(value=val, argmax=rho, clamped=False, raw_value=val)
+
+
+_RELIABILITY_ZERO = ExponentResult(value=0.0, argmax=0.0, clamped=False, raw_value=0.0)
 
 
 def reliability_exponent(channel: DiscreteBroadcastChannel, inp: InputDistribution,
@@ -116,23 +228,54 @@ def reliability_exponent(channel: DiscreteBroadcastChannel, inp: InputDistributi
     """
     rel_threshold, _ = positivity_thresholds(channel, inp)
     if rates.r_phi - rates.r_m - rel_threshold <= 0.0:
-        return ExponentResult(value=0.0, argmax=0.0, clamped=False, raw_value=0.0)
-    rho, val = golden_section_max(
-        _reliability_objective_for(channel, inp, rates), 0.0, 1.0)
-    if val <= 0.0:
-        return ExponentResult(value=0.0, argmax=0.0, clamped=val < 0.0, raw_value=val)
-    return ExponentResult(value=val, argmax=rho, clamped=False, raw_value=val)
+        return _RELIABILITY_ZERO
+    return _reliability_result(*golden_section_max(
+        _reliability_objective_for(channel, inp, rates), 0.0, 1.0))
+
+
+def reliability_exponents(channel: DiscreteBroadcastChannel, inputs, rates) -> list:
+    """`reliability_exponent` at each (input, rate point) pair of two equally
+    long sequences, result for result, with the searches run in lockstep
+    lanes.  The thresholds and tensors are built once per distinct input.
+    A single pair takes the scalar path, which is cheaper at one lane."""
+    if len(inputs) <= 1:
+        return [reliability_exponent(channel, inp, r) for inp, r in zip(inputs, rates)]
+    distinct, which = _distinct_inputs(channel, inputs)
+    thresholds = [positivity_thresholds(channel, inp)[0] for inp in distinct]
+    results = [_RELIABILITY_ZERO] * len(inputs)
+    search = [i for i, (d, r) in enumerate(zip(which.tolist(), rates))
+              if not r.r_phi - r.r_m - thresholds[d] <= 0.0]
+    F = _reliability_lanes_for(channel, distinct, which[search],
+                               [rates[i].r_phi - rates[i].r_m for i in search])
+    for i, (rho, val) in zip(search, golden_section_lanes(F, [(0.0, 1.0)] * len(search))):
+        results[i] = _reliability_result(rho, val)
+    return results
+
+
+def _secrecy_result(alpha, val):
+    return ExponentResult(value=max(0.0, val), argmax=alpha, clamped=val < 0.0,
+                          raw_value=val)
 
 
 def secrecy_exponent(channel: DiscreteBroadcastChannel, inp: InputDistribution,
                      rates: RatePoint) -> ExponentResult:
     """sup over alpha in (0,1] of the secrecy objective, searched on
     [ALPHA_MIN, 1]; reports both the raw supremum and the clamped max(0,.)."""
-    alpha, val = golden_section_max(
-        _secrecy_objective_for(channel, inp, rates), ALPHA_MIN, 1.0)
-    clamped = val < 0.0
-    return ExponentResult(value=max(0.0, val), argmax=alpha, clamped=clamped,
-                          raw_value=val)
+    return _secrecy_result(*golden_section_max(
+        _secrecy_objective_for(channel, inp, rates), ALPHA_MIN, 1.0))
+
+
+def secrecy_exponents(channel: DiscreteBroadcastChannel, inputs, rates) -> list:
+    """`secrecy_exponent` at each (input, rate point) pair, result for
+    result, with the searches run in lockstep lanes (see
+    `reliability_exponents`)."""
+    if len(inputs) <= 1:
+        return [secrecy_exponent(channel, inp, r) for inp, r in zip(inputs, rates)]
+    distinct, which = _distinct_inputs(channel, inputs)
+    F = _secrecy_lanes_for(channel, distinct, which,
+                           [r.r_sk + r.r_phi - r.r_m for r in rates])
+    return [_secrecy_result(alpha, val) for alpha, val in
+            golden_section_lanes(F, [(ALPHA_MIN, 1.0)] * len(inputs))]
 
 
 def positivity_thresholds(channel: DiscreteBroadcastChannel, inp: InputDistribution):
@@ -193,14 +336,15 @@ def optimized_exponents(channel: DiscreteBroadcastChannel, rates: RatePoint,
     """
     k = channel.alphabet_sizes[0]
 
-    def e_obj(ps):
-        return [reliability_exponent(channel, InputDistribution(Pmf(p)), rates).value
-                for p in ps]
+    def block(exponents):
+        """A block objective for maximize_over_inputs: the grid's multi-row
+        blocks run as lanes, the refinement's one-row calls as scalars."""
+        def objective(ps):
+            inputs = [InputDistribution(Pmf(p)) for p in ps]
+            return [r.value for r in exponents(channel, inputs, [rates] * len(inputs))]
+        return objective
 
-    def f_obj(ps):
-        return [secrecy_exponent(channel, InputDistribution(Pmf(p)), rates).value
-                for p in ps]
-
+    e_obj, f_obj = block(reliability_exponents), block(secrecy_exponents)
     p_e, _ = maximize_over_inputs(e_obj, k, channel.cost, math.inf, config)
     p_f, _ = maximize_over_inputs(f_obj, k, channel.cost, math.inf, config)
     e_inp = InputDistribution(Pmf(p_e))

@@ -22,6 +22,19 @@ def random_binary_channel(rng) -> DiscreteBroadcastChannel:
     return DiscreteBroadcastChannel(tr, np.zeros(2))
 
 
+def random_channel(rng, sizes, zeros):
+    """Dirichlet rows of p(x,y,z|s); with ``zeros`` about a third of the
+    entries are 0 (each row keeps at least one)."""
+    s_size, rest = sizes[0], int(np.prod(sizes[1:]))
+    tr = rng.dirichlet(np.ones(rest), size=s_size)
+    if zeros:
+        keep = rng.random(tr.shape) >= 0.35
+        keep[np.arange(s_size), rng.integers(rest, size=s_size)] = True
+        tr = tr * keep
+        tr = tr / tr.sum(axis=1, keepdims=True)
+    return DiscreteBroadcastChannel(tr.reshape(sizes), np.zeros(s_size))
+
+
 def random_degraded_binary_channel(rng) -> DiscreteBroadcastChannel:
     """Degraded binary DMBC: draw p(x,y|s) then compose with a random p(z|y)."""
     pxy = rng.dirichlet(np.ones(4), size=2).reshape(2, 2, 2)

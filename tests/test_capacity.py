@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     random_binary_channel,
+    random_channel,
     random_degraded_binary_channel,
     z_constant_channel,
     z_copies_y_channel,
@@ -30,6 +31,7 @@ from skagree import (
     degraded_capacity,
     gaussian_capacity,
     general_rate_objective,
+    golden_section_lanes,
     golden_section_max,
     is_degraded,
     joint_distribution,
@@ -178,17 +180,46 @@ class TestGoldenSectionCycleExit:
         assert outputs() == fast
 
 
-def random_channel(rng, sizes, zeros):
-    """Dirichlet rows of p(x,y,z|s); with ``zeros`` about a third of the
-    entries are 0 (each row keeps at least one)."""
-    s_size, rest = sizes[0], int(np.prod(sizes[1:]))
-    tr = rng.dirichlet(np.ones(rest), size=s_size)
-    if zeros:
-        keep = rng.random(tr.shape) >= 0.35
-        keep[np.arange(s_size), rng.integers(rest, size=s_size)] = True
-        tr = tr * keep
-        tr = tr / tr.sum(axis=1, keepdims=True)
-    return DiscreteBroadcastChannel(tr.reshape(sizes), np.zeros(s_size))
+class TestGoldenSectionLanes:
+    FUNCTIONS = TestGoldenSectionCycleExit.FUNCTIONS
+    INTERVALS = TestGoldenSectionCycleExit.INTERVALS
+
+    @staticmethod
+    def lanes_of(functions, steps):
+        """F for golden_section_lanes over per-lane scalar functions; records
+        the lanes of each step."""
+        def F(lanes, xs):
+            assert lanes.dtype.kind == "i" and (np.diff(lanes) > 0).all()
+            steps.append(lanes.tolist())
+            return [functions[lane](x) for lane, x in zip(lanes.tolist(), xs.tolist())]
+        return F
+
+    @pytest.mark.parametrize("iters", [0, 1, 80, 120, 199, 200])
+    def test_each_lane_equals_its_scalar_search(self, iters):
+        pairs = [(self.FUNCTIONS[name], ab) for name in sorted(self.FUNCTIONS)
+                 for ab in self.INTERVALS]
+        steps = []
+        results = golden_section_lanes(self.lanes_of([f for f, _ in pairs], steps),
+                                       [ab for _, ab in pairs], iters)
+        assert len(results) == len(pairs)
+        for (f, (a, b)), got in zip(pairs, results):
+            assert bits(*got) == bits(*golden_section_max(f, a, b, iters)), (a, b)
+        # every lane is in the first steps; the lanes leave at different steps
+        assert steps[0] == list(range(len(pairs)))
+        if iters >= 80:
+            assert len({len(s) for s in steps}) > 2
+
+    def test_lane_evaluations_equal_scalar_evaluations(self):
+        f = self.FUNCTIONS["parabola"]
+        scalar, steps = counted(f), []
+        golden_section_lanes(self.lanes_of([f], steps), [(0.0, 1.0)])
+        golden_section_max(scalar, 0.0, 1.0)
+        assert len(steps) == scalar.calls
+
+    def test_no_lanes(self):
+        def F(lanes, xs):
+            raise AssertionError("F called without lanes")
+        assert golden_section_lanes(F, []) == []
 
 
 class TestBatchedObjectives:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -139,6 +140,16 @@ class TestExponentsCommand:
         assert summary["F_o_nonincreasing_in_R_SK"] is True
 
 
+    def test_non_binary_s_exit_2(self, ternary_input_channel_file, tmp_path, capsys):
+        out = tmp_path / "exp.csv"
+        rc = main(["exponents", "--channel", ternary_input_channel_file,
+                   "--rsk", "0.01", "--rphi", "0.5", "--rm", "0", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--beta-grid" in err and "binary S alphabet" in err and "|S| = 3" in err
+
+
 class TestSimulateCommand:
     def test_requires_seed(self, degraded_channel_file, tmp_path):
         # a usage error (2), not the "a bound check failed" code (1)
@@ -230,6 +241,32 @@ class TestVerifyBounds:
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "pass"
         assert doc["max_rel_error_identity_gap"] <= 1e-10
+
+    def test_equal_to_pointwise_checks(self, degraded_channel_file, tmp_path):
+        # the document the checks give when every rho and alpha goes through
+        # the public bound and objective functions
+        out = tmp_path / "v.json"
+        assert main(["verify-bounds", "--channel", degraded_channel_file,
+                     "--rsk-rate", "0.2", "--rphi-rate", "0.7", "--rm-rate", "0.1",
+                     "--n", "1,2,5,9", "--input-beta", "0.3", "--out", str(out)]) == 0
+        channel = skagree.load_channel(degraded_channel_file)
+        inp = skagree.InputDistribution.bernoulli(0.3)
+        rates = skagree.RatePoint(0.2, 0.7, 0.1)
+        worst_e = worst_f = 0.0
+        for n in (1, 2, 5, 9):
+            eff = skagree.RatePoint(*(math.ceil(n * r - 1e-9) / n for r in (0.2, 0.7, 0.1)))
+            for rho in np.linspace(0.0, 1.0, 21):
+                lhs = skagree.ensemble_error_bound(channel, inp, n, float(rho), rates)
+                rhs = 2.0 ** (-n * skagree.reliability_objective(channel, inp, float(rho), eff))
+                worst_e = max(worst_e, abs(lhs - rhs) / max(rhs, 1e-300))
+            for alpha in np.linspace(0.05, 1.0, 20):
+                lhs = skagree.ensemble_leakage_bound(channel, inp, n, float(alpha), rates)
+                rhs = math.log2(math.e) / float(alpha) * 2.0 ** (
+                    -n * skagree.secrecy_objective(channel, inp, float(alpha), eff))
+                worst_f = max(worst_f, abs(lhs - rhs) / max(rhs, 1e-300))
+        doc = {"max_rel_error_identity_gap": worst_e,
+               "max_rel_leakage_identity_gap": worst_f, "verdict": "pass"}
+        assert out.read_text() == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("n_spec", ["0", "2,0", "5:4"])
     def test_bad_blocklengths_exit_2(self, degraded_channel_file, tmp_path,
@@ -404,6 +441,27 @@ def test_readme_cli_calls_parse():
     parser = build_parser()
     for argv in calls:
         assert parser.parse_args(argv).command == argv[0]
+        # the parser main builds for the call parses it the same way
+        assert build_parser(argv[0]).parse_args(argv) == parser.parse_args(argv)
     assert {argv[0] for argv in calls} == {
         "capacity", "upper-bound", "sweep-gaussian", "sweep-binary",
         "exponents", "simulate", "verify-bounds"}
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], ["capacity", "--help"], ["upper-bound", "-h"],
+    ["sweep-gaussian", "--help"], ["sweep-binary", "--help"], ["exponents", "--help"],
+    ["simulate", "--help"], ["verify-bounds", "--help"], ["capacity", "--bogus"],
+    ["exponents", "--rsk", "1"], ["simulate", "--seed", "x"],
+    ["upper-bound", "--q", "0.5"]])
+def test_help_and_usage_errors_match_the_whole_parser(argv, capsys):
+    # main builds only the named command's flags; what it prints is what
+    # the parser with every command's flags prints
+    with pytest.raises(SystemExit) as whole:
+        args = build_parser().parse_args(argv)
+        build_parser().error(skagree.cli._unread_source_flags(args))
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as built:
+        main(argv)
+    assert capsys.readouterr() == want
+    assert built.value.code == whole.value.code

@@ -1,4 +1,5 @@
 import math
+import struct
 from itertools import product
 
 import numpy as np
@@ -7,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     random_binary_channel,
+    random_channel,
     random_degraded_binary_channel,
     z_constant_channel,
     z_copies_y_channel,
 )
 from skagree import (
+    ChannelError,
     DiscreteBroadcastChannel,
     InputDistribution,
     OptimizerConfig,
@@ -21,16 +24,25 @@ from skagree import (
     entropy,
     joint_distribution,
     marginal_channel,
+    maximize_over_inputs,
     optimized_exponents,
     positivity_thresholds,
     region_membership,
     reliability_exponent,
+    reliability_exponents,
     reliability_objective,
     secrecy_exponent,
+    secrecy_exponents,
     secrecy_objective,
     strong_achievability_bound,
 )
-from skagree.exponents import _reliability_objective_for, _secrecy_objective_for
+from skagree.exponents import (
+    ALPHA_MIN,
+    _reliability_lanes_for,
+    _reliability_objective_for,
+    _secrecy_lanes_for,
+    _secrecy_objective_for,
+)
 
 UNIFORM = InputDistribution.uniform(2)
 
@@ -298,6 +310,112 @@ class TestOptimizedExponents:
             assert e_res.value >= reliability_exponent(ch, inp, rates).value - 1e-9
             assert f_res.value >= secrecy_exponent(ch, inp, rates).value - 1e-9
         assert isinstance(e_inp, Pmf) and isinstance(f_inp, Pmf)
+
+
+def result_bits(res):
+    return struct.pack("3d?", res.value, res.argmax, res.raw_value, res.clamped)
+
+
+class TestExponentLanes:
+    """The lane exponents equal a per-row loop of the scalar ones, bit for bit."""
+
+    @staticmethod
+    def lanes_and_loop(channel, inputs, rates):
+        e = reliability_exponents(channel, inputs, rates)
+        f = secrecy_exponents(channel, inputs, rates)
+        assert list(map(result_bits, e)) == [
+            result_bits(reliability_exponent(channel, i, r)) for i, r in zip(inputs, rates)]
+        assert list(map(result_bits, f)) == [
+            result_bits(secrecy_exponent(channel, i, r)) for i, r in zip(inputs, rates)]
+        return e, f
+
+    def test_bernoulli_surface(self):
+        # the exponents command's grid: rate points times Bernoulli inputs,
+        # beta 0 and 1 included and one beta listed twice
+        ch = random_degraded_binary_channel(np.random.default_rng(70))
+        grid = [(RatePoint(rsk, rphi, rm), InputDistribution.bernoulli(b))
+                for rsk in (0.0, 0.05, 0.4) for rphi in (0.0, 0.3, 1.0, 3.0)
+                for rm in (0.0, 0.2) for b in (0.0, 0.1, 0.5, 0.5, 1.0)]
+        e, f = self.lanes_and_loop(ch, [i for _, i in grid], [r for r, _ in grid])
+        assert any(r.argmax == 1.0 and r.value > 0 for r in e)      # rho* = 1
+        assert any(r.argmax == 1.0 and r.value > 0 for r in f)      # alpha* = 1
+        assert any(r.value == 0.0 and not r.clamped for r in e)     # analytic zeros
+        assert any(0.0 < r.argmax < 1.0 for r in e)
+        assert any(r.clamped for r in f)
+
+    @pytest.mark.parametrize("sizes", [(3, 2, 2, 2), (2, 3, 3, 3), (3, 3, 3, 3),
+                                       (2, 1, 3, 2), (1, 2, 2, 3)])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_random_channels(self, sizes, zeros):
+        rng = np.random.default_rng(71 + sizes[0] * 10 + sizes[1])
+        ch = random_channel(rng, sizes, zeros)
+        k = sizes[0]
+        probs = list(rng.dirichlet(np.ones(k), size=6)) + list(np.eye(k))
+        inputs = [InputDistribution(Pmf(probs[i])) for i in rng.integers(len(probs), size=40)]
+        rates = [RatePoint(float(rng.choice([0.0, rng.random()])), float(3 * rng.random()),
+                           float(rng.choice([0.0, 0.5 * rng.random()]))) for _ in inputs]
+        self.lanes_and_loop(ch, inputs, rates)
+
+    def test_one_and_no_pairs(self):
+        ch = random_degraded_binary_channel(np.random.default_rng(72))
+        rates = RatePoint(0.0, 1.0, 0.0)
+        assert reliability_exponents(ch, [], []) == secrecy_exponents(ch, [], []) == []
+        assert reliability_exponents(ch, [UNIFORM], [rates]) == \
+            [reliability_exponent(ch, UNIFORM, rates)]
+        assert secrecy_exponents(ch, [UNIFORM], [rates]) == \
+            [secrecy_exponent(ch, UNIFORM, rates)]
+
+    def test_input_size_must_match_channel(self):
+        ch = random_degraded_binary_channel(np.random.default_rng(73))
+        inputs = [UNIFORM, InputDistribution.uniform(3)]
+        rates = [RatePoint(0.0, 1.0, 0.0)] * 2
+        for lanes in (reliability_exponents, secrecy_exponents):
+            with pytest.raises(ChannelError):
+                lanes(ch, inputs, rates)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lane_objectives_at_special_exponents(self, seed):
+        # rho = 1 puts np.power at exponents 0.5 and 2, alpha = 0.5 at 0.5,
+        # where a scalar exponent takes numpy's sqrt/square path
+        rng = np.random.default_rng(80 + seed)
+        ch = random_channel(rng, (2, 3, 3, 3), zeros=seed % 2 == 1)
+        inputs = [InputDistribution(Pmf(p)) for p in rng.dirichlet(np.ones(2), size=40)]
+        which = np.arange(len(inputs))
+        rates = [RatePoint(0.1, float(rng.random()), 0.0) for _ in inputs]
+        rel = _reliability_lanes_for(ch, inputs, which, [r.r_phi - r.r_m for r in rates])
+        sec = _secrecy_lanes_for(ch, inputs, which,
+                                 [r.r_sk + r.r_phi - r.r_m for r in rates])
+        for F, scalar, points in ((rel, _reliability_objective_for, (0.0, 0.3, 0.5, 1.0)),
+                                  (sec, _secrecy_objective_for, (ALPHA_MIN, 0.5, 1.0))):
+            for x in points:
+                got = F(which, np.full(len(inputs), x))
+                want = [scalar(ch, i, r)(x) for i, r in zip(inputs, rates)]
+                assert struct.pack("%dd" % len(got), *got) == \
+                    struct.pack("%dd" % len(want), *want), x
+
+
+class TestOptimizedExponentsLanes:
+    @pytest.mark.parametrize("s_size,step", [(2, 0.02), (2, 0.05), (3, 0.1)])
+    def test_equal_to_per_point_objectives(self, s_size, step):
+        # optimized_exponents before lanes: every grid point a scalar search
+        rng = np.random.default_rng(90 + s_size)
+        ch = random_channel(rng, (s_size, 2, 3, 2), zeros=False)
+        rates = RatePoint(0.02, 0.6, 0.0)
+        cfg = OptimizerConfig(grid_step=step, refine_iters=80)
+
+        def per_point(exponent):
+            return lambda ps: [exponent(ch, InputDistribution(Pmf(p)), rates).value
+                               for p in ps]
+
+        want = []
+        for exponent in (reliability_exponent, secrecy_exponent):
+            p, _ = maximize_over_inputs(per_point(exponent), s_size, ch.cost,
+                                        math.inf, cfg)
+            want.append(result_bits(exponent(ch, InputDistribution(Pmf(p)), rates))
+                        + p.tobytes())
+        (e, e_in), (f, f_in) = optimized_exponents(ch, rates, cfg)
+        assert [result_bits(e) + e_in.probs.tobytes(),
+                result_bits(f) + f_in.probs.tobytes()] == want
 
 
 class TestRegionMembership:
