@@ -10,7 +10,6 @@ from .probability import (
     conditional_mutual_information,
     entropy,
     mutual_information,
-    renyi_entropy,
 )
 from .channels import (
     BinaryOnOffParams,
@@ -48,7 +47,6 @@ from .exponents import (
     RatePoint,
     optimized_exponents,
     positivity_thresholds,
-    region_membership,
     reliability_exponent,
     reliability_exponents,
     reliability_objective,
@@ -61,7 +59,6 @@ from .binning_sim import (
     BudgetError,
     SecretKeyCode,
     SimReport,
-    empirical_exponent_fit,
     ensemble_average,
     ensemble_error_bound,
     ensemble_leakage_bound,

@@ -13,7 +13,6 @@ protocol; the tests cross-check the decoder against a brute-force search.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -532,32 +531,3 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: InputDistribution,
         "per_codebook": rows,
     }
     return avg_error, avg_leakage, check
-
-
-def empirical_exponent_fit(channel: DiscreteBroadcastChannel, inp: InputDistribution,
-                           rates: RatePoint, n_range, num_codebooks: int, seed):
-    """Least-squares slope of -log2(ensemble average) versus n.
-
-    A finite-n diagnostic only — the slopes include rounding effects from the
-    integer code sizes and are not asymptotic exponents.
-    """
-    n_list = list(n_range)
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(len(n_list))
-    err_pts, leak_pts = [], []
-    for n, child in zip(n_list, children):
-        avg_e, avg_l, _ = ensemble_average(channel, inp, n, rates,
-                                           num_codebooks, child)
-        if avg_e > 0.0:
-            err_pts.append((n, -math.log2(avg_e)))
-        else:
-            warnings.warn("average error hit 0 at n=%d; excluded from the fit" % n)
-        if avg_l > 0.0:
-            leak_pts.append((n, -math.log2(avg_l)))
-        else:
-            warnings.warn("average leakage hit 0 at n=%d; excluded from the fit" % n)
-    if len(err_pts) < 2 or len(leak_pts) < 2:
-        raise ValueError("need at least 2 usable blocklengths for the fit")
-    slope_e = float(np.polyfit([p[0] for p in err_pts], [p[1] for p in err_pts], 1)[0])
-    slope_l = float(np.polyfit([p[0] for p in leak_pts], [p[1] for p in leak_pts], 1)[0])
-    return slope_e, slope_l

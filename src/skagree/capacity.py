@@ -9,9 +9,11 @@ in p(s), and by the chain rule I(X,S;Y) - I(X,S;Z) = I(X,S;Y|Z) - I(X,S;Z|Y)
 is at most it, with equality on degraded channels.  Grid+refine stays because
 the exponent objectives that share the optimizer are not known to be
 concave, and because it keeps the outputs byte-identical.  The two concave
-maxima scan their grid with I(X,S;Y|Z) as a concave majorant: grid cells
-that its values on a coarse sub-lattice rule out are never scored, and the
-grid argmax is the one a full scan finds.
+maxima scan their grid with I(X,S;Y|Z) as a concave majorant.  A concave f
+lies below each of its tangent planes, f(p) <= f(q) + g(q).(p - q) with g(q)
+its gradient, so the planes at a few sample points q bound f at every grid
+point; a point whose least bound, raised by a rounding margin, is below the
+best sample value cannot be the grid argmax and is never scored.
 
 There is one golden-section loop, the generator `_golden_search`: it yields
 each point it needs and is sent back the value there.  `golden_section_max`
@@ -28,7 +30,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import lattice
 from .channels import (
     BinaryOnOffParams,
     ChannelError,
@@ -40,6 +41,7 @@ from .channels import (
 )
 from .probability import (
     Pmf,
+    _entropy_rows,
     binary_entropy,
     bsc_convolve,
     conditional_mutual_information,
@@ -50,6 +52,7 @@ from .probability import (
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_BLOCK = 128  # grid points per objective call; bounds memory
+_MARGIN = 1e-9  # bits; computed objective values lie within ~1e-13 of exact
 
 # Cardinality bounds for auxiliary systems, in terms of |S| and |X|.  These
 # are guidance (and validation ceilings), not a search space.
@@ -172,6 +175,15 @@ def _grid_divisions(step: float) -> int:
     return m
 
 
+def _grid_points(k: int, m: int) -> np.ndarray:
+    """The integer coordinates, in grid order, of the grid of m divisions:
+    i in 0..m at |S|=2, (i, j) with i + j <= m at |S|=3."""
+    if k == 2:
+        return np.arange(m + 1)[:, None]
+    i, ij = np.triu_indices(m + 1)
+    return np.stack([i, ij - i], axis=1)
+
+
 def _simplex_grid(k: int, step: float) -> np.ndarray:
     """Deterministic enumeration of the probability simplex with spacing
     step, one point per row."""
@@ -180,7 +192,7 @@ def _simplex_grid(k: int, step: float) -> np.ndarray:
     if k not in (2, 3):
         raise ChannelError("input optimization supports |S| <= 3, got %d" % k)
     m = _grid_divisions(step)
-    c = lattice.points(k, m)
+    c = _grid_points(k, m)
     if k == 2:
         return np.stack([1.0 - c[:, 0] / m, c[:, 0] / m], axis=1)
     return np.stack([c[:, 0] / m, c[:, 1] / m, 1.0 - (c[:, 0] + c[:, 1]) / m], axis=1)
@@ -204,16 +216,21 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
     Deterministic: the grid maximum is the first in grid order (ties keep
     the earlier point), then refined.
 
-    ``majorant``, if given, is a block function of the same kind that is
+    ``majorant``, if given, is a pair (f, slopes) of block functions: f is
     concave in p on the whole simplex and >= objective at every feasible
-    point; pass the objective itself when it is concave (it is then scored
-    once per point).  The grid scan then scores the majorant on a coarse
-    sub-lattice and skips the grid cells whose bound from it lies more than
-    a margin of 1e-9 (`lattice.MARGIN`) below the best objective value at a
-    feasible sample, which assumes computed values within well under 1e-9
-    of exact.  Every skipped point scores strictly less than the grid
-    maximum, so p_star and value are those of the full scan.  A non-finite
-    sample turns the skipping off.
+    point (pass the objective itself when it is concave; it is then scored
+    once per point), and slopes returns the (G, k) gradients of f.  The grid
+    scan scores f and its slopes g at the sample rows, the grid points whose
+    integer coordinates are multiples of isqrt(m), and bounds every grid row
+    p by min over the samples q of the tangent plane
+    f(q) + g(q).(p - q) + 1e-9 * (1 + 2 max_s |g_s(q)|), the last term
+    covering the rounding of a plane that p - q (|p - q|_1 <= 2) scales by
+    |g|.  It skips the rows whose bound + 1e-9 lies below the best objective
+    value at a feasible sample, which assumes computed values within well
+    under 1e-9 of exact.  Every skipped point scores strictly less than the
+    grid maximum, so p_star and value are those of the full scan.  Samples
+    with a non-finite f or g bound nothing, and nothing is skipped when the
+    best sample value is NaN or infinite.
     """
     if not gamma > 0:  # also rejects NaN
         raise ChannelError("gamma must be positive")
@@ -240,15 +257,32 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
     values = np.empty(len(grid))
     scored = np.zeros(len(grid), dtype=bool)
     if majorant is not None and k > 1:
+        f, slopes = majorant
         m = _grid_divisions(step)
-        samples = lattice.sample_rows(k, m)
-        bounds = _score(majorant, grid, samples)
+        stride = math.isqrt(m)
+        samples = np.flatnonzero((_grid_points(k, m) % stride == 0).all(axis=1))
+        at = np.array(_score(f, grid, samples))
         done = samples[keep[samples]]  # objective values needed only here
-        values[done] = (np.array(bounds)[keep[samples]] if majorant is objective
+        values[done] = (at[keep[samples]] if f is objective
                         else _score(objective, grid, done))
         scored[done] = True
-        if np.isfinite(bounds).all() and np.isfinite(values[done]).all():
-            keep &= lattice.unruled(k, m, bounds, values[done].max(initial=-math.inf))
+        best = values[done].max(initial=-math.inf)
+        if math.isfinite(best):
+            g = np.array(_score(slopes, grid, samples))
+            # f(p) <= g(q).p + height(q) for each sample q with finite f and g;
+            # each plane in turn drops the rows it puts below best, the planes
+            # at the highest samples first as they drop the most rows
+            planes = np.flatnonzero(np.isfinite(at) & np.isfinite(g).all(axis=1))
+            planes = planes[np.argsort(-at[planes], kind="stable")]
+            g, q = g[planes], grid[samples[planes]]
+            heights = (at[planes] - np.einsum("qk,qk->q", g, q)  # einsum: no BLAS
+                       + _MARGIN * (1.0 + 2.0 * np.abs(g).max(axis=1)))
+            live = np.flatnonzero(keep)
+            for slope, height in zip(g, heights):
+                ruled = np.einsum("gk,k->g", grid[live], slope) + height + _MARGIN < best
+                live = live[~ruled]
+            keep[:] = False
+            keep[live] = True
     todo = np.flatnonzero(keep & ~scored)
     values[todo] = _score(objective, grid, todo)
     rows = np.flatnonzero(keep)
@@ -436,6 +470,25 @@ def _conditional_objective(channel: DiscreteBroadcastChannel):
     return f
 
 
+def _conditional_slopes(channel: DiscreteBroadcastChannel):
+    """p(s) -> the (G, |S|) gradient of I(X,S;Y|Z) on a (G, |S|) block of
+    inputs: g_s = -sum_{y,z} p(y,z|s) log2 p(y|z) - [H(X,Y,Z|S=s) - H(X,Z|S=s)],
+    as I(X,S;Y|Z) = H(Y,Z) - H(Z) - sum_s p(s) [H(X,Y,Z|S=s) - H(X,Z|S=s)].
+    It is +inf or NaN where p(y,z|s) > 0 = p(y,z)."""
+    tr = channel.transition
+    pyz_s = tr.sum(axis=1)  # (s,y,z)
+    c = np.array(_entropy_rows(tr)) - np.array(_entropy_rows(tr.sum(axis=2)))
+
+    def slopes(ps):
+        pyz = np.einsum("gs,syz->gyz", ps, pyz_s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_y_z = np.log2(pyz) - np.log2(pyz.sum(axis=1, keepdims=True))
+            terms = np.where(pyz_s > 0, pyz_s * log_y_z[:, None], 0.0)  # (G,s,y,z)
+        return -terms.sum(axis=(2, 3)) - c
+
+    return slopes
+
+
 def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf,
                       config: OptimizerConfig = OptimizerConfig()) -> CapacityResult:
     """Maximize I(X,S;Y) - I(X,S;Z) over p(s) under the cost constraint.
@@ -448,9 +501,9 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
             "channel is not degraded; the difference form is not its capacity — "
             "use upper_bound instead")
     k = channel.alphabet_sizes[0]
+    majorant = (_conditional_objective(channel), _conditional_slopes(channel))
     p_star, _ = maximize_over_inputs(_difference_objective(channel), k,
-                                     channel.cost, gamma, config,
-                                     majorant=_conditional_objective(channel))
+                                     channel.cost, gamma, config, majorant=majorant)
     inp = InputDistribution(Pmf(p_star))
     r_ch, r_src = rate_split(channel, inp)
     return CapacityResult(capacity=r_ch + r_src, r_ch=r_ch, r_src=r_src,
@@ -462,9 +515,9 @@ def upper_bound(channel: DiscreteBroadcastChannel, gamma: float = math.inf,
                 config: OptimizerConfig = OptimizerConfig()):
     """max over feasible p(s) of I(X,S;Y|Z); returns (p_star as a Pmf, value)."""
     objective = _conditional_objective(channel)
+    majorant = (objective, _conditional_slopes(channel))
     p_star, value = maximize_over_inputs(objective, channel.alphabet_sizes[0],
-                                         channel.cost, gamma, config,
-                                         majorant=objective)
+                                         channel.cost, gamma, config, majorant=majorant)
     return Pmf(p_star), value
 
 

@@ -8,6 +8,7 @@ eavesdropper.  Transition tensors are indexed [s, x, y, z].
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -75,11 +76,12 @@ class GaussianInterferenceParams:
     rho13: float
 
     def __post_init__(self):
-        if self.power < 0:
-            raise ChannelError("power must be >= 0")
+        if not 0 <= self.power < math.inf:  # also rejects NaN
+            raise ChannelError("power must be finite and >= 0, got %g" % self.power)
         for v in (self.nu1, self.nu2, self.nu3, self.sigma1, self.sigma2, self.sigma3):
-            if v <= 0:
-                raise ChannelError("nu and sigma parameters must be positive")
+            if not 0 < v < math.inf:
+                raise ChannelError("nu and sigma parameters must be finite and "
+                                   "positive, got %g" % v)
         for r in (self.rho12, self.rho13):
             if not -1.0 < r < 1.0:
                 raise ChannelError("correlations must lie in (-1,1)")

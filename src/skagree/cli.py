@@ -203,7 +203,8 @@ def cmd_sweep_gaussian(args) -> int:
     grid = np.linspace(args.p_db_min, args.p_db_max, args.p_db_steps)
     rows = []
     for p_db in grid:
-        power = 10.0 ** (p_db / 10.0)
+        with np.errstate(over="ignore"):  # an infinite power is rejected below
+            power = 10.0 ** (p_db / 10.0)
         res = cap.gaussian_capacity(_gaussian_params(args, power=power))
         rows.append((float(p_db), res.capacity, res.r_ch, res.r_src))
     _emit(_csv(["P_dB", "C_SK", "R_ch", "R_src"], rows), args.out)

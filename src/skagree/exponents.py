@@ -351,14 +351,3 @@ def optimized_exponents(channel: DiscreteBroadcastChannel, rates: RatePoint,
     f_inp = InputDistribution(Pmf(p_f))
     return ((reliability_exponent(channel, e_inp, rates), e_inp.pmf),
             (secrecy_exponent(channel, f_inp, rates), f_inp.pmf))
-
-
-def region_membership(channel: DiscreteBroadcastChannel, inp: InputDistribution,
-                      rates: RatePoint, e: float, f: float) -> bool:
-    """Is the exponent pair (e, f) inside the achievable region at this
-    input and rate point?"""
-    if e < 0 or f < 0:
-        raise ValueError("exponent targets must be >= 0")
-    e_o = reliability_exponent(channel, inp, rates).value
-    f_o = secrecy_exponent(channel, inp, rates).value
-    return e <= e_o and f <= f_o

@@ -86,15 +86,6 @@ class JointPmf:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
-    @property
-    def ndim(self) -> int:
-        return self.probs.ndim
-
-    def marginal(self, axis) -> Pmf:
-        """Marginal pmf of a single axis."""
-        axes = tuple(i for i in range(self.probs.ndim) if i != axis)
-        return Pmf(self.probs.sum(axis=axes))
-
 
 def _as_array(p) -> np.ndarray:
     if isinstance(p, (Pmf, JointPmf)):
@@ -177,13 +168,3 @@ def conditional_mutual_information(joint) -> float:
             "conditional_mutual_information expects a 3-axis joint, got ndim=%d" % arr.ndim
         )
     return conditional_mutual_information_rows(arr[None])[0]
-
-
-def renyi_entropy(p, order: float) -> float:
-    """Renyi entropy of order 1+alpha for alpha in (0,1]."""
-    alpha = order - 1.0
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("renyi_entropy order must lie in (1,2], got %r" % order)
-    arr = _as_array(p).ravel()
-    s = math.fsum(x ** (1.0 + alpha) for x in arr.tolist() if x > 0.0)
-    return -math.log2(s) / alpha

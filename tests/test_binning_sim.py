@@ -11,7 +11,6 @@ from skagree import (
     DiscreteBroadcastChannel,
     InputDistribution,
     RatePoint,
-    empirical_exponent_fit,
     ensemble_average,
     ensemble_error_bound,
     ensemble_leakage_bound,
@@ -608,28 +607,3 @@ class TestStackedBitIdentity:
         expect = [reference_exact(generate_code(ch, 3, rates, inp, child), ch)
                   for child in np.random.SeedSequence(5).spawn(8)]
         assert rows[0] == expect
-
-
-class TestEmpiricalFit:
-    def test_fit_runs_and_is_finite(self):
-        rng = np.random.default_rng(91)
-        ch = random_degraded_binary_channel(rng)
-        slope_e, slope_l = empirical_exponent_fit(
-            ch, UNIFORM, RATES, n_range=range(2, 7), num_codebooks=6, seed=41)
-        assert math.isfinite(slope_e) and math.isfinite(slope_l)
-
-    def test_too_few_points(self):
-        rng = np.random.default_rng(92)
-        ch = random_degraded_binary_channel(rng)
-        with pytest.raises(ValueError):
-            empirical_exponent_fit(ch, UNIFORM, RATES, n_range=[4],
-                                   num_codebooks=4, seed=43)
-
-    def test_zero_error_warns(self):
-        rng = np.random.default_rng(93)
-        ch = random_degraded_binary_channel(rng)
-        rates = RatePoint(r_sk=0.0, r_phi=0.5, r_m=0.25)  # |K| = 1: error is 0
-        with pytest.warns(UserWarning):
-            with pytest.raises(ValueError):
-                empirical_exponent_fit(ch, UNIFORM, rates, n_range=[3, 4, 5],
-                                       num_codebooks=4, seed=47)

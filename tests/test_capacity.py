@@ -1,6 +1,6 @@
 import math
 import struct
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -43,6 +43,7 @@ from skagree import (
 from skagree import capacity, exponents
 from skagree.capacity import (
     _conditional_objective,
+    _conditional_slopes,
     _difference_objective,
     _grouped_cmi,
     _simplex_grid,
@@ -465,8 +466,9 @@ SKIP_CASES = ([(k, step, kind) for k, step in ((2, None), (2, 0.01), (3, 0.02))
 
 
 class TestMajorantSkipping:
-    """With a concave majorant the grid scan skips the cells it rules out;
-    (p_star, value) stay bit-identical to a scan of every grid point."""
+    """With a concave majorant the grid scan skips the rows that its tangent
+    planes rule out; (p_star, value) stay bit-identical to a scan of every
+    grid point."""
 
     @pytest.mark.parametrize("k,step,kind", SKIP_CASES)
     def test_matches_full_scan(self, k, step, kind):
@@ -474,10 +476,11 @@ class TestMajorantSkipping:
         cost = np.arange(k, dtype=float)
         ch = DiscreteBroadcastChannel(tr, cost)
         cond, diff = _conditional_objective(ch), _difference_objective(ch)
+        majorant = (cond, _conditional_slopes(ch))
         config = OptimizerConfig(grid_step=step, refine_iters=20, refine_sweeps=1)
         # gamma = 0.5 binds wherever the unconstrained argmax costs more
         for gamma in (math.inf, 0.5):
-            for objective, majorant in ((cond, cond), (diff, cond)):
+            for objective in (cond, diff):
                 got = maximize_over_inputs(objective, k, cost, gamma, config,
                                            majorant=majorant)
                 want = full_scan_maximize(objective, k, cost, gamma, config)
@@ -511,10 +514,10 @@ class TestMajorantSkipping:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_steep_ridge(self, k):
-        # a concave ridge rising along direction theta from the coarse sample
-        # p(s=0) = p(s=k-1) = 0.3: for many theta the grid maximum lies in a
-        # cell whose corners are all far below that sample, so bounding a
-        # cell by its own corners would skip it
+        # a concave ridge rising along direction theta from the sample
+        # p(s=0) = p(s=k-1) = 0.3: for many theta the grid maximum lies far
+        # from every sample, between samples all far below the one on the
+        # ridge; its supergradient d - 100 sign(u) n has a kink at u = 0
         config = OptimizerConfig(refine_iters=20, refine_sweeps=1)
         for theta in np.linspace(0.05, 6.2, 12):
             d = (math.cos(theta), math.sin(theta))
@@ -525,7 +528,15 @@ class TestMajorantSkipping:
                         + d[0] * (p[0] - 0.3) + d[1] * (p[-1] - 0.3)
                         for p in ps.tolist()]
 
-            got = maximize_over_inputs(ridge, k, config=config, majorant=ridge)
+            def slopes(ps):
+                u = n[0] * (ps[:, 0] - 0.3) + n[1] * (ps[:, -1] - 0.3)
+                g = np.zeros_like(ps)
+                g[:, 0] = d[0] - 100.0 * np.sign(u) * n[0]
+                g[:, -1] = d[1] - 100.0 * np.sign(u) * n[1]
+                return g
+
+            got = maximize_over_inputs(ridge, k, config=config,
+                                       majorant=(ridge, slopes))
             want = full_scan_maximize(ridge, k, config=config)
             assert bits(*got[0], got[1]) == bits(*want[0], want[1]), theta
 
@@ -565,23 +576,87 @@ class TestMajorantSkipping:
     def grid_rows_scored(majorant):
         """Rows the |S| = 3 grid scan scores on a benchmark-recipe channel,
         with the refinement off."""
-        f = _conditional_objective(DiscreteBroadcastChannel(
-            recipe_degraded(np.random.default_rng(2031), 3), np.zeros(3)))
+        ch = DiscreteBroadcastChannel(
+            recipe_degraded(np.random.default_rng(2031), 3), np.zeros(3))
+        f = _conditional_objective(ch)
         rows = []
 
         def g(ps):
             rows.append(len(ps))
             return f(ps)
 
+        slopes = _conditional_slopes(ch)
         maximize_over_inputs(g, 3, config=OptimizerConfig(refine_sweeps=0),
-                             majorant=g if majorant else None)
+                             majorant=(g, slopes) if majorant else None)
         return sum(rows)
 
-    def test_skipping_scores_under_a_quarter_of_the_grid(self):
-        assert self.grid_rows_scored(True) < 0.25 * len(_simplex_grid(3, 1e-2))
+    def test_skipping_scores_under_a_tenth_of_the_grid(self):
+        assert self.grid_rows_scored(True) < 0.1 * len(_simplex_grid(3, 1e-2))
 
     def test_without_majorant_every_point_is_scored(self):
         assert self.grid_rows_scored(False) == len(_simplex_grid(3, 1e-2))
+
+
+def slope_channels(rng):
+    """General, degraded and zero-entry channels at |S| = 2 and 3."""
+    for k in (2, 3):
+        yield random_channel(rng, (k, 2, 3, 2), False)
+        yield random_channel(rng, (k, 3, 2, 2), True)
+        yield DiscreteBroadcastChannel(recipe_degraded(rng, k), np.zeros(k))
+        yield DiscreteBroadcastChannel(recipe_degraded(rng, k, zeros=True), np.zeros(k))
+
+
+class TestConditionalSlopes:
+    """_conditional_slopes is the gradient of I(X,S;Y|Z) in p(s)."""
+
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(50)
+        h = 1e-6
+        for ch in slope_channels(rng):
+            k = ch.alphabet_sizes[0]
+            f, slopes = _conditional_objective(ch), _conditional_slopes(ch)
+            for p in 0.1 / k + (1.0 - 0.1) * rng.dirichlet(np.ones(k), size=4):
+                g = slopes(p[None])[0]
+                for i, j in combinations(range(k), 2):
+                    e = np.zeros(k)
+                    e[i], e[j] = h, -h
+                    up, down = f(np.stack([p + e, p - e]))
+                    assert abs((up - down) / (2 * h) - (g[i] - g[j])) < 1e-6
+
+    def test_plane_through_each_point_passes_the_origin(self):
+        # the conditional entropy part is positively homogeneous in p(s), so
+        # f(q) = g(q).q: this pins the part of g that differences do not see
+        rng = np.random.default_rng(51)
+        for ch in slope_channels(rng):
+            k = ch.alphabet_sizes[0]
+            qs = rng.dirichlet(np.ones(k), size=8)
+            for q, fq, g in zip(qs, _conditional_objective(ch)(qs),
+                                _conditional_slopes(ch)(qs)):
+                assert abs(fq - float(np.dot(g, q))) < 1e-12
+
+    def test_tangent_planes_lie_above(self):
+        rng = np.random.default_rng(52)
+        for ch in slope_channels(rng):
+            k = ch.alphabet_sizes[0]
+            f, slopes = _conditional_objective(ch), _conditional_slopes(ch)
+            ps, qs = rng.dirichlet(np.full(k, 0.5), size=(2, 16))
+            g = slopes(qs)
+            assert np.isfinite(g).all()
+            for fp, fq, gq, p, q in zip(f(ps), f(qs), g, ps, qs):
+                assert fp <= fq + float(np.dot(gq, p - q)) + 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_boundary_with_an_unreachable_output_is_not_finite(self, k):
+        # at q = (0, 1, 0...) only (y, z) = (0, 0) occurs, but s = 0 reaches
+        # (y, z) = (1, 0): the slope toward s = 0 is +inf, and the interior
+        # row of the same block stays finite
+        ch = DiscreteBroadcastChannel(corner_transition(k), np.zeros(k))
+        q = np.zeros((2, k))
+        q[0, 1] = 1.0
+        q[1] = 1.0 / k
+        g = _conditional_slopes(ch)(q)
+        assert g[0, 0] == math.inf
+        assert np.isfinite(g[1]).all()
 
 
 class TestRateSplit:

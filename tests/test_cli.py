@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +353,20 @@ class TestErrorHandling:
         assert not out.exists()
         assert "error: gamma must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,name", [
+        (["capacity", "--family", "gaussian", "--power", "nan"], "power"),
+        (["capacity", "--family", "gaussian", "--nu3", "inf"], "nu and sigma"),
+        (["sweep-gaussian", "--nu1", "nan"], "nu and sigma"),
+        (["sweep-gaussian", "--p-db-max", "4000"], "power")])  # 10^400 overflows
+    def test_non_finite_gaussian_parameter_exit_2(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s" % name) and "finite" in err
+
     @pytest.mark.parametrize("command,flag", [("sweep-gaussian", "--p-db-steps"),
                                               ("sweep-binary", "--beta-steps")])
     @pytest.mark.parametrize("steps", ["0", "-3"])
@@ -465,3 +480,19 @@ def test_help_and_usage_errors_match_the_whole_parser(argv, capsys):
         main(argv)
     assert capsys.readouterr() == want
     assert built.value.code == whole.value.code
+
+
+def test_imports_and_an_upper_bound_load_no_scipy():
+    # pyproject.toml declares numpy as the only dependency
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import skagree, skagree.cli\n"
+            "tr = np.random.default_rng(1).dirichlet(np.ones(8), size=3)\n"
+            "ch = skagree.DiscreteBroadcastChannel(tr.reshape(3, 2, 2, 2), np.zeros(3))\n"
+            "skagree.upper_bound(ch)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(skagree.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -27,7 +27,6 @@ from skagree import (
     maximize_over_inputs,
     optimized_exponents,
     positivity_thresholds,
-    region_membership,
     reliability_exponent,
     reliability_exponents,
     reliability_objective,
@@ -416,21 +415,3 @@ class TestOptimizedExponentsLanes:
         (e, e_in), (f, f_in) = optimized_exponents(ch, rates, cfg)
         assert [result_bits(e) + e_in.probs.tobytes(),
                 result_bits(f) + f_in.probs.tobytes()] == want
-
-
-class TestRegionMembership:
-    def test_origin_always_inside(self):
-        rng = np.random.default_rng(61)
-        ch = random_binary_channel(rng)
-        assert region_membership(ch, UNIFORM, RatePoint(0, 0, 0), 0.0, 0.0)
-
-    def test_outside_when_targets_exceed(self):
-        rng = np.random.default_rng(62)
-        ch = random_binary_channel(rng)
-        assert not region_membership(ch, UNIFORM, RatePoint(0, 0, 0), 10.0, 10.0)
-
-    def test_rejects_negative_targets(self):
-        rng = np.random.default_rng(63)
-        ch = random_binary_channel(rng)
-        with pytest.raises(ValueError):
-            region_membership(ch, UNIFORM, RatePoint(0, 0, 0), -1.0, 0.0)

@@ -13,7 +13,6 @@ from skagree import (
     conditional_mutual_information,
     entropy,
     mutual_information,
-    renyi_entropy,
 )
 from skagree.probability import (
     conditional_mutual_information_rows,
@@ -67,10 +66,6 @@ class TestPmfValidation:
                 JointPmf(np.array(big).reshape(1, -1))
             with pytest.raises(PmfError):
                 mutual_information_rows(np.array([[[0.5, 0.5]], [big[:2]]]))
-
-    def test_joint_marginal_is_valid(self):
-        j = JointPmf(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        assert np.allclose(j.marginal(0).probs, [0.3, 0.7])
 
 
 class TestEntropy:
@@ -175,33 +170,6 @@ class TestConditionalMutualInformation:
             pc = j[:, :, c].sum()
             expected += pc * mutual_information(j[:, :, c] / pc)
         assert conditional_mutual_information(j) == pytest.approx(expected, abs=1e-12)
-
-
-class TestRenyiEntropy:
-    def test_uniform_invariance(self):
-        for alpha in (0.25, 0.5, 1.0):
-            assert renyi_entropy(Pmf.uniform(4), 1 + alpha) == pytest.approx(
-                2.0, abs=1e-12)
-
-    def test_point_mass(self):
-        assert renyi_entropy(Pmf(np.array([1.0, 0.0])), 2.0) == 0.0
-
-    def test_order_two(self):
-        assert renyi_entropy(Pmf(np.array([0.7, 0.3])), 2.0) == pytest.approx(
-            -math.log2(0.49 + 0.09), abs=1e-12)
-        assert renyi_entropy(Pmf(np.array([0.7, 0.3])), 2.0) == pytest.approx(
-            0.785875, abs=1e-6)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            renyi_entropy(Pmf.uniform(2), 1.0)
-        with pytest.raises(ValueError):
-            renyi_entropy(Pmf.uniform(2), 2.5)
-
-    @given(pmf_values, st.floats(0.01, 1.0))
-    def test_never_exceeds_shannon(self, vals, alpha):
-        p = Pmf(normalized(vals))
-        assert entropy(p) >= renyi_entropy(p, 1 + alpha) - 1e-12
 
 
 def _loop_entropy(arr):
