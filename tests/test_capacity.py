@@ -51,7 +51,7 @@ from skagree.capacity import (
 
 REFERENCE_PARAMS = BinaryOnOffParams(q=0.5, q_tilde=0.8, delta=0.1, delta3=0.2)
 
-COARSE = OptimizerConfig(grid_step=0.02, refine_iters=80, refine_sweeps=2)
+COARSE = OptimizerConfig(grid_step=0.02, refine_iters=80)
 
 
 class TestGoldenSection:
@@ -326,8 +326,8 @@ class TestMaximizeOverInputs:
 def full_scan_maximize(objective, k=3, cost=None, gamma=math.inf,
                        config=OptimizerConfig()):
     """maximize_over_inputs scoring every feasible grid point, with the
-    |S| = 3 coordinate refinement running all refine_sweeps sweeps (the loop
-    before its early stop)."""
+    |S| = 3 coordinate refinement running all capacity._REFINE_SWEEPS sweeps
+    (the loop before its early stop)."""
     cost = np.zeros(k) if cost is None else np.asarray(cost, dtype=float)
     step = config.step_for(k)
 
@@ -356,7 +356,7 @@ def full_scan_maximize(objective, k=3, cost=None, gamma=math.inf,
         return best_p, best_v
     p = best_p.copy()
     v_cur = best_v
-    for _ in range(config.refine_sweeps):
+    for _ in range(capacity._REFINE_SWEEPS):
         for i, j in ((0, 1), (0, 2), (1, 2)):
             mass = p[i] + p[j]
             if mass <= 0.0:
@@ -455,6 +455,9 @@ def skip_scan_transition(kind, k, seed):
 
 SKIP_KINDS = ["general", "edge", "corner", "z-copies-y", "degraded", "zeros",
               "near-degraded"]
+# the kinds that is_degraded accepts, on which the difference objective is
+# concave with the gradient of I(X,S;Y|Z)
+DEGRADED_KINDS = {"corner", "z-copies-y", "degraded", "zeros", "near-degraded"}
 # (|S|, grid step, kind): default and coarse steps, with m = round(1/step)
 # a multiple of the skipping scan's stride isqrt(m) (m = 100) and not
 # (m = 1000, 50); the 5,151-point default |S| = 3 grid only on two kinds,
@@ -466,8 +469,9 @@ SKIP_CASES = ([(k, step, kind) for k, step in ((2, None), (2, 0.01), (3, 0.02))
 
 
 class TestMajorantSkipping:
-    """With a concave majorant the grid scan skips the rows that its tangent
-    planes rule out; (p_star, value) stay bit-identical to a scan of every
+    """Given the gradient of a concave objective, the grid scan skips the rows
+    that the objective's tangent planes rule out (the objective is its own
+    concave majorant); (p_star, value) stay bit-identical to a scan of every
     grid point."""
 
     @pytest.mark.parametrize("k,step,kind", SKIP_CASES)
@@ -475,14 +479,14 @@ class TestMajorantSkipping:
         tr = skip_scan_transition(kind, k, 5)
         cost = np.arange(k, dtype=float)
         ch = DiscreteBroadcastChannel(tr, cost)
+        assert is_degraded(ch) == (kind in DEGRADED_KINDS)
         cond, diff = _conditional_objective(ch), _difference_objective(ch)
-        majorant = (cond, _conditional_slopes(ch))
-        config = OptimizerConfig(grid_step=step, refine_iters=20, refine_sweeps=1)
+        config = OptimizerConfig(grid_step=step, refine_iters=20)
         # gamma = 0.5 binds wherever the unconstrained argmax costs more
         for gamma in (math.inf, 0.5):
-            for objective in (cond, diff):
+            for objective in (cond, diff) if kind in DEGRADED_KINDS else (cond,):
                 got = maximize_over_inputs(objective, k, cost, gamma, config,
-                                           majorant=majorant)
+                                           gradient=_conditional_slopes(ch))
                 want = full_scan_maximize(objective, k, cost, gamma, config)
                 assert bits(*got[0], got[1]) == bits(*want[0], want[1]), \
                     (objective.__name__, gamma)
@@ -518,7 +522,7 @@ class TestMajorantSkipping:
         # p(s=0) = p(s=k-1) = 0.3: for many theta the grid maximum lies far
         # from every sample, between samples all far below the one on the
         # ridge; its supergradient d - 100 sign(u) n has a kink at u = 0
-        config = OptimizerConfig(refine_iters=20, refine_sweeps=1)
+        config = OptimizerConfig(refine_iters=20)
         for theta in np.linspace(0.05, 6.2, 12):
             d = (math.cos(theta), math.sin(theta))
             n = (-d[1], d[0])
@@ -535,8 +539,7 @@ class TestMajorantSkipping:
                 g[:, -1] = d[1] - 100.0 * np.sign(u) * n[1]
                 return g
 
-            got = maximize_over_inputs(ridge, k, config=config,
-                                       majorant=(ridge, slopes))
+            got = maximize_over_inputs(ridge, k, config=config, gradient=slopes)
             want = full_scan_maximize(ridge, k, config=config)
             assert bits(*got[0], got[1]) == bits(*want[0], want[1]), theta
 
@@ -573,28 +576,49 @@ class TestMajorantSkipping:
                 assert fm >= (fp + fq) / 2 - 1e-12
 
     @staticmethod
-    def grid_rows_scored(majorant):
-        """Rows the |S| = 3 grid scan scores on a benchmark-recipe channel,
-        with the refinement off."""
+    def grid_rows_scored(monkeypatch, gradient):
+        """Rows the |S| = 3 grid scan scores on a benchmark-recipe channel:
+        the objective's rows that pass through capacity._score, which only
+        the scan calls."""
         ch = DiscreteBroadcastChannel(
             recipe_degraded(np.random.default_rng(2031), 3), np.zeros(3))
         f = _conditional_objective(ch)
-        rows = []
+        rows, score = [], capacity._score
 
-        def g(ps):
-            rows.append(len(ps))
-            return f(ps)
+        def counting(g, grid, block_rows):
+            if g is f:
+                rows.append(len(block_rows))
+            return score(g, grid, block_rows)
 
-        slopes = _conditional_slopes(ch)
-        maximize_over_inputs(g, 3, config=OptimizerConfig(refine_sweeps=0),
-                             majorant=(g, slopes) if majorant else None)
+        monkeypatch.setattr(capacity, "_score", counting)
+        maximize_over_inputs(f, 3,
+                             gradient=_conditional_slopes(ch) if gradient else None)
         return sum(rows)
 
-    def test_skipping_scores_under_a_tenth_of_the_grid(self):
-        assert self.grid_rows_scored(True) < 0.1 * len(_simplex_grid(3, 1e-2))
+    def test_skipping_scores_under_a_tenth_of_the_grid(self, monkeypatch):
+        grid = _simplex_grid(3, 1e-2)
+        assert self.grid_rows_scored(monkeypatch, True) < 0.1 * len(grid)
 
-    def test_without_majorant_every_point_is_scored(self):
-        assert self.grid_rows_scored(False) == len(_simplex_grid(3, 1e-2))
+    def test_without_majorant_every_point_is_scored(self, monkeypatch):
+        assert self.grid_rows_scored(monkeypatch, False) == len(_simplex_grid(3, 1e-2))
+
+    def test_scan_scores_each_grid_row_once(self, monkeypatch):
+        # a wrapper around the objective, as a tracer passes it, sees each
+        # sample row once: the scan's planes come from the objective's own
+        # values, not from a second function scored at the same rows
+        ch = random_channel(np.random.default_rng(3), (3, 2, 2, 2), False)
+        f = _conditional_objective(ch)
+        seen = []
+
+        def wrapped(ps):
+            seen.extend(map(tuple, ps.tolist()))
+            return f(ps)
+
+        # no refinement: every row the wrapper sees comes from the grid scan
+        monkeypatch.setattr(capacity, "golden_section_max",
+                            lambda g, a, b, iters: (a, -math.inf))
+        maximize_over_inputs(wrapped, 3, gradient=_conditional_slopes(ch))
+        assert 0 < len(seen) == len(set(seen)) < len(_simplex_grid(3, 1e-2))
 
 
 def slope_channels(rng):

@@ -12,7 +12,6 @@ from skagree import (
     DiscreteBroadcastChannel,
     InputDistribution,
     build_binary_onoff,
-    expected_cost,
     is_degraded,
     joint_distribution,
     load_channel,
@@ -134,17 +133,6 @@ class TestJointAndCost:
         j = joint_distribution(ch, inp).probs
         assert np.allclose(j.sum(axis=(1, 2, 3)), inp.probs, atol=1e-12)
         assert np.allclose(j[1] / inp.probs[1], ch.transition[1], atol=1e-12)
-
-    def test_expected_cost_zero(self):
-        assert expected_cost(InputDistribution.bernoulli(0.4), [0.0, 0.0]) == 0.0
-
-    def test_expected_cost_point_mass(self):
-        inp = InputDistribution.bernoulli(1.0)
-        assert expected_cost(inp, [4.0, 7.0]) == 7.0
-
-    def test_expected_cost_dot(self):
-        inp = InputDistribution.bernoulli(0.75)
-        assert expected_cost(inp, [4.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestMarginalChannel:

@@ -463,6 +463,17 @@ def test_readme_cli_calls_parse():
         "exponents", "simulate", "verify-bounds"}
 
 
+def test_readme_library_snippet_runs():
+    # README's Library block is the documented API: it runs as written, so a
+    # name it imports cannot be deleted without this failing
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert 0.0 <= names["avg_err"] <= 1.0 and names["avg_leak"] >= 0.0
+    assert len(names["check"]["per_codebook"]) == 500
+
+
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["bogus"], ["capacity", "--help"], ["upper-bound", "-h"],
     ["sweep-gaussian", "--help"], ["sweep-binary", "--help"], ["exponents", "--help"],
