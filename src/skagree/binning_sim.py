@@ -25,8 +25,8 @@ from .exponents import ALPHA_MIN, RatePoint
 # module: benchmarks/test_benchmark.py checks the tracer's wrapping through it.
 from .probability import mutual_information, mutual_information_rows  # noqa: F401
 
-DEFAULT_TABLE_BUDGET = 2**24
-DEFAULT_ENUM_BUDGET = 2**26
+TABLE_BUDGET = 2**24  # most binning-table entries, |M|*|X|^n, of one code
+ENUM_BUDGET = 2**26   # most enumeration cells of one code
 _DECODE_BLOCK_CELLS = 2**22  # Monte-Carlo decodes at most this many cells at once
 # ensemble_average evaluates its codes in stacks of at most this many cells
 # (one code may exceed it); larger stacks raised peak RSS through the leakage
@@ -41,40 +41,42 @@ class BudgetError(ValueError):
     pass
 
 
-def _size_from_rate(n: int, rate: float, name: str = "|set|",
-                    max_bits: int = _TABLE_BITS) -> int:
-    """|set| = 2^ceil(n*rate), robust to float fuzz in n*rate, or a
-    ValueError naming the set if that exceeds 2^max_bits.  The exponent is
-    checked before the power, which would take forever at n*rate = 1e300."""
+def _size_bits(n: int, rate: float, name: str = "|set|",
+               max_bits: int = _TABLE_BITS) -> int:
+    """log2 |set| = ceil(n*rate), robust to float fuzz in n*rate, or a
+    ValueError naming the set if that exceeds max_bits.  The check comes
+    before any power, which would take forever at n*rate = 1e300."""
     bits = n * rate - 1e-9
     if bits > max_bits:
         raise ValueError("%s = 2^ceil(n*rate) at n=%d, rate=%r exceeds 2^%d"
                          % (name, n, rate, max_bits))
-    return 2 ** max(0, math.ceil(bits))
+    return math.ceil(bits)
 
 
 def _code_sizes(n: int, rates: RatePoint):
     """(|M|, |Phi|, |K|) of a code of blocklength n at the given rates."""
-    return (_size_from_rate(n, rates.r_m, "|M|"),
-            _size_from_rate(n, rates.r_phi, "|Phi|"),
-            _size_from_rate(n, rates.r_sk, "|K|"))
+    return (2 ** _size_bits(n, rates.r_m, "|M|"),
+            2 ** _size_bits(n, rates.r_phi, "|Phi|"),
+            2 ** _size_bits(n, rates.r_sk, "|K|"))
 
 
 @dataclass(frozen=True)
 class SecretKeyCode:
-    n: int
     codewords: np.ndarray     # (|M|, n) input symbols
     key_bins: np.ndarray      # (|M|, |X|^n) -> [0, |K|)
     public_bins: np.ndarray   # (|M|, |X|^n) -> [0, |Phi|)
-    num_messages: int
     num_public: int
     num_keys: int
-    rates: RatePoint
-    seed: object
+
+    @property
+    def n(self) -> int:
+        return self.codewords.shape[1]
+
+    @property
+    def num_messages(self) -> int:
+        return self.codewords.shape[0]
 
     def __post_init__(self):
-        if self.codewords.shape[0] != self.num_messages:
-            raise ValueError("codeword table size mismatch")
         if self.public_bins.shape != self.key_bins.shape:
             raise ValueError("binning tables must share shape")
         _check_bins(self.key_bins, self.num_keys, self.public_bins,
@@ -108,10 +110,10 @@ class SimReport:
 
 
 def _table_sizes(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
-                 inp: InputDistribution, table_budget: int):
+                 inp: InputDistribution):
     """(|M|, |Phi|, |K|, |X|^n) of the codes of one draw, after the checks
     that every draw needs: n >= 1, an input over the channel's S alphabet and
-    binning tables within table_budget."""
+    binning tables within TABLE_BUDGET."""
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     S, X = channel.alphabet_sizes[0], channel.alphabet_sizes[1]
@@ -120,23 +122,23 @@ def _table_sizes(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
                          "alphabet %d" % (inp.probs.size, S))
     num_m, num_phi, num_k = _code_sizes(n, rates)
     entries = num_m * X**n
-    if entries > table_budget:
+    if entries > TABLE_BUDGET:
         raise BudgetError(
             "binning tables need |M|*|X|^n = %d entries, over the budget %d"
-            % (entries, table_budget))
+            % (entries, TABLE_BUDGET))
     return num_m, num_phi, num_k, X**n
 
 
 def _enumeration_cells(channel: DiscreteBroadcastChannel, n: int, m_x: int,
-                       num_k: int, num_phi: int, enum_budget: int) -> int:
+                       num_k: int, num_phi: int) -> int:
     """Cells one code's enumeration needs: its (m, x^n, y^n) and (m, x^n, z^n)
     score tables, m_x = |M|*|X|^n rows each, and its (k, phi, z^n) leakage
-    joint.  Raises BudgetError when that is over enum_budget."""
+    joint.  Raises BudgetError when that is over ENUM_BUDGET."""
     Y, Z = channel.alphabet_sizes[2:]
     cells = max(m_x * Y**n, m_x * Z**n, num_k * num_phi * Z**n)
-    if cells > enum_budget:
+    if cells > ENUM_BUDGET:
         raise BudgetError("enumeration needs %d cells, over the budget %d"
-                          % (cells, enum_budget))
+                          % (cells, ENUM_BUDGET))
     return cells
 
 
@@ -170,8 +172,7 @@ def _draw_tables(seeds, cdf: np.ndarray, n: int, num_m: int, width: int,
 
 
 def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
-                  inp: InputDistribution, seed,
-                  table_budget: int = DEFAULT_TABLE_BUDGET) -> SecretKeyCode:
+                  inp: InputDistribution, seed) -> SecretKeyCode:
     """Draw a codebook and both binning tables; deterministic given seed.
 
     The stream of default_rng(seed) is drawn as random((|M|, n)) for the
@@ -179,15 +180,13 @@ def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
     integers(0, |K|) for the key bins, then integers(0, |Phi|) for the
     public bins; ensemble_average draws each of its codebooks the same way.
     """
-    num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp,
-                                                table_budget)
+    num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp)
     codewords, key, pub = _draw_tables([seed], _input_cdf(inp), n, num_m,
                                        width, num_k, num_phi)
-    return SecretKeyCode(n=n, codewords=codewords[0],
+    return SecretKeyCode(codewords=codewords[0],
                          key_bins=key.reshape(num_m, width),
                          public_bins=pub.reshape(num_m, width),
-                         num_messages=num_m, num_public=num_phi, num_keys=num_k,
-                         rates=rates, seed=seed)
+                         num_public=num_phi, num_keys=num_k)
 
 
 def sequence_index(symbols, base: int) -> int:
@@ -331,11 +330,11 @@ def _evaluate_stack(channel: DiscreteBroadcastChannel, codewords: np.ndarray,
     return list(zip(errors, leaks))
 
 
-def exact_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
-                   enum_budget: int = DEFAULT_ENUM_BUDGET) -> SimReport:
+def exact_evaluate(code: SecretKeyCode,
+                   channel: DiscreteBroadcastChannel) -> SimReport:
     """Exact error probability and key leakage by full enumeration."""
     _enumeration_cells(channel, code.n, code.key_bins.size, code.num_keys,
-                       code.num_public, enum_budget)
+                       code.num_public)
     (error, leakage), = _evaluate_stack(
         channel, code.codewords[None], code.key_bins.reshape(1, -1),
         code.public_bins.reshape(1, -1), code.num_keys, code.num_public)
@@ -394,7 +393,7 @@ def monte_carlo_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
 
 def _code_size(n: int, rate: float, name: str) -> float:
     """|set| = 2^ceil(n*rate) as a float, or a ValueError if it has none."""
-    return float(_size_from_rate(n, rate, name, _FLOAT_BITS))
+    return 2.0 ** _size_bits(n, rate, name, _FLOAT_BITS)
 
 
 def _error_bound_for(channel, inp, n, rates):
@@ -481,9 +480,7 @@ def minimize_leakage_bound(channel, inp, n, rates):
 
 
 def ensemble_average(channel: DiscreteBroadcastChannel, inp: InputDistribution,
-                     n: int, rates: RatePoint, num_codebooks: int, seed,
-                     table_budget: int = DEFAULT_TABLE_BUDGET,
-                     enum_budget: int = DEFAULT_ENUM_BUDGET):
+                     n: int, rates: RatePoint, num_codebooks: int, seed):
     """Average exact error/leakage over independently drawn codebooks and
     compare against the minimized ensemble bounds.
 
@@ -498,10 +495,8 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: InputDistribution,
     """
     if num_codebooks < 1:
         raise ValueError("num_codebooks must be >= 1")
-    num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp,
-                                                table_budget)
-    cells = _enumeration_cells(channel, n, num_m * width, num_k, num_phi,
-                               enum_budget)
+    num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp)
+    cells = _enumeration_cells(channel, n, num_m * width, num_k, num_phi)
     stack = max(1, _STACK_CELLS // cells)
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)

@@ -332,15 +332,15 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
 
 @dataclass(frozen=True)
 class CapacityResult:
-    capacity: float
     r_ch: float
     r_src: float
     input_pmf: Union[Pmf, dict]
     expected_cost: float
 
-    def __post_init__(self):
-        if abs(self.capacity - (self.r_ch + self.r_src)) > 1e-9:
-            raise ValueError("capacity must equal r_ch + r_src")
+    @property
+    def capacity(self) -> float:
+        """C_SK = R_ch + R_src, the key capacity's channel and source parts."""
+        return self.r_ch + self.r_src
 
     def to_json(self) -> dict:
         if isinstance(self.input_pmf, Pmf):
@@ -492,7 +492,7 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
     There I(X,S;Z|Y) = 0 for every p(s), so the difference equals the
     concave I(X,S;Y|Z) up to ~1e-12 of rounding and has its gradient,
     ``_conditional_slopes``.  (``is_degraded`` skips (s,x,y) cells of mass
-    <= its tol, which can leave I(X,S;Z|Y) up to ~3e-8.)
+    <= DEGRADED_TOL, which can leave I(X,S;Z|Y) up to ~3e-8.)
     """
     if not is_degraded(channel):
         raise ChannelError(
@@ -503,8 +503,7 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
                                      config, gradient=_conditional_slopes(channel))
     inp = InputDistribution(Pmf(p_star))
     r_ch, r_src = rate_split(channel, inp)
-    return CapacityResult(capacity=r_ch + r_src, r_ch=r_ch, r_src=r_src,
-                          input_pmf=inp.pmf,
+    return CapacityResult(r_ch=r_ch, r_src=r_src, input_pmf=inp.pmf,
                           expected_cost=float(np.dot(p_star, channel.cost)))
 
 
@@ -576,7 +575,7 @@ def gaussian_capacity(params: GaussianInterferenceParams) -> CapacityResult:
     r_src = c1(p.rho12, p.nu1, p.nu2, p.sigma1, p.sigma2) \
         - c1(p.rho13, p.nu1, p.nu3, p.sigma1, p.sigma3)
     return CapacityResult(
-        capacity=r_ch + r_src, r_ch=r_ch, r_src=r_src,
+        r_ch=r_ch, r_src=r_src,
         input_pmf={"family": "gaussian", "mean": 0.0, "variance": p.power},
         expected_cost=p.power)
 

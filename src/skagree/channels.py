@@ -18,6 +18,7 @@ from .probability import JointPmf, Pmf
 
 ROW_MASS_TOL = 1e-12
 JSON_ROW_TOL = 1e-9
+DEGRADED_TOL = 1e-9  # is_degraded takes masses and differences up to this as 0
 
 
 class ChannelError(ValueError):
@@ -173,7 +174,7 @@ def marginal_channel(channel: DiscreteBroadcastChannel, targets) -> np.ndarray:
     return channel.transition.sum(axis=drop)
 
 
-def is_degraded(channel: DiscreteBroadcastChannel, tol: float = 1e-9) -> bool:
+def is_degraded(channel: DiscreteBroadcastChannel) -> bool:
     """Check the physical Markov chain (X,S) - Y - Z.
 
     True iff p(z | s,x,y) is the same for every (s,x) with p(x,y|s) > 0, for
@@ -189,12 +190,12 @@ def is_degraded(channel: DiscreteBroadcastChannel, tol: float = 1e-9) -> bool:
         for s in range(S):
             for x in range(X):
                 mass = tr[s, x, y, :].sum()
-                if mass <= tol:
+                if mass <= DEGRADED_TOL:
                     continue
                 cond = tr[s, x, y, :] / mass
                 if ref is None:
                     ref = cond
-                elif np.max(np.abs(cond - ref)) > tol:
+                elif np.max(np.abs(cond - ref)) > DEGRADED_TOL:
                     return False
     return True
 
@@ -231,9 +232,9 @@ def load_channel(path, renormalize: bool = False) -> DiscreteBroadcastChannel:
         sizes = doc["alphabets"]
         tr = np.asarray(doc["transition"], dtype=float)
         cost = np.asarray(doc.get("cost", [0.0] * sizes["S"]), dtype=float)
+        expected = (sizes["S"], sizes["X"], sizes["Y"], sizes["Z"])
     except (KeyError, TypeError) as exc:
         raise ChannelError("malformed channel file: %s" % exc) from exc
-    expected = (sizes["S"], sizes["X"], sizes["Y"], sizes["Z"])
     if tr.shape != expected:
         raise ChannelError(
             "transition shape %r does not match alphabets %r" % (tr.shape, expected)

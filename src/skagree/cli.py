@@ -173,9 +173,9 @@ def cmd_capacity(args) -> int:
         doc = cap.gaussian_capacity(_gaussian_params(args)).to_json()
     else:
         params = _onoff_params(args)
-        beta_star, c_sk = cap.binary_onoff_optimize(params)
+        beta_star, _ = cap.binary_onoff_optimize(params)
         _, r_ch, r_src = cap.binary_onoff_rate(params, beta_star)
-        doc = cap.CapacityResult(capacity=c_sk, r_ch=r_ch, r_src=r_src,
+        doc = cap.CapacityResult(r_ch=r_ch, r_src=r_src,
                                  input_pmf=InputDistribution.bernoulli(beta_star).pmf,
                                  expected_cost=0.0).to_json()
         doc["beta_star"] = beta_star
@@ -325,18 +325,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     """Check the algebraic ties between the finite-n ensemble bounds and the
-    exponent objectives, using effective (size-rounded) rates so the identity
-    is exact.  Each n builds its bounds and objectives once; every rho and
-    alpha checked lies in their domains."""
+    exponent objectives, using effective rates ceil(n*rate)/n, the code sizes'
+    own rounding, so the identity is exact.  Each n builds its bounds and
+    objectives once; every rho and alpha checked lies in their domains."""
     channel = _resolve_discrete_channel(args)
     inp = _sim_input(args, channel)
     rates = expo.RatePoint(r_sk=args.rsk_rate, r_phi=args.rphi_rate, r_m=args.rm_rate)
     worst_e, worst_f = 0.0, 0.0
     for n in _parse_n_range(args.n):
-        eff = expo.RatePoint(
-            r_sk=math.ceil(n * rates.r_sk - 1e-9) / n,
-            r_phi=math.ceil(n * rates.r_phi - 1e-9) / n,
-            r_m=math.ceil(n * rates.r_m - 1e-9) / n)
+        r_m, r_phi, r_sk = (binning_sim._size_bits(n, r, name, binning_sim._FLOAT_BITS) / n
+                            for r, name in ((rates.r_m, "|M|"), (rates.r_phi, "|Phi|"),
+                                            (rates.r_sk, "|K|")))  # the bounds' check order
+        eff = expo.RatePoint(r_sk=r_sk, r_phi=r_phi, r_m=r_m)
         bound = binning_sim._error_bound_for(channel, inp, n, rates)
         objective = expo._reliability_objective_for(channel, inp, eff)
         for rho in np.linspace(0.0, 1.0, 21).tolist():
@@ -446,7 +446,7 @@ def main(argv=None) -> int:
             parser.error(unread)
     try:
         return args.func(args)
-    except (ChannelError, ValueError) as exc:
+    except (ChannelError, ValueError, OSError) as exc:  # OSError: file I/O
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OverflowError as exc:  # e.g. a bound's [sum]^n at a huge --n

@@ -74,8 +74,12 @@ class RatePoint:
 class ExponentResult:
     value: float           # clamped to >= 0
     argmax: float          # maximizing rho or alpha
-    clamped: bool          # True when value = max(0, raw_value) was applied
     raw_value: float       # unclamped supremum (diagnostic)
+
+    @property
+    def clamped(self) -> bool:
+        """True when value = max(0, raw_value) cut a negative supremum."""
+        return self.raw_value < 0.0
 
 
 # np.power special-cases these scalar exponents (sqrt, square, reciprocal),
@@ -217,11 +221,11 @@ def secrecy_objective(channel: DiscreteBroadcastChannel, inp: InputDistribution,
 
 def _reliability_result(rho, val):
     if val <= 0.0:
-        return ExponentResult(value=0.0, argmax=0.0, clamped=val < 0.0, raw_value=val)
-    return ExponentResult(value=val, argmax=rho, clamped=False, raw_value=val)
+        return ExponentResult(value=0.0, argmax=0.0, raw_value=val)
+    return ExponentResult(value=val, argmax=rho, raw_value=val)
 
 
-_RELIABILITY_ZERO = ExponentResult(value=0.0, argmax=0.0, clamped=False, raw_value=0.0)
+_RELIABILITY_ZERO = ExponentResult(value=0.0, argmax=0.0, raw_value=0.0)
 
 
 def reliability_exponent(channel: DiscreteBroadcastChannel, inp: InputDistribution,
@@ -262,8 +266,7 @@ def reliability_exponents(channel: DiscreteBroadcastChannel, inputs, rates) -> l
 
 
 def _secrecy_result(alpha, val):
-    return ExponentResult(value=max(0.0, val), argmax=alpha, clamped=val < 0.0,
-                          raw_value=val)
+    return ExponentResult(value=max(0.0, val), argmax=alpha, raw_value=val)
 
 
 def secrecy_exponent(channel: DiscreteBroadcastChannel, inp: InputDistribution,

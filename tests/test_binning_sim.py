@@ -26,7 +26,7 @@ from skagree import binning_sim
 from skagree.binning_sim import (
     _bin_winners,
     _likelihoods,
-    _size_from_rate,
+    _size_bits,
     index_sequence,
     minimize_error_bound,
     minimize_leakage_bound,
@@ -157,27 +157,29 @@ def random_channel(rng, sizes):
 
 class TestSizing:
     def test_size_from_rate(self):
-        assert _size_from_rate(4, 0.25) == 2
-        assert _size_from_rate(4, 0.0) == 1
-        assert _size_from_rate(3, 1.0 / 3.0) == 2  # robust to float fuzz
-        assert _size_from_rate(5, 0.5) == 8  # ceil(2.5) = 3
+        assert 2 ** _size_bits(4, 0.25) == 2
+        assert 2 ** _size_bits(4, 0.0) == 1
+        assert 2 ** _size_bits(3, 1.0 / 3.0) == 2  # robust to float fuzz
+        assert 2 ** _size_bits(5, 0.5) == 8  # ceil(2.5) = 3
 
     def test_size_limits(self):
-        assert _size_from_rate(1, 62.0) == 2**62
+        assert 2 ** _size_bits(1, 62.0) == 2**62
         with pytest.raises(ValueError, match=r"\|K\| = .* exceeds 2\^62"):
-            _size_from_rate(1, 63.0, "|K|")
-        assert _size_from_rate(1, 63.0, "|K|", 1023) == 2**63
+            _size_bits(1, 63.0, "|K|")
+        assert 2 ** _size_bits(1, 63.0, "|K|", 1023) == 2**63
         with pytest.raises(ValueError, match=r"\|Phi\|"):
             binning_sim._code_size(1, 1024.0, "|Phi|")
 
-    def test_leakage_joint_counts_against_enum_budget(self):
+    def test_leakage_joint_counts_against_enum_budget(self, monkeypatch):
         # |K| |Phi| |Z|^n = 16 * 2 * 2 = 64 leakage cells, while the decoder
         # enumerates only |M| |X|^n |Y|^n = 1 * 2 * 2 = 4 cells
         ch = random_binary_channel(np.random.default_rng(80))
         code = generate_code(ch, 1, RatePoint(4.0, 1.0, 0.0), UNIFORM, seed=3)
+        monkeypatch.setattr(binning_sim, "ENUM_BUDGET", 63)
         with pytest.raises(BudgetError, match="64 cells"):
-            exact_evaluate(code, ch, enum_budget=63)
-        assert exact_evaluate(code, ch, enum_budget=64).trials == 4
+            exact_evaluate(code, ch)
+        monkeypatch.setattr(binning_sim, "ENUM_BUDGET", 64)
+        assert exact_evaluate(code, ch).trials == 4
 
     def test_sequence_index_round_trip(self):
         for idx in range(27):
@@ -210,11 +212,19 @@ class TestGenerateCode:
         assert not (np.array_equal(a.key_bins, b.key_bins)
                     and np.array_equal(a.public_bins, b.public_bins))
 
-    def test_table_budget(self):
+    def test_table_budget(self, monkeypatch):
         rng = np.random.default_rng(72)
         ch = random_binary_channel(rng)
+        monkeypatch.setattr(binning_sim, "TABLE_BUDGET", 100)
         with pytest.raises(BudgetError):
-            generate_code(ch, 8, RATES, UNIFORM, seed=0, table_budget=100)
+            generate_code(ch, 8, RATES, UNIFORM, seed=0)
+
+    def test_sizes_come_from_the_codeword_table(self):
+        ch = random_binary_channel(np.random.default_rng(75))
+        code = generate_code(ch, 4, RATES, UNIFORM, seed=5)
+        assert (code.n, code.num_messages) == (4, 2) == code.codewords.shape[::-1]
+        assert [f.name for f in dataclasses.fields(code)] == [
+            "codewords", "key_bins", "public_bins", "num_public", "num_keys"]
 
     def test_point_mass_input(self):
         rng = np.random.default_rng(73)
@@ -289,8 +299,9 @@ class TestSampler:
         monkeypatch.setattr(binning_sim, "_draw_tables", no_draws)
         with pytest.raises(ValueError, match="blocklength"):
             ensemble_average(ch, UNIFORM, 0, RATES, 4, seed=1)
+        monkeypatch.setattr(binning_sim, "TABLE_BUDGET", 100)
         with pytest.raises(BudgetError):
-            ensemble_average(ch, UNIFORM, 8, RATES, 4, seed=1, table_budget=100)
+            ensemble_average(ch, UNIFORM, 8, RATES, 4, seed=1)
 
     def test_enum_budget_checked_before_any_draw(self, monkeypatch):
         # the code sizes alone decide the enumeration cells, so an ensemble
@@ -301,8 +312,9 @@ class TestSampler:
             raise AssertionError("tables drawn before the enumeration budget check")
 
         monkeypatch.setattr(binning_sim, "_draw_tables", no_draws)
+        monkeypatch.setattr(binning_sim, "ENUM_BUDGET", 511)
         with pytest.raises(BudgetError, match="enumeration needs 512 cells"):
-            ensemble_average(ch, UNIFORM, 4, RATES, 4, seed=1, enum_budget=511)
+            ensemble_average(ch, UNIFORM, 4, RATES, 4, seed=1)
 
 
 class TestMlMapDecode:
@@ -410,12 +422,13 @@ class TestExactEvaluate:
         rep = exact_evaluate(code, ch)
         assert rep.leakage_bits == pytest.approx(expect, abs=1e-12)
 
-    def test_enum_budget(self):
+    def test_enum_budget(self, monkeypatch):
         rng = np.random.default_rng(78)
         ch = random_binary_channel(rng)
         code = generate_code(ch, 6, RATES, UNIFORM, seed=19)
+        monkeypatch.setattr(binning_sim, "ENUM_BUDGET", 100)
         with pytest.raises(BudgetError):
-            exact_evaluate(code, ch, enum_budget=100)
+            exact_evaluate(code, ch)
 
     def test_report_fields(self):
         rng = np.random.default_rng(79)
@@ -555,16 +568,6 @@ class TestEnsembleAverage:
         for count in (0, -1):
             with pytest.raises(ValueError):
                 ensemble_average(ch, UNIFORM, 3, RATES, num_codebooks=count, seed=1)
-
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        rng = np.random.default_rng(90)
-        ch = random_degraded_binary_channel(rng)
-        serial = ensemble_average(ch, UNIFORM, 4, RATES, num_codebooks=8, seed=3)
-        monkeypatch.setenv("SKAGREE_THREADS", "4")
-        threaded = ensemble_average(ch, UNIFORM, 4, RATES, num_codebooks=8, seed=3)
-        assert serial[0] == threaded[0]
-        assert serial[1] == threaded[1]
-        assert serial[2]["per_codebook"] == threaded[2]["per_codebook"]
 
 
 class TestStackedBitIdentity:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 from itertools import combinations, product
@@ -1018,15 +1019,18 @@ class TestBinaryOnOffClosedForm:
 
 class TestCapacityResult:
     def test_sum_invariant(self):
-        with pytest.raises(ValueError):
-            CapacityResult(capacity=1.0, r_ch=0.3, r_src=0.3,
-                           input_pmf=Pmf.uniform(2), expected_cost=0.0)
+        # C_SK = R_ch + R_src holds by construction: capacity is not a field
+        res = CapacityResult(r_ch=0.3, r_src=0.1, input_pmf=Pmf.uniform(2),
+                             expected_cost=0.0)
+        assert res.capacity == 0.3 + 0.1
+        assert [f.name for f in dataclasses.fields(res)] == [
+            "r_ch", "r_src", "input_pmf", "expected_cost"]
 
     def test_json_shape(self):
-        res = CapacityResult(capacity=0.6, r_ch=0.4, r_src=0.2,
+        res = CapacityResult(r_ch=0.375, r_src=0.25,
                              input_pmf=Pmf.uniform(2), expected_cost=0.1)
         doc = res.to_json()
-        assert doc["capacity_bits"] == 0.6
+        assert doc["capacity_bits"] == 0.625
         assert doc["input_pmf"] == [0.5, 0.5]
         assert set(doc) == {"capacity_bits", "r_ch", "r_src", "input_pmf",
                             "expected_cost"}

@@ -1,3 +1,4 @@
+import json
 import warnings
 from itertools import product
 
@@ -18,6 +19,7 @@ from skagree import (
     marginal_channel,
     save_channel,
 )
+from skagree import channels
 
 
 class TestChannelValidation:
@@ -183,6 +185,16 @@ class TestIsDegraded:
                     tr[s, x, y, x] = 0.25
         assert not is_degraded(DiscreteBroadcastChannel(tr, np.zeros(2)))
 
+    def test_tolerance_is_the_module_constant(self, monkeypatch):
+        # Z's law given y differs by 1e-6 between the two inputs
+        tr = np.zeros((2, 1, 1, 2))
+        tr[0, 0, 0] = [0.5, 0.5]
+        tr[1, 0, 0] = [0.5 + 1e-6, 0.5 - 1e-6]
+        ch = DiscreteBroadcastChannel(tr, np.zeros(2))
+        assert not is_degraded(ch)
+        monkeypatch.setattr(channels, "DEGRADED_TOL", 1e-5)
+        assert is_degraded(ch)
+
 
 class TestChannelJson:
     def test_round_trip(self, tmp_path):
@@ -224,4 +236,12 @@ class TestChannelJson:
         path = tmp_path / "junk.json"
         path.write_text("{\"alphabets\": {\"S\": 2}}")
         with pytest.raises(ChannelError):
+            load_channel(path)
+
+    @pytest.mark.parametrize("missing", ["X", "Y", "Z"])
+    def test_alphabet_missing_a_letter(self, tmp_path, missing):
+        sizes = {name: 2 for name in "SXYZ" if name != missing}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"alphabets": sizes, "transition": []}))
+        with pytest.raises(ChannelError, match="malformed channel file"):
             load_channel(path)

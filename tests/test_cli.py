@@ -282,6 +282,30 @@ class TestVerifyBounds:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize("command", ["upper-bound", "capacity"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_channel_exit_2(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "missing.json" if kind == "missing" else tmp_path
+        assert main([command, "--channel", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "x.json"
+        assert main(["capacity", "--family", "gaussian", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, sidecar", [
+        (["exponents", "--rsk", "0.01", "--rphi", "0.5", "--rm", "0"], ".summary.json"),
+        (["simulate", "--rsk-rate", "0.25", "--rphi-rate", "0.5", "--rm-rate", "0.25",
+          "--n", "1", "--codebooks", "2", "--seed", "0"], ".bounds.json"),
+    ])
+    def test_unwritable_sidecar_exit_2(self, degraded_channel_file, tmp_path, capsys,
+                                       argv, sidecar):
+        out = tmp_path / "out.csv"
+        (tmp_path / ("out.csv" + sidecar)).mkdir()  # the sidecar path is taken
+        assert main(argv + ["--channel", degraded_channel_file, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_nan_channel_exit_2(self, tmp_path, degraded_channel_file, capsys):
         doc = json.loads(open(degraded_channel_file).read())
         doc["transition"][0][0][0][0] = float("nan")

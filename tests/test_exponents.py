@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 from itertools import product
@@ -16,6 +17,7 @@ from conftest import (
 from skagree import (
     ChannelError,
     DiscreteBroadcastChannel,
+    ExponentResult,
     InputDistribution,
     OptimizerConfig,
     Pmf,
@@ -218,6 +220,13 @@ class TestExponentSearch:
         assert res.value == 0.0
         assert res.clamped
         assert res.raw_value < 0.0
+
+    def test_clamped_is_read_off_raw_value(self):
+        assert [f.name for f in dataclasses.fields(ExponentResult)] == [
+            "value", "argmax", "raw_value"]
+        assert ExponentResult(value=0.0, argmax=0.5, raw_value=-1e-300).clamped
+        assert not ExponentResult(value=0.0, argmax=0.0, raw_value=0.0).clamped
+        assert not ExponentResult(value=0.2, argmax=0.5, raw_value=0.2).clamped
 
     def test_secrecy_positive_below_threshold(self):
         rng = np.random.default_rng(53)
