@@ -16,7 +16,6 @@ from .channels import (
     ChannelError,
     DiscreteBroadcastChannel,
     GaussianInterferenceParams,
-    InputDistribution,
     build_binary_onoff,
     is_degraded,
     joint_distribution,

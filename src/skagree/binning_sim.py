@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .capacity import golden_section_max
-from .channels import DiscreteBroadcastChannel, InputDistribution, marginal_channel
+from .channels import DiscreteBroadcastChannel, _input_probs, marginal_channel
 from .exponents import ALPHA_MIN, RatePoint
 # mutual_information is no longer called here but stays importable from this
 # module: benchmarks/test_benchmark.py checks the tracer's wrapping through it.
-from .probability import mutual_information, mutual_information_rows  # noqa: F401
+from .probability import Pmf, mutual_information, mutual_information_rows  # noqa: F401
 
 TABLE_BUDGET = 2**24  # most binning-table entries, |M|*|X|^n, of one code
 ENUM_BUDGET = 2**26   # most enumeration cells of one code
@@ -110,16 +110,14 @@ class SimReport:
 
 
 def _table_sizes(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
-                 inp: InputDistribution):
+                 inp: Pmf):
     """(|M|, |Phi|, |K|, |X|^n) of the codes of one draw, after the checks
     that every draw needs: n >= 1, an input over the channel's S alphabet and
     binning tables within TABLE_BUDGET."""
     if n < 1:
         raise ValueError("blocklength must be >= 1")
-    S, X = channel.alphabet_sizes[0], channel.alphabet_sizes[1]
-    if inp.probs.size != S:
-        raise ValueError("input distribution has %d letters, the channel's S "
-                         "alphabet %d" % (inp.probs.size, S))
+    _input_probs(channel, inp)
+    X = channel.alphabet_sizes[1]
     num_m, num_phi, num_k = _code_sizes(n, rates)
     entries = num_m * X**n
     if entries > TABLE_BUDGET:
@@ -142,7 +140,7 @@ def _enumeration_cells(channel: DiscreteBroadcastChannel, n: int, m_x: int,
     return cells
 
 
-def _input_cdf(inp: InputDistribution) -> np.ndarray:
+def _input_cdf(inp: Pmf) -> np.ndarray:
     """The normalized cdf that Generator.choice(S, p=inp.probs) samples by."""
     cdf = inp.probs.cumsum()
     cdf /= cdf[-1]
@@ -172,7 +170,7 @@ def _draw_tables(seeds, cdf: np.ndarray, n: int, num_m: int, width: int,
 
 
 def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
-                  inp: InputDistribution, seed) -> SecretKeyCode:
+                  inp: Pmf, seed) -> SecretKeyCode:
     """Draw a codebook and both binning tables; deterministic given seed.
 
     The stream of default_rng(seed) is drawn as random((|M|, n)) for the
@@ -221,6 +219,25 @@ def _stacked_likelihoods(codewords: np.ndarray, table: np.ndarray,
         scores = (scores[:, :, None, :] * letter[:, None, :, :]).reshape(
             num_codes * num_m, -1, num_cols)
     return scores.reshape(num_codes, -1, num_cols)
+
+
+def _check_code(code: SecretKeyCode, channel: DiscreteBroadcastChannel, y_seq=()):
+    """y_seq as an int64 array, or a ValueError unless the code and y_seq fit
+    the channel: the bin tables have shape (|M|, |X|^n), and the codeword
+    and y_seq symbols are integers in [0, |S|) and [0, |Y|).  The codewords
+    index arrays, so they must also have an integer dtype."""
+    S, X, Y = channel.alphabet_sizes[:3]
+    shape = (code.num_messages, X**code.n)
+    if code.key_bins.shape != shape:
+        raise ValueError("binning tables have shape %r, not (|M|, |X|^n) = %r"
+                         % (code.key_bins.shape, shape))
+    y_seq = np.asarray(y_seq)
+    for arr, size, name, kinds in ((code.codewords, S, "codeword", "iu"),
+                                   (y_seq, Y, "y_seq", "iuf")):
+        if arr.dtype.kind not in kinds or not (
+                (arr >= 0) & (arr < size) & (arr % 1 == 0)).all():
+            raise ValueError("%s symbols must be integers in [0, %d)" % (name, size))
+    return y_seq.astype(np.int64)
 
 
 def _likelihoods(code: SecretKeyCode, table: np.ndarray, outputs: np.ndarray):
@@ -284,7 +301,7 @@ def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
     If the bin is empty the decoder falls back to (first message, all-zero
     sequence).
     """
-    y_seq = np.asarray(y_seq, dtype=np.int64)
+    y_seq = _check_code(code, channel, y_seq)
     if y_seq.shape != (code.n,):
         raise ValueError("y sequence length must equal the blocklength")
     if not 0 <= phi < code.num_public:
@@ -333,6 +350,7 @@ def _evaluate_stack(channel: DiscreteBroadcastChannel, codewords: np.ndarray,
 def exact_evaluate(code: SecretKeyCode,
                    channel: DiscreteBroadcastChannel) -> SimReport:
     """Exact error probability and key leakage by full enumeration."""
+    _check_code(code, channel)
     _enumeration_cells(channel, code.n, code.key_bins.size, code.num_keys,
                        code.num_public)
     (error, leakage), = _evaluate_stack(
@@ -352,6 +370,7 @@ def monte_carlo_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_code(code, channel)
     rng = np.random.default_rng(seed)
     W = marginal_channel(channel, "xy")
     S, X, Y = W.shape
@@ -405,7 +424,7 @@ def _error_bound_for(channel, inp, n, rates):
     py = pxy.sum(axis=1)                   # (S,Y)
     with np.errstate(divide="ignore", invalid="ignore"):
         p_x_given_ys = np.where(py[:, None, :] > 0, pxy / py[:, None, :], 0.0)
-    weights = inp.probs[:, None]
+    weights = _input_probs(channel, inp)[:, None]
 
     def bound(rho):
         e = 1.0 / (1.0 + rho)
@@ -417,7 +436,7 @@ def _error_bound_for(channel, inp, n, rates):
     return bound
 
 
-def ensemble_error_bound(channel: DiscreteBroadcastChannel, inp: InputDistribution,
+def ensemble_error_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
                          n: int, rho: float, rates: RatePoint) -> float:
     """Ensemble-average error bound |Phi|^-rho |M|^rho [sum_y Psi4(y,rho)]^n,
     with the actual integer code sizes.  The raw value is returned (it can
@@ -434,7 +453,7 @@ def _leakage_bound_for(channel, inp, n, rates):
     num_phi = _code_size(n, rates.r_phi, "|Phi|")
     num_k = _code_size(n, rates.r_sk, "|K|")
     pxz = marginal_channel(channel, "xz")  # (S,X,Z)
-    joint = inp.probs[:, None, None] * pxz
+    joint = _input_probs(channel, inp)[:, None, None] * pxz
     pz = joint.sum(axis=(0, 1))
     pz_given_s = pxz.sum(axis=1)  # (S,Z)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -455,7 +474,7 @@ def _leakage_bound_for(channel, inp, n, rates):
     return bound
 
 
-def ensemble_leakage_bound(channel: DiscreteBroadcastChannel, inp: InputDistribution,
+def ensemble_leakage_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
                            n: int, alpha: float, rates: RatePoint) -> float:
     """Ensemble-average leakage bound in bits:
     c(alpha) |K|^a |Phi|^a |M|^-a [sum Upsilon(s,x,z,alpha)]^n with
@@ -479,7 +498,7 @@ def minimize_leakage_bound(channel, inp, n, rates):
     return alpha, 2.0**-neg
 
 
-def ensemble_average(channel: DiscreteBroadcastChannel, inp: InputDistribution,
+def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
                      n: int, rates: RatePoint, num_codebooks: int, seed):
     """Average exact error/leakage over independently drawn codebooks and
     compare against the minimized ensemble bounds.

@@ -34,7 +34,7 @@ from .channels import (
     ChannelError,
     DiscreteBroadcastChannel,
     GaussianInterferenceParams,
-    InputDistribution,
+    _input_probs,
     is_degraded,
     joint_distribution,
 )
@@ -393,10 +393,10 @@ class AuxiliarySystem:
 
     @staticmethod
     def canonical_choice(channel: DiscreteBroadcastChannel,
-                         inp: Optional[InputDistribution] = None) -> "AuxiliarySystem":
+                         inp: Optional[Pmf] = None) -> "AuxiliarySystem":
         """W trivial, U = S, V = X — the choice attaining the degraded capacity."""
         S, X = channel.alphabet_sizes[0], channel.alphabet_sizes[1]
-        p_s = np.ones(S) / S if inp is None else inp.probs
+        p_s = np.ones(S) / S if inp is None else _input_probs(channel, inp)
         return AuxiliarySystem(
             p_w=np.array([1.0]),
             p_u_given_w=p_s.reshape(1, S).copy(),
@@ -428,7 +428,7 @@ def _grouped_cmi(arr: np.ndarray, a_axes, b_axes, c_axes) -> float:
     return conditional_mutual_information(j)
 
 
-def rate_split(channel: DiscreteBroadcastChannel, inp: InputDistribution):
+def rate_split(channel: DiscreteBroadcastChannel, inp: Pmf):
     """(R_ch, R_src) for the choice U=S, V=X: the wiretap portion
     I(S;Y)-I(S;Z) and the source portion I(X;Y|S)-I(X;Z|S)."""
     arr = joint_distribution(channel, inp).probs  # (s,x,y,z)
@@ -501,9 +501,9 @@ def degraded_capacity(channel: DiscreteBroadcastChannel, gamma: float = math.inf
     p_star, _ = maximize_over_inputs(_difference_objective(channel),
                                      channel.alphabet_sizes[0], channel.cost, gamma,
                                      config, gradient=_conditional_slopes(channel))
-    inp = InputDistribution(Pmf(p_star))
+    inp = Pmf(p_star)
     r_ch, r_src = rate_split(channel, inp)
-    return CapacityResult(r_ch=r_ch, r_src=r_src, input_pmf=inp.pmf,
+    return CapacityResult(r_ch=r_ch, r_src=r_src, input_pmf=inp,
                           expected_cost=float(np.dot(p_star, channel.cost)))
 
 

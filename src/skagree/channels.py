@@ -36,6 +36,8 @@ class DiscreteBroadcastChannel:
         arr = np.asarray(self.transition, dtype=float)
         if arr.ndim != 4:
             raise ChannelError("transition must have 4 axes [s,x,y,z], got %d" % arr.ndim)
+        if 0 in arr.shape:
+            raise ChannelError("every alphabet needs a letter, got sizes %r" % (arr.shape,))
         if not np.isfinite(arr).all():
             raise ChannelError("non-finite transition probability")
         if np.any(arr < 0):
@@ -128,31 +130,23 @@ class BinaryOnOffParams:
         )
 
 
-@dataclass(frozen=True)
-class InputDistribution:
-    """Distribution p(s) on the channel input alphabet."""
-
-    pmf: Pmf
-
-    @staticmethod
-    def bernoulli(beta: float) -> "InputDistribution":
-        return InputDistribution(Pmf.bernoulli(beta))
-
-    @staticmethod
-    def uniform(k: int) -> "InputDistribution":
-        return InputDistribution(Pmf.uniform(k))
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.pmf.probs
+# benchmarks/workloads.py still builds its inputs through this alias; p(s)
+# is a plain Pmf everywhere else.
+InputDistribution = Pmf
 
 
-def joint_distribution(channel: DiscreteBroadcastChannel, inp: InputDistribution) -> JointPmf:
+def _input_probs(channel: DiscreteBroadcastChannel, inp: Pmf) -> np.ndarray:
+    """The probabilities of p(s), or a ChannelError unless p(s) lives on the
+    channel's S alphabet."""
+    s_size = channel.alphabet_sizes[0]
+    if inp.probs.shape != (s_size,):
+        raise ChannelError("p(s) has length %d, but |S| = %d" % (inp.probs.size, s_size))
+    return inp.probs
+
+
+def joint_distribution(channel: DiscreteBroadcastChannel, inp: Pmf) -> JointPmf:
     """Full joint p(s,x,y,z) = p(s) p(x,y,z|s)."""
-    p = inp.probs
-    if p.shape[0] != channel.transition.shape[0]:
-        raise ChannelError("input alphabet size does not match channel")
-    return JointPmf(p[:, None, None, None] * channel.transition)
+    return JointPmf(_input_probs(channel, inp)[:, None, None, None] * channel.transition)
 
 
 _AXIS_OF = {"x": 1, "y": 2, "z": 3}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -20,11 +21,11 @@ from .channels import (
     BinaryOnOffParams,
     ChannelError,
     GaussianInterferenceParams,
-    InputDistribution,
     build_binary_onoff,
     is_degraded,
     load_channel,
 )
+from .probability import Pmf
 
 
 def _fmt(x) -> str:
@@ -127,25 +128,35 @@ def _resolve_discrete_channel(args):
     raise ChannelError("a channel source is required (--channel or --family)")
 
 
-def _sim_input(args, channel) -> InputDistribution:
+def _sim_input(args, channel) -> Pmf:
     """Bernoulli(--input-beta, default 0.5) on a binary S alphabet, uniform
     otherwise; --input-beta with a non-binary S is rejected."""
     s_size = channel.alphabet_sizes[0]
     if s_size == 2:
-        return InputDistribution.bernoulli(
-            0.5 if args.input_beta is None else args.input_beta)
+        return Pmf.bernoulli(0.5 if args.input_beta is None else args.input_beta)
     if args.input_beta is not None:
         raise ValueError("--input-beta needs a binary S alphabet, got |S| = %d"
                          % s_size)
-    return InputDistribution.uniform(s_size)
+    return Pmf.uniform(s_size)
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, out_path, sidecar=None):
+    """Write text to out_path, then the (path, text) sidecar if one is given,
+    or write text to stdout without an out_path.  A failed write removes
+    the files this call wrote, so an exit 2 leaves no partial output."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    written = []
+    try:
+        for path, body in [(out_path, text)] + ([sidecar] if sidecar else []):
+            with open(path, "w") as fh:
+                written.append(path)
+                fh.write(body)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
 
 
 def _csv(header, rows) -> str:
@@ -176,7 +187,7 @@ def cmd_capacity(args) -> int:
         beta_star, _ = cap.binary_onoff_optimize(params)
         _, r_ch, r_src = cap.binary_onoff_rate(params, beta_star)
         doc = cap.CapacityResult(r_ch=r_ch, r_src=r_src,
-                                 input_pmf=InputDistribution.bernoulli(beta_star).pmf,
+                                 input_pmf=Pmf.bernoulli(beta_star),
                                  expected_cost=0.0).to_json()
         doc["beta_star"] = beta_star
         # the figure is the key capacity only on a degraded channel
@@ -271,7 +282,7 @@ def cmd_exponents(args) -> int:
             for rsk in rsk_grid for rphi in rphi_grid for rm in rm_grid
             for beta in beta_grid]
     rates = [r for r, _ in grid]
-    inputs = [InputDistribution.bernoulli(beta) for _, beta in grid]
+    inputs = [Pmf.bernoulli(beta) for _, beta in grid]
     rows = [{"R_SK": r.r_sk, "R_phi": r.r_phi, "R_M": r.r_m, "beta_or_input_id": beta,
              "E_o": e.value, "rho_star": e.argmax,
              "F_o_raw": f.raw_value, "F_o": f.value, "alpha_star": f.argmax}
@@ -280,10 +291,9 @@ def cmd_exponents(args) -> int:
                                        expo.secrecy_exponents(channel, inputs, rates))]
     header = ["R_SK", "R_phi", "R_M", "beta_or_input_id", "E_o", "rho_star",
               "F_o_raw", "F_o", "alpha_star"]
-    _emit(_csv(header, [tuple(r[h] for h in header) for r in rows]), args.out)
-    if args.out:
-        with open(args.out + ".summary.json", "w") as fh:
-            json.dump(_monotone_summary(rows), fh, indent=2)
+    _emit(_csv(header, [tuple(r[h] for h in header) for r in rows]), args.out,
+          args.out and (args.out + ".summary.json",
+                        json.dumps(_monotone_summary(rows), indent=2)))
     return 0
 
 
@@ -312,13 +322,10 @@ def cmd_simulate(args) -> int:
             "leakage_slack": check["leakage_slack"],
             "bound_check": "pass" if ok else "fail",
         }
-    _emit(_csv(["n", "codebook_index", "exact_error", "exact_leakage_bits"], rows),
-          args.out)
     sidecar = json.dumps(checks, indent=2) + "\n"
-    if args.out:
-        with open(args.out + ".bounds.json", "w") as fh:
-            fh.write(sidecar)
-    else:
+    _emit(_csv(["n", "codebook_index", "exact_error", "exact_leakage_bits"], rows),
+          args.out, args.out and (args.out + ".bounds.json", sidecar))
+    if not args.out:
         sys.stderr.write(sidecar)
     return 0 if all_ok else 1
 

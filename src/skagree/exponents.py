@@ -44,9 +44,8 @@ from .capacity import (
     maximize_over_inputs,
 )
 from .channels import (
-    ChannelError,
     DiscreteBroadcastChannel,
-    InputDistribution,
+    _input_probs,
     is_degraded,
     joint_distribution,
     marginal_channel,
@@ -106,12 +105,10 @@ def _log2_fsums(rows) -> np.ndarray:
 def _distinct_inputs(channel, inputs):
     """(the distinct inputs in first-seen order, each input's index among
     them as an int array)."""
-    s_size = channel.alphabet_sizes[0]
     rows, which = {}, []
     for inp in inputs:
-        if inp.probs.shape != (s_size,):
-            raise ChannelError("input alphabet size does not match channel")
-        which.append(rows.setdefault(inp.probs.tobytes(), (len(rows), inp))[0])
+        key = _input_probs(channel, inp).tobytes()
+        which.append(rows.setdefault(key, (len(rows), inp))[0])
     return [inp for _, inp in rows.values()], np.array(which, dtype=np.intp)
 
 
@@ -126,7 +123,8 @@ def _reliability_objective_for(channel, inp, rates):
     """rho -> the reliability objective at a fixed input, without the domain
     guard; the input's tensors are built once, not per rho."""
     pxy = marginal_channel(channel, "xy")  # (S,X,Y)
-    return functools.partial(_reliability_value, pxy, inp.probs[:, None, None],
+    return functools.partial(_reliability_value, pxy,
+                             _input_probs(channel, inp)[:, None, None],
                              rates.r_phi - rates.r_m)
 
 
@@ -153,7 +151,7 @@ def _reliability_lanes_for(channel, inputs, which, slopes):
     return F
 
 
-def reliability_objective(channel: DiscreteBroadcastChannel, inp: InputDistribution,
+def reliability_objective(channel: DiscreteBroadcastChannel, inp: Pmf,
                           rho: float, rates: RatePoint) -> float:
     """rho*(R_phi - R_M) - log2 sum_y [sum_{s,x} p(s) p(x,y|s)^(1/(1+rho))]^(1+rho)."""
     if not 0.0 <= rho <= 1.0:
@@ -180,7 +178,8 @@ def _secrecy_objective_for(channel, inp, rates):
     """alpha -> the secrecy objective at a fixed input, without the domain
     guard; p(s,x,z), the ratio p(x,z|s)/p(z) and its support are built once,
     not per alpha."""
-    joint, ratio, support = _secrecy_tensors(marginal_channel(channel, "xz"), inp.probs)
+    joint, ratio, support = _secrecy_tensors(marginal_channel(channel, "xz"),
+                                             _input_probs(channel, inp))
     return functools.partial(_secrecy_value, joint[support], ratio[support],
                              rates.r_sk + rates.r_phi - rates.r_m)
 
@@ -211,7 +210,7 @@ def _secrecy_lanes_for(channel, inputs, which, rates):
     return F
 
 
-def secrecy_objective(channel: DiscreteBroadcastChannel, inp: InputDistribution,
+def secrecy_objective(channel: DiscreteBroadcastChannel, inp: Pmf,
                       alpha: float, rates: RatePoint) -> float:
     """-alpha*(R_SK + R_phi - R_M) - log2 sum_{x,z,s} p(x,z,s) [p(x,z|s)/p(z)]^alpha."""
     if not 0.0 < alpha <= 1.0:
@@ -228,7 +227,7 @@ def _reliability_result(rho, val):
 _RELIABILITY_ZERO = ExponentResult(value=0.0, argmax=0.0, raw_value=0.0)
 
 
-def reliability_exponent(channel: DiscreteBroadcastChannel, inp: InputDistribution,
+def reliability_exponent(channel: DiscreteBroadcastChannel, inp: Pmf,
                          rates: RatePoint) -> ExponentResult:
     """max over rho in [0,1] of the reliability objective.
 
@@ -269,7 +268,7 @@ def _secrecy_result(alpha, val):
     return ExponentResult(value=max(0.0, val), argmax=alpha, raw_value=val)
 
 
-def secrecy_exponent(channel: DiscreteBroadcastChannel, inp: InputDistribution,
+def secrecy_exponent(channel: DiscreteBroadcastChannel, inp: Pmf,
                      rates: RatePoint) -> ExponentResult:
     """sup over alpha in (0,1] of the secrecy objective, searched on
     [ALPHA_MIN, 1]; reports both the raw supremum and the clamped max(0,.)."""
@@ -290,7 +289,7 @@ def secrecy_exponents(channel: DiscreteBroadcastChannel, inputs, rates) -> list:
             golden_section_lanes(F, [(ALPHA_MIN, 1.0)] * len(inputs))]
 
 
-def positivity_thresholds(channel: DiscreteBroadcastChannel, inp: InputDistribution):
+def positivity_thresholds(channel: DiscreteBroadcastChannel, inp: Pmf):
     """(H(X|Y,S) - I(S;Y), H(X|Z,S) - I(S;Z)).
 
     The reliability exponent is positive iff R_phi - R_M exceeds the first;
@@ -319,7 +318,7 @@ class StrongAchievability:
 
 
 def strong_achievability_bound(channel: DiscreteBroadcastChannel,
-                               inp: InputDistribution) -> StrongAchievability:
+                               inp: Pmf) -> StrongAchievability:
     """Largest strongly-achievable key rate at this input: I(X,S;Y)-I(X,S;Z).
 
     On degraded channels the conditional form I(X,S;Y|Z) is computed as an
@@ -350,14 +349,13 @@ def optimized_exponents(channel: DiscreteBroadcastChannel, rates: RatePoint,
         """A block objective for maximize_over_inputs: the grid's multi-row
         blocks run as lanes, the refinement's one-row calls as scalars."""
         def objective(ps):
-            inputs = [InputDistribution(Pmf(p)) for p in ps]
+            inputs = [Pmf(p) for p in ps]
             return [r.value for r in exponents(channel, inputs, [rates] * len(inputs))]
         return objective
 
     e_obj, f_obj = block(reliability_exponents), block(secrecy_exponents)
     p_e, _ = maximize_over_inputs(e_obj, k, channel.cost, math.inf, config)
     p_f, _ = maximize_over_inputs(f_obj, k, channel.cost, math.inf, config)
-    e_inp = InputDistribution(Pmf(p_e))
-    f_inp = InputDistribution(Pmf(p_f))
-    return ((reliability_exponent(channel, e_inp, rates), e_inp.pmf),
-            (secrecy_exponent(channel, f_inp, rates), f_inp.pmf))
+    e_inp, f_inp = Pmf(p_e), Pmf(p_f)
+    return ((reliability_exponent(channel, e_inp, rates), e_inp),
+            (secrecy_exponent(channel, f_inp, rates), f_inp))

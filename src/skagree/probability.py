@@ -64,6 +64,8 @@ class Pmf:
 
     @staticmethod
     def uniform(k: int) -> "Pmf":
+        if k < 1:
+            raise PmfError("a uniform pmf needs k >= 1 letters, got %r" % k)
         return Pmf(np.full(k, 1.0 / k))
 
     @staticmethod

@@ -14,7 +14,6 @@ from skagree import (
     BinaryOnOffParams,
     DiscreteBroadcastChannel,
     GaussianInterferenceParams,
-    InputDistribution,
     OptimizerConfig,
     Pmf,
     RatePoint,
@@ -44,7 +43,7 @@ from skagree.binning_sim import index_sequence, sequence_index
 from skagree.exponents import _reliability_objective_for, _secrecy_objective_for
 
 REFERENCE_PARAMS = BinaryOnOffParams(q=0.5, q_tilde=0.8, delta=0.1, delta3=0.2)
-UNIFORM = InputDistribution.uniform(2)
+UNIFORM = Pmf.uniform(2)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -127,7 +126,7 @@ def test_criterion_05_closed_form_generic_consistency():
         ch = build_binary_onoff(params)
         for b in betas:
             _, cf_ch, cf_src = binary_onoff_rate(params, float(b))
-            g_ch, g_src = rate_split(ch, InputDistribution.bernoulli(float(b)))
+            g_ch, g_src = rate_split(ch, Pmf.bernoulli(float(b)))
             worst = max(worst, abs(cf_ch - g_ch), abs(cf_src - g_src))
     ok = worst <= 1e-9
     _report(5, "closed form vs generic evaluation", ok, "max gap %.6f" % worst)
@@ -139,7 +138,7 @@ def test_criterion_06_exponent_slope_identities():
     worst = 0.0
     for _ in range(50):
         ch = random_binary_channel(rng)
-        inp = InputDistribution.bernoulli(float(rng.uniform(0.05, 0.95)))
+        inp = Pmf.bernoulli(float(rng.uniform(0.05, 0.95)))
         rates = RatePoint(*(float(v) for v in rng.uniform(0.0, 1.0, 3)))
         rel_thr, sec_thr = positivity_thresholds(ch, inp)
         e_obj = _reliability_objective_for(ch, inp, rates)
@@ -160,7 +159,7 @@ def test_criterion_07_positivity_dichotomy():
     ok = True
     while checked < 100:
         ch = random_binary_channel(rng)
-        inp = InputDistribution.bernoulli(float(rng.uniform(0.1, 0.9)))
+        inp = Pmf.bernoulli(float(rng.uniform(0.1, 0.9)))
         rel_thr, sec_thr = positivity_thresholds(ch, inp)
         rates = RatePoint(*(float(v) for v in rng.uniform(0.0, 1.2, 3)))
         e_margin = (rates.r_phi - rates.r_m) - rel_thr
@@ -207,7 +206,7 @@ def test_criterion_08_gallager_specialization():
         tr = p_y_given_s.reshape(2, 1, 3, 1)
         ch = DiscreteBroadcastChannel(tr, np.zeros(2))
         beta = float(rng.uniform(0.1, 0.9))
-        inp = InputDistribution.bernoulli(beta)
+        inp = Pmf.bernoulli(beta)
         p_s = inp.probs
         i_sy = positivity_thresholds(ch, inp)[0] * -1.0  # |X|=1: rel_thr=-I(S;Y)
         for rate in (0.25 * i_sy, 0.75 * i_sy, 1.5 * i_sy):
@@ -326,7 +325,7 @@ def test_criterion_12_exponent_surface_monotonicity():
     # F_o(beta) convexity for Bernoulli inputs at a fixed rate point
     rates = RatePoint(0.02, base_phi, 0.0)
     betas = np.linspace(0.05, 0.95, 19)
-    f_of_beta = [secrecy_exponent(ch, InputDistribution.bernoulli(float(b)),
+    f_of_beta = [secrecy_exponent(ch, Pmf.bernoulli(float(b)),
                                   rates).value for b in betas]
     convex = bool(np.all(np.diff(f_of_beta, 2) >= -1e-8))
 
@@ -346,7 +345,7 @@ def test_criterion_13_strong_achievability_consistency():
         cap = degraded_capacity(ch, config=cfg).capacity
 
         def value(ps, ch=ch):
-            return [strong_achievability_bound(ch, InputDistribution(Pmf(p))).value
+            return [strong_achievability_bound(ch, Pmf(p)).value
                     for p in ps]
 
         _, best = maximize_over_inputs(value, 2, config=cfg)

@@ -7,10 +7,11 @@ import pytest
 
 from conftest import random_binary_channel, random_degraded_binary_channel
 from skagree import (
+    BinaryOnOffParams,
     BudgetError,
     DiscreteBroadcastChannel,
-    InputDistribution,
     RatePoint,
+    build_binary_onoff,
     ensemble_average,
     ensemble_error_bound,
     ensemble_leakage_bound,
@@ -34,7 +35,7 @@ from skagree.binning_sim import (
 )
 from skagree.probability import Pmf, mutual_information
 
-UNIFORM = InputDistribution.uniform(2)
+UNIFORM = Pmf.uniform(2)
 RATES = RatePoint(r_sk=0.25, r_phi=0.5, r_m=0.25)
 
 
@@ -229,7 +230,7 @@ class TestGenerateCode:
     def test_point_mass_input(self):
         rng = np.random.default_rng(73)
         ch = random_binary_channel(rng)
-        code = generate_code(ch, 5, RATES, InputDistribution.bernoulli(1.0), seed=3)
+        code = generate_code(ch, 5, RATES, Pmf.bernoulli(1.0), seed=3)
         assert np.all(code.codewords == 1)
 
 
@@ -259,7 +260,7 @@ class TestSampler:
     def test_tables_equal_choice_draws(self, probs, x_size, n, rates):
         s_size = len(probs)
         ch = random_channel(np.random.default_rng(98), (s_size, x_size, 2, 2))
-        inp = InputDistribution(Pmf(np.array(probs)))
+        inp = Pmf(np.array(probs))
         num_m, num_phi, num_k = binning_sim._code_sizes(n, rates)
         width = x_size**n
         children = np.random.SeedSequence(len(probs) * 100 + n).spawn(40)
@@ -284,10 +285,10 @@ class TestSampler:
 
     def test_input_size_must_match_channel(self):
         ch = random_binary_channel(np.random.default_rng(99))
-        for inp in (InputDistribution.uniform(3), InputDistribution.uniform(1)):
-            with pytest.raises(ValueError, match="S alphabet"):
+        for inp in (Pmf.uniform(3), Pmf.uniform(1)):
+            with pytest.raises(ValueError, match=r"\|S\| = 2"):
                 generate_code(ch, 3, RATES, inp, seed=1)
-            with pytest.raises(ValueError, match="S alphabet"):
+            with pytest.raises(ValueError, match=r"\|S\| = 2"):
                 ensemble_average(ch, inp, 3, RATES, 4, seed=1)
 
     def test_checks_run_before_any_draw(self, monkeypatch):
@@ -493,6 +494,61 @@ class TestMonteCarlo:
             monte_carlo_evaluate(code, ch, trials=0, seed=7)
 
 
+class TestCodeFitsChannel:
+    """User-built codes and received sequences are checked against the
+    channel, on the on-off law at n=3."""
+
+    @staticmethod
+    def onoff_code():
+        ch = build_binary_onoff(BinaryOnOffParams(q=0.5, q_tilde=0.8, delta=0.1,
+                                                  delta3=0.2))
+        return ch, generate_code(ch, 3, RATES, UNIFORM, seed=9)
+
+    EVALUATORS = {
+        "exact_evaluate": lambda code, ch: exact_evaluate(code, ch),
+        "monte_carlo_evaluate": lambda code, ch: monte_carlo_evaluate(code, ch, 50, 1),
+        "mlmap_decode": lambda code, ch: mlmap_decode(code, ch, [0, 1, 1], 0),
+    }
+
+    @pytest.mark.parametrize("y_seq", [[0, 1, -1], [0, 1, 2]])
+    def test_y_symbol_outside_y_alphabet(self, y_seq):
+        ch, code = self.onoff_code()
+        with pytest.raises(ValueError, match=r"y_seq symbols .* \[0, 2\)"):
+            mlmap_decode(code, ch, y_seq, 0)
+
+    def test_y_symbol_not_an_integer(self):
+        ch, code = self.onoff_code()
+        with pytest.raises(ValueError, match="y_seq symbols"):
+            mlmap_decode(code, ch, [0, 1, 1.7], 0)
+        assert mlmap_decode(code, ch, [0.0, 1.0, 1.0], 0)[0] == \
+            mlmap_decode(code, ch, [0, 1, 1], 0)[0]
+
+    @pytest.mark.parametrize("symbol", [-1, 2])
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_codeword_symbol_outside_s_alphabet(self, evaluator, symbol):
+        ch, code = self.onoff_code()
+        codewords = code.codewords.copy()
+        codewords[codewords == 1] = symbol
+        bad = dataclasses.replace(code, codewords=codewords)
+        with pytest.raises(ValueError, match=r"codeword symbols .* \[0, 2\)"):
+            self.EVALUATORS[evaluator](bad, ch)
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_float_codewords_refused(self, evaluator):
+        ch, code = self.onoff_code()
+        bad = dataclasses.replace(code, codewords=code.codewords.astype(float))
+        with pytest.raises(ValueError, match="codeword symbols"):
+            self.EVALUATORS[evaluator](bad, ch)
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_bin_tables_must_cover_every_x_sequence(self, evaluator):
+        ch, code = self.onoff_code()
+        bad = dataclasses.replace(code, key_bins=code.key_bins[:, :4],
+                                  public_bins=code.public_bins[:, :4])
+        with pytest.raises(ValueError, match=r"\(\|M\|, \|X\|\^n\) = \(2, 8\)"):
+            self.EVALUATORS[evaluator](bad, ch)
+
+
 class TestEnsembleBounds:
     def test_error_bound_rho_zero_is_one(self):
         rng = np.random.default_rng(83)
@@ -594,7 +650,7 @@ class TestStackedBitIdentity:
         for sizes, quantized, n, rate_tuple, count in self.CASES:
             ch = (quantized_channel if quantized else random_channel)(rng, sizes)
             rates = RatePoint(*rate_tuple)
-            inp = InputDistribution.uniform(sizes[0])
+            inp = Pmf.uniform(sizes[0])
             seed = int(rng.integers(1 << 30))
             _, _, check = ensemble_average(ch, inp, n, rates, count, seed)
             expect = []
@@ -612,7 +668,7 @@ class TestStackedBitIdentity:
         # stacks of 1, 2, 3 and all 8 codes give the same rows
         ch = quantized_channel(np.random.default_rng(97), (3, 2, 3, 2))
         rates = RatePoint(r_sk=0.4, r_phi=0.7, r_m=0.4)
-        inp = InputDistribution.uniform(3)
+        inp = Pmf.uniform(3)
         cells = 4 * 2**3 * 3**3  # |M| * |X|^n * |Y|^n at n=3
         rows = []
         for stack in (1, 2, 3, 8):

@@ -21,7 +21,6 @@ from skagree import (
     ChannelError,
     DiscreteBroadcastChannel,
     GaussianInterferenceParams,
-    InputDistribution,
     OptimizerConfig,
     Pmf,
     aux_cardinality_bounds,
@@ -148,7 +147,7 @@ class TestGoldenSectionCycleExit:
         # criterion 12's channel and base rate point, at the search's own
         # default and at criterion 12's refine_iters
         ch = random_degraded_binary_channel(np.random.default_rng(2032))
-        inp = InputDistribution.bernoulli(0.3)
+        inp = Pmf.bernoulli(0.3)
         rel, _ = exponents.positivity_thresholds(ch, inp)
         rates = exponents.RatePoint(0.02, max(0.1, rel + 0.05), 0.0)
         for f, lo in ((exponents._reliability_objective_for(ch, inp, rates), 0.0),
@@ -161,7 +160,7 @@ class TestGoldenSectionCycleExit:
     def test_criterion_12_config_end_to_end(self, monkeypatch):
         ch = random_degraded_binary_channel(np.random.default_rng(2032))
         cfg = OptimizerConfig(grid_step=0.02, refine_iters=80)
-        rel, _ = exponents.positivity_thresholds(ch, InputDistribution.uniform(2))
+        rel, _ = exponents.positivity_thresholds(ch, Pmf.uniform(2))
         rates = exponents.RatePoint(0.02, max(0.1, rel + 0.05), 0.0)
         rng = np.random.default_rng(7)  # a degraded |S| = 3 channel
         pxy = rng.dirichlet(np.ones(4), size=3).reshape(3, 2, 2)
@@ -513,7 +512,7 @@ class TestMajorantSkipping:
             cap = degraded_capacity(ch, gamma, config)
             p_full, _ = full_scan_maximize(_difference_objective(ch), k, cost, gamma,
                                            config)
-            r_ch, r_src = rate_split(ch, InputDistribution(Pmf(p_full)))
+            r_ch, r_src = rate_split(ch, Pmf(p_full))
             got = bits(*cap.input_pmf.probs, cap.r_ch, cap.r_src, cap.expected_cost)
             assert got == bits(*p_full, r_ch, r_src, float(np.dot(p_full, cost)))
 
@@ -688,7 +687,7 @@ class TestRateSplit:
     def test_z_copies_y_gives_zero(self):
         rng = np.random.default_rng(20)
         ch = z_copies_y_channel(rng)
-        r_ch, r_src = rate_split(ch, InputDistribution.uniform(2))
+        r_ch, r_src = rate_split(ch, Pmf.uniform(2))
         assert r_ch == pytest.approx(0.0, abs=1e-12)
         assert r_src == pytest.approx(0.0, abs=1e-12)
 
@@ -696,7 +695,7 @@ class TestRateSplit:
         # Z constant: the split reduces to (I(S;Y), I(X;Y|S))
         rng = np.random.default_rng(21)
         ch = z_constant_channel(rng)
-        inp = InputDistribution.bernoulli(0.4)
+        inp = Pmf.bernoulli(0.4)
         r_ch, r_src = rate_split(ch, inp)
         arr = joint_distribution(ch, inp).probs
         p_sy = arr.sum(axis=(1, 3))
@@ -711,7 +710,7 @@ class TestRateSplit:
         # closed form exactly (both are exact functionals of the same law)
         ch = build_binary_onoff(REFERENCE_PARAMS)
         for beta in (0.2, 0.5, 0.77):
-            r_ch, _ = rate_split(ch, InputDistribution.bernoulli(beta))
+            r_ch, _ = rate_split(ch, Pmf.bernoulli(beta))
             _, r_ch_cf, _ = binary_onoff_rate(REFERENCE_PARAMS, beta)
             assert r_ch == pytest.approx(r_ch_cf, abs=1e-12)
 
@@ -763,7 +762,7 @@ class TestUpperBound:
         for _ in range(4):
             ch = random_binary_channel(rng)
             _, ub = upper_bound(ch, config=COARSE)
-            r_ch, r_src = rate_split(ch, InputDistribution.uniform(2))
+            r_ch, r_src = rate_split(ch, Pmf.uniform(2))
             assert ub >= r_ch + r_src - 1e-9
 
     def test_monotone_in_gamma(self):
@@ -794,7 +793,7 @@ class TestAuxiliarySystem:
     def test_canonical_choice_matches_rate_split(self):
         rng = np.random.default_rng(28)
         ch = random_binary_channel(rng)
-        inp = InputDistribution.bernoulli(0.35)
+        inp = Pmf.bernoulli(0.35)
         aux = AuxiliarySystem.canonical_choice(ch, inp)
         r_ch, r_src = rate_split(ch, inp)
         assert general_rate_objective(ch, aux) == pytest.approx(
@@ -804,7 +803,7 @@ class TestAuxiliarySystem:
         # V constant: the objective reduces to I(S;Y) - I(S;Z)
         rng = np.random.default_rng(29)
         ch = random_binary_channel(rng)
-        inp = InputDistribution.bernoulli(0.35)
+        inp = Pmf.bernoulli(0.35)
         aux = AuxiliarySystem(
             p_w=np.array([1.0]),
             p_u_given_w=inp.probs.reshape(1, 2).copy(),
@@ -872,7 +871,7 @@ class TestPublicRateRequirement:
         # V = X: I(V;X|U,W) - I(V;Y|U,W) = H(X|U) - I(X;Y|U) = H(X|Y,U)
         rng = np.random.default_rng(32)
         ch = random_binary_channel(rng)
-        inp = InputDistribution.bernoulli(0.3)
+        inp = Pmf.bernoulli(0.3)
         aux = AuxiliarySystem.canonical_choice(ch, inp)
         arr = joint_distribution(ch, inp).probs  # (s,x,y,z)
         from skagree import entropy
@@ -973,7 +972,7 @@ class TestBinaryOnOffClosedForm:
         r_sk, r_ch, r_src = binary_onoff_rate(params, 0.5)
         assert all(math.isfinite(v) for v in (r_sk, r_ch, r_src))
         g_ch, g_src = rate_split(build_binary_onoff(params),
-                                 InputDistribution.bernoulli(0.5))
+                                 Pmf.bernoulli(0.5))
         assert r_ch == pytest.approx(g_ch, abs=1e-12)
         assert r_src == pytest.approx(g_src, abs=1e-12)
 

@@ -11,7 +11,7 @@ from skagree import (
     BinaryOnOffParams,
     ChannelError,
     DiscreteBroadcastChannel,
-    InputDistribution,
+    Pmf,
     build_binary_onoff,
     is_degraded,
     joint_distribution,
@@ -19,7 +19,8 @@ from skagree import (
     marginal_channel,
     save_channel,
 )
-from skagree import channels
+import skagree
+from skagree import binning_sim, channels
 
 
 class TestChannelValidation:
@@ -38,6 +39,13 @@ class TestChannelValidation:
         tr = np.full((2, 1, 1, 1), 1.0)
         with pytest.raises(ChannelError):
             DiscreteBroadcastChannel(tr, np.zeros(3))
+
+    @pytest.mark.parametrize("axis", range(4))
+    def test_empty_alphabet_rejected(self, axis):
+        shape = [2, 2, 2, 2]
+        shape[axis] = 0
+        with pytest.raises(ChannelError, match="needs a letter"):
+            DiscreteBroadcastChannel(np.zeros(shape), np.zeros(shape[0]))
 
     @given(st.integers(0, 15), st.sampled_from([np.nan, np.inf, -np.inf]),
            st.booleans())
@@ -131,10 +139,44 @@ class TestJointAndCost:
     def test_joint_marginals(self):
         rng = np.random.default_rng(10)
         ch = random_binary_channel(rng)
-        inp = InputDistribution.bernoulli(0.3)
+        inp = Pmf.bernoulli(0.3)
         j = joint_distribution(ch, inp).probs
         assert np.allclose(j.sum(axis=(1, 2, 3)), inp.probs, atol=1e-12)
         assert np.allclose(j[1] / inp.probs[1], ch.transition[1], atol=1e-12)
+
+
+_RATES = skagree.RatePoint(r_sk=0.25, r_phi=0.5, r_m=0.25)
+
+# Entry points that read p(s), each called with the input `inp`.
+_TAKES_AN_INPUT = {
+    "reliability_objective":
+        lambda ch, inp: skagree.reliability_objective(ch, inp, 0.5, _RATES),
+    "secrecy_objective": lambda ch, inp: skagree.secrecy_objective(ch, inp, 0.5, _RATES),
+    "reliability_exponent": lambda ch, inp: skagree.reliability_exponent(ch, inp, _RATES),
+    "secrecy_exponent": lambda ch, inp: skagree.secrecy_exponent(ch, inp, _RATES),
+    "secrecy_exponents-1": lambda ch, inp: skagree.secrecy_exponents(ch, [inp], [_RATES]),
+    "secrecy_exponents-2": lambda ch, inp: skagree.secrecy_exponents(
+        ch, [Pmf.uniform(2), inp], [_RATES] * 2),
+    "ensemble_error_bound":
+        lambda ch, inp: skagree.ensemble_error_bound(ch, inp, 3, 0.5, _RATES),
+    "ensemble_leakage_bound":
+        lambda ch, inp: skagree.ensemble_leakage_bound(ch, inp, 3, 0.5, _RATES),
+    "minimize_error_bound":
+        lambda ch, inp: binning_sim.minimize_error_bound(ch, inp, 3, _RATES),
+    "minimize_leakage_bound":
+        lambda ch, inp: binning_sim.minimize_leakage_bound(ch, inp, 3, _RATES),
+    "canonical_choice": lambda ch, inp: skagree.AuxiliarySystem.canonical_choice(ch, inp),
+    "rate_split": lambda ch, inp: skagree.rate_split(ch, inp),
+    "generate_code": lambda ch, inp: skagree.generate_code(ch, 3, _RATES, inp, seed=1),
+}
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("entry", sorted(_TAKES_AN_INPUT))
+def test_input_length_must_be_s_size(entry, size):
+    ch = random_binary_channel(np.random.default_rng(13))
+    with pytest.raises(ChannelError, match=r"length %d, but \|S\| = 2" % size):
+        _TAKES_AN_INPUT[entry](ch, Pmf.uniform(size))
 
 
 class TestMarginalChannel:

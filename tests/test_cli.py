@@ -251,7 +251,7 @@ class TestVerifyBounds:
                      "--rsk-rate", "0.2", "--rphi-rate", "0.7", "--rm-rate", "0.1",
                      "--n", "1,2,5,9", "--input-beta", "0.3", "--out", str(out)]) == 0
         channel = skagree.load_channel(degraded_channel_file)
-        inp = skagree.InputDistribution.bernoulli(0.3)
+        inp = skagree.Pmf.bernoulli(0.3)
         rates = skagree.RatePoint(0.2, 0.7, 0.1)
         worst_e = worst_f = 0.0
         for n in (1, 2, 5, 9):
@@ -305,6 +305,7 @@ class TestErrorHandling:
         (tmp_path / ("out.csv" + sidecar)).mkdir()  # the sidecar path is taken
         assert main(argv + ["--channel", degraded_channel_file, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_nan_channel_exit_2(self, tmp_path, degraded_channel_file, capsys):
         doc = json.loads(open(degraded_channel_file).read())

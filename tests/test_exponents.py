@@ -18,7 +18,6 @@ from skagree import (
     ChannelError,
     DiscreteBroadcastChannel,
     ExponentResult,
-    InputDistribution,
     OptimizerConfig,
     Pmf,
     RatePoint,
@@ -45,7 +44,7 @@ from skagree.exponents import (
     _secrecy_objective_for,
 )
 
-UNIFORM = InputDistribution.uniform(2)
+UNIFORM = Pmf.uniform(2)
 
 
 def reliability_oracle(channel, inp, rho, rates):
@@ -93,7 +92,7 @@ class TestReliabilityObjective:
     def test_matches_oracle(self):
         rng = np.random.default_rng(41)
         ch = random_binary_channel(rng)
-        inp = InputDistribution.bernoulli(0.3)
+        inp = Pmf.bernoulli(0.3)
         rates = RatePoint(0.05, 0.8, 0.1)
         for rho in (0.1, 0.5, 0.99):
             assert reliability_objective(ch, inp, rho, rates) == pytest.approx(
@@ -137,7 +136,7 @@ class TestSecrecyObjective:
     def test_matches_oracle(self):
         rng = np.random.default_rng(45)
         ch = random_binary_channel(rng)
-        inp = InputDistribution.bernoulli(0.6)
+        inp = Pmf.bernoulli(0.6)
         rates = RatePoint(0.1, 0.3, 0.05)
         for alpha in (1e-4, 0.3, 1.0):
             assert secrecy_objective(ch, inp, alpha, rates) == pytest.approx(
@@ -243,7 +242,7 @@ class TestPositivityThresholds:
     def test_entropy_oracle(self):
         rng = np.random.default_rng(54)
         ch = random_binary_channel(rng)
-        inp = InputDistribution.bernoulli(0.4)
+        inp = Pmf.bernoulli(0.4)
         arr = joint_distribution(ch, inp).probs
         p_sxy, p_sxz = arr.sum(axis=3), arr.sum(axis=2)
         rel = ((entropy(p_sxy) - entropy(p_sxy.sum(axis=1)))
@@ -261,7 +260,7 @@ class TestPositivityThresholds:
         rng = np.random.default_rng(55)
         tr = rng.dirichlet(np.ones(8)).reshape(1, 2, 2, 2)
         ch = DiscreteBroadcastChannel(tr, np.zeros(1))
-        inp = InputDistribution.uniform(1)
+        inp = Pmf.uniform(1)
         arr = joint_distribution(ch, inp).probs
         p_xy, p_xz = arr.sum(axis=(0, 3)), arr.sum(axis=(0, 2))
         rel, sec = positivity_thresholds(ch, inp)
@@ -275,7 +274,7 @@ class TestStrongAchievability:
     def test_blind_eavesdropper(self):
         rng = np.random.default_rng(56)
         ch = z_constant_channel(rng)
-        inp = InputDistribution.bernoulli(0.3)
+        inp = Pmf.bernoulli(0.3)
         res = strong_achievability_bound(ch, inp)
         arr = joint_distribution(ch, inp).probs
         from skagree import mutual_information
@@ -301,7 +300,7 @@ class TestStrongAchievability:
             cap = degraded_capacity(ch, config=cfg)
             best = max(
                 strong_achievability_bound(
-                    ch, InputDistribution.bernoulli(b)).value
+                    ch, Pmf.bernoulli(b)).value
                 for b in np.linspace(0, 1, 101))
             assert cap.capacity >= best - 1e-6
 
@@ -314,7 +313,7 @@ class TestOptimizedExponents:
         cfg = OptimizerConfig(grid_step=0.05, refine_iters=60)
         (e_res, e_inp), (f_res, f_inp) = optimized_exponents(ch, rates, cfg)
         for b in np.linspace(0, 1, 21):
-            inp = InputDistribution.bernoulli(b)
+            inp = Pmf.bernoulli(b)
             assert e_res.value >= reliability_exponent(ch, inp, rates).value - 1e-9
             assert f_res.value >= secrecy_exponent(ch, inp, rates).value - 1e-9
         assert isinstance(e_inp, Pmf) and isinstance(f_inp, Pmf)
@@ -341,7 +340,7 @@ class TestExponentLanes:
         # the exponents command's grid: rate points times Bernoulli inputs,
         # beta 0 and 1 included and one beta listed twice
         ch = random_degraded_binary_channel(np.random.default_rng(70))
-        grid = [(RatePoint(rsk, rphi, rm), InputDistribution.bernoulli(b))
+        grid = [(RatePoint(rsk, rphi, rm), Pmf.bernoulli(b))
                 for rsk in (0.0, 0.05, 0.4) for rphi in (0.0, 0.3, 1.0, 3.0)
                 for rm in (0.0, 0.2) for b in (0.0, 0.1, 0.5, 0.5, 1.0)]
         e, f = self.lanes_and_loop(ch, [i for _, i in grid], [r for r, _ in grid])
@@ -359,7 +358,7 @@ class TestExponentLanes:
         ch = random_channel(rng, sizes, zeros)
         k = sizes[0]
         probs = list(rng.dirichlet(np.ones(k), size=6)) + list(np.eye(k))
-        inputs = [InputDistribution(Pmf(probs[i])) for i in rng.integers(len(probs), size=40)]
+        inputs = [Pmf(probs[i]) for i in rng.integers(len(probs), size=40)]
         rates = [RatePoint(float(rng.choice([0.0, rng.random()])), float(3 * rng.random()),
                            float(rng.choice([0.0, 0.5 * rng.random()]))) for _ in inputs]
         self.lanes_and_loop(ch, inputs, rates)
@@ -375,7 +374,7 @@ class TestExponentLanes:
 
     def test_input_size_must_match_channel(self):
         ch = random_degraded_binary_channel(np.random.default_rng(73))
-        inputs = [UNIFORM, InputDistribution.uniform(3)]
+        inputs = [UNIFORM, Pmf.uniform(3)]
         rates = [RatePoint(0.0, 1.0, 0.0)] * 2
         for lanes in (reliability_exponents, secrecy_exponents):
             with pytest.raises(ChannelError):
@@ -387,7 +386,7 @@ class TestExponentLanes:
         # where a scalar exponent takes numpy's sqrt/square path
         rng = np.random.default_rng(80 + seed)
         ch = random_channel(rng, (2, 3, 3, 3), zeros=seed % 2 == 1)
-        inputs = [InputDistribution(Pmf(p)) for p in rng.dirichlet(np.ones(2), size=40)]
+        inputs = [Pmf(p) for p in rng.dirichlet(np.ones(2), size=40)]
         which = np.arange(len(inputs))
         rates = [RatePoint(0.1, float(rng.random()), 0.0) for _ in inputs]
         rel = _reliability_lanes_for(ch, inputs, which, [r.r_phi - r.r_m for r in rates])
@@ -412,14 +411,14 @@ class TestOptimizedExponentsLanes:
         cfg = OptimizerConfig(grid_step=step, refine_iters=80)
 
         def per_point(exponent):
-            return lambda ps: [exponent(ch, InputDistribution(Pmf(p)), rates).value
+            return lambda ps: [exponent(ch, Pmf(p), rates).value
                                for p in ps]
 
         want = []
         for exponent in (reliability_exponent, secrecy_exponent):
             p, _ = maximize_over_inputs(per_point(exponent), s_size, ch.cost,
                                         math.inf, cfg)
-            want.append(result_bits(exponent(ch, InputDistribution(Pmf(p)), rates))
+            want.append(result_bits(exponent(ch, Pmf(p), rates))
                         + p.tobytes())
         (e, e_in), (f, f_in) = optimized_exponents(ch, rates, cfg)
         assert [result_bits(e) + e_in.probs.tobytes(),

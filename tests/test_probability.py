@@ -41,6 +41,11 @@ class TestPmfValidation:
         with pytest.raises(PmfError):
             Pmf(np.array([]))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_uniform_needs_a_letter(self, k):
+        with pytest.raises(PmfError, match="k >= 1"):
+            Pmf.uniform(k)
+
     @given(pmf_values, st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_entry_rejected(self, vals, data, bad):
         # NaN slips through "< 0" and "|mass - 1| > tol"; it must still fail
