@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Optional
 
 import numpy as np
@@ -77,8 +78,15 @@ class SecretKeyCode:
         return self.codewords.shape[0]
 
     def __post_init__(self):
+        # The evaluators refuse non-integer codewords (_check_code); a
+        # table that is not 2-D has no blocklength to check them against.
+        if self.codewords.ndim != 2:
+            raise ValueError("codewords must be an (|M|, n) table, not %d-D"
+                             % self.codewords.ndim)
         if self.public_bins.shape != self.key_bins.shape:
             raise ValueError("binning tables must share shape")
+        if not all(t.dtype.kind in "iu" for t in (self.key_bins, self.public_bins)):
+            raise ValueError("binning tables must have an integer dtype")
         _check_bins(self.key_bins, self.num_keys, self.public_bins,
                     self.num_public)
 
@@ -147,37 +155,96 @@ def _input_cdf(inp: Pmf) -> np.ndarray:
     return cdf
 
 
+def _top_bits(raw: np.ndarray, first_half: int, count: int, bits: int):
+    """(C, count) uint64: the top `bits` bits of `count` consecutive 32-bit
+    half-words of each row of raw, from half-word first_half on, where word
+    w holds half-words 2w (w & 0xFFFFFFFF) and 2w+1 (w >> 32)."""
+    words = raw[:, first_half // 2:(first_half + count + 1) // 2, None]
+    halves = words >> np.array([32 - bits, 64 - bits], dtype=np.uint64)
+    halves &= np.uint64(2**bits - 1)
+    skip = first_half % 2
+    return halves.reshape(len(raw), -1)[:, skip:skip + count]
+
+
 def _draw_tables(seeds, cdf: np.ndarray, n: int, num_m: int, width: int,
                  num_k: int, num_phi: int):
     """Stacked tables of one code per seed: (C, |M|, n) codewords and
     (C, |M|*width) key and public bins, all int64.
 
-    Code c comes from default_rng(seeds[c]): the codewords are
-    cdf.searchsorted(random((|M|, n)), side="right"), which is what
-    choice(S, size=(|M|, n), p=...) draws, then the key bins are
-    integers(0, |K|) and the public bins integers(0, |Phi|), each filling an
-    (|M|, width) table in row order.
+    Code c reads raw words w from PCG64(seeds[c]).random_raw, in order:
+    - |M|*n words give the doubles (w >> 11) * 2**-53, and the codewords are
+      cdf.searchsorted(doubles, side="right") in row order;
+    - then the key table, then the public table, each of |M|*width entries
+      in row order, from a table of size 2^b:
+      - b = 0 reads nothing and is all zeros;
+      - b <= 32: each entry is the top b bits of the next 32-bit half-word,
+        low half first.  Both tables read one shared half-word stream, so
+        after an odd-sized key table the public table starts with the key's
+        leftover high half;
+      - b > 32: each entry is the top b bits of a whole word, after any
+        leftover half-word is skipped.
+    The codewords and the tables of 32 bits or fewer come from one
+    random_raw block per code.  A wider table is its own block, shifted in
+    place, so no table is a view of a block and a block is freed on return:
+    the peak memory is the tables plus at most one table-sized block.
+    At the installed NumPy this is exactly what default_rng(seeds[c]) draws
+    as random((|M|, n)) (through the cdf, as Generator.choice does), then
+    integers(0, |K|) and integers(0, |Phi|): PCG64 buffers the unused high
+    half of a word for the next 32-bit draw, and Lemire's method never
+    rejects at a power-of-two size.  TestSampler pins the equality.
     """
-    codewords = np.empty((len(seeds), num_m, n), dtype=np.int64)
-    key = np.empty((len(seeds), num_m * width), dtype=np.int64)
-    pub = np.empty_like(key)
-    for c, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        codewords[c] = cdf.searchsorted(rng.random((num_m, n)), side="right")
-        key[c] = rng.integers(0, num_k, size=num_m * width)
-        pub[c] = rng.integers(0, num_phi, size=num_m * width)
-    return codewords, key, pub
+    entries = num_m * width
+    bits = [size.bit_length() - 1 for size in (num_k, num_phi)]
+    streams = [np.random.PCG64(seed) for seed in seeds]
+
+    def draw(words):
+        """The next `words` raw words of every stream, as a (C, words) array."""
+        blocks = [bg.random_raw(words) for bg in streams]
+        # a single code's block is used as drawn: a copy would double its peak
+        return blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+
+    # The first block holds the codeword words, then the half-words of the
+    # tables of 32 bits or fewer that come before any wider table.
+    narrow = sum(1 for b in takewhile(lambda b: b <= 32, bits) if b)
+    raw = draw(num_m * n + (narrow * entries + 1) // 2)
+    half = 2 * num_m * n  # index in raw of the next half-word to read
+    doubles = (raw[:, :num_m * n] >> 11) * 2.0**-53
+    codewords = cdf.searchsorted(doubles.reshape(len(seeds), num_m, n),
+                                 side="right").astype(np.int64, copy=False)
+    tables = []
+    for b in bits:
+        if b == 0:
+            table = np.zeros((len(seeds), entries), dtype=np.uint64)
+        elif b <= 32:
+            if half is None:  # after a wider table
+                raw, half = draw((entries + 1) // 2), 0
+            table = _top_bits(raw, half, entries, b)
+            half += entries
+        else:
+            table = draw(entries)
+            table >>= 64 - b
+            half = None
+        tables.append(table.view(np.int64))
+    return codewords, tables[0], tables[1]
 
 
 def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
                   inp: Pmf, seed) -> SecretKeyCode:
     """Draw a codebook and both binning tables; deterministic given seed.
 
-    The stream of default_rng(seed) is drawn as random((|M|, n)) for the
-    codewords (through the input's cdf, as Generator.choice does), then
-    integers(0, |K|) for the key bins, then integers(0, |Phi|) for the
-    public bins; ensemble_average draws each of its codebooks the same way.
+    seed is what np.random.PCG64 takes: None, an int, a sequence of ints or
+    a SeedSequence.  The code reads raw PCG64(seed) words in the order
+    _draw_tables describes: |M|*n doubles for the codewords (through the
+    input's cdf), then the key bins, then the public bins.  At the
+    installed NumPy the tables equal default_rng(seed).random((|M|, n))
+    through Generator.choice's cdf, then integers(0, |K|) and
+    integers(0, |Phi|); TestSampler pins this.  A Generator or BitGenerator
+    seed raises ValueError: a raw draw cannot take up such a generator's
+    position.  ensemble_average draws each of its codebooks the same way.
     """
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise ValueError("seed must be None, an int, a sequence of ints or a "
+                         "SeedSequence, not %s" % type(seed).__name__)
     num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp)
     codewords, key, pub = _draw_tables([seed], _input_cdf(inp), n, num_m,
                                        width, num_k, num_phi)
@@ -304,8 +371,9 @@ def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
     y_seq = _check_code(code, channel, y_seq)
     if y_seq.shape != (code.n,):
         raise ValueError("y sequence length must equal the blocklength")
-    if not 0 <= phi < code.num_public:
-        raise ValueError("public message index out of range")
+    if not isinstance(phi, (int, np.integer)) or not 0 <= phi < code.num_public:
+        raise ValueError("public message index must be an integer in [0, %d)"
+                         % code.num_public)
     scores = _likelihoods(code, marginal_channel(channel, "xy"), y_seq[:, None])
     winners = _bin_winners(scores, code.public_bins.ravel(), code.num_public)
     X = channel.alphabet_sizes[1]
@@ -507,10 +575,13 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
     the 3*sigma/sqrt(N) slack terms, per-codebook rows, and pass verdicts.
     Codebook i is drawn from child i of seed.spawn(num_codebooks) (seed
     wrapped in a SeedSequence if it is not one) exactly as generate_code
-    draws it: random((|M|, n)) for the codewords, then the key integers,
-    then the public integers.  The codebooks are drawn straight into stacked
-    tables and evaluated in stacks of about _STACK_CELLS cells; every
-    per-codebook row equals exact_evaluate on generate_code(..., child i).
+    draws it: raw PCG64(child) words for |M|*n codeword doubles, then the
+    key bins, then the public bins, in the order _draw_tables describes;
+    at the installed NumPy these equal default_rng(child).random and
+    .integers, which TestSampler pins.  The codebooks are drawn straight
+    into stacked tables and evaluated in stacks of about _STACK_CELLS cells;
+    every per-codebook row equals exact_evaluate on generate_code(...,
+    child i).
     """
     if num_codebooks < 1:
         raise ValueError("num_codebooks must be >= 1")

@@ -283,6 +283,47 @@ class TestSampler:
         zero = [s for s, p in enumerate(probs) if p == 0.0]
         assert not np.isin(codewords, zero).any()
 
+    # Table sizes CASES never reaches: |K| = 1 before a public table, and
+    # |Phi| = 1; an odd |M|*|X|^n, after which the public table starts with
+    # the key's leftover half-word; |K| = |Phi| = 2^32; |Phi| > 2^32 after an
+    # odd-sized key table; |K| > 2^32 before a public table of 32 bits or fewer.
+    SIZE_CASES = [
+        ([0.4, 0.6], 2, 3, RatePoint(r_sk=0.0, r_phi=1.0, r_m=0.4)),
+        ([0.4, 0.6], 2, 2, RatePoint(r_sk=0.5, r_phi=0.0, r_m=0.5)),
+        ([0.4, 0.6], 3, 3, RatePoint(r_sk=0.5, r_phi=1.0, r_m=0.0)),
+        ([0.4, 0.6], 3, 1, RatePoint(r_sk=32.0, r_phi=32.0, r_m=0.0)),
+        ([0.4, 0.6], 3, 1, RatePoint(r_sk=3.0, r_phi=40.0, r_m=0.0)),
+        ([0.2, 0.0, 0.8], 3, 1, RatePoint(r_sk=40.0, r_phi=5.0, r_m=1.0)),
+    ]
+
+    @pytest.mark.parametrize("probs,x_size,n,rates", SIZE_CASES)
+    def test_table_size_classes_equal_choice_draws(self, probs, x_size, n, rates):
+        ch = random_channel(np.random.default_rng(97), (len(probs), x_size, 2, 2))
+        inp = Pmf(np.array(probs))
+        num_m, num_phi, num_k = binning_sim._code_sizes(n, rates)
+        width = x_size**n
+        children = np.random.SeedSequence([n, num_k, num_phi]).spawn(20)
+        stacked = binning_sim._draw_tables(
+            children, binning_sim._input_cdf(inp), n, num_m, width, num_k,
+            num_phi)
+        for c, child in enumerate(children):
+            expect = choice_tables(child, len(probs), inp.probs, num_m, n, width,
+                                   num_k, num_phi)
+            code = generate_code(ch, n, rates, inp, child)
+            for got in ([table[c] for table in stacked],
+                        (code.codewords, code.key_bins, code.public_bins)):
+                for table, want in zip(got, expect):
+                    assert table.dtype == np.int64
+                    assert (table.reshape(want.shape) == want).all()
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(1), np.random.PCG64(1)],
+                             ids=["Generator", "BitGenerator"])
+    def test_generator_seed_refused(self, seed):
+        # one raw block cannot take up a generator's position or buffer
+        ch = random_binary_channel(np.random.default_rng(102))
+        with pytest.raises(ValueError, match="SeedSequence, not"):
+            generate_code(ch, 3, RATES, UNIFORM, seed)
+
     def test_input_size_must_match_channel(self):
         ch = random_binary_channel(np.random.default_rng(99))
         for inp in (Pmf.uniform(3), Pmf.uniform(1)):
@@ -547,6 +588,23 @@ class TestCodeFitsChannel:
                                   public_bins=code.public_bins[:, :4])
         with pytest.raises(ValueError, match=r"\(\|M\|, \|X\|\^n\) = \(2, 8\)"):
             self.EVALUATORS[evaluator](bad, ch)
+
+    def test_codewords_must_be_a_table(self):
+        _, code = self.onoff_code()
+        with pytest.raises(ValueError, match=r"\(\|M\|, n\) table, not 1-D"):
+            dataclasses.replace(code, codewords=code.codewords[:, 0])
+
+    @pytest.mark.parametrize("field", ["key_bins", "public_bins"])
+    def test_float_bin_tables_refused(self, field):
+        _, code = self.onoff_code()
+        with pytest.raises(ValueError, match="integer dtype"):
+            dataclasses.replace(code, **{field: getattr(code, field).astype(float)})
+
+    @pytest.mark.parametrize("phi", [0.5, 1.0])
+    def test_public_index_not_an_integer(self, phi):
+        ch, code = self.onoff_code()
+        with pytest.raises(ValueError, match="public message index"):
+            mlmap_decode(code, ch, [0, 1, 1], phi)
 
 
 class TestEnsembleBounds:
