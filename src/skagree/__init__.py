@@ -24,19 +24,15 @@ from .channels import (
     save_channel,
 )
 from .capacity import (
-    AuxiliarySystem,
     CapacityResult,
     OptimizerConfig,
-    aux_cardinality_bounds,
     binary_onoff_optimize,
     binary_onoff_rate,
     degraded_capacity,
     gaussian_capacity,
-    general_rate_objective,
     golden_section_lanes,
     golden_section_max,
     maximize_over_inputs,
-    public_rate_requirement,
     rate_split,
     upper_bound,
 )

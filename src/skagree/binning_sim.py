@@ -228,6 +228,14 @@ def _draw_tables(seeds, cdf: np.ndarray, n: int, num_m: int, width: int,
     return codewords, tables[0], tables[1]
 
 
+def _check_seed(seed):
+    """Refuse a Generator or BitGenerator seed: a raw draw cannot take up
+    such a generator's position."""
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise ValueError("seed must be None, an int, a sequence of ints or a "
+                         "SeedSequence, not %s" % type(seed).__name__)
+
+
 def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
                   inp: Pmf, seed) -> SecretKeyCode:
     """Draw a codebook and both binning tables; deterministic given seed.
@@ -239,12 +247,10 @@ def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
     installed NumPy the tables equal default_rng(seed).random((|M|, n))
     through Generator.choice's cdf, then integers(0, |K|) and
     integers(0, |Phi|); TestSampler pins this.  A Generator or BitGenerator
-    seed raises ValueError: a raw draw cannot take up such a generator's
-    position.  ensemble_average draws each of its codebooks the same way.
+    seed raises ValueError (_check_seed).  ensemble_average draws each of
+    its codebooks the same way.
     """
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        raise ValueError("seed must be None, an int, a sequence of ints or a "
-                         "SeedSequence, not %s" % type(seed).__name__)
+    _check_seed(seed)
     num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp)
     codewords, key, pub = _draw_tables([seed], _input_cdf(inp), n, num_m,
                                        width, num_k, num_phi)
@@ -585,6 +591,7 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
     """
     if num_codebooks < 1:
         raise ValueError("num_codebooks must be >= 1")
+    _check_seed(seed)
     num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp)
     cells = _enumeration_cells(channel, n, num_m * width, num_k, num_phi)
     stack = max(1, _STACK_CELLS // cells)

@@ -34,7 +34,6 @@ from .channels import (
     ChannelError,
     DiscreteBroadcastChannel,
     GaussianInterferenceParams,
-    _input_probs,
     is_degraded,
     joint_distribution,
 )
@@ -53,14 +52,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_BLOCK = 128  # grid points per objective call; bounds memory
 _MARGIN = 1e-9  # bits; computed objective values lie within ~1e-13 of exact
 _REFINE_SWEEPS = 4  # most sweeps of the |S| = 3 coordinate refinement
-
-# Cardinality bounds for auxiliary systems, in terms of |S| and |X|.  These
-# are guidance (and validation ceilings), not a search space.
-def aux_cardinality_bounds(s_size: int, x_size: int):
-    w_max = s_size + 7
-    u_max = (s_size + 5) * (s_size + 7)
-    v_max = x_size * (s_size + 5) * (s_size + 7) ** 2 + 3
-    return w_max, u_max, v_max
 
 
 @dataclass(frozen=True)
@@ -356,55 +347,6 @@ class CapacityResult:
         }
 
 
-@dataclass(frozen=True)
-class AuxiliarySystem:
-    """Auxiliary (W,U,V) layer for the general rate objective.
-
-    Distributions: p(w), p(u|w), p(s|u), p(v|w,u,x).  The joint is completed
-    with the channel's own p(x|s) and p(y,z|x,s), so the required Markov
-    structure holds by construction.
-    """
-
-    p_w: np.ndarray                 # (W,)
-    p_u_given_w: np.ndarray         # (W, U)
-    p_s_given_u: np.ndarray         # (U, S)
-    p_v_given_wux: np.ndarray       # (W, U, X, V)
-
-    def __post_init__(self):
-        pw = np.asarray(self.p_w, dtype=float)
-        puw = np.asarray(self.p_u_given_w, dtype=float)
-        psu = np.asarray(self.p_s_given_u, dtype=float)
-        pv = np.asarray(self.p_v_given_wux, dtype=float)
-        for name, arr, axis in (("p_w", pw, None), ("p_u_given_w", puw, 1),
-                                ("p_s_given_u", psu, 1), ("p_v_given_wux", pv, 3)):
-            if np.any(arr < 0):
-                raise ChannelError("%s has negative entries" % name)
-            mass = arr.sum() if axis is None else arr.sum(axis=axis)
-            if np.any(np.abs(mass - 1.0) > 1e-12):
-                raise ChannelError("%s rows do not sum to 1" % name)
-        if puw.shape[0] != pw.shape[0] or pv.shape[0] != pw.shape[0]:
-            raise ChannelError("inconsistent |W| across auxiliary conditionals")
-        if psu.shape[0] != puw.shape[1] or pv.shape[1] != puw.shape[1]:
-            raise ChannelError("inconsistent |U| across auxiliary conditionals")
-        for name, arr in (("p_w", pw), ("p_u_given_w", puw),
-                          ("p_s_given_u", psu), ("p_v_given_wux", pv)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @staticmethod
-    def canonical_choice(channel: DiscreteBroadcastChannel,
-                         inp: Optional[Pmf] = None) -> "AuxiliarySystem":
-        """W trivial, U = S, V = X — the choice attaining the degraded capacity."""
-        S, X = channel.alphabet_sizes[0], channel.alphabet_sizes[1]
-        p_s = np.ones(S) / S if inp is None else _input_probs(channel, inp)
-        return AuxiliarySystem(
-            p_w=np.array([1.0]),
-            p_u_given_w=p_s.reshape(1, S).copy(),
-            p_s_given_u=np.eye(S),
-            p_v_given_wux=np.broadcast_to(np.eye(X), (1, S, X, X)).copy(),
-        )
-
-
 def _grouped_joint(arr: np.ndarray, a_axes, b_axes, c_axes) -> np.ndarray:
     """Sum out all other axes and reshape to a 3-axis (A, B, C) joint."""
     keep = tuple(a_axes) + tuple(b_axes) + tuple(c_axes)
@@ -514,48 +456,6 @@ def upper_bound(channel: DiscreteBroadcastChannel, gamma: float = math.inf,
                                          channel.alphabet_sizes[0], channel.cost, gamma,
                                          config, gradient=_conditional_slopes(channel))
     return Pmf(p_star), value
-
-
-def _aux_joint(channel: DiscreteBroadcastChannel, aux: AuxiliarySystem) -> np.ndarray:
-    """Joint p(w,u,v,s,x,y,z) built from the auxiliary layer and the channel."""
-    tr = channel.transition  # (s,x,y,z)
-    S, X, Y, Z = tr.shape
-    if aux.p_s_given_u.shape[1] != S:
-        raise ChannelError("auxiliary p(s|u) does not match the channel input alphabet")
-    if aux.p_v_given_wux.shape[2] != X:
-        raise ChannelError("auxiliary p(v|w,u,x) does not match the channel X alphabet")
-    w_max, u_max, v_max = aux_cardinality_bounds(S, X)
-    if aux.p_w.shape[0] > w_max or aux.p_u_given_w.shape[1] > u_max \
-            or aux.p_v_given_wux.shape[3] > v_max:
-        raise ChannelError("auxiliary alphabet exceeds its cardinality bound")
-    p_x_given_s = tr.sum(axis=(2, 3))  # (S,X)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_yz_given_xs = np.where(p_x_given_s[:, :, None, None] > 0,
-                                 tr / np.where(p_x_given_s[:, :, None, None] > 0,
-                                               p_x_given_s[:, :, None, None], 1.0),
-                                 0.0)
-    joint = np.einsum("w,wu,us,sx,wuxv,sxyz->wuvsxyz",
-                      aux.p_w, aux.p_u_given_w, aux.p_s_given_u,
-                      p_x_given_s, aux.p_v_given_wux, p_yz_given_xs)
-    return joint
-
-
-def general_rate_objective(channel: DiscreteBroadcastChannel,
-                           aux: AuxiliarySystem) -> float:
-    """I(U,V;Y|W) - I(U,V;Z|W) for the given auxiliary system (an evaluator,
-    not an optimizer)."""
-    joint = _aux_joint(channel, aux)  # (w,u,v,s,x,y,z)
-    return (_grouped_cmi(joint, (1, 2), (5,), (0,))
-            - _grouped_cmi(joint, (1, 2), (6,), (0,)))
-
-
-def public_rate_requirement(channel: DiscreteBroadcastChannel,
-                            aux: AuxiliarySystem) -> float:
-    """I(V;X|U,W) - I(V;Y|U,W): the public reconciliation rate the lower
-    bound needs.  May be negative, in which case any nonnegative rate works."""
-    joint = _aux_joint(channel, aux)
-    return (_grouped_cmi(joint, (2,), (4,), (0, 1))
-            - _grouped_cmi(joint, (2,), (5,), (0, 1)))
 
 
 def _c0(snr: float) -> float:

@@ -224,15 +224,19 @@ def load_channel(path, renormalize: bool = False) -> DiscreteBroadcastChannel:
         doc = json.load(fh)
     try:
         sizes = doc["alphabets"]
+        expected = tuple(sizes[name] for name in "SXYZ")
+        for name, size in zip("SXYZ", expected):
+            if type(size) is not int or size < 1:  # JSON true is a bool
+                raise ChannelError("malformed channel file: alphabet %s must be "
+                                   "an integer >= 1, got %r" % (name, size))
         tr = np.asarray(doc["transition"], dtype=float)
-        cost = np.asarray(doc.get("cost", [0.0] * sizes["S"]), dtype=float)
-        expected = (sizes["S"], sizes["X"], sizes["Y"], sizes["Z"])
+        if tr.shape != expected:
+            raise ChannelError("transition shape %r does not match alphabets %r"
+                               % (tr.shape, expected))
+        cost = np.asarray(doc["cost"], dtype=float) if "cost" in doc \
+            else np.zeros(expected[0])
     except (KeyError, TypeError) as exc:
         raise ChannelError("malformed channel file: %s" % exc) from exc
-    if tr.shape != expected:
-        raise ChannelError(
-            "transition shape %r does not match alphabets %r" % (tr.shape, expected)
-        )
     if not np.isfinite(tr).all():
         raise ChannelError("non-finite transition probability in channel file")
     if np.any(tr < 0):

@@ -323,6 +323,8 @@ class TestSampler:
         ch = random_binary_channel(np.random.default_rng(102))
         with pytest.raises(ValueError, match="SeedSequence, not"):
             generate_code(ch, 3, RATES, UNIFORM, seed)
+        with pytest.raises(ValueError, match="SeedSequence, not"):
+            ensemble_average(ch, UNIFORM, 3, RATES, 4, seed)
 
     def test_input_size_must_match_channel(self):
         ch = random_binary_channel(np.random.default_rng(99))

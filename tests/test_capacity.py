@@ -15,7 +15,6 @@ from conftest import (
     z_copies_y_channel,
 )
 from skagree import (
-    AuxiliarySystem,
     BinaryOnOffParams,
     CapacityResult,
     ChannelError,
@@ -23,21 +22,19 @@ from skagree import (
     GaussianInterferenceParams,
     OptimizerConfig,
     Pmf,
-    aux_cardinality_bounds,
     binary_entropy,
     binary_onoff_optimize,
     binary_onoff_rate,
     build_binary_onoff,
     degraded_capacity,
     gaussian_capacity,
-    general_rate_objective,
     golden_section_lanes,
     golden_section_max,
     is_degraded,
     joint_distribution,
     maximize_over_inputs,
-    public_rate_requirement,
     rate_split,
+    strong_achievability_bound,
     upper_bound,
 )
 from skagree import capacity, exponents
@@ -714,6 +711,42 @@ class TestRateSplit:
             _, r_ch_cf, _ = binary_onoff_rate(REFERENCE_PARAMS, beta)
             assert r_ch == pytest.approx(r_ch_cf, abs=1e-12)
 
+    @pytest.mark.parametrize("sizes, zeros", [((2, 2, 2, 2), False),
+                                              ((3, 2, 3, 2), True)])
+    def test_brute_force_oracle_and_chain_rule(self, sizes, zeros):
+        # each information term as E[log2 of its ratio] over the full joint,
+        # summed with an explicit loop over (s,x,y,z)
+        rng = np.random.default_rng(28)
+        ch = random_channel(rng, sizes, zeros)
+        p = rng.dirichlet(np.ones(sizes[0]))
+        joint = p[:, None, None, None] * ch.transition
+
+        def marginal(*keep):  # axes 0..3 are s, x, y, z
+            return joint.sum(axis=tuple(a for a in range(4) if a not in keep))
+
+        p_s, p_y, p_z = marginal(0), marginal(2), marginal(3)
+        p_sx, p_sy, p_sz = marginal(0, 1), marginal(0, 2), marginal(0, 3)
+        p_sxy, p_sxz = marginal(0, 1, 2), marginal(0, 1, 3)
+        r_ch = r_src = 0.0
+        for s, x, y, z in product(*map(range, sizes)):
+            m = joint[s, x, y, z]
+            if m == 0:
+                continue
+            r_ch += m * (math.log2(p_sy[s, y] / (p_s[s] * p_y[y]))
+                         - math.log2(p_sz[s, z] / (p_s[s] * p_z[z])))
+            r_src += m * (math.log2(p_sxy[s, x, y] * p_s[s] / (p_sx[s, x] * p_sy[s, y]))
+                          - math.log2(p_sxz[s, x, z] * p_s[s]
+                                      / (p_sx[s, x] * p_sz[s, z])))
+        inp = Pmf(p)
+        got_ch, got_src = rate_split(ch, inp)
+        assert got_ch == pytest.approx(r_ch, abs=1e-12)
+        assert got_src == pytest.approx(r_src, abs=1e-12)
+        # chain rule: I(S;.) + I(X;.|S) = I(X,S;.) for Y and for Z
+        total = got_ch + got_src
+        assert total == pytest.approx(_difference_objective(ch)(p[None])[0], abs=1e-12)
+        assert total == pytest.approx(strong_achievability_bound(ch, inp).value,
+                                      abs=1e-12)
+
 
 class TestDegradedCapacity:
     def test_refuses_non_degraded(self):
@@ -776,119 +809,6 @@ class TestUpperBound:
         assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
         for g, (pmf, _) in zip(gammas, results):  # the returned input meets g
             assert float(np.dot(pmf.probs, ch.cost)) <= g + 1e-12
-
-
-class TestAuxiliarySystem:
-    def test_cardinality_bounds_formula(self):
-        assert aux_cardinality_bounds(2, 2) == (9, 63, 2 * 7 * 81 + 3)
-
-    def test_row_validation(self):
-        with pytest.raises(ChannelError):
-            AuxiliarySystem(
-                p_w=np.array([0.7, 0.7]),
-                p_u_given_w=np.eye(2),
-                p_s_given_u=np.eye(2),
-                p_v_given_wux=np.broadcast_to(np.eye(2), (2, 2, 2, 2)).copy())
-
-    def test_canonical_choice_matches_rate_split(self):
-        rng = np.random.default_rng(28)
-        ch = random_binary_channel(rng)
-        inp = Pmf.bernoulli(0.35)
-        aux = AuxiliarySystem.canonical_choice(ch, inp)
-        r_ch, r_src = rate_split(ch, inp)
-        assert general_rate_objective(ch, aux) == pytest.approx(
-            r_ch + r_src, abs=1e-12)
-
-    def test_singleton_v_drops_source_portion(self):
-        # V constant: the objective reduces to I(S;Y) - I(S;Z)
-        rng = np.random.default_rng(29)
-        ch = random_binary_channel(rng)
-        inp = Pmf.bernoulli(0.35)
-        aux = AuxiliarySystem(
-            p_w=np.array([1.0]),
-            p_u_given_w=inp.probs.reshape(1, 2).copy(),
-            p_s_given_u=np.eye(2),
-            p_v_given_wux=np.ones((1, 2, 2, 1)))
-        r_ch, _ = rate_split(ch, inp)
-        assert general_rate_objective(ch, aux) == pytest.approx(r_ch, abs=1e-12)
-
-    def test_brute_force_oracle(self):
-        # re-derive I(U,V;Y|W) - I(U,V;Z|W) with explicit seven-fold loops
-        rng = np.random.default_rng(30)
-        ch = random_binary_channel(rng)
-        aux = AuxiliarySystem(
-            p_w=np.array([0.4, 0.6]),
-            p_u_given_w=rng.dirichlet(np.ones(2), size=2),
-            p_s_given_u=rng.dirichlet(np.ones(2), size=2),
-            p_v_given_wux=rng.dirichlet(np.ones(2), size=8).reshape(2, 2, 2, 2))
-        tr = ch.transition
-        p_x_given_s = tr.sum(axis=(2, 3))
-        joint = np.zeros((2,) * 7)
-        for w, u, v, s, x, y, z in product(range(2), repeat=7):
-            px = p_x_given_s[s, x]
-            if px == 0:
-                continue
-            joint[w, u, v, s, x, y, z] = (
-                aux.p_w[w] * aux.p_u_given_w[w, u] * aux.p_s_given_u[u, s]
-                * px * aux.p_v_given_wux[w, u, x, v] * tr[s, x, y, z] / px)
-
-        def cmi_uv(out_axis):
-            val = 0.0
-            for w in range(2):
-                pw = joint[w].sum()
-                sub = joint[w] / pw  # (u,v,s,x,y,z)
-                p_uv_o = sub.sum(axis=(2, 3)).sum(axis=3 - (5 - out_axis))
-                # collapse to (u,v,out): sum s,x and the other output
-                other = 5 if out_axis == 4 else 4
-                p = sub.sum(axis=(2, 3))  # (u,v,y,z)
-                p = p.sum(axis=3 if out_axis == 4 else 2)  # (u,v,out)
-                p_uv = p.sum(axis=2)
-                p_o = p.sum(axis=(0, 1))
-                for u, vv, o in product(range(2), repeat=3):
-                    if p[u, vv, o] > 0:
-                        val += pw * p[u, vv, o] * math.log2(
-                            p[u, vv, o] / (p_uv[u, vv] * p_o[o]))
-            return val
-
-        expect = cmi_uv(4) - cmi_uv(5)
-        assert general_rate_objective(ch, aux) == pytest.approx(expect, abs=1e-10)
-
-    def test_cardinality_ceiling_enforced(self):
-        rng = np.random.default_rng(31)
-        ch = random_binary_channel(rng)
-        big_w = 10  # exceeds |S| + 7 = 9
-        aux = AuxiliarySystem(
-            p_w=np.ones(big_w) / big_w,
-            p_u_given_w=np.tile(np.array([[0.5, 0.5]]), (big_w, 1)),
-            p_s_given_u=np.eye(2),
-            p_v_given_wux=np.broadcast_to(np.eye(2), (big_w, 2, 2, 2)).copy())
-        with pytest.raises(ChannelError):
-            general_rate_objective(ch, aux)
-
-
-class TestPublicRateRequirement:
-    def test_v_copies_x_reduces_to_conditional_entropy_gap(self):
-        # V = X: I(V;X|U,W) - I(V;Y|U,W) = H(X|U) - I(X;Y|U) = H(X|Y,U)
-        rng = np.random.default_rng(32)
-        ch = random_binary_channel(rng)
-        inp = Pmf.bernoulli(0.3)
-        aux = AuxiliarySystem.canonical_choice(ch, inp)
-        arr = joint_distribution(ch, inp).probs  # (s,x,y,z)
-        from skagree import entropy
-        p_sxy = arr.sum(axis=3)
-        h_x_given_ys = entropy(p_sxy) - entropy(p_sxy.sum(axis=1))
-        assert public_rate_requirement(ch, aux) == pytest.approx(
-            h_x_given_ys, abs=1e-12)
-
-    def test_singleton_v_is_zero(self):
-        rng = np.random.default_rng(33)
-        ch = random_binary_channel(rng)
-        aux = AuxiliarySystem(
-            p_w=np.array([1.0]),
-            p_u_given_w=np.array([[0.5, 0.5]]),
-            p_s_given_u=np.eye(2),
-            p_v_given_wux=np.ones((1, 2, 2, 1)))
-        assert public_rate_requirement(ch, aux) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestGaussianCapacity:

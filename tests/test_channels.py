@@ -165,7 +165,6 @@ _TAKES_AN_INPUT = {
         lambda ch, inp: binning_sim.minimize_error_bound(ch, inp, 3, _RATES),
     "minimize_leakage_bound":
         lambda ch, inp: binning_sim.minimize_leakage_bound(ch, inp, 3, _RATES),
-    "canonical_choice": lambda ch, inp: skagree.AuxiliarySystem.canonical_choice(ch, inp),
     "rate_split": lambda ch, inp: skagree.rate_split(ch, inp),
     "generate_code": lambda ch, inp: skagree.generate_code(ch, 3, _RATES, inp, seed=1),
 }
@@ -286,4 +285,25 @@ class TestChannelJson:
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"alphabets": sizes, "transition": []}))
         with pytest.raises(ChannelError, match="malformed channel file"):
+            load_channel(path)
+
+    @pytest.mark.parametrize("name, bad", [("S", True), ("Z", True), ("S", 0),
+                                           ("Y", 2.0)])
+    def test_alphabet_size_must_be_a_positive_int(self, tmp_path, name, bad):
+        sizes = {letter: 1 for letter in "SXYZ"}
+        sizes[name] = bad
+        path = tmp_path / "sizes.json"
+        path.write_text(json.dumps({"alphabets": sizes, "transition": [[[[1.0]]]],
+                                    "cost": [0.0]}))
+        with pytest.raises(ChannelError, match="alphabet %s must be an integer" % name):
+            load_channel(path)
+
+    def test_huge_alphabet_with_a_cost_is_a_shape_mismatch(self, tmp_path):
+        # the default cost list of |S| zeros is built only when cost is absent
+        path = tmp_path / "huge.json"
+        save_channel(random_binary_channel(np.random.default_rng(20)), path)
+        doc = json.loads(path.read_text())
+        doc["alphabets"]["S"] = 2**63
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChannelError, match="does not match alphabets"):
             load_channel(path)
