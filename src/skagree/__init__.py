@@ -34,6 +34,7 @@ from .capacity import (
     golden_section_max,
     maximize_over_inputs,
     rate_split,
+    strong_achievability_bound,
     upper_bound,
 )
 from .exponents import (
@@ -47,7 +48,6 @@ from .exponents import (
     secrecy_exponent,
     secrecy_exponents,
     secrecy_objective,
-    strong_achievability_bound,
 )
 from .binning_sim import (
     BudgetError,

@@ -34,6 +34,7 @@ from .channels import (
     ChannelError,
     DiscreteBroadcastChannel,
     GaussianInterferenceParams,
+    _input_probs,
     is_degraded,
     joint_distribution,
 )
@@ -347,36 +348,39 @@ class CapacityResult:
         }
 
 
-def _grouped_joint(arr: np.ndarray, a_axes, b_axes, c_axes) -> np.ndarray:
-    """Sum out all other axes and reshape to a 3-axis (A, B, C) joint."""
-    keep = tuple(a_axes) + tuple(b_axes) + tuple(c_axes)
-    drop = tuple(i for i in range(arr.ndim) if i not in keep)
-    red = arr.sum(axis=drop) if drop else arr
-    # axes of red correspond to `keep` sorted ascending
-    order = sorted(keep)
-    perm = [order.index(ax) for ax in keep]
-    red = np.transpose(red, perm)
-    na = int(np.prod([arr.shape[i] for i in a_axes]))
-    nb = int(np.prod([arr.shape[i] for i in b_axes]))
-    nc = int(np.prod([arr.shape[i] for i in c_axes])) if c_axes else 1
-    return red.reshape(na, nb, nc)
-
-
-def _grouped_cmi(arr: np.ndarray, a_axes, b_axes, c_axes) -> float:
-    """I(A;B|C) for grouped axes of a joint array (C may be empty)."""
-    j = _grouped_joint(arr, a_axes, b_axes, c_axes)
-    if not c_axes:
-        return mutual_information(j[:, :, 0])
-    return conditional_mutual_information(j)
-
-
 def rate_split(channel: DiscreteBroadcastChannel, inp: Pmf):
     """(R_ch, R_src) for the choice U=S, V=X: the wiretap portion
     I(S;Y)-I(S;Z) and the source portion I(X;Y|S)-I(X;Z|S)."""
     arr = joint_distribution(channel, inp).probs  # (s,x,y,z)
-    r_ch = _grouped_cmi(arr, (0,), (2,), ()) - _grouped_cmi(arr, (0,), (3,), ())
-    r_src = _grouped_cmi(arr, (1,), (2,), (0,)) - _grouped_cmi(arr, (1,), (3,), (0,))
+    mi, cmi = mutual_information, conditional_mutual_information
+    r_ch = mi(arr.sum(axis=(1, 3))) - mi(arr.sum(axis=(1, 2)))  # (s,y), (s,z)
+    r_src = (cmi(arr.sum(axis=3).transpose(1, 2, 0))  # (x,y,s)
+             - cmi(arr.sum(axis=2).transpose(1, 2, 0)))  # (x,z,s)
     return r_ch, r_src
+
+
+@dataclass(frozen=True)
+class StrongAchievability:
+    value: float                      # I(X,S;Y) - I(X,S;Z)
+    conditional_form: Optional[float]  # I(X,S;Y|Z) when the channel is degraded
+
+
+def strong_achievability_bound(channel: DiscreteBroadcastChannel,
+                               inp: Pmf) -> StrongAchievability:
+    """Largest strongly-achievable key rate at this input: I(X,S;Y)-I(X,S;Z),
+    the objective that ``degraded_capacity`` maximizes.  On degraded channels
+    the conditional form I(X,S;Y|Z), ``upper_bound``'s objective, is computed
+    too and must agree within 1e-9."""
+    p = _input_probs(channel, inp)[None]
+    value = _difference_objective(channel)(p)[0]
+    cond = None
+    if is_degraded(channel):
+        cond = _conditional_objective(channel)(p)[0]
+        if abs(cond - value) > 1e-9:
+            raise RuntimeError(
+                "degraded-channel identity violated: difference form %.12g vs "
+                "conditional form %.12g" % (value, cond))
+    return StrongAchievability(value=value, conditional_form=cond)
 
 
 def _difference_objective(channel: DiscreteBroadcastChannel):

@@ -158,12 +158,12 @@ def marginal_channel(channel: DiscreteBroadcastChannel, targets) -> np.ndarray:
     ``targets`` is an iterable over {'x','y','z'}; the result keeps the S axis
     first and the requested output axes in x,y,z order.
     """
-    names = sorted({t.lower() for t in targets}, key=lambda t: _AXIS_OF[t])
+    names = {t.lower() for t in targets}
     if not names:
         raise ChannelError("marginal_channel requires a nonempty target set")
-    for t in names:
-        if t not in _AXIS_OF:
-            raise ChannelError("unknown output %r (expected x, y, or z)" % t)
+    unknown = sorted(names - _AXIS_OF.keys())
+    if unknown:
+        raise ChannelError("unknown output %r (expected x, y, or z)" % unknown[0])
     drop = tuple(ax for name, ax in _AXIS_OF.items() if name not in names)
     return channel.transition.sum(axis=drop)
 
@@ -221,7 +221,10 @@ def load_channel(path, renormalize: bool = False) -> DiscreteBroadcastChannel:
     unless ``renormalize`` is set.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ChannelError("malformed channel file: %s" % exc) from exc
     try:
         sizes = doc["alphabets"]
         expected = tuple(sizes[name] for name in "SXYZ")
@@ -235,7 +238,9 @@ def load_channel(path, renormalize: bool = False) -> DiscreteBroadcastChannel:
                                % (tr.shape, expected))
         cost = np.asarray(doc["cost"], dtype=float) if "cost" in doc \
             else np.zeros(expected[0])
-    except (KeyError, TypeError) as exc:
+    except ChannelError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: ragged or non-numeric
         raise ChannelError("malformed channel file: %s" % exc) from exc
     if not np.isfinite(tr).all():
         raise ChannelError("non-finite transition probability in channel file")

@@ -32,13 +32,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .capacity import (
     OptimizerConfig,
-    _grouped_cmi,
     golden_section_lanes,
     golden_section_max,
     maximize_over_inputs,
@@ -46,7 +44,6 @@ from .capacity import (
 from .channels import (
     DiscreteBroadcastChannel,
     _input_probs,
-    is_degraded,
     joint_distribution,
     marginal_channel,
 )
@@ -304,36 +301,12 @@ def positivity_thresholds(channel: DiscreteBroadcastChannel, inp: Pmf):
     p_s = p_sy.sum(axis=1)
     p_y = p_sy.sum(axis=0)
     p_z = p_sz.sum(axis=0)
-    h_x_given_ys = entropy(p_sxy) - entropy(p_sy)
-    h_x_given_zs = entropy(p_sxz) - entropy(p_sz)
-    i_sy = entropy(p_s) + entropy(p_y) - entropy(p_sy)
-    i_sz = entropy(p_s) + entropy(p_z) - entropy(p_sz)
+    h_s, h_sy, h_sz = entropy(p_s), entropy(p_sy), entropy(p_sz)
+    h_x_given_ys = entropy(p_sxy) - h_sy
+    h_x_given_zs = entropy(p_sxz) - h_sz
+    i_sy = h_s + entropy(p_y) - h_sy
+    i_sz = h_s + entropy(p_z) - h_sz
     return h_x_given_ys - i_sy, h_x_given_zs - i_sz
-
-
-@dataclass(frozen=True)
-class StrongAchievability:
-    value: float                      # I(X,S;Y) - I(X,S;Z)
-    conditional_form: Optional[float]  # I(X,S;Y|Z) when the channel is degraded
-
-
-def strong_achievability_bound(channel: DiscreteBroadcastChannel,
-                               inp: Pmf) -> StrongAchievability:
-    """Largest strongly-achievable key rate at this input: I(X,S;Y)-I(X,S;Z).
-
-    On degraded channels the conditional form I(X,S;Y|Z) is computed as an
-    independent path and must agree within 1e-9.
-    """
-    arr = joint_distribution(channel, inp).probs
-    value = _grouped_cmi(arr, (0, 1), (2,), ()) - _grouped_cmi(arr, (0, 1), (3,), ())
-    cond = None
-    if is_degraded(channel):
-        cond = _grouped_cmi(arr, (0, 1), (2,), (3,))
-        if abs(cond - value) > 1e-9:
-            raise RuntimeError(
-                "degraded-channel identity violated: difference form %.12g vs "
-                "conditional form %.12g" % (value, cond))
-    return StrongAchievability(value=value, conditional_form=cond)
 
 
 def optimized_exponents(channel: DiscreteBroadcastChannel, rates: RatePoint,

@@ -26,6 +26,7 @@ from skagree import (
     binary_onoff_optimize,
     binary_onoff_rate,
     build_binary_onoff,
+    conditional_mutual_information,
     degraded_capacity,
     gaussian_capacity,
     golden_section_lanes,
@@ -33,6 +34,7 @@ from skagree import (
     is_degraded,
     joint_distribution,
     maximize_over_inputs,
+    mutual_information,
     rate_split,
     strong_achievability_bound,
     upper_bound,
@@ -42,7 +44,6 @@ from skagree.capacity import (
     _conditional_objective,
     _conditional_slopes,
     _difference_objective,
-    _grouped_cmi,
     _simplex_grid,
 )
 
@@ -221,8 +222,10 @@ class TestGoldenSectionLanes:
 
 
 class TestBatchedObjectives:
-    """The block-batched grid objectives equal the per-point _grouped_cmi
-    path with ==, at every grid point and for any block size."""
+    """The block-batched grid objectives equal, with ==, a per-point path
+    that groups (S,X) in explicit marginals for the public mutual_information
+    and conditional_mutual_information, at every grid point and for any
+    block size."""
 
     @pytest.mark.parametrize("zeros", [False, True])
     @pytest.mark.parametrize("xyz", [(2, 2, 2), (3, 2, 3), (3, 9, 1), (1, 4, 9)])
@@ -232,14 +235,16 @@ class TestBatchedObjectives:
         ch = random_channel(rng, (s_size, *xyz), zeros)
         grid = _simplex_grid(s_size, 0.05 if s_size == 3 else 0.01)
 
+        sx, y_size, z_size = s_size * xyz[0], xyz[1], xyz[2]
+
         def difference(p):
             arr = p[:, None, None, None] * ch.transition
-            return (_grouped_cmi(arr, (0, 1), (2,), ())
-                    - _grouped_cmi(arr, (0, 1), (3,), ()))
+            return (mutual_information(arr.sum(axis=3).reshape(sx, y_size))
+                    - mutual_information(arr.sum(axis=2).reshape(sx, z_size)))
 
         def conditional(p):
             arr = p[:, None, None, None] * ch.transition
-            return _grouped_cmi(arr, (0, 1), (2,), (3,))
+            return conditional_mutual_information(arr.reshape(sx, y_size, z_size))
 
         for factory, point in ((_difference_objective, difference),
                                (_conditional_objective, conditional)):
@@ -696,7 +701,6 @@ class TestRateSplit:
         r_ch, r_src = rate_split(ch, inp)
         arr = joint_distribution(ch, inp).probs
         p_sy = arr.sum(axis=(1, 3))
-        from skagree import conditional_mutual_information, mutual_information
         assert r_ch == pytest.approx(mutual_information(p_sy), abs=1e-12)
         p_xys = np.moveaxis(arr.sum(axis=3), 0, 2)  # (x,y,s)
         assert r_src == pytest.approx(

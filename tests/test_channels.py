@@ -198,6 +198,12 @@ class TestMarginalChannel:
         assert np.allclose(marginal_channel(ch, "xz"), ch.transition.sum(axis=2),
                            atol=1e-15)
 
+    @pytest.mark.parametrize("targets, letter", [("xw", "w"), ("s", "s")])
+    def test_unknown_letter_is_a_channel_error(self, targets, letter):
+        ch = random_binary_channel(np.random.default_rng(14))
+        with pytest.raises(ChannelError, match="unknown output '%s'" % letter):
+            marginal_channel(ch, targets)
+
     def test_empty_targets(self):
         rng = np.random.default_rng(14)
         with pytest.raises(ChannelError):
@@ -279,6 +285,19 @@ class TestChannelJson:
         with pytest.raises(ChannelError):
             load_channel(path)
 
+    @pytest.mark.parametrize("text", [
+        '{"alphabets": {"S": 2, ',
+        json.dumps({"alphabets": {"S": 1, "X": 1, "Y": 2, "Z": 1},
+                    "transition": [[[[0.5], [0.25, 0.25]]]]}),
+        json.dumps({"alphabets": {"S": 1, "X": 1, "Y": 1, "Z": 1},
+                    "transition": [[[[1.0]]]], "cost": ["free"]}),
+    ], ids=["invalid-json", "ragged-transition", "string-cost"])
+    def test_malformed_content(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ChannelError, match="^malformed channel file: "):
+            load_channel(path)
+
     @pytest.mark.parametrize("missing", ["X", "Y", "Z"])
     def test_alphabet_missing_a_letter(self, tmp_path, missing):
         sizes = {name: 2 for name in "SXYZ" if name != missing}
@@ -295,7 +314,9 @@ class TestChannelJson:
         path = tmp_path / "sizes.json"
         path.write_text(json.dumps({"alphabets": sizes, "transition": [[[[1.0]]]],
                                     "cost": [0.0]}))
-        with pytest.raises(ChannelError, match="alphabet %s must be an integer" % name):
+        # the message is not wrapped a second time as a malformed-file error
+        with pytest.raises(ChannelError, match="^malformed channel file: alphabet %s "
+                                               "must be an integer" % name):
             load_channel(path)
 
     def test_huge_alphabet_with_a_cost_is_a_shape_mismatch(self, tmp_path):
@@ -305,5 +326,6 @@ class TestChannelJson:
         doc = json.loads(path.read_text())
         doc["alphabets"]["S"] = 2**63
         path.write_text(json.dumps(doc))
-        with pytest.raises(ChannelError, match="does not match alphabets"):
+        with pytest.raises(ChannelError, match="^transition shape .* does not match "
+                                               "alphabets"):
             load_channel(path)

@@ -255,6 +255,43 @@ class TestPositivityThresholds:
         assert got[0] == pytest.approx(rel, abs=1e-12)
         assert got[1] == pytest.approx(sec, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loop_oracle_with_zeros(self, seed):
+        # each threshold as E[log2 of its ratios] over an explicit (s,x,y,z)
+        # loop: H(X|Y,S) - I(S;Y) = E[-log2 p(x|y,s) - log2 p(s,y)/(p(s)p(y))]
+        rng = np.random.default_rng([62, seed])
+        sizes = (3, 3, 4, 2)
+        ch = random_channel(rng, sizes, True)
+        p = rng.dirichlet(np.ones(3))
+        if seed == 0:
+            p = np.array([0.5, 0.0, 0.5])  # an unused input letter
+        joint = p[:, None, None, None] * ch.transition
+        p_s, p_y, p_z = np.zeros(3), np.zeros(4), np.zeros(2)
+        p_sy, p_sz = np.zeros((3, 4)), np.zeros((3, 2))
+        p_sxy, p_sxz = np.zeros((3, 3, 4)), np.zeros((3, 3, 2))
+        cells = list(product(*map(range, sizes)))
+        for s, x, y, z in cells:
+            m = joint[s, x, y, z]
+            p_s[s] += m
+            p_y[y] += m
+            p_z[z] += m
+            p_sy[s, y] += m
+            p_sz[s, z] += m
+            p_sxy[s, x, y] += m
+            p_sxz[s, x, z] += m
+        rel = sec = 0.0
+        for s, x, y, z in cells:
+            m = joint[s, x, y, z]
+            if m == 0:
+                continue
+            rel -= m * (math.log2(p_sxy[s, x, y] / p_sy[s, y])
+                        + math.log2(p_sy[s, y] / (p_s[s] * p_y[y])))
+            sec -= m * (math.log2(p_sxz[s, x, z] / p_sz[s, z])
+                        + math.log2(p_sz[s, z] / (p_s[s] * p_z[z])))
+        got = positivity_thresholds(ch, Pmf(p))
+        assert got[0] == pytest.approx(rel, abs=1e-12)
+        assert got[1] == pytest.approx(sec, abs=1e-12)
+
     def test_singleton_s(self):
         # with |S| = 1 the thresholds are plain conditional entropies
         rng = np.random.default_rng(55)

@@ -1,8 +1,10 @@
-"""Unused-import guard for the library modules, with the stdlib ast only.
+"""Dead-name guards for the library modules, with the stdlib ast only.
 
 A module-level import in src/skagree/*.py (the package __init__ re-exports,
 so it is left out) must be referenced somewhere in its module.  An import on
-a line marked ``# noqa: F401`` is kept on purpose and skipped.
+a line marked ``# noqa: F401`` is kept on purpose and skipped.  A top-level
+private name (leading ``_``) must be referenced somewhere in the package
+besides the statement that defines it.
 """
 
 import ast
@@ -49,3 +51,58 @@ def test_guard_flags_an_unused_import_and_honours_noqa():
               "def f() -> ChannelError:\n"
               "    pass\n")
     assert unused_imports(source) == [(2, "math"), (7, "_input_probs")]
+
+
+def unreferenced_private_names(sources: dict):
+    """(module, line, name) of each top-level private name (leading ``_``)
+    that no statement of any module references, other than the statement
+    that defines it.  ``sources`` maps a module name to its source."""
+    refs = []  # (module, index of the top-level statement, referenced names)
+    defined = []  # (module, index, line, name)
+    for module, source in sources.items():
+        for i, node in enumerate(ast.parse(source).body):
+            names = set()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    names.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    names.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    names.add(n.name)
+            refs.append((module, i, names))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                targets = []
+            defined += [(module, i, node.lineno, name) for name in targets
+                        if name.startswith("_") and not name.startswith("__")]
+    return sorted((module, line, name) for module, i, line, name in defined
+                  if not any(name in names for m, j, names in refs
+                             if (m, j) != (module, i)))
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_private_guard_flags_an_orphan_and_follows_references():
+    sources = {
+        "a": ("_TOL = 1e-9\n"
+              "_ORPHAN = 2\n"
+              "def _recursive(x):\n"
+              "    return _recursive(x - 1) if x else _TOL\n"
+              "def _imported():\n"
+              "    pass\n"
+              "class _ByAttribute:\n"
+              "    pass\n"),
+        "b": ("from . import a\n"
+              "from .a import _imported\n"
+              "def f():\n"
+              "    return a._ByAttribute()\n"),
+    }
+    assert unreferenced_private_names(sources) == [("a", 2, "_ORPHAN"),
+                                                   ("a", 3, "_recursive")]
