@@ -30,8 +30,8 @@ TABLE_BUDGET = 2**24  # most binning-table entries, |M|*|X|^n, of one code
 ENUM_BUDGET = 2**26   # most enumeration cells of one code
 _DECODE_BLOCK_CELLS = 2**22  # Monte-Carlo decodes at most this many cells at once
 # ensemble_average evaluates its codes in stacks of at most this many cells
-# (one code may exceed it); larger stacks raised peak RSS through the leakage
-# entropies' per-row float lists.
+# (one code may exceed it); a stack's score tensors and leakage joint, and so
+# peak RSS, grow with it.
 _STACK_CELLS = 2**14
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _TABLE_BITS = 62    # code sizes in the int64 codebook and bin tables

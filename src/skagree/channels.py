@@ -158,7 +158,11 @@ def marginal_channel(channel: DiscreteBroadcastChannel, targets) -> np.ndarray:
     ``targets`` is an iterable over {'x','y','z'}; the result keeps the S axis
     first and the requested output axes in x,y,z order.
     """
-    names = {t.lower() for t in targets}
+    names = set()
+    for t in targets:
+        if not isinstance(t, str):
+            raise ChannelError("output %r is not a letter (expected x, y, or z)" % (t,))
+        names.add(t.lower())
     if not names:
         raise ChannelError("marginal_channel requires a nonempty target set")
     unknown = sorted(names - _AXIS_OF.keys())

@@ -204,6 +204,12 @@ class TestMarginalChannel:
         with pytest.raises(ChannelError, match="unknown output '%s'" % letter):
             marginal_channel(ch, targets)
 
+    @pytest.mark.parametrize("targets", [[1], ["x", None], [b"y"]])
+    def test_non_string_target_is_a_channel_error(self, targets):
+        ch = random_binary_channel(np.random.default_rng(14))
+        with pytest.raises(ChannelError, match="is not a letter"):
+            marginal_channel(ch, targets)
+
     def test_empty_targets(self):
         rng = np.random.default_rng(14)
         with pytest.raises(ChannelError):

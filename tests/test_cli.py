@@ -20,6 +20,7 @@ from skagree import (
     save_channel,
 )
 import skagree
+from skagree import probability
 from skagree.channels import BinaryOnOffParams
 from skagree.cli import build_parser, main
 
@@ -179,6 +180,28 @@ class TestSimulateCommand:
         assert header == ["n", "codebook_index", "exact_error",
                           "exact_leakage_bits"]
         assert len(rows) == 16
+
+    def test_wide_leakage_rows_rerun_byte_identical(self, degraded_channel_file,
+                                                    tmp_path, monkeypatch):
+        # n=5 joints have rows wider than _WIDE_ROW_CELLS, summed by numpy;
+        # at n=5 a stack holds 16 codes, so 40 codebooks make stacks of 16, 16, 8
+        widths = []
+        entropy_rows = probability._entropy_rows
+
+        def spy(stack):
+            widths.append(stack[0].size)
+            return entropy_rows(stack)
+
+        monkeypatch.setattr(probability, "_entropy_rows", spy)
+        args = ["simulate", "--channel", degraded_channel_file,
+                "--rsk-rate", "0.2", "--rphi-rate", "0.6", "--rm-rate", "0",
+                "--n", "4:5", "--codebooks", "40", "--seed", "3"]
+        for name in ("a.csv", "b.csv"):
+            main(args + ["--out", str(tmp_path / name)])
+        assert max(widths) > probability._WIDE_ROW_CELLS
+        for suffix in ("", ".bounds.json"):
+            assert (tmp_path / ("a.csv" + suffix)).read_bytes() == \
+                (tmp_path / ("b.csv" + suffix)).read_bytes()
 
     def test_bound_pass_exit_code(self, degraded_channel_file, tmp_path):
         out = tmp_path / "s.csv"

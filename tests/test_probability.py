@@ -15,9 +15,15 @@ from skagree import (
     mutual_information,
 )
 from skagree.probability import (
+    _WIDE_ROW_CELLS,
+    _entropy_rows,
     conditional_mutual_information_rows,
     mutual_information_rows,
 )
+
+# A row wider than _WIDE_ROW_CELLS is summed pairwise by numpy, not by fsum;
+# its entropy may differ from the fsum loop oracle by a few ulps.
+WIDE_TOL = 1e-14
 
 
 def normalized(values):
@@ -83,6 +89,14 @@ class TestEntropy:
     def test_skewed(self):
         # -0.9 log2 0.9 - 0.1 log2 0.1
         assert entropy(Pmf(np.array([0.9, 0.1]))) == pytest.approx(0.468996, abs=1e-6)
+
+    @pytest.mark.parametrize("values", [
+        [math.nan, 1.0], [-0.5, 1.5], [0.2, 0.2], [math.inf, 0.0], [],
+        np.full(100, 0.02),  # a wide row with twice the mass
+    ])
+    def test_non_pmf_rejected(self, values):
+        with pytest.raises(PmfError):
+            entropy(values)
 
 
 class TestBinaryEntropy:
@@ -196,7 +210,9 @@ def _loop_cmi(arr):
 
 
 class TestBatchedKernels:
-    """The row kernels against the per-joint loops they replaced, with ==."""
+    """The row kernels against the per-joint loops they replaced: == where
+    every entropy row has at most _WIDE_ROW_CELLS cells, within WIDE_TOL
+    where the joint is wider."""
 
     @staticmethod
     def joints(rng, shape, count):
@@ -213,9 +229,16 @@ class TestBatchedKernels:
     def test_mutual_information_rows(self, shape):
         stack = self.joints(np.random.default_rng(shape), shape, 20)
         rows = mutual_information_rows(stack)
-        assert rows == [_loop_mi(j) for j in stack]
         assert rows == [mutual_information(j) for j in stack]
-        assert [entropy(j) for j in stack] == [_loop_entropy(j) for j in stack]
+        entropies = [entropy(j) for j in stack]
+        loop_rows = [_loop_mi(j) for j in stack]
+        loop_entropies = [_loop_entropy(j) for j in stack]
+        if math.prod(shape) <= _WIDE_ROW_CELLS:
+            assert rows == loop_rows
+            assert entropies == loop_entropies
+        else:
+            assert np.abs(np.subtract(rows, loop_rows)).max() <= WIDE_TOL
+            assert np.abs(np.subtract(entropies, loop_entropies)).max() <= WIDE_TOL
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 3), (9, 2, 2), (3, 10, 4),
                                        (2, 3, 9)])
@@ -224,3 +247,49 @@ class TestBatchedKernels:
         rows = conditional_mutual_information_rows(stack)
         assert rows == [_loop_cmi(j) for j in stack]
         assert rows == [conditional_mutual_information(j) for j in stack]
+
+
+class TestWideRows:
+    """Rows wider than _WIDE_ROW_CELLS: close to the fsum loop, and bit for
+    bit the same whatever the stack around a row or its memory layout."""
+
+    @staticmethod
+    def wide_rows(rng, width, count):
+        """count rows of one width: a quarter of the cells zero, the first
+        two cells subnormal, and the last row a lone 1.0."""
+        rows = rng.dirichlet(np.full(width, rng.choice([0.05, 1.0])), size=count)
+        rows[rng.random(rows.shape) < 0.25] = 0.0
+        rows[:, :2] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows[:, :2] = [5e-324, 1e-310]
+        rows[-1] = 0.0
+        rows[-1, rng.integers(width)] = 1.0
+        return rows
+
+    @pytest.mark.parametrize("width", [65, 128, 1000, 16384])
+    def test_against_loop_oracle(self, width):
+        rows = self.wide_rows(np.random.default_rng(width), width, 6)
+        got = _entropy_rows(rows)
+        want = [_loop_entropy(r) for r in rows]
+        assert np.abs(np.subtract(got, want)).max() <= WIDE_TOL
+        assert got[-1] == want[-1] == 0.0
+        assert [entropy(r) for r in rows] == got
+
+    @pytest.mark.parametrize("width", [65, 97, 512, 16384])
+    def test_layout_and_stack_independence(self, width):
+        stack = self.wide_rows(np.random.default_rng(width + 1), width, 60)
+        alone = [_entropy_rows(row[None])[0] for row in stack]
+        for lo in (0, 28, 57):
+            assert _entropy_rows(stack[lo:lo + 3]) == alone[lo:lo + 3]
+        assert _entropy_rows(stack) == alone
+        assert _entropy_rows(np.asfortranarray(stack)) == alone
+        assert _entropy_rows(np.ascontiguousarray(stack.T).T) == alone
+        assert _entropy_rows(stack[::-1]) == alone[::-1]
+
+    @pytest.mark.parametrize("shape", [(64,), (8, 8), (4, 4, 4), (2, 32)])
+    def test_boundary_rows_stay_on_the_loop(self, shape):
+        rng = np.random.default_rng(shape)
+        stack = np.stack([normalized(rng.dirichlet(np.full(64, 0.3))).reshape(shape)
+                          for _ in range(30)])
+        assert _entropy_rows(stack) == [_loop_entropy(j) for j in stack]
+        assert [entropy(j) for j in stack] == [_loop_entropy(j) for j in stack]
