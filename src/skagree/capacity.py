@@ -30,6 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .channels import (
+    DEGRADED_TOL,
     BinaryOnOffParams,
     ChannelError,
     DiscreteBroadcastChannel,
@@ -231,15 +232,18 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
                            % (float(cost.min()), gamma))
     step = config.step_for(k)
 
+    # finite costs and points: every point is feasible at gamma = inf
+    unconstrained = gamma == math.inf
+
     def feasible(p):
-        return float(np.dot(p, cost)) <= gamma + 1e-12
+        return unconstrained or float(np.dot(p, cost)) <= gamma + 1e-12
 
     def value(p):
         return objective(p[None, :])[0] if feasible(p) else -math.inf
 
     grid = _simplex_grid(k, step)
     # keep: the grid rows to scan, the feasible ones less any ruled out
-    if gamma == math.inf:  # finite costs: every point is feasible at gamma=inf
+    if unconstrained:
         keep = np.ones(len(grid), dtype=bool)
     else:
         keep = np.array([feasible(p) for p in grid])
@@ -370,16 +374,18 @@ def strong_achievability_bound(channel: DiscreteBroadcastChannel,
     """Largest strongly-achievable key rate at this input: I(X,S;Y)-I(X,S;Z),
     the objective that ``degraded_capacity`` maximizes.  On degraded channels
     the conditional form I(X,S;Y|Z), ``upper_bound``'s objective, is computed
-    too and must agree within 1e-9."""
+    too; a gap of more than 1e-9 between the two raises ChannelError."""
     p = _input_probs(channel, inp)[None]
     value = _difference_objective(channel)(p)[0]
     cond = None
     if is_degraded(channel):
         cond = _conditional_objective(channel)(p)[0]
         if abs(cond - value) > 1e-9:
-            raise RuntimeError(
+            raise ChannelError(
                 "degraded-channel identity violated: difference form %.12g vs "
-                "conditional form %.12g" % (value, cond))
+                "conditional form %.12g; is_degraded ignores (s,x,y) cells of mass "
+                "<= DEGRADED_TOL = %g, which can leave I(X,S;Z|Y) above 1e-9"
+                % (value, cond, DEGRADED_TOL))
     return StrongAchievability(value=value, conditional_form=cond)
 
 

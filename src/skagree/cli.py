@@ -441,12 +441,19 @@ def build_parser(only=None) -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per command name (None: the whole parser), kept for the
+# process's later main calls; a name is stored only once a call parsed.
+_PARSERS = {}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a command comes first; after an option such as --help or "--" the
     # whole parser is built
-    parser = build_parser(argv[0] if argv and not argv[0].startswith("-") else None)
+    only = argv[0] if argv and not argv[0].startswith("-") else None
+    parser = _PARSERS.get(only) or build_parser(only)
     args = parser.parse_args(argv)
+    _PARSERS[only] = parser
     if hasattr(args, "family"):  # commands with a channel-source choice
         unread = _unread_source_flags(args)
         if unread:

@@ -11,6 +11,12 @@ the simulator's leakage joints): numpy's pairwise sum adds its terms, with
 error of order log2(width) * eps, a few ulps of the ``fsum`` value (tests
 allow 1e-14 bits), and bit-identical for a given row on one machine and
 numpy build.
+
+Mass validation gives the verdict and message of an ``fsum`` total for
+every row.  A wide row is first screened by its numpy sum, whose error
+bound is far inside the screen's margin, so only rows the screen cannot
+clear are summed with ``fsum``.  The conditional kernel stacks all its
+conditioning slabs and makes one pass over them.
 """
 
 from __future__ import annotations
@@ -27,15 +33,45 @@ class PmfError(ValueError):
     """Raised when an array fails probability-mass validation."""
 
 
+# Rows wider than this many cells are summed in numpy, which is slower on a
+# lone narrow row.  Best of 7 x 200 calls on a 2-vCPU x86-64 VM, fsum loop
+# against numpy: 8.3 against 9.2 us for one row of 64 cells, 23.9 against
+# 9.9 us for one of 128, and 3,716 against 87 us for 60 rows of 512.
+_WIDE_ROW_CELLS = 64
+
+# numpy sums each row of a C-ordered (G, n) array pairwise: 8 running sums
+# over blocks of at most 128 cells, halved recursively above that.  Each
+# term is rounded at most 24 + ceil(log2(n / 128)) times, so a row of n <=
+# 2**27 nonnegative cells sums to within 5e-15 * sum of its exact sum.  The
+# mass screen's margin is 20 times that, and it stays above the bound for
+# any row numpy can allocate.
+_SCREEN_MARGIN = 1e-13
+
+
 def _validate_rows(rows: np.ndarray) -> None:
     """Probability-mass checks on each row of a 2-D array: every entry is
-    finite and nonnegative, and each row sums to 1 within MASS_TOL."""
+    finite and nonnegative, and each row sums to 1 within MASS_TOL.
+
+    The verdicts and messages are those of each row's ``math.fsum`` total.
+    A row of more than ``_WIDE_ROW_CELLS`` cells is screened first: one
+    numpy row sum over a C-ordered copy (pairwise, see ``_SCREEN_MARGIN``)
+    clears a row whose sum lies within MASS_TOL - ``_SCREEN_MARGIN`` of 1.
+    Its exact total is then within MASS_TOL of 1 and fsum's would pass, so
+    only the rows the screen leaves (a non-finite or off sum) are summed
+    with fsum, in order, and checked as before."""
     if rows.size < 1:
         raise PmfError("empty probability array")
     if not (rows >= 0.0).all():  # also false for NaN
         if np.isnan(rows).any():
             raise PmfError("non-finite probability entry")
         raise PmfError("negative probability entry: min=%r" % float(rows.min()))
+    if rows.shape[1] > _WIDE_ROW_CELLS:
+        with np.errstate(over="ignore"):  # an overflowing row goes to fsum
+            sums = np.ascontiguousarray(rows).sum(axis=1)
+        unclear = np.abs(sums - 1.0) > MASS_TOL - _SCREEN_MARGIN  # also inf
+        if not unclear.any():
+            return
+        rows = rows[unclear]
     try:
         totals = list(map(math.fsum, rows.tolist()))
     except OverflowError:  # fsum's partial sums left the float range
@@ -100,13 +136,6 @@ def _as_array(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
-# Rows wider than this many cells are summed in numpy, which is slower on a
-# lone narrow row.  Best of 7 x 200 calls on a 2-vCPU x86-64 VM, fsum loop
-# against numpy: 8.3 against 9.2 us for one row of 64 cells, 23.9 against
-# 9.9 us for one of 128, and 3,716 against 87 us for 60 rows of 512.
-_WIDE_ROW_CELLS = 64
-
-
 def _entropy_rows(stack: np.ndarray) -> list:
     """Shannon entropy in bits, 0*log(0) = 0, of each row of a (G, ...)
     array.
@@ -168,18 +197,21 @@ def mutual_information_rows(joints: np.ndarray) -> list:
 
 def conditional_mutual_information_rows(joints: np.ndarray) -> list:
     """I(A;B|C) for each validated three-axis joint of a (G, A, B, C) stack,
-    conditioning on the last axis: the fsum over c of p(c) I(A;B|C=c)."""
-    g = joints.shape[0]
+    conditioning on the last axis: the fsum over c of p(c) I(A;B|C=c).
+
+    All G*C slabs p(a,b,c) go to one C-ordered (G*C, A, B) copy, so one fsum
+    pass gives every p(c), one division the p(a,b|c) and one ``_mi_rows``
+    call every I(A;B|C=c).  The copy is C-ordered whatever the layout of
+    ``joints``, so numpy sums each slab's marginals in the same order as a
+    lone C-ordered slab, and a row's result does not depend on its stack."""
+    g, a, b, c = joints.shape
     _validate_rows(joints.reshape(g, -1))
-    terms = [[] for _ in range(g)]
-    for c in range(joints.shape[3]):
-        slab = joints[:, :, :, c]
-        pc = [math.fsum(row) for row in slab.reshape(g, -1).tolist()]
-        scale = np.array([p if p > 0.0 else 1.0 for p in pc])
-        for row, p, mi in zip(terms, pc, _mi_rows(slab / scale[:, None, None])):
-            if p > 0.0:
-                row.append(p * mi)
-    return [math.fsum(row) for row in terms]
+    slabs = np.ascontiguousarray(joints.transpose(0, 3, 1, 2)).reshape(g * c, a, b)
+    pc = list(map(math.fsum, slabs.reshape(g * c, -1).tolist()))
+    scale = np.array([p if p > 0.0 else 1.0 for p in pc])
+    mis = _mi_rows(slabs / scale[:, None, None])
+    return [math.fsum([p * mi for p, mi in zip(pc[k:k + c], mis[k:k + c]) if p > 0.0])
+            for k in range(0, g * c, c)]
 
 
 def mutual_information(joint) -> float:

@@ -541,6 +541,28 @@ def test_help_and_usage_errors_match_the_whole_parser(argv, capsys):
     assert built.value.code == whole.value.code
 
 
+def test_main_reuses_one_parser_per_command(degraded_channel_file, tmp_path,
+                                            monkeypatch):
+    built = []
+
+    def counting_build_parser(only=None):
+        built.append(only)
+        return build_parser(only)
+
+    monkeypatch.setattr(skagree.cli, "_PARSERS", {}, raising=False)
+    monkeypatch.setattr(skagree.cli, "build_parser", counting_build_parser)
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        assert main(["upper-bound", "--channel", degraded_channel_file,
+                     "--out", str(out)]) == 0
+    assert built == ["upper-bound"]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    # an unknown command is refused and leaves no parser behind
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert list(skagree.cli._PARSERS) == ["upper-bound"]
+
+
 def test_imports_and_an_upper_bound_load_no_scipy():
     # pyproject.toml declares numpy as the only dependency
     code = ("import sys\n"

@@ -23,6 +23,7 @@ from skagree import (
     RatePoint,
     degraded_capacity,
     entropy,
+    is_degraded,
     joint_distribution,
     marginal_channel,
     maximize_over_inputs,
@@ -328,6 +329,25 @@ class TestStrongAchievability:
         rng = np.random.default_rng(58)
         res = strong_achievability_bound(random_binary_channel(rng), UNIFORM)
         assert res.conditional_form is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_identity_gap_is_a_channel_error(self, seed):
+        # Z = Y, except that the (s,x,y) = (0,0,0) cell of mass 0.9e-9 sends
+        # y=0 to z=1: is_degraded skips that cell, yet at p = (1, 0) the
+        # difference form reads about -2.5e-8 against a conditional form of
+        # a few 1e-9 at most
+        pxy = np.random.default_rng(seed).dirichlet(np.ones(4), size=2).reshape(2, 2, 2)
+        pxy[0, 0, 0] = 0.0
+        pxy[0] *= (1.0 - 0.9e-9) / pxy[0].sum()
+        tr = np.zeros((2, 2, 2, 2))
+        for y in range(2):
+            tr[:, :, y, y] = pxy[:, :, y]
+        tr[0, 0, 0, 1] = 0.9e-9
+        ch = DiscreteBroadcastChannel(tr, np.zeros(2))
+        assert is_degraded(ch)
+        with pytest.raises(ChannelError, match=r"difference form -2\.\d+e-08 vs "
+                           r"conditional form \d.*DEGRADED_TOL = 1e-09"):
+            strong_achievability_bound(ch, Pmf(np.array([1.0, 0.0])))
 
     def test_maximum_over_inputs_matches_capacity(self):
         rng = np.random.default_rng(59)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +15,13 @@ from skagree import (
     entropy,
     mutual_information,
 )
+from skagree import probability
 from skagree.probability import (
+    _SCREEN_MARGIN,
     _WIDE_ROW_CELLS,
+    MASS_TOL,
     _entropy_rows,
+    _validate_rows,
     conditional_mutual_information_rows,
     mutual_information_rows,
 )
@@ -241,12 +246,23 @@ class TestBatchedKernels:
             assert np.abs(np.subtract(entropies, loop_entropies)).max() <= WIDE_TOL
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 3), (9, 2, 2), (3, 10, 4),
-                                       (2, 3, 9)])
+                                       (2, 3, 9), (4, 9, 2), (2, 16, 3), (12, 5, 2)])
     def test_conditional_mutual_information_rows(self, shape):
         stack = self.joints(np.random.default_rng(shape), shape, 20)
+        if shape[2] > 1:  # a joint with a zero-mass slab
+            stack[0, :, :, 0] = 0.0
+            stack[0] /= math.fsum(stack[0].ravel().tolist())
+        want = [_loop_cmi(j) for j in stack]
         rows = conditional_mutual_information_rows(stack)
-        assert rows == [_loop_cmi(j) for j in stack]
+        assert rows == want
         assert rows == [conditional_mutual_information(j) for j in stack]
+        # one joint alone (G = 1), an F-ordered stack, and rate_split's
+        # transposed view of (c, a, b)-ordered data give the same bits
+        assert [conditional_mutual_information_rows(j[None])[0] for j in stack] == want
+        assert conditional_mutual_information_rows(np.asfortranarray(stack)) == want
+        view = np.ascontiguousarray(stack.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
+        assert conditional_mutual_information_rows(view) == want
+        assert [conditional_mutual_information(j) for j in view] == want
 
 
 class TestWideRows:
@@ -293,3 +309,154 @@ class TestWideRows:
                           for _ in range(30)])
         assert _entropy_rows(stack) == [_loop_entropy(j) for j in stack]
         assert [entropy(j) for j in stack] == [_loop_entropy(j) for j in stack]
+
+
+def _fsum_validate(rows):
+    """_validate_rows without the wide-row screen: every row's fsum total."""
+    if rows.size < 1:
+        raise PmfError("empty probability array")
+    if not (rows >= 0.0).all():
+        if np.isnan(rows).any():
+            raise PmfError("non-finite probability entry")
+        raise PmfError("negative probability entry: min=%r" % float(rows.min()))
+    try:
+        totals = list(map(math.fsum, rows.tolist()))
+    except OverflowError:
+        raise PmfError("total mass overflows a float") from None
+    for total in totals:
+        if abs(total - 1.0) > MASS_TOL:
+            raise PmfError("total mass %.17g deviates from 1 by more than %g"
+                           % (total, MASS_TOL))
+
+
+def _verdict(check, arg):
+    """None if check(arg) passes, else the type and text of what it raised."""
+    try:
+        check(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _first_failing_total(outward):
+    """The float total nearest 1 on the ``outward`` side that fails."""
+    t = 1.0
+    while abs(t - 1.0) <= MASS_TOL:
+        t = float(np.nextafter(t, outward))
+    return t
+
+
+class TestMassScreen:
+    """_validate_rows screens wide rows with a numpy sum; every verdict and
+    message must be the fsum loop's."""
+
+    EDGES = [_first_failing_total(2.0), _first_failing_total(0.0)]
+    BAND = MASS_TOL - _SCREEN_MARGIN
+    # 1 +- MASS_TOL (1 +- 1e-6), the floats on each side of the MASS_TOL
+    # boundary, and just inside and outside the screen's band
+    TOTALS = [1.0, 1.0 + MASS_TOL * (1 + 1e-6), 1.0 + MASS_TOL * (1 - 1e-6),
+              1.0 - MASS_TOL * (1 + 1e-6), 1.0 - MASS_TOL * (1 - 1e-6),
+              *EDGES, *(float(np.nextafter(t, 1.0)) for t in EDGES),
+              1.0 + BAND * (1 - 1e-3), 1.0 + BAND * (1 + 1e-3),
+              1.0 - BAND * (1 - 1e-3), 1.0 - BAND * (1 + 1e-3)]
+
+    @staticmethod
+    def row_with_total(rng, width, total):
+        """width cells, multiples of 2**-55, whose exact sum is ``total``."""
+        k = int(total * 2**55)
+        assert k == total * 2**55
+        cuts = np.sort(rng.integers(0, k, width - 1))
+        row = np.diff(np.concatenate([[0], cuts, [k]])).astype(float) * 2.0**-55
+        assert math.fsum(row.tolist()) == total
+        return row
+
+    def agree(self, rows):
+        want = _verdict(_fsum_validate, rows)
+        assert _verdict(_validate_rows, rows) == want
+        return want
+
+    @pytest.mark.parametrize("width", [65, 4096])
+    def test_totals_near_the_tolerance_and_the_screen_band(self, width):
+        rng = np.random.default_rng(width)
+        good = np.stack([self.row_with_total(rng, width, 1.0) for _ in range(3)])
+        verdicts = set()
+        for total in self.TOTALS:
+            row = self.row_with_total(rng, width, total)
+            verdicts.add(self.agree(row[None]))
+            # a failing row after passing ones, and passing ones after it
+            stack = np.concatenate([good[:2], row[None], good[2:]])
+            self.agree(stack)
+            self.agree(np.asfortranarray(stack))
+            self.agree(np.ascontiguousarray(stack.T).T)
+            self.agree(stack[::-1])
+            assert _verdict(Pmf, row) == _verdict(_fsum_validate, row[None])
+        assert None in verdicts and len(verdicts) > 2  # passes and failures
+
+    @pytest.mark.parametrize("width", [65, 4096])
+    def test_rounded_sum_on_the_wrong_side(self, width):
+        # rows of random cells whose fsum total is the first float past the
+        # tolerance, but whose numpy sum rounds back inside it: only the
+        # screen's margin sends them to fsum
+        rng = np.random.default_rng(width + 3)
+        for total in self.EDGES:
+            found = 0
+            for _ in range(400):
+                row = rng.dirichlet(np.full(width, 0.5)) * total
+                while math.fsum(row.tolist()) != total:
+                    row[row.argmax()] += total - math.fsum(row.tolist())
+                if abs(row.sum() - 1.0) <= MASS_TOL:
+                    found += 1
+                    assert "deviates" in self.agree(row[None])[1]
+                    if found == 3:
+                        break
+            assert found == 3
+
+    @pytest.mark.parametrize("width", [65, 4096])
+    def test_first_failing_row_is_reported(self, width):
+        rng = np.random.default_rng(width + 1)
+        totals = (1.0, 1.0 + 2e-12, 1.0, 1.0 - 3e-12)
+        rows = np.stack([self.row_with_total(rng, width, t) for t in totals])
+        assert "mass %.17g deviates" % totals[1] in self.agree(rows)[1]
+        assert "mass %.17g deviates" % totals[3] in self.agree(rows[::-1])[1]
+
+    @pytest.mark.parametrize("width", [65, 4096])
+    def test_bad_entries(self, width):
+        rng = np.random.default_rng(width + 2)
+        good = self.row_with_total(rng, width, 1.0)
+        overflow = np.zeros(width)
+        overflow[[3, -2]] = 1e308
+        infinite = good.copy()
+        infinite[5] = math.inf
+        nan = good.copy()
+        nan[-1] = math.nan
+        negative = good.copy()
+        negative[7] = -negative[7]
+        for bad, text in ((overflow, "overflows"), (infinite, "inf deviates"),
+                          (nan, "non-finite"), (negative, "negative")):
+            for rows in (bad[None], np.stack([good, bad]), np.stack([bad, good])):
+                assert text in self.agree(rows)[1]
+                self.agree(np.asfortranarray(rows))
+            assert _verdict(Pmf, bad) == _verdict(_fsum_validate, bad[None])
+
+    def test_pmf_of_65_cells(self):
+        rng = np.random.default_rng(65)
+        for total in self.TOTALS:
+            row = self.row_with_total(rng, 65, total)
+            assert _verdict(Pmf, row) == _verdict(_fsum_validate, row[None])
+            assert _verdict(JointPmf, row.reshape(5, 13)) \
+                == _verdict(_fsum_validate, row[None])
+
+    def test_cleared_rows_skip_fsum(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        rows = np.stack([self.row_with_total(rng, 65, 1.0) for _ in range(40)])
+
+        def fsum(values):
+            raise AssertionError("fsum called")
+
+        monkeypatch.setattr(probability, "math", SimpleNamespace(fsum=fsum))
+        _validate_rows(rows)
+        _validate_rows(np.asfortranarray(rows))
+        # narrow rows are not screened
+        narrow = rows[:, :_WIDE_ROW_CELLS]
+        with pytest.raises(AssertionError, match="fsum called"):
+            _validate_rows(narrow / narrow.sum(axis=1, keepdims=True))
