@@ -36,6 +36,15 @@ _STACK_CELLS = 2**14
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _TABLE_BITS = 62    # code sizes in the int64 codebook and bin tables
 _FLOAT_BITS = 1023  # code sizes in the float ensemble bounds
+# numpy's SeedSequence hash constants (entropy mixing, then generate_state)
+# and PCG64's 128-bit LCG multiplier, for the codebook streams.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_CHILD_LIMIT = 2**32  # a child index below this is one spawn-key word
 
 
 class BudgetError(ValueError):
@@ -166,12 +175,112 @@ def _top_bits(raw: np.ndarray, first_half: int, count: int, bits: int):
     return halves.reshape(len(raw), -1)[:, skip:skip + count]
 
 
-def _draw_tables(seeds, cdf: np.ndarray, n: int, num_m: int, width: int,
-                 num_k: int, num_phi: int):
-    """Stacked tables of one code per seed: (C, |M|, n) codewords and
-    (C, |M|*width) key and public bins, all int64.
+def _hash_keys(h: int, mult: int, count: int):
+    """(XOR, multiplier) uint32 arrays of count successive SeedSequence
+    hashes from the hash constant h: each hash XORs in the current constant,
+    steps it to constant * mult mod 2^32 and multiplies by the result."""
+    keys = [h]
+    for _ in range(count):
+        keys.append(keys[-1] * mult & _MASK32)
+    return (np.array(keys[:-1], dtype=np.uint32),
+            np.array(keys[1:], dtype=np.uint32))
 
-    Code c reads raw words w from PCG64(seeds[c]).random_raw, in order:
+
+def _hash(value, xor, mult):
+    """numpy's SeedSequence hash of value with one (xor, multiplier) pair,
+    mod 2^32; on ints or uint32 arrays alike."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """numpy's SeedSequence mix of two 32-bit words; on ints or uint32
+    arrays alike."""
+    value = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _words(value) -> list:
+    """The uint32 words a SeedSequence reads from an entropy value or spawn
+    key: an int as its 32-bit words, least significant first (0 is one
+    word), a uint32 array as its elements, any other sequence as its items'
+    words in turn."""
+    if isinstance(value, np.ndarray) and value.dtype == np.uint32:
+        return value.tolist()
+    if isinstance(value, str):
+        raise ValueError("seed entropy must be ints, not the string %r" % value)
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        return [value >> shift & _MASK32
+                for shift in range(0, max(value.bit_length(), 1), 32)]
+    return [word for item in value for word in _words(item)]
+
+
+def _spawn_prefix(seq: np.random.SeedSequence):
+    """What every child of seq shares of numpy's entropy mixing: the pool
+    and hash constant after all of a child's entropy words but its last,
+    the child index.  A child's words are seq's entropy words, padded with
+    zeros to the pool size, then the words of seq's spawn key and of its
+    index; the pool takes the first pool-size words, is mixed within, and
+    every later word is hashed into each pool word in turn."""
+    run = _words(seq.entropy)
+    words = run + [0] * (seq.pool_size - len(run)) + _words(seq.spawn_key)
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        xor, h = h, h * _MULT_A & _MASK32
+        return _hash(value, xor, h)
+
+    pool = [hashmix(word) for word in words[:seq.pool_size]]
+    for src in range(len(pool)):
+        for dst in range(len(pool)):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[seq.pool_size:]:
+        for dst in range(len(pool)):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return np.array(pool, dtype=np.uint32), h
+
+
+def _child_pools(prefix, first: int, count: int) -> np.ndarray:
+    """(count, pool size) uint32 pools of the children first .. first +
+    count - 1 of the SeedSequence whose _spawn_prefix is prefix: each
+    index, one word below 2^32, hashed into every pool word."""
+    pool, h = prefix
+    xor, mult = _hash_keys(h, _MULT_A, len(pool))
+    index = np.arange(first, first + count).astype(np.uint32)[:, None]
+    return _mix(pool, _hash(index, xor, mult))
+
+
+def _pcg64_states(pools: np.ndarray) -> list:
+    """The .state of np.random.PCG64(s) for each SeedSequence s whose pool
+    is a row of pools.  s.generate_state(4, np.uint64) hashes the pool words
+    cyclically into 8 uint32 words, read as little-endian uint64 pairs
+    (initstate high, low, initseq high, low); PCG64's seeding then sets
+    inc = 2*initseq + 1 and state = (inc + initstate) * mult + inc, mod
+    2^128."""
+    xor, mult = _hash_keys(_INIT_B, _MULT_B, 8)
+    words = _hash(pools[:, np.arange(8) % pools.shape[1]], xor, mult)
+    seeds = words.astype("<u4", order="C").view("<u8")
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in seeds.tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _draw_tables(bit_gen: np.random.PCG64, states, cdf: np.ndarray, n: int,
+                 num_m: int, width: int, num_k: int, num_phi: int):
+    """Stacked tables of one code per PCG64 state: (C, |M|, n) codewords and
+    (C, |M|*width) key and public bins, all int64.  bit_gen is set to each
+    state in turn, so one bit generator reads every stream.
+
+    Code c reads raw words w from the stream that starts at states[c], in
+    order:
     - |M|*n words give the doubles (w >> 11) * 2**-53, and the codewords are
       cdf.searchsorted(doubles, side="right") in row order;
     - then the key table, then the public table, each of |M|*width entries
@@ -186,20 +295,29 @@ def _draw_tables(seeds, cdf: np.ndarray, n: int, num_m: int, width: int,
     The codewords and the tables of 32 bits or fewer come from one
     random_raw block per code.  A wider table is its own block, shifted in
     place, so no table is a view of a block and a block is freed on return:
-    the peak memory is the tables plus at most one table-sized block.
-    At the installed NumPy this is exactly what default_rng(seeds[c]) draws
-    as random((|M|, n)) (through the cdf, as Generator.choice does), then
-    integers(0, |K|) and integers(0, |Phi|): PCG64 buffers the unused high
+    the peak memory is the tables plus at most one table-sized block.  A
+    later block sets the state again and advances past the words before it.
+    With the states of _pcg64_states this is exactly, at the installed
+    NumPy, what default_rng(seed) draws for the seed that gave the state:
+    random((|M|, n)) (through the cdf, as Generator.choice does), then
+    integers(0, |K|) and integers(0, |Phi|).  PCG64 buffers the unused high
     half of a word for the next 32-bit draw, and Lemire's method never
     rejects at a power-of-two size.  TestSampler pins the equality.
     """
     entries = num_m * width
     bits = [size.bit_length() - 1 for size in (num_k, num_phi)]
-    streams = [np.random.PCG64(seed) for seed in seeds]
+    done = 0  # words each stream has read
 
     def draw(words):
         """The next `words` raw words of every stream, as a (C, words) array."""
-        blocks = [bg.random_raw(words) for bg in streams]
+        nonlocal done
+        blocks = []
+        for state in states:
+            bit_gen.state = state
+            if done:
+                bit_gen.advance(done)
+            blocks.append(bit_gen.random_raw(words))
+        done += words
         # a single code's block is used as drawn: a copy would double its peak
         return blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
 
@@ -209,12 +327,12 @@ def _draw_tables(seeds, cdf: np.ndarray, n: int, num_m: int, width: int,
     raw = draw(num_m * n + (narrow * entries + 1) // 2)
     half = 2 * num_m * n  # index in raw of the next half-word to read
     doubles = (raw[:, :num_m * n] >> 11) * 2.0**-53
-    codewords = cdf.searchsorted(doubles.reshape(len(seeds), num_m, n),
+    codewords = cdf.searchsorted(doubles.reshape(len(states), num_m, n),
                                  side="right").astype(np.int64, copy=False)
     tables = []
     for b in bits:
         if b == 0:
-            table = np.zeros((len(seeds), entries), dtype=np.uint64)
+            table = np.zeros((len(states), entries), dtype=np.uint64)
         elif b <= 32:
             if half is None:  # after a wider table
                 raw, half = draw((entries + 1) // 2), 0
@@ -228,12 +346,15 @@ def _draw_tables(seeds, cdf: np.ndarray, n: int, num_m: int, width: int,
     return codewords, tables[0], tables[1]
 
 
-def _check_seed(seed):
-    """Refuse a Generator or BitGenerator seed: a raw draw cannot take up
-    such a generator's position."""
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """seed itself if it is a SeedSequence, else SeedSequence(seed).  A
+    Generator or BitGenerator seed raises ValueError: a raw draw cannot take
+    up such a generator's position."""
     if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
         raise ValueError("seed must be None, an int, a sequence of ints or a "
                          "SeedSequence, not %s" % type(seed).__name__)
+    return seed if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
 
 
 def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
@@ -241,19 +362,23 @@ def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
     """Draw a codebook and both binning tables; deterministic given seed.
 
     seed is what np.random.PCG64 takes: None, an int, a sequence of ints or
-    a SeedSequence.  The code reads raw PCG64(seed) words in the order
-    _draw_tables describes: |M|*n doubles for the codewords (through the
-    input's cdf), then the key bins, then the public bins.  At the
-    installed NumPy the tables equal default_rng(seed).random((|M|, n))
-    through Generator.choice's cdf, then integers(0, |K|) and
-    integers(0, |Phi|); TestSampler pins this.  A Generator or BitGenerator
-    seed raises ValueError (_check_seed).  ensemble_average draws each of
-    its codebooks the same way.
+    a SeedSequence.  The code reads the raw words of the PCG64 stream that
+    np.random.PCG64(seed) would start, its state computed from
+    SeedSequence(seed).pool (_pcg64_states), in the order _draw_tables
+    describes: |M|*n doubles for the codewords (through the input's cdf),
+    then the key bins, then the public bins.  At the installed NumPy the
+    tables equal default_rng(seed).random((|M|, n)) through
+    Generator.choice's cdf, then integers(0, |K|) and integers(0, |Phi|);
+    TestSampler pins this.  A Generator or BitGenerator seed raises
+    ValueError (_seed_sequence).  ensemble_average draws each of its
+    codebooks the same way.
     """
-    _check_seed(seed)
+    seq = _seed_sequence(seed)
     num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp)
-    codewords, key, pub = _draw_tables([seed], _input_cdf(inp), n, num_m,
-                                       width, num_k, num_phi)
+    states = _pcg64_states(seq.pool[None])
+    codewords, key, pub = _draw_tables(np.random.PCG64(0), states,
+                                       _input_cdf(inp), n, num_m, width,
+                                       num_k, num_phi)
     return SecretKeyCode(codewords=codewords[0],
                          key_bins=key.reshape(num_m, width),
                          public_bins=pub.reshape(num_m, width),
@@ -579,30 +704,42 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
 
     Returns (avg_error, avg_leakage, check) where check carries the bounds,
     the 3*sigma/sqrt(N) slack terms, per-codebook rows, and pass verdicts.
-    Codebook i is drawn from child i of seed.spawn(num_codebooks) (seed
-    wrapped in a SeedSequence if it is not one) exactly as generate_code
-    draws it: raw PCG64(child) words for |M|*n codeword doubles, then the
-    key bins, then the public bins, in the order _draw_tables describes;
-    at the installed NumPy these equal default_rng(child).random and
-    .integers, which TestSampler pins.  The codebooks are drawn straight
-    into stacked tables and evaluated in stacks of about _STACK_CELLS cells;
-    every per-codebook row equals exact_evaluate on generate_code(...,
-    child i).
+    seed is wrapped in a SeedSequence if it is not one.  Codebook i is
+    drawn from its child n_children_spawned + i, the child that
+    seed.spawn would give, exactly as generate_code draws from that child:
+    raw PCG64 words for |M|*n codeword doubles, then the key bins, then the
+    public bins, in the order _draw_tables describes; at the installed
+    NumPy these equal default_rng(child).random and .integers, which
+    TestSampler pins.  The children are not spawned: each stack's PCG64
+    states come from the seed's public attributes in one pass
+    (_spawn_prefix, _child_pools, _pcg64_states), and one bit generator
+    reads them all.  So a SeedSequence seed is read but not advanced, and
+    two calls with one SeedSequence draw the same codebooks.  A child index
+    must stay below 2^32 (a larger one needs a second spawn-key word), else
+    ValueError.  The codebooks are drawn straight into stacked tables and
+    evaluated in stacks of about _STACK_CELLS cells; every per-codebook row
+    equals exact_evaluate on generate_code(..., child i).
     """
     if num_codebooks < 1:
         raise ValueError("num_codebooks must be >= 1")
-    _check_seed(seed)
+    seq = _seed_sequence(seed)
     num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp)
     cells = _enumeration_cells(channel, n, num_m * width, num_k, num_phi)
     stack = max(1, _STACK_CELLS // cells)
-    seq = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    children = seq.spawn(num_codebooks)
+    first = seq.n_children_spawned
+    if first + num_codebooks > _CHILD_LIMIT:
+        raise ValueError(
+            "codebooks need SeedSequence children %d to %d, past the limit "
+            "of child indices below 2^32" % (first, first + num_codebooks - 1))
+    prefix = _spawn_prefix(seq)
+    bit_gen = np.random.PCG64(0)
     cdf = _input_cdf(inp)
     rows = []
     for lo in range(0, num_codebooks, stack):
-        codewords, key, pub = _draw_tables(children[lo:lo + stack], cdf, n,
-                                           num_m, width, num_k, num_phi)
+        states = _pcg64_states(_child_pools(
+            prefix, first + lo, min(stack, num_codebooks - lo)))
+        codewords, key, pub = _draw_tables(bit_gen, states, cdf, n, num_m,
+                                           width, num_k, num_phi)
         _check_bins(key, num_k, pub, num_phi)
         rows += _evaluate_stack(channel, codewords, key, pub, num_k, num_phi)
     errors = np.array([r[0] for r in rows])

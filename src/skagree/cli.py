@@ -43,8 +43,9 @@ def _parse_grid(spec: str):
 
 
 def _parse_n_range(spec: str):
-    """Blocklengths 'a:b' (a..b inclusive) or a comma list; each must be >= 1
-    and the list must not be empty."""
+    """Blocklengths 'a:b' (a..b inclusive) or a comma list; each must be >= 1,
+    the list must not be empty and no blocklength may repeat (simulate keys
+    its sidecar by n)."""
     if ":" in spec:
         a, b = spec.split(":")
         n_list = list(range(int(a), int(b) + 1))
@@ -54,6 +55,10 @@ def _parse_n_range(spec: str):
         raise ValueError("--n %r lists no blocklength" % spec)
     if min(n_list) < 1:
         raise ValueError("blocklength must be >= 1, got %d" % min(n_list))
+    repeated = sorted({n for n in n_list if n_list.count(n) > 1})
+    if repeated:
+        raise ValueError("--n %r repeats blocklength %s"
+                         % (spec, ", ".join(map(str, repeated))))
     return n_list
 
 
@@ -298,6 +303,9 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be a non-negative integer, got %d"
+                         % args.seed)
     channel = _resolve_discrete_channel(args)
     inp = _sim_input(args, channel)
     rates = expo.RatePoint(r_sk=args.rsk_rate, r_phi=args.rphi_rate, r_m=args.rm_rate)

@@ -244,6 +244,11 @@ def choice_tables(seed, s_size, probs, num_m, n, width, num_k, num_phi):
     return codewords, key_bins, public_bins
 
 
+def pcg64_states(seeds):
+    """The states numpy's own PCG64 seeding gives, as _draw_tables takes them."""
+    return [np.random.PCG64(seed).state for seed in seeds]
+
+
 class TestSampler:
     # (input probabilities, |X|, n, rates): a zero-probability letter at
     # |S| = 2 and 3, Bern(0) and Bern(1), |M| > 1, n up to 6
@@ -265,8 +270,8 @@ class TestSampler:
         width = x_size**n
         children = np.random.SeedSequence(len(probs) * 100 + n).spawn(40)
         codewords, key, pub = binning_sim._draw_tables(
-            children, binning_sim._input_cdf(inp), n, num_m, width, num_k,
-            num_phi)
+            np.random.PCG64(0), pcg64_states(children),
+            binning_sim._input_cdf(inp), n, num_m, width, num_k, num_phi)
         assert codewords.dtype == key.dtype == pub.dtype == np.int64
         assert num_m > 1
         for c, child in enumerate(children):
@@ -304,8 +309,8 @@ class TestSampler:
         width = x_size**n
         children = np.random.SeedSequence([n, num_k, num_phi]).spawn(20)
         stacked = binning_sim._draw_tables(
-            children, binning_sim._input_cdf(inp), n, num_m, width, num_k,
-            num_phi)
+            np.random.PCG64(0), pcg64_states(children),
+            binning_sim._input_cdf(inp), n, num_m, width, num_k, num_phi)
         for c, child in enumerate(children):
             expect = choice_tables(child, len(probs), inp.probs, num_m, n, width,
                                    num_k, num_phi)
@@ -359,6 +364,106 @@ class TestSampler:
         monkeypatch.setattr(binning_sim, "ENUM_BUDGET", 511)
         with pytest.raises(BudgetError, match="enumeration needs 512 cells"):
             ensemble_average(ch, UNIFORM, 4, RATES, 4, seed=1)
+
+    # entropy values: one-word, two-word and three-word ints, OS entropy,
+    # a list with multi-word elements and a uint32 array
+    ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30, None,
+                 [2**40 + 3, 7, 2**70], np.array([7, 2**31, 0], dtype=np.uint32)]
+
+    @pytest.mark.parametrize("entropy", ENTROPIES, ids=[
+        "0", "1", "2^32-1", "2^32", "2^64+5", "10^30", "None", "list",
+        "uint32-array"])
+    def test_derived_streams_equal_spawned_children(self, entropy):
+        for spawn_key, pool_size, spawned in product(
+                [(), (3,), (2**33 + 1, 4)], [4, 8], [0, 7]):
+            seq = np.random.SeedSequence(entropy, spawn_key=spawn_key,
+                                         pool_size=pool_size,
+                                         n_children_spawned=spawned)
+            children = np.random.SeedSequence(
+                seq.entropy, spawn_key=spawn_key, pool_size=pool_size,
+                n_children_spawned=spawned).spawn(6)
+            states = binning_sim._pcg64_states(binning_sim._child_pools(
+                binning_sim._spawn_prefix(seq), spawned, 6))
+            bit_gen = np.random.PCG64(0)
+            for state, child in zip(states, children, strict=True):
+                bit_gen.state = state
+                assert (bit_gen.random_raw(9)
+                        == np.random.PCG64(child).random_raw(9)).all()
+            # generate_code's path: a seed sequence's own pool
+            assert binning_sim._pcg64_states(seq.pool[None]) == [
+                np.random.PCG64(seq).state]
+            assert seq.n_children_spawned == spawned
+
+    def test_child_index_limit(self, monkeypatch):
+        ch = random_binary_channel(np.random.default_rng(103))
+        seq = np.random.SeedSequence(1, n_children_spawned=2**32 - 1)
+        last = np.random.SeedSequence(1, spawn_key=(2**32 - 1,))
+        row = reference_exact(generate_code(ch, 2, RATES, UNIFORM, last), ch)
+        assert ensemble_average(ch, UNIFORM, 2, RATES, 1, seq)[2][
+            "per_codebook"] == [row]
+
+        def no_draws(*args):
+            raise AssertionError("tables drawn before the child index check")
+
+        monkeypatch.setattr(binning_sim, "_draw_tables", no_draws)
+        with pytest.raises(ValueError, match=r"children 4294967295 to "
+                                             r"4294967296.*below 2\^32"):
+            ensemble_average(ch, UNIFORM, 2, RATES, 2, seq)
+
+    def test_seed_sequence_is_read_not_advanced(self):
+        ch = random_binary_channel(np.random.default_rng(104))
+        for spawned in (0, 7):
+            seq = np.random.SeedSequence(11, n_children_spawned=spawned)
+            first = ensemble_average(ch, UNIFORM, 3, RATES, 5, seq)[2]
+            second = ensemble_average(ch, UNIFORM, 3, RATES, 5, seq)[2]
+            assert seq.n_children_spawned == spawned
+            assert first["per_codebook"] == second["per_codebook"]
+            children = np.random.SeedSequence(
+                11, n_children_spawned=spawned).spawn(5)
+            assert first["per_codebook"] == [
+                reference_exact(generate_code(ch, 3, RATES, UNIFORM, child), ch)
+                for child in children]
+
+    def test_equivalent_seeds_draw_equal_rows(self):
+        ch = random_binary_channel(np.random.default_rng(105))
+        rows = [ensemble_average(ch, UNIFORM, 3, RATES, 6, seed)[2]["per_codebook"]
+                for seed in (5, np.random.SeedSequence(5), [5],
+                             np.random.SeedSequence([5]))]
+        assert rows[0] == rows[1] == rows[2] == rows[3]
+        codes = [generate_code(ch, 3, RATES, UNIFORM, seed).key_bins
+                 for seed in (5, np.random.SeedSequence(5), [5])]
+        assert (codes[0] == codes[1]).all() and (codes[0] == codes[2]).all()
+
+    def test_string_entropy_refused(self):
+        ch = random_binary_channel(np.random.default_rng(106))
+        with pytest.raises(ValueError, match="not the string"):
+            ensemble_average(ch, UNIFORM, 2, RATES, 2,
+                             np.random.SeedSequence(["10"]))
+
+    def test_one_bit_generator_and_no_spawn_per_ensemble(self, monkeypatch):
+        # the per-code seeding cost as a count: 60 codebooks in 8 stacks
+        # build one PCG64 and spawn no SeedSequence child
+        calls = {"PCG64": 0, "spawn": 0}
+        pcg64 = np.random.PCG64
+
+        def counting_pcg64(*args, **kwargs):
+            calls["PCG64"] += 1
+            return pcg64(*args, **kwargs)
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                calls["spawn"] += 1
+                return super().spawn(n_children)
+
+        ch = random_binary_channel(np.random.default_rng(107))
+        cells = 2 * 2**2 * 2**2  # |M| * |X|^n * |Y|^n at n=2
+        monkeypatch.setattr(binning_sim, "_STACK_CELLS", 8 * cells)
+        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        for seed in (3, CountingSeedSequence(3)):
+            calls.update(PCG64=0, spawn=0)
+            ensemble_average(ch, UNIFORM, 2, RATES, 60, seed)
+            assert calls["PCG64"] <= 1 and calls["spawn"] == 0
 
 
 class TestMlMapDecode:

@@ -223,7 +223,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("n_spec,message", [
         ("0", "blocklength must be >= 1"), ("0:2", "blocklength must be >= 1"),
-        ("3:1", "lists no blocklength")])
+        ("3:1", "lists no blocklength"), ("2,2", "repeats blocklength 2")])
     def test_bad_blocklengths_exit_2(self, degraded_channel_file, tmp_path,
                                      capsys, n_spec, message):
         out = tmp_path / "s.csv"
@@ -292,7 +292,7 @@ class TestVerifyBounds:
                "max_rel_leakage_identity_gap": worst_f, "verdict": "pass"}
         assert out.read_text() == json.dumps(doc, indent=2) + "\n"
 
-    @pytest.mark.parametrize("n_spec", ["0", "2,0", "5:4"])
+    @pytest.mark.parametrize("n_spec", ["0", "2,0", "5:4", "2,2"])
     def test_bad_blocklengths_exit_2(self, degraded_channel_file, tmp_path,
                                      capsys, n_spec):
         out = tmp_path / "v.json"
@@ -329,6 +329,16 @@ class TestErrorHandling:
         assert main(argv + ["--channel", degraded_channel_file, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    def test_negative_seed_exit_2(self, degraded_channel_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--channel", degraded_channel_file,
+                   "--rsk-rate", "0.25", "--rphi-rate", "0.75", "--rm-rate", "0.25",
+                   "--n", "2", "--codebooks", "3", "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: --seed must be a non-negative integer, got -1\n")
 
     def test_nan_channel_exit_2(self, tmp_path, degraded_channel_file, capsys):
         doc = json.loads(open(degraded_channel_file).read())
