@@ -30,8 +30,12 @@ TABLE_BUDGET = 2**24  # most binning-table entries, |M|*|X|^n, of one code
 ENUM_BUDGET = 2**26   # most enumeration cells of one code
 _DECODE_BLOCK_CELLS = 2**22  # Monte-Carlo decodes at most this many cells at once
 # ensemble_average evaluates its codes in stacks of at most this many cells
-# (one code may exceed it); a stack's score tensors and leakage joint, and so
-# peak RSS, grow with it.
+# (one code may exceed it).  A stack holds a float score store, reused for
+# the y- and then the z-scores, and a scratch store of the same size for the
+# partial products, the error mask and the leakage index (_evaluate_stack),
+# plus its bin-winner tables and leakage joint; so peak RSS grows with it.
+# The stores are one _Workspace, made by one ensemble_average call and
+# reused by each of its stacks.
 _STACK_CELLS = 2**14
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _TABLE_BITS = 62    # code sizes in the int64 codebook and bin tables
@@ -148,7 +152,15 @@ def _enumeration_cells(channel: DiscreteBroadcastChannel, n: int, m_x: int,
                        num_k: int, num_phi: int) -> int:
     """Cells one code's enumeration needs: its (m, x^n, y^n) and (m, x^n, z^n)
     score tables, m_x = |M|*|X|^n rows each, and its (k, phi, z^n) leakage
-    joint.  Raises BudgetError when that is over ENUM_BUDGET."""
+    joint.  Raises BudgetError when that is over ENUM_BUDGET.
+
+    The evaluation holds two stores of 8 bytes per cell of the wider score
+    table (_evaluate_stack): 1 GiB at ENUM_BUDGET = 2^26 score cells.
+    Without them the peak was 17 bytes per cell, 1088 MiB: the y-scores, an
+    int64 K_B gather and a bool mask, then the z-scores and an int64 leakage
+    index.  Either way a public bin holding most rows adds up to a
+    cells-sized copy for its argmax, and a leakage joint larger than the
+    score tables adds itself and its entropy terms."""
     Y, Z = channel.alphabet_sizes[2:]
     cells = max(m_x * Y**n, m_x * Z**n, num_k * num_phi * Z**n)
     if cells > ENUM_BUDGET:
@@ -401,21 +413,79 @@ def index_sequence(idx: int, base: int, n: int) -> np.ndarray:
     return out
 
 
+class _Workspace:
+    """Scratch memory that one call reuses from stack to stack: the stores
+    "scores" and "scratch", the two ends of one byte buffer.  One buffer, not
+    two: two large blocks freed together at the top of the heap let the C
+    allocator return their pages to the system, and the next call faults
+    them in again.  A larger buffer replaces the buffer when a stack asks a
+    store for more than it holds.  array() views a store as an array that
+    is not initialized, so a caller writes every cell before it reads it.
+    Views of one store over the same bytes share them, so a caller uses
+    such views one at a time.  A view made before the buffer was replaced
+    keeps the old one."""
+
+    def __init__(self):
+        self._sizes = {"scores": 0, "scratch": 0}
+        self._buffer = np.empty(0, dtype=np.uint8)
+
+    def reserve(self, **nbytes: int):
+        """Make each named store hold at least the given number of bytes."""
+        if any(size > self._sizes[name] for name, size in nbytes.items()):
+            for name, size in nbytes.items():
+                # whole cache lines, so "scratch" starts aligned for any dtype
+                self._sizes[name] = max(self._sizes[name], -(-size // 64) * 64)
+            self._buffer = None  # freed before its successor is allocated
+            self._buffer = np.empty(sum(self._sizes.values()), dtype=np.uint8)
+
+    def array(self, name: str, shape, dtype=np.float64, offset: int = 0):
+        """An uninitialized C-contiguous array of the given shape and dtype
+        over the bytes of the store name from offset on."""
+        dtype = np.dtype(dtype)
+        end = offset + math.prod(shape) * dtype.itemsize
+        if end > self._sizes[name]:
+            self.reserve(**{name: end})
+        if name == "scratch":
+            offset += self._sizes["scores"]
+        return np.ndarray(shape, dtype, self._buffer, offset)
+
+
 def _stacked_likelihoods(codewords: np.ndarray, table: np.ndarray,
-                         outputs: np.ndarray):
+                         outputs: np.ndarray, work: Optional[_Workspace] = None):
     """(C, |M|*|X|^n, D) array of prod_i table[s_i(m), x_i, outputs[i, d]]
     for each code of a (C, |M|, n) codeword stack, rows (m, x^n) in
     lexicographic order.  The product runs left to right over i and the
     result is C-contiguous: both fix the bits of the sums taken over it.
+
+    The result is a view of work's "scores" store (of a fresh workspace if
+    work is None).  The partial products alternate between the "scores"
+    and "scratch" stores, starting in whichever makes the last one land in
+    "scores", so "scratch" holds at most 1/|X| of the result.  Each is
+    written in full before the next step reads it.
     """
+    work = _Workspace() if work is None else work
     num_codes, num_m, n = codewords.shape
-    num_cols = outputs.shape[1]
-    letters = codewords.reshape(num_codes * num_m, n)
-    scores = table[letters[:, 0]].take(outputs[0], axis=2)  # (C*M, X, D)
+    X, num_cols = table.shape[1], outputs.shape[1]
+    rows = num_codes * num_m
+    letters = codewords.reshape(rows, n)
+    size = rows * num_cols
+    # The product of letters 0..i has size * X^(i+1) cells and goes to
+    # flats[(n - 1 - i) % 2], so the last one lands in "scores".
+    work.reserve(scores=8 * size * X**n,
+                 scratch=8 * size * X**(n - 1) if n > 1 else 0)
+    flats = (work.array("scores", (size * X**n,)),
+             work.array("scratch", (size * X**(n - 1),)) if n > 1 else None)
+    scores = flats[(n - 1) % 2][:size * X].reshape(rows, X, num_cols)
+    # letters and outputs index in range, so "clip" never clips; it spares
+    # the copy of out that the default mode makes
+    table.take(outputs[0], axis=2).take(letters[:, 0], axis=0, out=scores,
+                                        mode="clip")
     for i in range(1, n):
-        letter = table[letters[:, i]].take(outputs[i], axis=2)
-        scores = (scores[:, :, None, :] * letter[:, None, :, :]).reshape(
-            num_codes * num_m, -1, num_cols)
+        letter = table.take(outputs[i], axis=2)[letters[:, i]]  # (C*M, X, D)
+        product = flats[(n - 1 - i) % 2][:size * X**(i + 1)].reshape(
+            rows, X**i, X, num_cols)
+        np.multiply(scores[:, :, None, :], letter[:, None, :, :], out=product)
+        scores = product.reshape(rows, -1, num_cols)
     return scores.reshape(num_codes, -1, num_cols)
 
 
@@ -443,9 +513,12 @@ def _likelihoods(code: SecretKeyCode, table: np.ndarray, outputs: np.ndarray):
     return _stacked_likelihoods(code.codewords[None], table, outputs)[0]
 
 
-def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int):
+def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int,
+                         work: Optional[_Workspace] = None):
     """(C, num_public, columns) array: the winning row of each code's bins
     per column, for (C, rows, columns) scores and (C, rows) public bins.
+    Each bin's candidate scores are copied to work's "scratch" store (of a
+    fresh workspace if work is None), which must not hold scores.
 
     Each bin takes the first maximum over its own rows in their original
     order (smallest m, then lexicographically smallest x^n); an empty bin
@@ -474,10 +547,14 @@ def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int):
     pad = np.arange(slots.shape[2]) >= counts[:, :, None]
     flat = scores.reshape(num_codes * num_rows, num_cols)
     best = np.zeros((num_codes, num_public, num_cols), dtype=np.intp)
+    work = _Workspace() if work is None else work
+    store = work.array("scratch", (num_codes * max(widths) * num_cols,))
     for phi, width in enumerate(widths):
         if width == 0:
             continue
-        cand = flat.take(slots[:, phi, :width], axis=0)  # (C, width, columns)
+        # the store's first cells, as (C, width, columns)
+        cand = np.ndarray((num_codes, width, num_cols), store.dtype, store)
+        flat.take(slots[:, phi, :width], axis=0, out=cand, mode="clip")  # in range
         if padded[phi]:
             cand[pad[:, phi, :width]] = -1.0
         cand.argmax(axis=1, out=best[:, phi])
@@ -513,35 +590,53 @@ def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
 
 
 def _evaluate_stack(channel: DiscreteBroadcastChannel, codewords: np.ndarray,
-                    key: np.ndarray, pub: np.ndarray, num_k: int, num_phi: int):
+                    key: np.ndarray, pub: np.ndarray, num_k: int, num_phi: int,
+                    work: Optional[_Workspace] = None):
     """[(error, leakage)] of each code of a stack, by full enumeration: (C,
     |M|, n) codewords and (C, |M|*|X|^n) key and public bins, rows (m, x^n)
-    in lexicographic order, of codes with |K| = num_k and |Phi| = num_phi."""
-    Y, Z = channel.alphabet_sizes[2:]
+    in lexicographic order, of codes with |K| = num_k and |Phi| = num_phi.
+
+    work (a fresh _Workspace if None) holds two stores of 8 bytes per cell
+    of the wider score table: "scores", for the y- and then the z-scores,
+    and "scratch", for in turn the partial products of the y-scores, the
+    K_B gather and error mask, the partial products of the z-scores and the
+    leakage index."""
+    work = _Workspace() if work is None else work
+    X, Y, Z = channel.alphabet_sizes[1:]
     num_codes, num_m, n = codewords.shape
     code_idx = np.arange(num_codes)[:, None]
+    cells = key.size * max(Y**n, Z**n)  # of the wider score table
+    work.reserve(scores=8 * cells, scratch=8 * cells)
 
     # Decode table: K_B for every (code, phi, y^n).
     score_y = _stacked_likelihoods(codewords, marginal_channel(channel, "xy"),
-                                   np.indices((Y,) * n).reshape(n, -1))
-    winners = _stacked_bin_winners(score_y, pub, num_phi)
-    k_b = key[code_idx[:, :, None], winners]
+                                   np.indices((Y,) * n).reshape(n, -1), work)
+    winners = _stacked_bin_winners(score_y, pub, num_phi, work)
+    narrow = np.min_scalar_type(num_k - 1)  # holds every key index
+    k_b = key[code_idx[:, :, None], winners].astype(narrow)
     del winners
-    # In-place products keep the peak memory at one (C, m_x, Y^n) float array.
-    np.multiply(score_y, key[:, :, None] != k_b[code_idx, pub], out=score_y)
+    # The K_B of each row's public bin, then the error mask, in "scratch"
+    # (the bins are in range, so "clip" only spares a copy of out).
+    gather = work.array("scratch", score_y.shape, narrow)
+    np.take(k_b.reshape(-1, Y**n), (pub + num_phi * code_idx).ravel(), axis=0,
+            out=gather.reshape(-1, Y**n), mode="clip")
+    mask = work.array("scratch", score_y.shape, bool, offset=gather.nbytes)
+    np.not_equal(key.astype(narrow)[:, :, None], gather, out=mask)
+    np.multiply(score_y, mask, out=score_y)
     errors = [float(scores.sum() / num_m) for scores in score_y]
-    del score_y, k_b
+    del score_y, gather, mask
 
     # Exact joint of (K_A, Phi, Z^n) for the leakage, one block per code.
     score_z = _stacked_likelihoods(codewords, marginal_channel(channel, "xz"),
-                                   np.indices((Z,) * n).reshape(n, -1))
+                                   np.indices((Z,) * n).reshape(n, -1), work)
     score_z /= num_m
     code_cells = num_k * num_phi
     cell = key * num_phi + pub + code_cells * code_idx
-    joint = np.bincount((cell[:, :, None] * Z**n + np.arange(Z**n)).ravel(),
-                        weights=score_z.ravel(),
+    index = work.array("scratch", score_z.shape, np.intp)
+    np.add((cell * Z**n)[:, :, None], np.arange(Z**n), out=index)
+    joint = np.bincount(index.ravel(), weights=score_z.ravel(),
                         minlength=num_codes * code_cells * Z**n)
-    del score_z, cell
+    del score_z, index, work  # a workspace made here is freed before the MI
     leaks = mutual_information_rows(joint.reshape(num_codes, num_k, -1))
     return list(zip(errors, leaks))
 
@@ -718,7 +813,10 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
     must stay below 2^32 (a larger one needs a second spawn-key word), else
     ValueError.  The codebooks are drawn straight into stacked tables and
     evaluated in stacks of about _STACK_CELLS cells; every per-codebook row
-    equals exact_evaluate on generate_code(..., child i).
+    equals exact_evaluate on generate_code(..., child i).  The stacks share
+    one workspace, made by this call and dropped when it returns: a float
+    score store and a scratch store, sized by the first stack, the largest
+    (_evaluate_stack).
     """
     if num_codebooks < 1:
         raise ValueError("num_codebooks must be >= 1")
@@ -734,6 +832,7 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
     prefix = _spawn_prefix(seq)
     bit_gen = np.random.PCG64(0)
     cdf = _input_cdf(inp)
+    work = _Workspace()
     rows = []
     for lo in range(0, num_codebooks, stack):
         states = _pcg64_states(_child_pools(
@@ -741,7 +840,8 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
         codewords, key, pub = _draw_tables(bit_gen, states, cdf, n, num_m,
                                            width, num_k, num_phi)
         _check_bins(key, num_k, pub, num_phi)
-        rows += _evaluate_stack(channel, codewords, key, pub, num_k, num_phi)
+        rows += _evaluate_stack(channel, codewords, key, pub, num_k, num_phi,
+                                work)
     errors = np.array([r[0] for r in rows])
     leaks = np.array([r[1] for r in rows])
     avg_error = float(errors.mean())

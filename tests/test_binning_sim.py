@@ -25,8 +25,11 @@ from skagree import (
 )
 from skagree import binning_sim
 from skagree.binning_sim import (
+    _Workspace,
     _bin_winners,
+    _evaluate_stack,
     _likelihoods,
+    _stacked_likelihoods,
     _size_bits,
     index_sequence,
     minimize_error_bound,
@@ -813,7 +816,8 @@ class TestStackedBitIdentity:
     # (sizes (S, X, Y, Z), quantized, n, (r_sk, r_phi, r_m), codebooks).
     # |M| > 1 in most cases; r_phi > log2|X| + r_m leaves public bins empty;
     # at n=5 with binary letters a stack holds 16 codes, so 37 codebooks
-    # cross two stack boundaries; n=6 at |M|=4 is one code per stack.
+    # cross two stack boundaries; n=6 at |M|=4 and n=8 at |M|=8 are one code
+    # per stack, so the second stack reuses the first one's workspace.
     CASES = [
         ((2, 2, 2, 2), False, 1, (0.5, 1.0, 1.0), 40),
         ((3, 2, 3, 2), False, 3, (0.4, 0.7, 0.4), 9),
@@ -825,6 +829,7 @@ class TestStackedBitIdentity:
         ((2, 2, 2, 2), False, 4, (0.25, 0.5, 0.25), 1),
         ((2, 2, 2, 2), True, 5, (0.2, 0.6, 0.0), 37),
         ((2, 2, 2, 2), False, 6, (0.2, 0.5, 0.2), 3),
+        ((2, 2, 2, 2), False, 8, (0.1, 0.6, 0.3), 2),
     ]
 
     def test_rows_match_per_code_reference(self):
@@ -861,3 +866,80 @@ class TestStackedBitIdentity:
         expect = [reference_exact(generate_code(ch, 3, rates, inp, child), ch)
                   for child in np.random.SeedSequence(5).spawn(8)]
         assert rows[0] == expect
+
+
+class TestWorkspace:
+    """A workspace left over from earlier stacks gives the bits of a fresh
+    one: every cell of it is written before it is read."""
+
+    @staticmethod
+    def poison(work):
+        # all-ones bytes read as NaN floats, True masks and index -1
+        work._buffer.fill(255)
+
+    @staticmethod
+    def codes(channel, n, rates, count, seed):
+        return [generate_code(channel, n, rates, Pmf.uniform(2), child)
+                for child in np.random.SeedSequence(seed).spawn(count)]
+
+    @staticmethod
+    def stack(codes):
+        """(codewords, key, pub, |K|, |Phi|) of codes of one size, stacked."""
+        return (np.stack([c.codewords for c in codes]),
+                np.stack([c.key_bins.ravel() for c in codes]),
+                np.stack([c.public_bins.ravel() for c in codes]),
+                codes[0].num_keys, codes[0].num_public)
+
+    def test_stale_workspace_gives_fresh_bits(self):
+        # n = 1 has no product step; n = 2 and 3 start the alternating
+        # products in either store.  The ternary channel (|Y| = 2, |Z| = 3)
+        # sizes the stores by Z^n, and its n = 4 call leaves a workspace
+        # larger than any later call needs.
+        rng = np.random.default_rng(112)
+        channel = ternary_channel(rng)
+        rates = RatePoint(r_sk=0.5, r_phi=1.0, r_m=0.5)
+        leftover = _Workspace()
+        _evaluate_stack(channel, *self.stack(self.codes(channel, 4, rates, 3, 0)),
+                        leftover)
+        for n in (1, 2, 3):
+            codes = self.codes(channel, n, rates, 4, n)
+            codewords, key, pub, num_k, num_phi = self.stack(codes)
+            outputs = np.indices((3,) * n).reshape(n, -1)
+            table = marginal_channel(channel, "xz")
+            expect = _stacked_likelihoods(codewords, table, outputs)
+            rows = _evaluate_stack(channel, codewords, key, pub, num_k, num_phi)
+            assert rows == [reference_exact(code, channel) for code in codes]
+            reused = _Workspace()
+            _evaluate_stack(channel, codewords, key, pub, num_k, num_phi, reused)
+            for work in (reused, leftover):
+                self.poison(work)
+                got = _stacked_likelihoods(codewords, table, outputs, work)
+                assert got.tobytes() == expect.tobytes(), n
+                self.poison(work)
+                assert _evaluate_stack(channel, codewords, key, pub, num_k,
+                                       num_phi, work) == rows, n
+
+    def test_one_workspace_per_ensemble_call(self, monkeypatch):
+        # 6 codebooks in stacks of 2: one workspace, whose buffer is
+        # allocated once, for the first stack, and never replaced
+        made, buffers = [], []
+
+        class CountingWorkspace(_Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+            def reserve(self, **nbytes):
+                super().reserve(**nbytes)
+                if not any(b is self._buffer for b in buffers):
+                    buffers.append(self._buffer)
+
+        ch = random_binary_channel(np.random.default_rng(113))
+        cells = 2 * 2**3 * 2**3  # |M| * |X|^n * |Y|^n at n=3
+        monkeypatch.setattr(binning_sim, "_STACK_CELLS", 2 * cells)
+        monkeypatch.setattr(binning_sim, "_Workspace", CountingWorkspace)
+        rows = ensemble_average(ch, UNIFORM, 3, RATES, 6, 4)[2]["per_codebook"]
+        assert len(made) == 1 and len(buffers) == 1
+        expect = [reference_exact(generate_code(ch, 3, RATES, UNIFORM, child), ch)
+                  for child in np.random.SeedSequence(4).spawn(6)]
+        assert rows == expect
