@@ -32,11 +32,16 @@ _DECODE_BLOCK_CELLS = 2**22  # Monte-Carlo decodes at most this many cells at on
 # ensemble_average evaluates its codes in stacks of at most this many cells
 # (one code may exceed it).  A stack holds a float score store, reused for
 # the y- and then the z-scores, and a scratch store of the same size for the
-# partial products, the error mask and the leakage index (_evaluate_stack),
-# plus its bin-winner tables and leakage joint; so peak RSS grows with it.
-# The stores are one _Workspace, made by one ensemble_average call and
-# reused by each of its stacks.
+# partial products, the bin winners' loop tables, the error mask and the
+# leakage index (_evaluate_stack), plus its slot and winner tables and
+# leakage joint; so peak RSS grows with it.  The stores are one _Workspace,
+# made by one ensemble_average call and reused by each of its stacks.
+# "scratch" is larger when the loop by rank's tables need more
+# (_stacked_bin_winners): 3x at n=5, |Phi| = 32 and |M|*|X|^n = 32.
 _STACK_CELLS = 2**14
+# bytes per (code, bin, column) cell of _stacked_bin_winners' loop by rank:
+# float64 best and candidate scores, intp winning ranks and a bool mask
+_RANK_CELL_BYTES = 25
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _TABLE_BITS = 62    # code sizes in the int64 codebook and bin tables
 _FLOAT_BITS = 1023  # code sizes in the float ensemble bounds
@@ -158,9 +163,16 @@ def _enumeration_cells(channel: DiscreteBroadcastChannel, n: int, m_x: int,
     table (_evaluate_stack): 1 GiB at ENUM_BUDGET = 2^26 score cells.
     Without them the peak was 17 bytes per cell, 1088 MiB: the y-scores, an
     int64 K_B gather and a bool mask, then the z-scores and an int64 leakage
-    index.  Either way a public bin holding most rows adds up to a
-    cells-sized copy for its argmax, and a leakage joint larger than the
-    score tables adds itself and its entropy terms."""
+    index.  Either way the bin winners add their own tables
+    (_stacked_bin_winners): a loop by bin over a public bin holding most
+    rows adds up to a cells-sized copy for its argmax; a loop by rank puts
+    25 bytes per (phi, y^n) cell in "scratch", which outgrow its 8 bytes
+    per score cell when |Phi| exceeds about a third of m_x.  A leakage joint
+    larger than the score tables adds itself and its entropy terms.  By
+    tracemalloc, one binary n=9 code at rates (0.1, 1.0, 0.3), |Phi| = 512
+    bins of 4,096 rows, decoded by rank, peaks at 36.4 MB, 18.2 bytes per
+    score cell (36.3 MB by bin); at r_phi = 1.4, |Phi| = 8,192, it peaks at
+    184 MB against 140 MB by bin."""
     Y, Z = channel.alphabet_sizes[2:]
     cells = max(m_x * Y**n, m_x * Z**n, num_k * num_phi * Z**n)
     if cells > ENUM_BUDGET:
@@ -513,18 +525,40 @@ def _likelihoods(code: SecretKeyCode, table: np.ndarray, outputs: np.ndarray):
     return _stacked_likelihoods(code.codewords[None], table, outputs)[0]
 
 
+def _by_rank(max_width: int, bins: int) -> bool:
+    """Whether _stacked_bin_winners loops over ranks: its fullest bin has
+    fewer rows than there are bins holding a row in some code."""
+    return max_width < bins
+
+
 def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int,
                          work: Optional[_Workspace] = None):
     """(C, num_public, columns) array: the winning row of each code's bins
     per column, for (C, rows, columns) scores and (C, rows) public bins.
-    Each bin's candidate scores are copied to work's "scratch" store (of a
-    fresh workspace if work is None), which must not hold scores.
+    The loop's tables are views of work's "scratch" store (of a fresh
+    workspace if work is None), which must not hold scores.
 
     Each bin takes the first maximum over its own rows in their original
     order (smallest m, then lexicographically smallest x^n); an empty bin
-    falls back to row 0 (first message, all-zero sequence).  The loop runs
-    over bins: a code with fewer rows in a bin than the fullest code is
-    padded with its row 0 at score -1, which never wins (scores are >= 0).
+    falls back to row 0 (first message, all-zero sequence).  A slot table
+    lists each (code, bin)'s rows by rank, rank j being its j-th row in
+    that order, padded to the fullest bin's width W.  The loop runs over
+    whichever axis of it is shorter (_by_rank):
+
+    - By bin, when W is at least the number of bins that hold a row in
+      some code.  Each bin's (C, width, columns) candidates are copied to
+      "scratch" and reduced by argmax, which takes the first maximum.  A
+      code with fewer rows in the bin than the fullest code is padded with
+      its row 0 at score -1, which never wins (scores are >= 0).
+    - By rank, otherwise.  The rank-0 scores of every (code, bin) start a
+      (C*num_public, columns) table of the best scores; each later rank is
+      taken in one gather and replaces the best only where it is strictly
+      greater, so the first maximum wins.  A bin shorter than W is padded
+      with its own first row, which never beats itself, and an empty bin
+      with its code's row 0, which is then its only row.  "scratch" holds
+      the best and candidate scores, the winning ranks and a bool mask: 25
+      bytes per (code, bin, column) cell.  _evaluate_stack sizes it for
+      them; a smaller store grows on demand.
     """
     num_codes, num_rows, num_cols = scores.shape
     code_idx = np.arange(num_codes)[:, None]
@@ -538,29 +572,62 @@ def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int,
     starts = np.cumsum(counts) - counts
     counts = counts.reshape(num_codes, num_public)
     widths = counts.max(axis=0).tolist()
-    padded = (counts.min(axis=0) < counts.max(axis=0)).tolist()
+    by_rank = _by_rank(max(widths), num_public - widths.count(0))
+    if by_rank:  # each bin's first row, or its code's row 0 if it is empty
+        fill = np.where(counts > 0, order[np.minimum(starts, order.size - 1)]
+                        .reshape(num_codes, num_public), base)
+    else:
+        fill = base
     # slots[c, phi, j]: flat index of the j-th row of code c in bin phi
-    slots = np.broadcast_to(base[:, :, None],
+    slots = np.broadcast_to(fill[:, :, None],
                             (num_codes, num_public, max(widths))).copy()
     slots.reshape(num_codes * num_public, -1)[
         keys, np.arange(keys.size) - starts[keys]] = order
-    pad = np.arange(slots.shape[2]) >= counts[:, :, None]
     flat = scores.reshape(num_codes * num_rows, num_cols)
-    best = np.zeros((num_codes, num_public, num_cols), dtype=np.intp)
     work = _Workspace() if work is None else work
-    store = work.array("scratch", (num_codes * max(widths) * num_cols,))
-    for phi, width in enumerate(widths):
-        if width == 0:
-            continue
-        # the store's first cells, as (C, width, columns)
-        cand = np.ndarray((num_codes, width, num_cols), store.dtype, store)
-        flat.take(slots[:, phi, :width], axis=0, out=cand, mode="clip")  # in range
-        if padded[phi]:
-            cand[pad[:, phi, :width]] = -1.0
-        cand.argmax(axis=1, out=best[:, phi])
+    if by_rank:
+        best = _rank_winners(flat, slots.reshape(num_codes * num_public, -1),
+                             work).reshape(num_codes, num_public, num_cols)
+    else:
+        padded = (counts.min(axis=0) < counts.max(axis=0)).tolist()
+        pad = np.arange(slots.shape[2]) >= counts[:, :, None]
+        best = np.zeros((num_codes, num_public, num_cols), dtype=np.intp)
+        store = work.array("scratch", (num_codes * max(widths) * num_cols,))
+        for phi, width in enumerate(widths):
+            if width == 0:
+                continue
+            # the store's first cells, as (C, width, columns)
+            cand = np.ndarray((num_codes, width, num_cols), store.dtype, store)
+            flat.take(slots[:, phi, :width], axis=0, out=cand, mode="clip")  # in range
+            if padded[phi]:
+                cand[pad[:, phi, :width]] = -1.0
+            cand.argmax(axis=1, out=best[:, phi])
     winners = np.take_along_axis(slots, best, axis=2)
     winners -= base[:, :, None]
     return winners
+
+
+def _rank_winners(flat: np.ndarray, slots: np.ndarray, work: _Workspace):
+    """(bins, columns) array of the rank of each bin's first maximum per
+    column, for flat (rows, columns) scores and (bins, W) slots, as views
+    of work's "scratch" store (_stacked_bin_winners' loop by rank)."""
+    num_bins, width = slots.shape
+    cells = num_bins * flat.shape[1]
+    work.reserve(scratch=_RANK_CELL_BYTES * cells)
+    best = work.array("scratch", (num_bins, flat.shape[1]))
+    cand = work.array("scratch", best.shape, offset=8 * cells)
+    rank = work.array("scratch", best.shape, np.intp, offset=16 * cells)
+    better = work.array("scratch", best.shape, bool, offset=24 * cells)
+    rank_slots = slots.T.copy()  # each rank's slots, contiguous
+    # the slots index in range, so "clip" only spares a copy of out
+    flat.take(rank_slots[0], axis=0, out=best, mode="clip")
+    rank.fill(0)
+    for j in range(1, width):
+        flat.take(rank_slots[j], axis=0, out=cand, mode="clip")
+        np.greater(cand, best, out=better)
+        np.maximum(best, cand, out=best)
+        np.copyto(rank, j, where=better)
+    return rank
 
 
 def _bin_winners(scores: np.ndarray, pub_flat: np.ndarray, num_public: int):
@@ -589,28 +656,42 @@ def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
     return m_hat, index_sequence(x_idx, X, code.n)
 
 
-def _evaluate_stack(channel: DiscreteBroadcastChannel, codewords: np.ndarray,
-                    key: np.ndarray, pub: np.ndarray, num_k: int, num_phi: int,
+def _score_tables(channel: DiscreteBroadcastChannel, n: int):
+    """((p(x,y|s), y^n), (p(x,z|s), z^n)): the letter table and the
+    (n, |Y|^n) or (n, |Z|^n) output sequences, in lexicographic order, of
+    the y- and the z-scores of blocklength-n codes (_evaluate_stack)."""
+    Y, Z = channel.alphabet_sizes[2:]
+    return ((marginal_channel(channel, "xy"), np.indices((Y,) * n).reshape(n, -1)),
+            (marginal_channel(channel, "xz"), np.indices((Z,) * n).reshape(n, -1)))
+
+
+def _evaluate_stack(tables, codewords: np.ndarray, key: np.ndarray,
+                    pub: np.ndarray, num_k: int, num_phi: int,
                     work: Optional[_Workspace] = None):
     """[(error, leakage)] of each code of a stack, by full enumeration: (C,
     |M|, n) codewords and (C, |M|*|X|^n) key and public bins, rows (m, x^n)
-    in lexicographic order, of codes with |K| = num_k and |Phi| = num_phi.
+    in lexicographic order, of codes with |K| = num_k and |Phi| = num_phi,
+    with the channel's _score_tables at n.
 
     work (a fresh _Workspace if None) holds two stores of 8 bytes per cell
     of the wider score table: "scores", for the y- and then the z-scores,
     and "scratch", for in turn the partial products of the y-scores, the
-    K_B gather and error mask, the partial products of the z-scores and the
-    leakage index."""
+    bin winners' tables, the K_B gather and error mask, the partial
+    products of the z-scores and the leakage index.  "scratch" is larger
+    where a loop by rank (_stacked_bin_winners) needs more: 25 bytes per
+    (code, phi, y^n) cell."""
     work = _Workspace() if work is None else work
-    X, Y, Z = channel.alphabet_sizes[1:]
-    num_codes, num_m, n = codewords.shape
+    (table_y, y_seqs), (table_z, z_seqs) = tables
+    y_cols, z_cols = y_seqs.shape[1], z_seqs.shape[1]
+    num_codes, num_m, _ = codewords.shape
     code_idx = np.arange(num_codes)[:, None]
-    cells = key.size * max(Y**n, Z**n)  # of the wider score table
-    work.reserve(scores=8 * cells, scratch=8 * cells)
+    cells = key.size * max(y_cols, z_cols)  # of the wider score table
+    # scratch also fits the tables of a loop by rank, which can be larger
+    work.reserve(scores=8 * cells, scratch=max(
+        8 * cells, _RANK_CELL_BYTES * num_codes * num_phi * y_cols))
 
     # Decode table: K_B for every (code, phi, y^n).
-    score_y = _stacked_likelihoods(codewords, marginal_channel(channel, "xy"),
-                                   np.indices((Y,) * n).reshape(n, -1), work)
+    score_y = _stacked_likelihoods(codewords, table_y, y_seqs, work)
     winners = _stacked_bin_winners(score_y, pub, num_phi, work)
     narrow = np.min_scalar_type(num_k - 1)  # holds every key index
     k_b = key[code_idx[:, :, None], winners].astype(narrow)
@@ -618,24 +699,24 @@ def _evaluate_stack(channel: DiscreteBroadcastChannel, codewords: np.ndarray,
     # The K_B of each row's public bin, then the error mask, in "scratch"
     # (the bins are in range, so "clip" only spares a copy of out).
     gather = work.array("scratch", score_y.shape, narrow)
-    np.take(k_b.reshape(-1, Y**n), (pub + num_phi * code_idx).ravel(), axis=0,
-            out=gather.reshape(-1, Y**n), mode="clip")
+    np.take(k_b.reshape(-1, y_cols), (pub + num_phi * code_idx).ravel(), axis=0,
+            out=gather.reshape(-1, y_cols), mode="clip")
     mask = work.array("scratch", score_y.shape, bool, offset=gather.nbytes)
     np.not_equal(key.astype(narrow)[:, :, None], gather, out=mask)
     np.multiply(score_y, mask, out=score_y)
-    errors = [float(scores.sum() / num_m) for scores in score_y]
+    # one pairwise sum per code's contiguous scores, as score_y[c].sum()
+    errors = (score_y.reshape(num_codes, -1).sum(axis=1) / num_m).tolist()
     del score_y, gather, mask
 
     # Exact joint of (K_A, Phi, Z^n) for the leakage, one block per code.
-    score_z = _stacked_likelihoods(codewords, marginal_channel(channel, "xz"),
-                                   np.indices((Z,) * n).reshape(n, -1), work)
+    score_z = _stacked_likelihoods(codewords, table_z, z_seqs, work)
     score_z /= num_m
     code_cells = num_k * num_phi
     cell = key * num_phi + pub + code_cells * code_idx
     index = work.array("scratch", score_z.shape, np.intp)
-    np.add((cell * Z**n)[:, :, None], np.arange(Z**n), out=index)
+    np.add((cell * z_cols)[:, :, None], np.arange(z_cols), out=index)
     joint = np.bincount(index.ravel(), weights=score_z.ravel(),
-                        minlength=num_codes * code_cells * Z**n)
+                        minlength=num_codes * code_cells * z_cols)
     del score_z, index, work  # a workspace made here is freed before the MI
     leaks = mutual_information_rows(joint.reshape(num_codes, num_k, -1))
     return list(zip(errors, leaks))
@@ -648,8 +729,9 @@ def exact_evaluate(code: SecretKeyCode,
     _enumeration_cells(channel, code.n, code.key_bins.size, code.num_keys,
                        code.num_public)
     (error, leakage), = _evaluate_stack(
-        channel, code.codewords[None], code.key_bins.reshape(1, -1),
-        code.public_bins.reshape(1, -1), code.num_keys, code.num_public)
+        _score_tables(channel, code.n), code.codewords[None],
+        code.key_bins.reshape(1, -1), code.public_bins.reshape(1, -1),
+        code.num_keys, code.num_public)
     Y = channel.alphabet_sizes[2]
     return SimReport(error_probability=error, leakage_bits=leakage,
                      method="exact", trials=code.key_bins.size * Y**code.n)
@@ -832,6 +914,7 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
     prefix = _spawn_prefix(seq)
     bit_gen = np.random.PCG64(0)
     cdf = _input_cdf(inp)
+    tables = _score_tables(channel, n)
     work = _Workspace()
     rows = []
     for lo in range(0, num_codebooks, stack):
@@ -840,7 +923,7 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
         codewords, key, pub = _draw_tables(bit_gen, states, cdf, n, num_m,
                                            width, num_k, num_phi)
         _check_bins(key, num_k, pub, num_phi)
-        rows += _evaluate_stack(channel, codewords, key, pub, num_k, num_phi,
+        rows += _evaluate_stack(tables, codewords, key, pub, num_k, num_phi,
                                 work)
     errors = np.array([r[0] for r in rows])
     leaks = np.array([r[1] for r in rows])

@@ -47,7 +47,7 @@ from .channels import (
     joint_distribution,
     marginal_channel,
 )
-from .probability import Pmf, entropy
+from .probability import Pmf, _entropy_rows
 
 ALPHA_MIN = 1e-6
 
@@ -301,11 +301,16 @@ def positivity_thresholds(channel: DiscreteBroadcastChannel, inp: Pmf):
     p_s = p_sy.sum(axis=1)
     p_y = p_sy.sum(axis=0)
     p_z = p_sz.sum(axis=0)
-    h_s, h_sy, h_sz = entropy(p_s), entropy(p_sy), entropy(p_sz)
-    h_x_given_ys = entropy(p_sxy) - h_sy
-    h_x_given_zs = entropy(p_sxz) - h_sz
-    i_sy = h_s + entropy(p_y) - h_sy
-    i_sz = h_s + entropy(p_z) - h_sz
+
+    def h(m):
+        # the marginals of a validated joint need no validation of their own
+        return _entropy_rows(m.reshape(1, -1))[0]
+
+    h_s, h_sy, h_sz = h(p_s), h(p_sy), h(p_sz)
+    h_x_given_ys = h(p_sxy) - h_sy
+    h_x_given_zs = h(p_sxz) - h_sz
+    i_sy = h_s + h(p_y) - h_sy
+    i_sz = h_s + h(p_z) - h_sz
     return h_x_given_ys - i_sy, h_x_given_zs - i_sz
 
 

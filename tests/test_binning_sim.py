@@ -29,6 +29,7 @@ from skagree.binning_sim import (
     _bin_winners,
     _evaluate_stack,
     _likelihoods,
+    _score_tables,
     _stacked_likelihoods,
     _size_bits,
     index_sequence,
@@ -526,6 +527,107 @@ class TestMlMapDecode:
             mlmap_decode(code, ch, [0, 1, 0], code.num_public)
 
 
+def first_maximum_oracle(scores, pub, num_public):
+    """(C, num_public, columns) winners by an explicit scan: the first row,
+    in row order, of maximal score in each code's bin per column, and row 0
+    for a bin the code leaves empty."""
+    num_codes, num_rows, num_cols = scores.shape
+    out = np.zeros((num_codes, num_public, num_cols), dtype=np.int64)
+    for c, phi, d in product(range(num_codes), range(num_public), range(num_cols)):
+        best = None
+        for r in range(num_rows):
+            if pub[c, r] == phi and (best is None
+                                     or scores[c, r, d] > scores[c, best, d]):
+                best = r
+        out[c, phi, d] = 0 if best is None else best
+    return out
+
+
+def bins_of_width(rng, num_codes, num_public, width, bins):
+    """(C, rows) public bins in which the fullest bin holds exactly width
+    rows and exactly bins of the num_public bins hold a row in some code.
+    Code 0 puts width rows in one bin and one row in each other bin; the
+    other codes spread their rows more evenly, and the last code leaves
+    one of the bins empty when it can, so the codes' bin counts differ."""
+    labels = rng.permutation(num_public)[:bins]
+    num_rows = width + bins - 1
+    spread = [np.arange(num_rows) % bins] * (num_codes - 1)
+    if num_codes > 1 and bins > 2 and width > 1:
+        spread[-1] = np.arange(num_rows) % (bins - 1)
+    rows = [np.r_[np.zeros(width - 1, dtype=int), np.arange(bins)]] + spread
+    return np.stack([labels[rng.permutation(r)] for r in rows])
+
+
+class TestBinWinners:
+    """Both loops of _stacked_bin_winners against the first-maximum oracle.
+    The loop is forced by patching _by_rank, which is otherwise picked from
+    the fullest bin's width and the number of bins holding a row."""
+
+    # (codes, |Phi|, fullest width, bins holding a row, columns)
+    CASES = [
+        (3, 8, 4, 5, 3),    # width one below the bins: by rank
+        (3, 8, 5, 5, 3),    # width equal to the bins: by bin
+        (3, 8, 6, 5, 3),    # width one above the bins: by bin
+        (4, 40, 2, 6, 2),   # |Phi| above the rows of a code
+        (2, 1, 9, 1, 4),    # |Phi| = 1
+        (3, 6, 1, 6, 2),    # one row per bin: no later rank
+        (1, 12, 3, 9, 5),   # one code
+    ]
+
+    def cases(self):
+        rng = np.random.default_rng(118)
+        for codes, num_public, width, bins, cols in self.CASES:
+            pub = bins_of_width(rng, codes, num_public, width, bins)
+            for quantized in (True, False):
+                scores = rng.random((codes, pub.shape[1], cols))
+                if quantized:  # many exact ties, zeros included
+                    scores = rng.integers(0, 3, scores.shape) / 2.0
+                yield (width, bins), scores, pub, num_public
+
+    @pytest.mark.parametrize("by_rank", [True, False])
+    def test_forced_loop_matches_oracle(self, monkeypatch, by_rank):
+        monkeypatch.setattr(binning_sim, "_by_rank", lambda width, bins: by_rank)
+        ties = short_bins = 0
+        for _, scores, pub, num_public in self.cases():
+            got = binning_sim._stacked_bin_winners(scores, pub, num_public)
+            expect = first_maximum_oracle(scores, pub, num_public)
+            assert np.array_equal(got, expect), (pub, num_public)
+            counts = np.stack([np.bincount(p, minlength=num_public) for p in pub])
+            short_bins += int((counts.min(axis=0) < counts.max(axis=0)).any())
+            winning = np.take_along_axis(scores, expect.reshape(
+                len(pub), -1, scores.shape[2]), axis=1).reshape(expect.shape)
+            for c, phi in product(range(len(pub)), range(num_public)):
+                in_bin = scores[c, pub[c] == phi]
+                ties += int((in_bin == winning[c, phi]).sum(axis=0).max(initial=0) > 1)
+        assert ties > 0 and short_bins > 0
+
+    def test_selection_at_the_switch(self, monkeypatch):
+        calls = []
+        rank_winners = binning_sim._rank_winners
+
+        def spy(*args):
+            calls.append(args)
+            return rank_winners(*args)
+
+        monkeypatch.setattr(binning_sim, "_rank_winners", spy)
+        for (width, bins), scores, pub, num_public in self.cases():
+            before = len(calls)
+            got = binning_sim._stacked_bin_winners(scores, pub, num_public)
+            assert (len(calls) > before) == (width < bins), (width, bins)
+            assert np.array_equal(got, first_maximum_oracle(scores, pub, num_public))
+
+    def test_rank_loop_tables_grow_scratch(self):
+        # |Phi| = 40 bins of 2 codes hold more (code, bin, column) cells
+        # than the scores: the loop's tables grow the scratch store
+        rng = np.random.default_rng(119)
+        pub = bins_of_width(rng, 2, 40, 2, 6)
+        scores = rng.random((2, pub.shape[1], 3))
+        work = _Workspace()
+        got = binning_sim._stacked_bin_winners(scores, pub, 40, work)
+        assert work._sizes["scratch"] >= binning_sim._RANK_CELL_BYTES * 2 * 40 * 3
+        assert np.array_equal(got, first_maximum_oracle(scores, pub, 40))
+
+
 class TestExactEvaluate:
     def test_single_key_never_errs(self):
         rng = np.random.default_rng(76)
@@ -817,7 +919,9 @@ class TestStackedBitIdentity:
     # |M| > 1 in most cases; r_phi > log2|X| + r_m leaves public bins empty;
     # at n=5 with binary letters a stack holds 16 codes, so 37 codebooks
     # cross two stack boundaries; n=6 at |M|=4 and n=8 at |M|=8 are one code
-    # per stack, so the second stack reuses the first one's workspace.
+    # per stack, so the second stack reuses the first one's workspace.  The
+    # last two cases decode by rank (_stacked_bin_winners): n=5 at |Phi|=32
+    # bins of a few rows each, and |Y| != |Z| at |Phi| = 32 > |M|*|X|^n = 8.
     CASES = [
         ((2, 2, 2, 2), False, 1, (0.5, 1.0, 1.0), 40),
         ((3, 2, 3, 2), False, 3, (0.4, 0.7, 0.4), 9),
@@ -830,11 +934,21 @@ class TestStackedBitIdentity:
         ((2, 2, 2, 2), True, 5, (0.2, 0.6, 0.0), 37),
         ((2, 2, 2, 2), False, 6, (0.2, 0.5, 0.2), 3),
         ((2, 2, 2, 2), False, 8, (0.1, 0.6, 0.3), 2),
+        ((2, 2, 2, 2), False, 5, (0.2, 1.0, 0.0), 20),
+        ((2, 2, 3, 2), True, 2, (0.5, 2.5, 0.5), 9),
     ]
 
-    def test_rows_match_per_code_reference(self):
+    def test_rows_match_per_code_reference(self, monkeypatch):
         rng = np.random.default_rng(96)
         empty_bins = 0
+        loops = []  # the loop each _stacked_bin_winners call takes
+        by_rank = binning_sim._by_rank
+
+        def recording(*args):
+            loops.append(by_rank(*args))
+            return loops[-1]
+
+        monkeypatch.setattr(binning_sim, "_by_rank", recording)
         for sizes, quantized, n, rate_tuple, count in self.CASES:
             ch = (quantized_channel if quantized else random_channel)(rng, sizes)
             rates = RatePoint(*rate_tuple)
@@ -851,6 +965,7 @@ class TestStackedBitIdentity:
             rep = exact_evaluate(code, ch)
             assert (rep.error_probability, rep.leakage_bits) == expect[-1]
         assert empty_bins > 0
+        assert True in loops and False in loops
 
     def test_stack_size_does_not_change_rows(self, monkeypatch):
         # stacks of 1, 2, 3 and all 8 codes give the same rows
@@ -899,29 +1014,31 @@ class TestWorkspace:
         channel = ternary_channel(rng)
         rates = RatePoint(r_sk=0.5, r_phi=1.0, r_m=0.5)
         leftover = _Workspace()
-        _evaluate_stack(channel, *self.stack(self.codes(channel, 4, rates, 3, 0)),
-                        leftover)
+        _evaluate_stack(_score_tables(channel, 4),
+                        *self.stack(self.codes(channel, 4, rates, 3, 0)), leftover)
         for n in (1, 2, 3):
             codes = self.codes(channel, n, rates, 4, n)
             codewords, key, pub, num_k, num_phi = self.stack(codes)
             outputs = np.indices((3,) * n).reshape(n, -1)
             table = marginal_channel(channel, "xz")
             expect = _stacked_likelihoods(codewords, table, outputs)
-            rows = _evaluate_stack(channel, codewords, key, pub, num_k, num_phi)
+            tables = _score_tables(channel, n)
+            rows = _evaluate_stack(tables, codewords, key, pub, num_k, num_phi)
             assert rows == [reference_exact(code, channel) for code in codes]
             reused = _Workspace()
-            _evaluate_stack(channel, codewords, key, pub, num_k, num_phi, reused)
+            _evaluate_stack(tables, codewords, key, pub, num_k, num_phi, reused)
             for work in (reused, leftover):
                 self.poison(work)
                 got = _stacked_likelihoods(codewords, table, outputs, work)
                 assert got.tobytes() == expect.tobytes(), n
                 self.poison(work)
-                assert _evaluate_stack(channel, codewords, key, pub, num_k,
+                assert _evaluate_stack(tables, codewords, key, pub, num_k,
                                        num_phi, work) == rows, n
 
-    def test_one_workspace_per_ensemble_call(self, monkeypatch):
-        # 6 codebooks in stacks of 2: one workspace, whose buffer is
-        # allocated once, for the first stack, and never replaced
+    @staticmethod
+    def one_workspace_rows(monkeypatch, n, rates):
+        """6 codebooks in stacks of 2: one workspace, whose buffer is
+        allocated once, for the first stack, and never replaced."""
         made, buffers = [], []
 
         class CountingWorkspace(_Workspace):
@@ -935,11 +1052,21 @@ class TestWorkspace:
                     buffers.append(self._buffer)
 
         ch = random_binary_channel(np.random.default_rng(113))
-        cells = 2 * 2**3 * 2**3  # |M| * |X|^n * |Y|^n at n=3
+        num_m, _, _ = binning_sim._code_sizes(n, rates)
+        cells = num_m * 2**n * 2**n  # |M| * |X|^n * |Y|^n
         monkeypatch.setattr(binning_sim, "_STACK_CELLS", 2 * cells)
         monkeypatch.setattr(binning_sim, "_Workspace", CountingWorkspace)
-        rows = ensemble_average(ch, UNIFORM, 3, RATES, 6, 4)[2]["per_codebook"]
+        rows = ensemble_average(ch, UNIFORM, n, rates, 6, 4)[2]["per_codebook"]
         assert len(made) == 1 and len(buffers) == 1
-        expect = [reference_exact(generate_code(ch, 3, RATES, UNIFORM, child), ch)
+        expect = [reference_exact(generate_code(ch, n, rates, UNIFORM, child), ch)
                   for child in np.random.SeedSequence(4).spawn(6)]
         assert rows == expect
+
+    def test_one_workspace_per_ensemble_call(self, monkeypatch):
+        # |Phi| = 4 bins of 16 rows, decoded by bin
+        self.one_workspace_rows(monkeypatch, 3, RATES)
+
+    def test_one_workspace_when_rank_tables_outgrow_scores(self, monkeypatch):
+        # |Phi| = 32 bins of 32 rows, decoded by rank, whose tables need 3x
+        # the scratch that the scores do: _evaluate_stack reserves it
+        self.one_workspace_rows(monkeypatch, 5, RatePoint(0.2, 1.0, 0.0))

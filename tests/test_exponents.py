@@ -293,6 +293,32 @@ class TestPositivityThresholds:
         assert got[0] == pytest.approx(rel, abs=1e-12)
         assert got[1] == pytest.approx(sec, abs=1e-12)
 
+    def test_bits_equal_validated_entropy_form(self):
+        # the thresholds skip entropy()'s validation of each marginal; their
+        # bits must equal the validated form, kept here, on channels with
+        # zero cells and inputs with an unused letter
+        def validated(channel, inp):
+            arr = joint_distribution(channel, inp).probs
+            p_sxy, p_sxz = arr.sum(axis=3), arr.sum(axis=2)
+            p_sy, p_sz = p_sxy.sum(axis=1), p_sxz.sum(axis=1)
+            p_s = p_sy.sum(axis=1)
+            h_s, h_sy, h_sz = entropy(p_s), entropy(p_sy), entropy(p_sz)
+            i_sy = h_s + entropy(p_sy.sum(axis=0)) - h_sy
+            i_sz = h_s + entropy(p_sz.sum(axis=0)) - h_sz
+            return (entropy(p_sxy) - h_sy - i_sy, entropy(p_sxz) - h_sz - i_sz)
+
+        rng = np.random.default_rng(57)
+        for trial in range(40):
+            s_size = 2 + trial % 2
+            sizes = (s_size,) + tuple(rng.integers(2, 4, size=3))
+            ch = random_channel(rng, sizes, True)
+            p = rng.dirichlet(np.ones(s_size))
+            if trial % 5 == 0:
+                p[rng.integers(s_size)] = 0.0
+                p /= p.sum()
+            inp = Pmf(p)
+            assert positivity_thresholds(ch, inp) == validated(ch, inp), trial
+
     def test_singleton_s(self):
         # with |S| = 1 the thresholds are plain conditional entropies
         rng = np.random.default_rng(55)
