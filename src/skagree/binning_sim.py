@@ -36,11 +36,9 @@ _DECODE_BLOCK_CELLS = 2**22  # Monte-Carlo decodes at most this many cells at on
 # leakage index (_evaluate_stack), plus its slot and winner tables and
 # leakage joint; so peak RSS grows with it.  The stores are one _Workspace,
 # made by one ensemble_average call and reused by each of its stacks.
-# "scratch" is larger when the loop by rank's tables need more
-# (_stacked_bin_winners): 3x at n=5, |Phi| = 32 and |M|*|X|^n = 32.
 _STACK_CELLS = 2**14
-# bytes per (code, bin, column) cell of _stacked_bin_winners' loop by rank:
-# float64 best and candidate scores, intp winning ranks and a bool mask
+# bytes per (pair, column) cell of _stacked_bin_winners' rank loop: float64
+# best and candidate scores, intp winning rows and a bool mask
 _RANK_CELL_BYTES = 25
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _TABLE_BITS = 62    # code sizes in the int64 codebook and bin tables
@@ -165,14 +163,13 @@ def _enumeration_cells(channel: DiscreteBroadcastChannel, n: int, m_x: int,
     int64 K_B gather and a bool mask, then the z-scores and an int64 leakage
     index.  Either way the bin winners add their own tables
     (_stacked_bin_winners): a loop by bin over a public bin holding most
-    rows adds up to a cells-sized copy for its argmax; a loop by rank puts
-    25 bytes per (phi, y^n) cell in "scratch", which outgrow its 8 bytes
-    per score cell when |Phi| exceeds about a third of m_x.  A leakage joint
-    larger than the score tables adds itself and its entropy terms.  By
-    tracemalloc, one binary n=9 code at rates (0.1, 1.0, 0.3), |Phi| = 512
-    bins of 4,096 rows, decoded by rank, peaks at 36.4 MB, 18.2 bytes per
-    score cell (36.3 MB by bin); at r_phi = 1.4, |Phi| = 8,192, it peaks at
-    184 MB against 140 MB by bin."""
+    rows adds up to a cells-sized copy for its argmax, and a loop by rank
+    keeps its tables within the scores' bytes in "scratch".  A leakage
+    joint larger than the score tables adds itself and its entropy terms.
+    By tracemalloc, one binary n=9 code at rates (0.1, r_phi, 0.3), 4,096
+    rows, peaks at 48.2 MB at r_phi = 0 (|Phi| = 1, by bin), 32.8 MB at
+    0.6 (|Phi| = 64, by bin), 36.4 MB at 1.0 (|Phi| = 512, by rank) and
+    140.1 MB at 1.4 (|Phi| = 8,192, by rank; the leakage joint)."""
     Y, Z = channel.alphabet_sizes[2:]
     cells = max(m_x * Y**n, m_x * Z**n, num_k * num_phi * Z**n)
     if cells > ENUM_BUDGET:
@@ -525,44 +522,40 @@ def _likelihoods(code: SecretKeyCode, table: np.ndarray, outputs: np.ndarray):
     return _stacked_likelihoods(code.codewords[None], table, outputs)[0]
 
 
-def _by_rank(max_width: int, bins: int) -> bool:
-    """Whether _stacked_bin_winners loops over ranks: its fullest bin has
-    fewer rows than there are bins holding a row in some code."""
-    return max_width < bins
+def _by_rank(ranks: int, bins: int, rows: int, padded: int) -> bool:
+    """Whether _stacked_bin_winners loops over ranks rather than bins.  The
+    rank loop gathers a code's rows once in as many steps as the fullest
+    bin has ranks; the bin loop gathers padded rows per code (each bin
+    padded to its fullest code) in one step per bin holding a row.  Fitted
+    to kernel timings, the rank loop is faster when ranks/bins is below
+    padded/rows."""
+    return ranks * rows < bins * padded
 
 
 def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int,
                          work: Optional[_Workspace] = None):
     """(C, num_public, columns) array: the winning row of each code's bins
     per column, for (C, rows, columns) scores and (C, rows) public bins.
-    The loop's tables are views of work's "scratch" store (of a fresh
+    The loops' tables are views of work's "scratch" store (of a fresh
     workspace if work is None), which must not hold scores.
 
     Each bin takes the first maximum over its own rows in their original
     order (smallest m, then lexicographically smallest x^n); an empty bin
-    falls back to row 0 (first message, all-zero sequence).  A slot table
-    lists each (code, bin)'s rows by rank, rank j being its j-th row in
-    that order, padded to the fullest bin's width W.  The loop runs over
-    whichever axis of it is shorter (_by_rank):
+    falls back to row 0 (first message, all-zero sequence).  Rank j of a
+    (code, bin) pair is its j-th row in that order.  One Python loop runs,
+    over the ranks of the fullest bin or over the bins that hold a row,
+    whichever _by_rank picks from the shape of the bins.
 
-    - By bin, when W is at least the number of bins that hold a row in
-      some code.  Each bin's (C, width, columns) candidates are copied to
+    - By bin: each bin's (C, width, columns) candidates are copied to
       "scratch" and reduced by argmax, which takes the first maximum.  A
       code with fewer rows in the bin than the fullest code is padded with
       its row 0 at score -1, which never wins (scores are >= 0).
-    - By rank, otherwise.  The rank-0 scores of every (code, bin) start a
-      (C*num_public, columns) table of the best scores; each later rank is
-      taken in one gather and replaces the best only where it is strictly
-      greater, so the first maximum wins.  A bin shorter than W is padded
-      with its own first row, which never beats itself, and an empty bin
-      with its code's row 0, which is then its only row.  "scratch" holds
-      the best and candidate scores, the winning ranks and a bool mask: 25
-      bytes per (code, bin, column) cell.  _evaluate_stack sizes it for
-      them; a smaller store grows on demand.
+    - By rank: see _rank_winners.  Every row is gathered once, and a bin's
+      later rank replaces its best only where strictly greater.
     """
     num_codes, num_rows, num_cols = scores.shape
+    flat = scores.reshape(num_codes * num_rows, num_cols)
     code_idx = np.arange(num_codes)[:, None]
-    base = num_rows * code_idx  # flat index of each code's row 0
     # Sorting the (code, bin) keys stably lists each code's bins in turn,
     # each bin's rows in their original order, as flat row indices.
     keys = (pub + num_public * code_idx).ravel()
@@ -570,64 +563,95 @@ def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int,
     keys = keys[order]
     counts = np.bincount(keys, minlength=num_codes * num_public)
     starts = np.cumsum(counts) - counts
+    work = _Workspace() if work is None else work
+    widths = counts.reshape(num_codes, num_public).max(axis=0).tolist()
+    if _by_rank(max(widths), num_public - widths.count(0), num_rows,
+                sum(widths)):
+        rank = np.arange(keys.size) - starts[keys]
+        return _rank_winners(scores, keys, order, rank, counts, work).reshape(
+            num_codes, num_public, num_cols)
     counts = counts.reshape(num_codes, num_public)
-    widths = counts.max(axis=0).tolist()
-    by_rank = _by_rank(max(widths), num_public - widths.count(0))
-    if by_rank:  # each bin's first row, or its code's row 0 if it is empty
-        fill = np.where(counts > 0, order[np.minimum(starts, order.size - 1)]
-                        .reshape(num_codes, num_public), base)
-    else:
-        fill = base
+    base = num_rows * code_idx  # flat index of each code's row 0
     # slots[c, phi, j]: flat index of the j-th row of code c in bin phi
-    slots = np.broadcast_to(fill[:, :, None],
+    slots = np.broadcast_to(base[:, :, None],
                             (num_codes, num_public, max(widths))).copy()
     slots.reshape(num_codes * num_public, -1)[
         keys, np.arange(keys.size) - starts[keys]] = order
-    flat = scores.reshape(num_codes * num_rows, num_cols)
-    work = _Workspace() if work is None else work
-    if by_rank:
-        best = _rank_winners(flat, slots.reshape(num_codes * num_public, -1),
-                             work).reshape(num_codes, num_public, num_cols)
-    else:
-        padded = (counts.min(axis=0) < counts.max(axis=0)).tolist()
-        pad = np.arange(slots.shape[2]) >= counts[:, :, None]
-        best = np.zeros((num_codes, num_public, num_cols), dtype=np.intp)
-        store = work.array("scratch", (num_codes * max(widths) * num_cols,))
-        for phi, width in enumerate(widths):
-            if width == 0:
-                continue
-            # the store's first cells, as (C, width, columns)
-            cand = np.ndarray((num_codes, width, num_cols), store.dtype, store)
-            flat.take(slots[:, phi, :width], axis=0, out=cand, mode="clip")  # in range
-            if padded[phi]:
-                cand[pad[:, phi, :width]] = -1.0
-            cand.argmax(axis=1, out=best[:, phi])
+    padded = (counts.min(axis=0) < counts.max(axis=0)).tolist()
+    pad = np.arange(slots.shape[2]) >= counts[:, :, None]
+    best = np.zeros((num_codes, num_public, num_cols), dtype=np.intp)
+    store = work.array("scratch", (num_codes * max(widths) * num_cols,))
+    for phi, width in enumerate(widths):
+        if width == 0:
+            continue
+        # the store's first cells, as (C, width, columns)
+        cand = np.ndarray((num_codes, width, num_cols), store.dtype, store)
+        flat.take(slots[:, phi, :width], axis=0, out=cand, mode="clip")  # in range
+        if padded[phi]:
+            cand[pad[:, phi, :width]] = -1.0
+        cand.argmax(axis=1, out=best[:, phi])
     winners = np.take_along_axis(slots, best, axis=2)
     winners -= base[:, :, None]
     return winners
 
 
-def _rank_winners(flat: np.ndarray, slots: np.ndarray, work: _Workspace):
-    """(bins, columns) array of the rank of each bin's first maximum per
-    column, for flat (rows, columns) scores and (bins, W) slots, as views
-    of work's "scratch" store (_stacked_bin_winners' loop by rank)."""
-    num_bins, width = slots.shape
-    cells = num_bins * flat.shape[1]
-    work.reserve(scratch=_RANK_CELL_BYTES * cells)
-    best = work.array("scratch", (num_bins, flat.shape[1]))
-    cand = work.array("scratch", best.shape, offset=8 * cells)
-    rank = work.array("scratch", best.shape, np.intp, offset=16 * cells)
-    better = work.array("scratch", best.shape, bool, offset=24 * cells)
-    rank_slots = slots.T.copy()  # each rank's slots, contiguous
-    # the slots index in range, so "clip" only spares a copy of out
-    flat.take(rank_slots[0], axis=0, out=best, mode="clip")
-    rank.fill(0)
-    for j in range(1, width):
-        flat.take(rank_slots[j], axis=0, out=cand, mode="clip")
-        np.greater(cand, best, out=better)
-        np.maximum(best, cand, out=best)
-        np.copyto(rank, j, where=better)
-    return rank
+def _rank_winners(scores: np.ndarray, keys: np.ndarray, order: np.ndarray,
+                  rank: np.ndarray, counts: np.ndarray, work: _Workspace):
+    """(pairs, columns) array: the winning row, within its code, of each
+    (code, bin) pair per column (_stacked_bin_winners' loop by rank), for
+    (C, rows, columns) scores, the (code, bin) key, flat row index and
+    rank of each row as the pairs list them, and each pair's row count.
+
+    An empty pair takes row 0 and a pair of one row takes that row.  The
+    pairs of two or more rows are sorted fullest first, so the pairs
+    holding a rank form a prefix of them.  The rank-0 scores start a
+    table of the best scores; each later rank of every pair holding it is
+    taken in one gather and replaces the best only where it is strictly
+    greater, so the first maximum wins.  The loop's tables are views of
+    work's "scratch" store, _RANK_CELL_BYTES per (pair, column) cell; the
+    pairs go through it in blocks whose tables fit in the scores' bytes,
+    at most two as such a pair holds at least two rows.
+    """
+    num_codes, num_rows, num_cols = scores.shape
+    flat = scores.reshape(num_codes * num_rows, num_cols)
+    local = order % num_rows  # each listed row within its code
+    winners = np.zeros((counts.size, num_cols), dtype=np.intp)
+    first = rank == 0
+    winners[keys[first]] = local[first, None]
+    # The rows of pairs of two or more rows, rank by rank, each rank's
+    # pairs fullest first: rank j of the pairs holding it is rows[at[j]:].
+    multi = np.flatnonzero(counts > 1)
+    fullest = multi[np.argsort(-counts[multi], kind="stable")]
+    place = np.zeros_like(counts)
+    place[fullest] = np.arange(fullest.size)
+    listed = counts[keys] > 1
+    ranked = np.argsort(rank[listed] * fullest.size + place[keys[listed]])
+    rows, local = order[listed][ranked], local[listed][ranked]
+    holding = np.bincount(rank[listed]).tolist()  # pairs holding each rank
+    at = np.cumsum([0] + holding).tolist()
+    block = max(1, scores.nbytes // (_RANK_CELL_BYTES * num_cols))
+    for lo in range(0, fullest.size, block):
+        size = min(block, fullest.size - lo)
+        shape = (size, num_cols)
+        work.reserve(scratch=_RANK_CELL_BYTES * size * num_cols)
+        best = work.array("scratch", shape)
+        cand = work.array("scratch", shape, offset=best.nbytes)
+        win = work.array("scratch", shape, np.intp, offset=2 * best.nbytes)
+        better = work.array("scratch", shape, bool, offset=3 * best.nbytes)
+        # the rows index in range, so "clip" only spares a copy of out
+        flat.take(rows[lo:lo + size], axis=0, out=best, mode="clip")
+        np.copyto(win, local[lo:lo + size, None])
+        for j in range(1, len(holding)):
+            m = min(holding[j] - lo, size)  # the block's pairs holding rank j
+            if m <= 0:
+                break
+            now = slice(at[j] + lo, at[j] + lo + m)
+            flat.take(rows[now], axis=0, out=cand[:m], mode="clip")
+            np.greater(cand[:m], best[:m], out=better[:m])
+            np.maximum(best[:m], cand[:m], out=best[:m])
+            np.copyto(win[:m], local[now, None], where=better[:m])
+        winners[fullest[lo:lo + size]] = win
+    return winners
 
 
 def _bin_winners(scores: np.ndarray, pub_flat: np.ndarray, num_public: int):
@@ -677,18 +701,14 @@ def _evaluate_stack(tables, codewords: np.ndarray, key: np.ndarray,
     of the wider score table: "scores", for the y- and then the z-scores,
     and "scratch", for in turn the partial products of the y-scores, the
     bin winners' tables, the K_B gather and error mask, the partial
-    products of the z-scores and the leakage index.  "scratch" is larger
-    where a loop by rank (_stacked_bin_winners) needs more: 25 bytes per
-    (code, phi, y^n) cell."""
+    products of the z-scores and the leakage index."""
     work = _Workspace() if work is None else work
     (table_y, y_seqs), (table_z, z_seqs) = tables
     y_cols, z_cols = y_seqs.shape[1], z_seqs.shape[1]
     num_codes, num_m, _ = codewords.shape
     code_idx = np.arange(num_codes)[:, None]
     cells = key.size * max(y_cols, z_cols)  # of the wider score table
-    # scratch also fits the tables of a loop by rank, which can be larger
-    work.reserve(scores=8 * cells, scratch=max(
-        8 * cells, _RANK_CELL_BYTES * num_codes * num_phi * y_cols))
+    work.reserve(scores=8 * cells, scratch=8 * cells)
 
     # Decode table: K_B for every (code, phi, y^n).
     score_y = _stacked_likelihoods(codewords, table_y, y_seqs, work)

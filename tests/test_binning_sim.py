@@ -561,17 +561,19 @@ def bins_of_width(rng, num_codes, num_public, width, bins):
 class TestBinWinners:
     """Both loops of _stacked_bin_winners against the first-maximum oracle.
     The loop is forced by patching _by_rank, which is otherwise picked from
-    the fullest bin's width and the number of bins holding a row."""
+    the shape of the bins."""
 
     # (codes, |Phi|, fullest width, bins holding a row, columns)
     CASES = [
-        (3, 8, 4, 5, 3),    # width one below the bins: by rank
-        (3, 8, 5, 5, 3),    # width equal to the bins: by bin
-        (3, 8, 6, 5, 3),    # width one above the bins: by bin
+        (1, 8, 4, 5, 3),    # one code, width one below the bins: by rank
+        (1, 8, 5, 5, 3),    # width equal to the bins: by bin
+        (1, 8, 6, 5, 3),    # width one above the bins: by bin
+        (3, 8, 4, 5, 3),    # codes of unequal bin counts
+        (3, 8, 7, 5, 3),
         (4, 40, 2, 6, 2),   # |Phi| above the rows of a code
         (2, 1, 9, 1, 4),    # |Phi| = 1
         (3, 6, 1, 6, 2),    # one row per bin: no later rank
-        (1, 12, 3, 9, 5),   # one code
+        (1, 12, 3, 9, 5),
     ]
 
     def cases(self):
@@ -582,13 +584,13 @@ class TestBinWinners:
                 scores = rng.random((codes, pub.shape[1], cols))
                 if quantized:  # many exact ties, zeros included
                     scores = rng.integers(0, 3, scores.shape) / 2.0
-                yield (width, bins), scores, pub, num_public
+                yield scores, pub, num_public
 
     @pytest.mark.parametrize("by_rank", [True, False])
     def test_forced_loop_matches_oracle(self, monkeypatch, by_rank):
-        monkeypatch.setattr(binning_sim, "_by_rank", lambda width, bins: by_rank)
+        monkeypatch.setattr(binning_sim, "_by_rank", lambda *shape: by_rank)
         ties = short_bins = 0
-        for _, scores, pub, num_public in self.cases():
+        for scores, pub, num_public in self.cases():
             got = binning_sim._stacked_bin_winners(scores, pub, num_public)
             expect = first_maximum_oracle(scores, pub, num_public)
             assert np.array_equal(got, expect), (pub, num_public)
@@ -601,31 +603,53 @@ class TestBinWinners:
                 ties += int((in_bin == winning[c, phi]).sum(axis=0).max(initial=0) > 1)
         assert ties > 0 and short_bins > 0
 
-    def test_selection_at_the_switch(self, monkeypatch):
-        calls = []
-        rank_winners = binning_sim._rank_winners
+    def test_selection(self, monkeypatch):
+        # _by_rank gets the fullest width, the bins holding a row, a code's
+        # rows and the padded rows, and _rank_winners runs when it says so
+        picked, calls = [], []
+        by_rank, rank_winners = binning_sim._by_rank, binning_sim._rank_winners
 
-        def spy(*args):
-            calls.append(args)
-            return rank_winners(*args)
+        def shape_spy(*shape):
+            picked.append((shape, by_rank(*shape)))
+            return picked[-1][1]
 
-        monkeypatch.setattr(binning_sim, "_rank_winners", spy)
-        for (width, bins), scores, pub, num_public in self.cases():
+        monkeypatch.setattr(binning_sim, "_by_rank", shape_spy)
+        monkeypatch.setattr(binning_sim, "_rank_winners",
+                            lambda *args: calls.append(args) or rank_winners(*args))
+        for scores, pub, num_public in self.cases():
             before = len(calls)
             got = binning_sim._stacked_bin_winners(scores, pub, num_public)
-            assert (len(calls) > before) == (width < bins), (width, bins)
+            widths = np.stack([np.bincount(p, minlength=num_public)
+                               for p in pub]).max(axis=0)
+            shape, rank = picked[-1]
+            assert shape == (widths.max(), np.count_nonzero(widths),
+                             pub.shape[1], widths.sum())
+            assert (len(calls) > before) == rank
             assert np.array_equal(got, first_maximum_oracle(scores, pub, num_public))
+        # one code is padded nowhere: the switch is at as many ranks as bins
+        assert binning_sim._by_rank(4, 5, 8, 8)
+        assert not binning_sim._by_rank(5, 5, 9, 9)
+        # padding moves it: 3 codes whose bins are padded to twice their rows
+        assert binning_sim._by_rank(9, 5, 8, 16)
+        assert not binning_sim._by_rank(10, 5, 8, 16)
 
-    def test_rank_loop_tables_grow_scratch(self):
-        # |Phi| = 40 bins of 2 codes hold more (code, bin, column) cells
-        # than the scores: the loop's tables grow the scratch store
+    def test_rank_tables_fit_in_the_scores(self):
+        # bins of two rows: the pairs' tables would need 25/16 of the
+        # scores' bytes, so the rank loop takes them in two blocks
         rng = np.random.default_rng(119)
-        pub = bins_of_width(rng, 2, 40, 2, 6)
-        scores = rng.random((2, pub.shape[1], 3))
-        work = _Workspace()
-        got = binning_sim._stacked_bin_winners(scores, pub, 40, work)
-        assert work._sizes["scratch"] >= binning_sim._RANK_CELL_BYTES * 2 * 40 * 3
-        assert np.array_equal(got, first_maximum_oracle(scores, pub, 40))
+        pub = np.stack([rng.permutation(np.arange(40) // 2) for _ in range(3)])
+        pub[1, pub[1] == 7] = 8  # one bin of four rows and one empty bin
+        reserved = []
+
+        class Recording(_Workspace):
+            def reserve(self, **nbytes):
+                reserved.append(nbytes["scratch"])
+                super().reserve(**nbytes)
+
+        for scores in (rng.random((3, 40, 3)), rng.integers(0, 3, (3, 40, 3)) / 2.0):
+            got = binning_sim._stacked_bin_winners(scores, pub, 20, Recording())
+            assert np.array_equal(got, first_maximum_oracle(scores, pub, 20))
+        assert len(reserved) == 4 and max(reserved) <= scores.nbytes
 
 
 class TestExactEvaluate:
@@ -1066,7 +1090,6 @@ class TestWorkspace:
         # |Phi| = 4 bins of 16 rows, decoded by bin
         self.one_workspace_rows(monkeypatch, 3, RATES)
 
-    def test_one_workspace_when_rank_tables_outgrow_scores(self, monkeypatch):
-        # |Phi| = 32 bins of 32 rows, decoded by rank, whose tables need 3x
-        # the scratch that the scores do: _evaluate_stack reserves it
+    def test_one_workspace_when_decoded_by_rank(self, monkeypatch):
+        # |Phi| = 32 bins of 32 rows, decoded by rank
         self.one_workspace_rows(monkeypatch, 5, RatePoint(0.2, 1.0, 0.0))
