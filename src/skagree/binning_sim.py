@@ -33,12 +33,12 @@ _DECODE_BLOCK_CELLS = 2**22  # Monte-Carlo decodes at most this many cells at on
 # (one code may exceed it).  A stack holds a float score store, reused for
 # the y- and then the z-scores, and a scratch store of the same size for the
 # partial products, the bin winners' loop tables, the error mask and the
-# leakage index (_evaluate_stack), plus its slot and winner tables and
-# leakage joint; so peak RSS grows with it.  The stores are one _Workspace,
+# leakage index (_evaluate_stack), plus its winner tables and leakage
+# joint; so peak RSS grows with it.  The stores are one _Workspace,
 # made by one ensemble_average call and reused by each of its stacks.
 _STACK_CELLS = 2**14
-# bytes per (pair, column) cell of _stacked_bin_winners' rank loop: float64
-# best and candidate scores, intp winning rows and a bool mask
+# bytes per (pair, column) cell of _rank_winners' loop tables: float64 best
+# and candidate scores, intp winning rows and a bool mask
 _RANK_CELL_BYTES = 25
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _TABLE_BITS = 62    # code sizes in the int64 codebook and bin tables
@@ -161,15 +161,13 @@ def _enumeration_cells(channel: DiscreteBroadcastChannel, n: int, m_x: int,
     table (_evaluate_stack): 1 GiB at ENUM_BUDGET = 2^26 score cells.
     Without them the peak was 17 bytes per cell, 1088 MiB: the y-scores, an
     int64 K_B gather and a bool mask, then the z-scores and an int64 leakage
-    index.  Either way the bin winners add their own tables
-    (_stacked_bin_winners): a loop by bin over a public bin holding most
-    rows adds up to a cells-sized copy for its argmax, and a loop by rank
-    keeps its tables within the scores' bytes in "scratch".  A leakage
-    joint larger than the score tables adds itself and its entropy terms.
-    By tracemalloc, one binary n=9 code at rates (0.1, r_phi, 0.3), 4,096
-    rows, peaks at 48.2 MB at r_phi = 0 (|Phi| = 1, by bin), 32.8 MB at
-    0.6 (|Phi| = 64, by bin), 36.4 MB at 1.0 (|Phi| = 512, by rank) and
-    140.1 MB at 1.4 (|Phi| = 8,192, by rank; the leakage joint)."""
+    index.  The bin winners' loop tables stay within the scores' bytes in
+    "scratch" (_rank_winners).  A leakage joint larger than the score
+    tables adds itself and its entropy terms.  By tracemalloc, one binary
+    n=9 code at rates (0.1, r_phi, 0.3), 4,096 rows, peaks at 33.0 MiB at
+    r_phi = 0 (|Phi| = 1), 32.6 MiB at 0.6 (|Phi| = 64), 36.4 MiB at 1.0
+    (|Phi| = 512) and 140.1 MiB at 1.4 (|Phi| = 8,192; the leakage
+    joint)."""
     Y, Z = channel.alphabet_sizes[2:]
     cells = max(m_x * Y**n, m_x * Z**n, num_k * num_phi * Z**n)
     if cells > ENUM_BUDGET:
@@ -522,95 +520,75 @@ def _likelihoods(code: SecretKeyCode, table: np.ndarray, outputs: np.ndarray):
     return _stacked_likelihoods(code.codewords[None], table, outputs)[0]
 
 
-def _by_rank(ranks: int, bins: int, rows: int, padded: int) -> bool:
-    """Whether _stacked_bin_winners loops over ranks rather than bins.  The
-    rank loop gathers a code's rows once in as many steps as the fullest
-    bin has ranks; the bin loop gathers padded rows per code (each bin
-    padded to its fullest code) in one step per bin holding a row.  Fitted
-    to kernel timings, the rank loop is faster when ranks/bins is below
-    padded/rows."""
-    return ranks * rows < bins * padded
-
-
 def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int,
                          work: Optional[_Workspace] = None):
     """(C, num_public, columns) array: the winning row of each code's bins
     per column, for (C, rows, columns) scores and (C, rows) public bins.
-    The loops' tables are views of work's "scratch" store (of a fresh
+    The loop's tables are views of work's "scratch" store (of a fresh
     workspace if work is None), which must not hold scores.
 
     Each bin takes the first maximum over its own rows in their original
     order (smallest m, then lexicographically smallest x^n); an empty bin
     falls back to row 0 (first message, all-zero sequence).  Rank j of a
-    (code, bin) pair is its j-th row in that order.  One Python loop runs,
-    over the ranks of the fullest bin or over the bins that hold a row,
-    whichever _by_rank picks from the shape of the bins.
-
-    - By bin: each bin's (C, width, columns) candidates are copied to
-      "scratch" and reduced by argmax, which takes the first maximum.  A
-      code with fewer rows in the bin than the fullest code is padded with
-      its row 0 at score -1, which never wins (scores are >= 0).
-    - By rank: see _rank_winners.  Every row is gathered once, and a bin's
-      later rank replaces its best only where strictly greater.
+    (code, bin) pair is its j-th row in that order, and _rank_winners takes
+    one Python step per rank of the fullest pair, whose W rows it gathers
+    with those of every other pair.  When W^2 >= the scores' cells, a step
+    would move fewer than W cells on average, so each pair is cut into runs
+    of ceil(sqrt(W)) consecutive ranks.  _rank_winners takes each run's
+    first maximum, and then, on the runs' best scores listed in rank order,
+    each pair's first maximal run.  Both levels replace a best only where
+    strictly greater, so the first maximum wins, and neither takes more
+    than ceil(sqrt(W)) steps.
     """
     num_codes, num_rows, num_cols = scores.shape
-    flat = scores.reshape(num_codes * num_rows, num_cols)
-    code_idx = np.arange(num_codes)[:, None]
     # Sorting the (code, bin) keys stably lists each code's bins in turn,
     # each bin's rows in their original order, as flat row indices.
-    keys = (pub + num_public * code_idx).ravel()
+    keys = (pub + num_public * np.arange(num_codes)[:, None]).ravel()
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     counts = np.bincount(keys, minlength=num_codes * num_public)
-    starts = np.cumsum(counts) - counts
+    rank = np.arange(keys.size) - (np.cumsum(counts) - counts)[keys]
     work = _Workspace() if work is None else work
-    widths = counts.reshape(num_codes, num_public).max(axis=0).tolist()
-    if _by_rank(max(widths), num_public - widths.count(0), num_rows,
-                sum(widths)):
-        rank = np.arange(keys.size) - starts[keys]
-        return _rank_winners(scores, keys, order, rank, counts, work).reshape(
-            num_codes, num_public, num_cols)
-    counts = counts.reshape(num_codes, num_public)
-    base = num_rows * code_idx  # flat index of each code's row 0
-    # slots[c, phi, j]: flat index of the j-th row of code c in bin phi
-    slots = np.broadcast_to(base[:, :, None],
-                            (num_codes, num_public, max(widths))).copy()
-    slots.reshape(num_codes * num_public, -1)[
-        keys, np.arange(keys.size) - starts[keys]] = order
-    padded = (counts.min(axis=0) < counts.max(axis=0)).tolist()
-    pad = np.arange(slots.shape[2]) >= counts[:, :, None]
-    best = np.zeros((num_codes, num_public, num_cols), dtype=np.intp)
-    store = work.array("scratch", (num_codes * max(widths) * num_cols,))
-    for phi, width in enumerate(widths):
-        if width == 0:
-            continue
-        # the store's first cells, as (C, width, columns)
-        cand = np.ndarray((num_codes, width, num_cols), store.dtype, store)
-        flat.take(slots[:, phi, :width], axis=0, out=cand, mode="clip")  # in range
-        if padded[phi]:
-            cand[pad[:, phi, :width]] = -1.0
-        cand.argmax(axis=1, out=best[:, phi])
-    winners = np.take_along_axis(slots, best, axis=2)
-    winners -= base[:, :, None]
-    return winners
+    width = int(counts.max())
+    if width**2 < scores.size:
+        winners = _rank_winners(scores, keys, order, rank, counts, work)
+    else:
+        step = math.isqrt(width - 1) + 1  # ceil(sqrt(W))
+        runs = -(-counts // step)  # of each pair
+        first = np.cumsum(runs) - runs  # each pair's first run
+        run = first[keys] + rank // step  # each listed row's run
+        best_rows = _rank_winners(scores, run, order, rank % step,
+                                  np.bincount(run), work)
+        pair = np.repeat(np.arange(counts.size), runs)  # each run's pair
+        base = num_rows * (pair // num_public)  # flat row 0 of its code
+        best = np.take_along_axis(scores.reshape(-1, num_cols),
+                                  best_rows + base[:, None], axis=0)
+        listed = np.arange(pair.size)
+        picked = _rank_winners(best[None], pair, listed, listed - first[pair],
+                               runs, work)
+        winners = np.take_along_axis(best_rows, picked, axis=0)
+        winners[counts == 0] = 0
+    return winners.reshape(num_codes, num_public, num_cols)
 
 
 def _rank_winners(scores: np.ndarray, keys: np.ndarray, order: np.ndarray,
                   rank: np.ndarray, counts: np.ndarray, work: _Workspace):
-    """(pairs, columns) array: the winning row, within its code, of each
-    (code, bin) pair per column (_stacked_bin_winners' loop by rank), for
-    (C, rows, columns) scores, the (code, bin) key, flat row index and
-    rank of each row as the pairs list them, and each pair's row count.
+    """(pairs, columns) array: the first maximum of each pair per column,
+    as its row within its code, for (C, rows, columns) scores, the pair
+    key, flat row index and rank of each row as the pairs list them, and
+    each pair's row count; a pair is a (code, bin) pair or a run of one
+    (_stacked_bin_winners).
 
     An empty pair takes row 0 and a pair of one row takes that row.  The
     pairs of two or more rows are sorted fullest first, so the pairs
     holding a rank form a prefix of them.  The rank-0 scores start a
     table of the best scores; each later rank of every pair holding it is
     taken in one gather and replaces the best only where it is strictly
-    greater, so the first maximum wins.  The loop's tables are views of
-    work's "scratch" store, _RANK_CELL_BYTES per (pair, column) cell; the
-    pairs go through it in blocks whose tables fit in the scores' bytes,
-    at most two as such a pair holds at least two rows.
+    greater, so the first maximum wins, in one step per rank of the
+    fullest pair.  The loop's tables are views of work's "scratch" store,
+    _RANK_CELL_BYTES per (pair, column) cell; the pairs go through it in
+    blocks whose tables fit in the scores' bytes, at most two as such a
+    pair holds at least two rows.
     """
     num_codes, num_rows, num_cols = scores.shape
     flat = scores.reshape(num_codes * num_rows, num_cols)
@@ -700,8 +678,9 @@ def _evaluate_stack(tables, codewords: np.ndarray, key: np.ndarray,
     work (a fresh _Workspace if None) holds two stores of 8 bytes per cell
     of the wider score table: "scores", for the y- and then the z-scores,
     and "scratch", for in turn the partial products of the y-scores, the
-    bin winners' tables, the K_B gather and error mask, the partial
-    products of the z-scores and the leakage index."""
+    bin winners' loop tables (which fit in the scores' bytes), the K_B
+    gather and error mask, the partial products of the z-scores and the
+    leakage index."""
     work = _Workspace() if work is None else work
     (table_y, y_seqs), (table_z, z_seqs) = tables
     y_cols, z_cols = y_seqs.shape[1], z_seqs.shape[1]

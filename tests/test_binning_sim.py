@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -558,22 +559,47 @@ def bins_of_width(rng, num_codes, num_public, width, bins):
     return np.stack([labels[rng.permutation(r)] for r in rows])
 
 
-class TestBinWinners:
-    """Both loops of _stacked_bin_winners against the first-maximum oracle.
-    The loop is forced by patching _by_rank, which is otherwise picked from
-    the shape of the bins."""
+def rank_levels(monkeypatch):
+    """Spy on _stacked_bin_winners: one list per call, holding the ranks
+    that each of its _rank_winners levels loops over, in call order."""
+    levels = []
+    rank_winners = binning_sim._rank_winners
+    bin_winners = binning_sim._stacked_bin_winners
 
-    # (codes, |Phi|, fullest width, bins holding a row, columns)
+    def level(scores, keys, order, rank, counts, work):
+        levels[-1].append(int(counts.max()))
+        return rank_winners(scores, keys, order, rank, counts, work)
+
+    def call(*args):
+        levels.append([])
+        return bin_winners(*args)
+
+    monkeypatch.setattr(binning_sim, "_rank_winners", level)
+    monkeypatch.setattr(binning_sim, "_stacked_bin_winners", call)
+    return levels
+
+
+class TestBinWinners:
+    """_stacked_bin_winners against the first-maximum oracle, on shapes
+    that reach one level of _rank_winners (W^2 below the scores' cells,
+    W the fullest pair's rows) and shapes that reach two (bins cut into
+    runs of ceil(sqrt(W)) ranks)."""
+
+    # (codes, |Phi|, fullest width W, bins holding a row, columns); a code
+    # has W + bins - 1 rows
     CASES = [
-        (1, 8, 4, 5, 3),    # one code, width one below the bins: by rank
-        (1, 8, 5, 5, 3),    # width equal to the bins: by bin
-        (1, 8, 6, 5, 3),    # width one above the bins: by bin
+        (1, 8, 4, 5, 3),    # one level
         (3, 8, 4, 5, 3),    # codes of unequal bin counts
         (3, 8, 7, 5, 3),
         (4, 40, 2, 6, 2),   # |Phi| above the rows of a code
-        (2, 1, 9, 1, 4),    # |Phi| = 1
         (3, 6, 1, 6, 2),    # one row per bin: no later rank
         (1, 12, 3, 9, 5),
+        (1, 8, 6, 4, 4),    # W^2 = 36 cells: cut, runs of 3
+        (1, 8, 5, 4, 4),    # one row fewer: 25 < 32 cells, one level
+        (1, 8, 7, 4, 4),    # one row more: 49 >= 40 cells, cut
+        (2, 1, 9, 1, 4),    # |Phi| = 1: 81 >= 72 cells, cut
+        (2, 1, 40, 1, 3),   # |Phi| = 1, runs of 7 ranks
+        (3, 4, 30, 3, 2),   # a wide bin beside narrow and empty ones
     ]
 
     def cases(self):
@@ -586,9 +612,8 @@ class TestBinWinners:
                     scores = rng.integers(0, 3, scores.shape) / 2.0
                 yield scores, pub, num_public
 
-    @pytest.mark.parametrize("by_rank", [True, False])
-    def test_forced_loop_matches_oracle(self, monkeypatch, by_rank):
-        monkeypatch.setattr(binning_sim, "_by_rank", lambda *shape: by_rank)
+    def test_matches_oracle_at_every_level(self, monkeypatch):
+        levels = rank_levels(monkeypatch)
         ties = short_bins = 0
         for scores, pub, num_public in self.cases():
             got = binning_sim._stacked_bin_winners(scores, pub, num_public)
@@ -602,40 +627,25 @@ class TestBinWinners:
                 in_bin = scores[c, pub[c] == phi]
                 ties += int((in_bin == winning[c, phi]).sum(axis=0).max(initial=0) > 1)
         assert ties > 0 and short_bins > 0
+        assert {len(calls) for calls in levels} == {1, 2}
 
-    def test_selection(self, monkeypatch):
-        # _by_rank gets the fullest width, the bins holding a row, a code's
-        # rows and the padded rows, and _rank_winners runs when it says so
-        picked, calls = [], []
-        by_rank, rank_winners = binning_sim._by_rank, binning_sim._rank_winners
-
-        def shape_spy(*shape):
-            picked.append((shape, by_rank(*shape)))
-            return picked[-1][1]
-
-        monkeypatch.setattr(binning_sim, "_by_rank", shape_spy)
-        monkeypatch.setattr(binning_sim, "_rank_winners",
-                            lambda *args: calls.append(args) or rank_winners(*args))
+    def test_each_level_loops_at_most_sqrt_w_ranks(self, monkeypatch):
+        # one level of W ranks while W^2 < cells, else two of at most
+        # ceil(sqrt(W)) ranks each
+        levels = rank_levels(monkeypatch)
         for scores, pub, num_public in self.cases():
-            before = len(calls)
-            got = binning_sim._stacked_bin_winners(scores, pub, num_public)
-            widths = np.stack([np.bincount(p, minlength=num_public)
-                               for p in pub]).max(axis=0)
-            shape, rank = picked[-1]
-            assert shape == (widths.max(), np.count_nonzero(widths),
-                             pub.shape[1], widths.sum())
-            assert (len(calls) > before) == rank
-            assert np.array_equal(got, first_maximum_oracle(scores, pub, num_public))
-        # one code is padded nowhere: the switch is at as many ranks as bins
-        assert binning_sim._by_rank(4, 5, 8, 8)
-        assert not binning_sim._by_rank(5, 5, 9, 9)
-        # padding moves it: 3 codes whose bins are padded to twice their rows
-        assert binning_sim._by_rank(9, 5, 8, 16)
-        assert not binning_sim._by_rank(10, 5, 8, 16)
+            binning_sim._stacked_bin_winners(scores, pub, num_public)
+            width = max(np.bincount(p).max() for p in pub)
+            if width**2 < scores.size:
+                assert levels[-1] == [width]
+            else:
+                step = math.isqrt(width - 1) + 1
+                assert len(levels[-1]) == 2 and max(levels[-1]) <= step
 
     def test_rank_tables_fit_in_the_scores(self):
         # bins of two rows: the pairs' tables would need 25/16 of the
-        # scores' bytes, so the rank loop takes them in two blocks
+        # scores' bytes, so the rank loop takes them in two blocks; and
+        # one public bin of 40 rows, cut into runs of 7 ranks
         rng = np.random.default_rng(119)
         pub = np.stack([rng.permutation(np.arange(40) // 2) for _ in range(3)])
         pub[1, pub[1] == 7] = 8  # one bin of four rows and one empty bin
@@ -646,10 +656,16 @@ class TestBinWinners:
                 reserved.append(nbytes["scratch"])
                 super().reserve(**nbytes)
 
-        for scores in (rng.random((3, 40, 3)), rng.integers(0, 3, (3, 40, 3)) / 2.0):
-            got = binning_sim._stacked_bin_winners(scores, pub, 20, Recording())
-            assert np.array_equal(got, first_maximum_oracle(scores, pub, 20))
-        assert len(reserved) == 4 and max(reserved) <= scores.nbytes
+        for pub, num_public, blocks in ((pub, 20, 2), (np.zeros_like(pub), 1, 2)):
+            for scores in (rng.random((3, 40, 3)), rng.integers(0, 3, (3, 40, 3)) / 2.0):
+                got = binning_sim._stacked_bin_winners(scores, pub, num_public,
+                                                       Recording())
+                assert np.array_equal(
+                    got, first_maximum_oracle(scores, pub, num_public))
+                # two blocks of one level, or one block of each of two
+                assert len(reserved) == blocks
+                assert max(reserved) <= scores.nbytes
+                reserved.clear()
 
 
 class TestExactEvaluate:
@@ -707,6 +723,20 @@ class TestExactEvaluate:
         monkeypatch.setattr(binning_sim, "ENUM_BUDGET", 100)
         with pytest.raises(BudgetError):
             exact_evaluate(code, ch)
+
+    def test_one_public_bin_peak_memory(self):
+        # |Phi| = 1: the bin winners copy no cells-sized table, so the
+        # peak is the two 8-byte stores per score cell and small tables
+        ch = random_binary_channel(np.random.default_rng(120))
+        code = generate_code(ch, 8, RatePoint(0.1, 0.0, 0.3), UNIFORM, seed=5)
+        assert code.num_public == 1
+        tracemalloc.start()
+        try:
+            exact_evaluate(code, ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * code.key_bins.size * 2**8
 
     def test_report_fields(self):
         rng = np.random.default_rng(79)
@@ -943,9 +973,11 @@ class TestStackedBitIdentity:
     # |M| > 1 in most cases; r_phi > log2|X| + r_m leaves public bins empty;
     # at n=5 with binary letters a stack holds 16 codes, so 37 codebooks
     # cross two stack boundaries; n=6 at |M|=4 and n=8 at |M|=8 are one code
-    # per stack, so the second stack reuses the first one's workspace.  The
-    # last two cases decode by rank (_stacked_bin_winners): n=5 at |Phi|=32
-    # bins of a few rows each, and |Y| != |Z| at |Phi| = 32 > |M|*|X|^n = 8.
+    # per stack, so the second stack reuses the first one's workspace.  Of
+    # the last three, n=5 at |Phi| = 32 has bins of a few rows each, |Y| !=
+    # |Z| at |Phi| = 32 > |M|*|X|^n = 8, and n=6 at |Phi| = 1 puts 256 rows
+    # in one bin, which _stacked_bin_winners cuts into runs (256^2 >= its
+    # 16,384 cells).
     CASES = [
         ((2, 2, 2, 2), False, 1, (0.5, 1.0, 1.0), 40),
         ((3, 2, 3, 2), False, 3, (0.4, 0.7, 0.4), 9),
@@ -960,19 +992,13 @@ class TestStackedBitIdentity:
         ((2, 2, 2, 2), False, 8, (0.1, 0.6, 0.3), 2),
         ((2, 2, 2, 2), False, 5, (0.2, 1.0, 0.0), 20),
         ((2, 2, 3, 2), True, 2, (0.5, 2.5, 0.5), 9),
+        ((2, 2, 2, 2), True, 6, (0.2, 0.0, 0.2), 3),
     ]
 
     def test_rows_match_per_code_reference(self, monkeypatch):
         rng = np.random.default_rng(96)
         empty_bins = 0
-        loops = []  # the loop each _stacked_bin_winners call takes
-        by_rank = binning_sim._by_rank
-
-        def recording(*args):
-            loops.append(by_rank(*args))
-            return loops[-1]
-
-        monkeypatch.setattr(binning_sim, "_by_rank", recording)
+        levels = rank_levels(monkeypatch)
         for sizes, quantized, n, rate_tuple, count in self.CASES:
             ch = (quantized_channel if quantized else random_channel)(rng, sizes)
             rates = RatePoint(*rate_tuple)
@@ -989,7 +1015,7 @@ class TestStackedBitIdentity:
             rep = exact_evaluate(code, ch)
             assert (rep.error_probability, rep.leakage_bits) == expect[-1]
         assert empty_bins > 0
-        assert True in loops and False in loops
+        assert {len(calls) for calls in levels} == {1, 2}
 
     def test_stack_size_does_not_change_rows(self, monkeypatch):
         # stacks of 1, 2, 3 and all 8 codes give the same rows
@@ -1087,9 +1113,15 @@ class TestWorkspace:
         assert rows == expect
 
     def test_one_workspace_per_ensemble_call(self, monkeypatch):
-        # |Phi| = 4 bins of 16 rows, decoded by bin
+        # |Phi| = 4 bins of 16 rows
         self.one_workspace_rows(monkeypatch, 3, RATES)
 
     def test_one_workspace_when_decoded_by_rank(self, monkeypatch):
-        # |Phi| = 32 bins of 32 rows, decoded by rank
+        # |Phi| = 32 bins for 32 rows
         self.one_workspace_rows(monkeypatch, 5, RatePoint(0.2, 1.0, 0.0))
+
+    def test_one_workspace_when_bins_are_cut(self, monkeypatch):
+        # |Phi| = 1: a stack of two 16-row codes, cut into runs of 4 ranks
+        levels = rank_levels(monkeypatch)
+        self.one_workspace_rows(monkeypatch, 3, RatePoint(0.25, 0.0, 0.25))
+        assert levels and all(len(calls) == 2 for calls in levels)
