@@ -673,7 +673,8 @@ def _evaluate_stack(tables, codewords: np.ndarray, key: np.ndarray,
     """[(error, leakage)] of each code of a stack, by full enumeration: (C,
     |M|, n) codewords and (C, |M|*|X|^n) key and public bins, rows (m, x^n)
     in lexicographic order, of codes with |K| = num_k and |Phi| = num_phi,
-    with the channel's _score_tables at n.
+    with the channel's _score_tables at n.  A leakage is never below 0,
+    and is 0 for a single key.
 
     work (a fresh _Workspace if None) holds two stores of 8 bytes per cell
     of the wider score table: "scores", for the y- and then the z-scores,
@@ -706,6 +707,8 @@ def _evaluate_stack(tables, codewords: np.ndarray, key: np.ndarray,
     # one pairwise sum per code's contiguous scores, as score_y[c].sum()
     errors = (score_y.reshape(num_codes, -1).sum(axis=1) / num_m).tolist()
     del score_y, gather, mask
+    if num_k == 1:  # a single key leaks nothing
+        return [(error, 0.0) for error in errors]
 
     # Exact joint of (K_A, Phi, Z^n) for the leakage, one block per code.
     score_z = _stacked_likelihoods(codewords, table_z, z_seqs, work)
@@ -717,8 +720,10 @@ def _evaluate_stack(tables, codewords: np.ndarray, key: np.ndarray,
     joint = np.bincount(index.ravel(), weights=score_z.ravel(),
                         minlength=num_codes * code_cells * z_cols)
     del score_z, index, work  # a workspace made here is freed before the MI
+    # H(K) + H(Phi,Z^n) - H(K,Phi,Z^n) rounds a few ulps to either side of
+    # I(K;Phi,Z^n) >= 0
     leaks = mutual_information_rows(joint.reshape(num_codes, num_k, -1))
-    return list(zip(errors, leaks))
+    return [(error, max(0.0, leak)) for error, leak in zip(errors, leaks)]
 
 
 def exact_evaluate(code: SecretKeyCode,

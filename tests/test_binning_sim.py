@@ -144,7 +144,8 @@ def reference_exact(code, channel):
     joint_kpz = np.bincount((cell[:, None] * Z**n + np.arange(Z**n)).ravel(),
                             weights=score_z.ravel(),
                             minlength=code.num_keys * code.num_public * Z**n)
-    return error, mutual_information(joint_kpz.reshape(code.num_keys, -1))
+    leakage = mutual_information(joint_kpz.reshape(code.num_keys, -1))
+    return error, max(0.0, leakage) if code.num_keys > 1 else 0.0
 
 
 def quantized_channel(rng, sizes):
@@ -748,6 +749,44 @@ class TestExactEvaluate:
         assert 0.0 <= rep.error_probability <= 1.0
         doc = rep.to_json()
         assert doc["method"] == "exact"
+
+
+def independent_z_channel(rng):
+    """Binary letters whose Z is independent of (S, X, Y), so no key leaks:
+    the computed leakage is rounding around 0."""
+    w = rng.dirichlet(np.ones(4), size=2).reshape(2, 2, 2, 1)
+    return DiscreteBroadcastChannel(w * rng.dirichlet(np.ones(2)), np.zeros(2))
+
+
+class TestLeakageSign:
+    """H(K) + H(Phi,Z^n) - H(K,Phi,Z^n) rounds a few ulps around the true
+    I(K;Phi,Z^n); the leakage reported is never below 0, and exactly 0
+    for a single key."""
+
+    def test_single_key_leaks_exactly_zero(self):
+        for seed in range(4):
+            ch = random_binary_channel(np.random.default_rng(130 + seed))
+            for n, r_phi in ((1, 0.0), (2, 0.5), (3, 1.0), (5, 0.6)):
+                rates = RatePoint(r_sk=0.0, r_phi=r_phi, r_m=0.25)
+                _, avg, check = ensemble_average(ch, UNIFORM, n, rates, 6, seed)
+                assert avg == 0.0
+                assert [leak for _, leak in check["per_codebook"]] == [0.0] * 6
+                code = generate_code(ch, n, rates, UNIFORM, seed=seed)
+                assert exact_evaluate(code, ch).leakage_bits == 0.0
+
+    def test_leakage_never_negative(self):
+        zeros = 0
+        for seed in range(6):
+            rng = np.random.default_rng(140 + seed)
+            for ch in (random_binary_channel(rng), independent_z_channel(rng)):
+                for n in (1, 2, 3, 4):
+                    for rates in ((0.25, 0.5, 0.25), (0.5, 1.0, 0.5),
+                                  (0.5, 0.0, 0.5), (1.0, 1.0, 0.0)):
+                        rows = ensemble_average(ch, UNIFORM, n, RatePoint(*rates),
+                                                8, seed)[2]["per_codebook"]
+                        assert all(leak >= 0.0 for _, leak in rows)
+                        zeros += sum(leak == 0.0 for _, leak in rows)
+        assert zeros > 0
 
 
 class TestFrozenOutputs:
