@@ -530,15 +530,16 @@ def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int,
     Each bin takes the first maximum over its own rows in their original
     order (smallest m, then lexicographically smallest x^n); an empty bin
     falls back to row 0 (first message, all-zero sequence).  Rank j of a
-    (code, bin) pair is its j-th row in that order, and _rank_winners takes
-    one Python step per rank of the fullest pair, whose W rows it gathers
-    with those of every other pair.  When W^2 >= the scores' cells, a step
-    would move fewer than W cells on average, so each pair is cut into runs
-    of ceil(sqrt(W)) consecutive ranks.  _rank_winners takes each run's
-    first maximum, and then, on the runs' best scores listed in rank order,
-    each pair's first maximal run.  Both levels replace a best only where
-    strictly greater, so the first maximum wins, and neither takes more
-    than ceil(sqrt(W)) steps.
+    (code, bin) pair is its j-th row in that order.  _rank_winners takes
+    one Python step per rank of the fullest pair: W steps, which gather the
+    scores' cells between them.  When W^2 >= the cells, a step would gather
+    at most W cells on average, so each pair is cut into runs of
+    ceil(sqrt(W)) consecutive ranks.  _rank_winners takes each run's first
+    maximum, and then, on the runs' best scores (a (runs, columns) table
+    gathered again from the scores) listed in rank order, each pair's
+    first maximal run.  Both levels replace a best only where strictly
+    greater, so the first maximum wins, and neither takes more than
+    ceil(sqrt(W)) steps.
     """
     num_codes, num_rows, num_cols = scores.shape
     # Sorting the (code, bin) keys stably lists each code's bins in turn,
@@ -557,16 +558,16 @@ def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int,
         runs = -(-counts // step)  # of each pair
         first = np.cumsum(runs) - runs  # each pair's first run
         run = first[keys] + rank // step  # each listed row's run
-        best_rows = _rank_winners(scores, run, order, rank % step,
-                                  np.bincount(run), work)
+        run_rows = _rank_winners(scores, run, order, rank % step,
+                                 np.bincount(run), work)
         pair = np.repeat(np.arange(counts.size), runs)  # each run's pair
         base = num_rows * (pair // num_public)  # flat row 0 of its code
-        best = np.take_along_axis(scores.reshape(-1, num_cols),
-                                  best_rows + base[:, None], axis=0)
+        run_best = np.take_along_axis(scores.reshape(-1, num_cols),
+                                      run_rows + base[:, None], axis=0)
         listed = np.arange(pair.size)
-        picked = _rank_winners(best[None], pair, listed, listed - first[pair],
-                               runs, work)
-        winners = np.take_along_axis(best_rows, picked, axis=0)
+        won = _rank_winners(run_best[None], pair, listed, listed - first[pair],
+                            runs, work)  # each pair's first maximal run
+        winners = np.take_along_axis(run_rows, won, axis=0)
         winners[counts == 0] = 0
     return winners.reshape(num_codes, num_public, num_cols)
 

@@ -613,8 +613,7 @@ class TestBinWinners:
                     scores = rng.integers(0, 3, scores.shape) / 2.0
                 yield scores, pub, num_public
 
-    def test_matches_oracle_at_every_level(self, monkeypatch):
-        levels = rank_levels(monkeypatch)
+    def test_matches_oracle_at_every_level(self):
         ties = short_bins = 0
         for scores, pub, num_public in self.cases():
             got = binning_sim._stacked_bin_winners(scores, pub, num_public)
@@ -628,7 +627,6 @@ class TestBinWinners:
                 in_bin = scores[c, pub[c] == phi]
                 ties += int((in_bin == winning[c, phi]).sum(axis=0).max(initial=0) > 1)
         assert ties > 0 and short_bins > 0
-        assert {len(calls) for calls in levels} == {1, 2}
 
     def test_each_level_loops_at_most_sqrt_w_ranks(self, monkeypatch):
         # one level of W ranks while W^2 < cells, else two of at most
@@ -642,6 +640,7 @@ class TestBinWinners:
             else:
                 step = math.isqrt(width - 1) + 1
                 assert len(levels[-1]) == 2 and max(levels[-1]) <= step
+        assert {len(calls) for calls in levels} == {1, 2}
 
     def test_rank_tables_fit_in_the_scores(self):
         # bins of two rows: the pairs' tables would need 25/16 of the
@@ -657,15 +656,14 @@ class TestBinWinners:
                 reserved.append(nbytes["scratch"])
                 super().reserve(**nbytes)
 
-        for pub, num_public, blocks in ((pub, 20, 2), (np.zeros_like(pub), 1, 2)):
+        for pub, num_public in ((pub, 20), (np.zeros_like(pub), 1)):
             for scores in (rng.random((3, 40, 3)), rng.integers(0, 3, (3, 40, 3)) / 2.0):
                 got = binning_sim._stacked_bin_winners(scores, pub, num_public,
                                                        Recording())
                 assert np.array_equal(
                     got, first_maximum_oracle(scores, pub, num_public))
                 # two blocks of one level, or one block of each of two
-                assert len(reserved) == blocks
-                assert max(reserved) <= scores.nbytes
+                assert len(reserved) == 2 and max(reserved) <= scores.nbytes
                 reserved.clear()
 
 
