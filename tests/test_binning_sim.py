@@ -613,10 +613,18 @@ class TestBinWinners:
                     scores = rng.integers(0, 3, scores.shape) / 2.0
                 yield scores, pub, num_public
 
-    def test_matches_oracle_at_every_level(self):
+    @pytest.mark.parametrize("cut", [True, False])
+    def test_forced_loop_matches_oracle(self, monkeypatch, cut):
+        # the shape forces the loop: two levels on the cut cases (W^2 at
+        # least the scores' cells), one level on the others
+        levels = rank_levels(monkeypatch)
         ties = short_bins = 0
         for scores, pub, num_public in self.cases():
+            width = max(np.bincount(p).max() for p in pub)
+            if (width**2 >= scores.size) != cut:
+                continue
             got = binning_sim._stacked_bin_winners(scores, pub, num_public)
+            assert len(levels[-1]) == (2 if cut else 1)
             expect = first_maximum_oracle(scores, pub, num_public)
             assert np.array_equal(got, expect), (pub, num_public)
             counts = np.stack([np.bincount(p, minlength=num_public) for p in pub])
