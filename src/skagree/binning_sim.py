@@ -12,6 +12,8 @@ protocol; the tests cross-check the decoder against a brute-force search.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from itertools import takewhile
@@ -19,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import golden_section_max
+from .capacity import golden_section_lanes, golden_section_max
 from .channels import DiscreteBroadcastChannel, _input_probs, marginal_channel
-from .exponents import ALPHA_MIN, RatePoint
+from .exponents import ALPHA_MIN, RatePoint, _fast_path_positions
 # mutual_information is no longer called here but stays importable from this
 # module: benchmarks/test_benchmark.py checks the tracer's wrapping through it.
 from .probability import Pmf, mutual_information, mutual_information_rows  # noqa: F401
@@ -796,25 +798,44 @@ def _code_size(n: int, rate: float, name: str) -> float:
     return 2.0 ** _size_bits(n, rate, name, _FLOAT_BITS)
 
 
-def _error_bound_for(channel, inp, n, rates):
-    """rho -> the raw ensemble error bound at a fixed input and n; the
-    rho-free tensors are built once."""
-    num_m = _code_size(n, rates.r_m, "|M|")
-    num_phi = _code_size(n, rates.r_phi, "|Phi|")
+# A bound is a rate-free sum of terms, "total", which depends on the input and
+# on rho or alpha, raised to the n-th power and scaled by the code sizes: the
+# tail.  The scalar closures and the lane evaluator share the tensors behind
+# the total, the scalar total and the tail, so their values agree bit for bit.
+
+def _error_tensors(channel, inp):
+    """(p(s) as (S,1), p(y|s) as (S,Y), p(x|y,s) as (S,X,Y)): the rho-free
+    tensors of the error bound."""
     pxy = marginal_channel(channel, "xy")  # (S,X,Y)
     py = pxy.sum(axis=1)                   # (S,Y)
     with np.errstate(divide="ignore", invalid="ignore"):
         p_x_given_ys = np.where(py[:, None, :] > 0, pxy / py[:, None, :], 0.0)
-    weights = _input_probs(channel, inp)[:, None]
+    return _input_probs(channel, inp)[:, None], py, p_x_given_ys
 
-    def bound(rho):
-        e = 1.0 / (1.0 + rho)
-        inner = (weights * np.power(py, e)
-                 * np.power(p_x_given_ys, e).sum(axis=1)).sum(axis=0)  # per y
-        total = math.fsum(np.power(inner, 1.0 + rho).tolist())
-        return float(num_phi**-rho * num_m**rho * total**n)
 
-    return bound
+def _error_total(weights, py, p_x_given_ys, rho):
+    """sum_y Psi4(y, rho)."""
+    e = 1.0 / (1.0 + rho)
+    inner = (weights * np.power(py, e)
+             * np.power(p_x_given_ys, e).sum(axis=1)).sum(axis=0)  # per y
+    return math.fsum(np.power(inner, 1.0 + rho).tolist())
+
+
+def _error_tail(num_m, num_phi, n, rho, total):
+    return float(num_phi**-rho * num_m**rho * total**n)
+
+
+def _error_tail_for(n, rates):
+    return functools.partial(_error_tail, _code_size(n, rates.r_m, "|M|"),
+                             _code_size(n, rates.r_phi, "|Phi|"), n)
+
+
+def _error_bound_for(channel, inp, n, rates):
+    """rho -> the raw ensemble error bound at a fixed input and n; the
+    rho-free tensors are built once."""
+    tail = _error_tail_for(n, rates)
+    tensors = _error_tensors(channel, inp)
+    return lambda rho: tail(rho, _error_total(*tensors, rho))
 
 
 def ensemble_error_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
@@ -827,12 +848,9 @@ def ensemble_error_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
     return _error_bound_for(channel, inp, n, rates)(rho)
 
 
-def _leakage_bound_for(channel, inp, n, rates):
-    """alpha -> the ensemble leakage bound at a fixed input and n; the
-    alpha-free tensors are built once."""
-    num_m = _code_size(n, rates.r_m, "|M|")
-    num_phi = _code_size(n, rates.r_phi, "|Phi|")
-    num_k = _code_size(n, rates.r_sk, "|K|")
+def _leakage_tensors(channel, inp):
+    """(p(s,x,z), p(z|s)/p(z) * p(x|s,z)), each on the support p(s,x,z) > 0:
+    the alpha-free tensors of the leakage bound."""
     pxz = marginal_channel(channel, "xz")  # (S,X,Z)
     joint = _input_probs(channel, inp)[:, None, None] * pxz
     pz = joint.sum(axis=(0, 1))
@@ -845,14 +863,31 @@ def _leakage_bound_for(channel, inp, n, rates):
                                                           pz[None, None, :], 1.0),
                         0.0) * p_x_given_sz
     support = joint > 0
-    joint, lift = joint[support], lift[support]
+    return joint[support], lift[support]
 
-    def bound(alpha):
-        total = math.fsum((joint * np.power(lift, alpha)).tolist())
-        c = math.log2(math.e) / alpha
-        return float(c * num_k**alpha * num_phi**alpha * num_m**-alpha * total**n)
 
-    return bound
+def _leakage_total(joint, lift, alpha):
+    """sum Upsilon(s,x,z,alpha)."""
+    return math.fsum((joint * np.power(lift, alpha)).tolist())
+
+
+def _leakage_tail(num_m, num_phi, num_k, n, alpha, total):
+    c = math.log2(math.e) / alpha
+    return float(c * num_k**alpha * num_phi**alpha * num_m**-alpha * total**n)
+
+
+def _leakage_tail_for(n, rates):
+    return functools.partial(_leakage_tail, _code_size(n, rates.r_m, "|M|"),
+                             _code_size(n, rates.r_phi, "|Phi|"),
+                             _code_size(n, rates.r_sk, "|K|"), n)
+
+
+def _leakage_bound_for(channel, inp, n, rates):
+    """alpha -> the ensemble leakage bound at a fixed input and n; the
+    alpha-free tensors are built once."""
+    tail = _leakage_tail_for(n, rates)
+    tensors = _leakage_tensors(channel, inp)
+    return lambda alpha: tail(alpha, _leakage_total(*tensors, alpha))
 
 
 def ensemble_leakage_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
@@ -865,27 +900,110 @@ def ensemble_leakage_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
     return _leakage_bound_for(channel, inp, n, rates)(alpha)
 
 
+def _bound_lanes_for(channel, inp, rates, error_ns, leakage_ns):
+    """bounds(lanes, xs, overflow=None) -> the ensemble bounds of many lanes
+    at one input: lane l < len(error_ns) is the error bound at n =
+    error_ns[l] and rho xs, each later lane the leakage bound at n =
+    leakage_ns[l - len(error_ns)] and alpha xs (lanes an ascending int
+    array, xs a float array, as golden_section_lanes passes them).
+
+    Each value is the scalar closure's (_error_bound_for,
+    _leakage_bound_for) bit for bit.  One numpy pass per kind computes the
+    powers of every lane's terms; each lane then takes its own fsum and its
+    Python-float tail.  A lane whose rho or alpha gives one of numpy power's
+    fast-path exponents (exponents._fast_path_positions) takes the scalar
+    total instead.  A bound beyond the float range raises the tail's
+    OverflowError, or is overflow if that is given."""
+    tails = ([_error_tail_for(n, rates) for n in error_ns]
+             + [_leakage_tail_for(n, rates) for n in leakage_ns])
+    num_error = len(error_ns)
+    error_tensors = weights, py, p_x_given_ys = _error_tensors(channel, inp)
+    leakage_tensors = joint, lift = _leakage_tensors(channel, inp)
+
+    def bounds(lanes, xs, overflow=None):
+        lane_list, x_list = lanes.tolist(), xs.tolist()
+        split = bisect.bisect_left(lane_list, num_error)
+        totals = []
+        if split:
+            power = 1.0 + xs[:split]
+            e = 1.0 / power
+            e_col = e[:, None, None]
+            inner = np.add.reduce(weights * np.power(py, e_col) * np.add.reduce(
+                np.power(p_x_given_ys, e_col[:, None]), axis=2), axis=1)
+            totals += map(math.fsum, np.power(inner, power[:, None]).tolist())
+            for j in _fast_path_positions(e, power):
+                totals[j] = _error_total(*error_tensors, x_list[j])
+        if split < len(lane_list):
+            alphas = xs[split:]
+            totals += map(math.fsum, (joint * np.power(lift, alphas[:, None])).tolist())
+            for j in _fast_path_positions(alphas):
+                totals[split + j] = _leakage_total(*leakage_tensors, x_list[split + j])
+        values = []
+        for lane, x, total in zip(lane_list, x_list, totals):
+            try:
+                values.append(tails[lane](x, total))
+            except OverflowError:  # total**n
+                if overflow is None:
+                    raise
+                values.append(overflow)
+        return values
+
+    return bounds
+
+
+def _neg_log2(bound: float) -> float:
+    """-log2 bound, which a bound search maximizes.  A trial bound that the
+    Python-float tail cannot represent, inf when a power overflows, 0 when
+    one underflows and NaN when both meet, is -inf, never the minimum; so
+    the bound a search reports is one it evaluated."""
+    return -math.log2(bound) if bound > 0.0 else -math.inf
+
+
+def _search_objective(bound):
+    """x -> _neg_log2(bound(x)), with the tail's OverflowError as inf."""
+    def objective(x):
+        try:
+            return _neg_log2(bound(x))
+        except OverflowError:
+            return -math.inf
+    return objective
+
+
 def minimize_error_bound(channel, inp, n, rates):
     """(rho*, min over rho of the ensemble error bound); the log-bound is
     convex in rho."""
-    bound = _error_bound_for(channel, inp, n, rates)
-    rho, neg = golden_section_max(lambda r: -math.log2(bound(r)), 0.0, 1.0)
+    rho, neg = golden_section_max(
+        _search_objective(_error_bound_for(channel, inp, n, rates)), 0.0, 1.0)
     return rho, 2.0**-neg
 
 
 def minimize_leakage_bound(channel, inp, n, rates):
-    bound = _leakage_bound_for(channel, inp, n, rates)
-    alpha, neg = golden_section_max(lambda a: -math.log2(bound(a)), ALPHA_MIN, 1.0)
+    alpha, neg = golden_section_max(
+        _search_objective(_leakage_bound_for(channel, inp, n, rates)), ALPHA_MIN, 1.0)
     return alpha, 2.0**-neg
 
 
-def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
-                     n: int, rates: RatePoint, num_codebooks: int, seed):
-    """Average exact error/leakage over independently drawn codebooks and
-    compare against the minimized ensemble bounds.
+def _minimized_bounds(channel, inp, n_list, rates) -> list:
+    """((rho*, error bound), (alpha*, leakage bound)) at each n of n_list,
+    result for result what minimize_error_bound and minimize_leakage_bound
+    give.  Several n run all their searches in one golden_section_lanes set,
+    the error lanes and then the leakage lanes; a single n keeps the two
+    scalar searches, which are cheaper at two lanes."""
+    if len(n_list) == 1:
+        return [(minimize_error_bound(channel, inp, n_list[0], rates),
+                 minimize_leakage_bound(channel, inp, n_list[0], rates))]
+    bounds = _bound_lanes_for(channel, inp, rates, n_list, n_list)
+    found = [(x, 2.0**-neg) for x, neg in golden_section_lanes(
+        lambda lanes, xs: [_neg_log2(b) for b in bounds(lanes, xs, math.inf)],
+        [(0.0, 1.0)] * len(n_list) + [(ALPHA_MIN, 1.0)] * len(n_list))]
+    return list(zip(found[:len(n_list)], found[len(n_list):]))
 
-    Returns (avg_error, avg_leakage, check) where check carries the bounds,
-    the 3*sigma/sqrt(N) slack terms, per-codebook rows, and pass verdicts.
+
+def _codebook_rows(channel: DiscreteBroadcastChannel, inp: Pmf, n: int,
+                   rates: RatePoint, num_codebooks: int, seed, work: _Workspace):
+    """[(error, leakage)] of num_codebooks codebooks at blocklength n, each
+    by exact enumeration, with the stacks' stores in work.
+
     seed is wrapped in a SeedSequence if it is not one.  Codebook i is
     drawn from its child n_children_spawned + i, the child that
     seed.spawn would give, exactly as generate_code draws from that child:
@@ -899,12 +1017,10 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
     two calls with one SeedSequence draw the same codebooks.  A child index
     must stay below 2^32 (a larger one needs a second spawn-key word), else
     ValueError.  The codebooks are drawn straight into stacked tables and
-    evaluated in stacks of about _STACK_CELLS cells; every per-codebook row
-    equals exact_evaluate on generate_code(..., child i).  The stacks share
-    one workspace, made by this call and dropped when it returns: a float
-    score store and a scratch store, sized by the first stack, the largest
-    (_evaluate_stack).
-    """
+    evaluated in stacks of about _STACK_CELLS cells; every row equals
+    exact_evaluate on generate_code(..., child i).  The stacks share work's
+    float score store and scratch store, which grow only when a stack needs
+    more than an earlier one (_evaluate_stack)."""
     if num_codebooks < 1:
         raise ValueError("num_codebooks must be >= 1")
     seq = _seed_sequence(seed)
@@ -920,7 +1036,6 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
     bit_gen = np.random.PCG64(0)
     cdf = _input_cdf(inp)
     tables = _score_tables(channel, n)
-    work = _Workspace()
     rows = []
     for lo in range(0, num_codebooks, stack):
         states = _pcg64_states(_child_pools(
@@ -930,16 +1045,22 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
         _check_bins(key, num_k, pub, num_phi)
         rows += _evaluate_stack(tables, codewords, key, pub, num_k, num_phi,
                                 work)
+    return rows
+
+
+def _bound_check(rows, bounds):
+    """(avg_error, avg_leakage, check) of the per-codebook rows against
+    bounds, the ((rho*, error bound), (alpha*, leakage bound)) of their n."""
+    (rho_star, err_bound), (alpha_star, leak_bound) = bounds
+    count = len(rows)
     errors = np.array([r[0] for r in rows])
     leaks = np.array([r[1] for r in rows])
     avg_error = float(errors.mean())
     avg_leakage = float(leaks.mean())
-    slack_e = 3.0 * float(errors.std(ddof=1)) / math.sqrt(num_codebooks) \
-        if num_codebooks > 1 else 0.0
-    slack_l = 3.0 * float(leaks.std(ddof=1)) / math.sqrt(num_codebooks) \
-        if num_codebooks > 1 else 0.0
-    rho_star, err_bound = minimize_error_bound(channel, inp, n, rates)
-    alpha_star, leak_bound = minimize_leakage_bound(channel, inp, n, rates)
+    slack_e = 3.0 * float(errors.std(ddof=1)) / math.sqrt(count) \
+        if count > 1 else 0.0
+    slack_l = 3.0 * float(leaks.std(ddof=1)) / math.sqrt(count) \
+        if count > 1 else 0.0
     check = {
         "error_bound": err_bound,
         "rho_star": rho_star,
@@ -952,3 +1073,22 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
         "per_codebook": rows,
     }
     return avg_error, avg_leakage, check
+
+
+def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
+                     n: int, rates: RatePoint, num_codebooks: int, seed):
+    """Average exact error/leakage over independently drawn codebooks and
+    compare against the minimized ensemble bounds.
+
+    Returns (avg_error, avg_leakage, check) where check carries the bounds,
+    the 3*sigma/sqrt(N) slack terms, per-codebook rows, and pass verdicts.
+    Codebook i is drawn from child n_children_spawned + i of seed (a
+    SeedSequence or what one is made from), as _codebook_rows describes;
+    the stacks share one workspace, made by this call and dropped when it
+    returns.  simulate composes the same two pieces, the codebook rows and
+    the bound check, over all its blocklengths, with one workspace for
+    every stack of the call and every bound search in one lane set
+    (_minimized_bounds).
+    """
+    rows = _codebook_rows(channel, inp, n, rates, num_codebooks, seed, _Workspace())
+    return _bound_check(rows, _minimized_bounds(channel, inp, [n], rates)[0])

@@ -22,6 +22,7 @@ from skagree import (
     mlmap_decode,
     monte_carlo_evaluate,
     reliability_objective,
+    save_channel,
     secrecy_objective,
 )
 from skagree import binning_sim
@@ -38,6 +39,8 @@ from skagree.binning_sim import (
     minimize_leakage_bound,
     sequence_index,
 )
+from skagree.cli import main
+from skagree.exponents import ALPHA_MIN
 from skagree.probability import Pmf, mutual_information
 
 UNIFORM = Pmf.uniform(2)
@@ -985,6 +988,126 @@ class TestEnsembleBounds:
             ensemble_leakage_bound(ch, UNIFORM, 4, 0.0, RATES)
 
 
+def degraded_channel(rng, sizes):
+    """p(x,y|s) with Z a random degradation of Y: Dirichlet rows."""
+    S, X, Y, Z = sizes
+    pxy = rng.dirichlet(np.ones(X * Y), size=S).reshape(S, X, Y)
+    pzy = rng.dirichlet(np.ones(Z), size=Y)  # (y, z)
+    return DiscreteBroadcastChannel(pxy[:, :, :, None] * pzy[None, None], np.zeros(S))
+
+
+def bound_cases(seed, count):
+    """(channel, input, rates) on random |S| = 2 and 3 channels, degraded and
+    general, with uniform and non-uniform inputs, the sim-enum rates and
+    random ones (many of them with a vacuous error bound, rho* = 0)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        sizes = (int(rng.integers(2, 4)),) + tuple(int(v) for v in rng.integers(2, 4, 3))
+        ch = (degraded_channel if i % 2 else random_channel)(rng, sizes)
+        inp = Pmf.uniform(sizes[0]) if i % 3 else Pmf(rng.dirichlet(np.ones(sizes[0])))
+        rates = RATES if i % 4 == 0 else RatePoint(*rng.uniform(0.0, 1.2, 3))
+        yield ch, inp, rates
+
+
+class TestBoundLanes:
+    """The lane evaluator of the finite-n bounds and the one lane set of
+    searches give the scalar closures' and searches' values bit for bit."""
+
+    @staticmethod
+    def scalar(ch, inp, rates, kind, n, x):
+        return (binning_sim._error_bound_for if kind == "error"
+                else binning_sim._leakage_bound_for)(ch, inp, n, rates)(x)
+
+    def test_values_equal_scalar_closures(self):
+        # the edges and numpy power's fast-path exponents (rho = 1, alpha =
+        # 0.5) among random points, over lane subsets that start, end or
+        # split anywhere
+        rng = np.random.default_rng(120)
+        for ch, inp, rates in bound_cases(121, 12):
+            ns = [1, 2, 3, 5]
+            bounds = binning_sim._bound_lanes_for(ch, inp, rates, ns, ns)
+            kinds = [("error", n) for n in ns] + [("leakage", n) for n in ns]
+            for points in ([0.0, 1.0, 0.5, 0.25], [ALPHA_MIN, 0.5, 1.0, 0.75],
+                           rng.uniform(0.0, 1.0, 4).tolist()):
+                xs = np.array(points * 2)
+                xs[4:] = np.maximum(xs[4:], ALPHA_MIN)
+                for lanes in (np.arange(8), np.array([0, 3, 4, 7]),
+                              np.array([1, 2]), np.array([5, 6])):
+                    got = bounds(lanes, xs[lanes])
+                    want = [self.scalar(ch, inp, rates, *kinds[lane], x)
+                            for lane, x in zip(lanes.tolist(), xs[lanes].tolist())]
+                    assert got == want
+
+    def test_every_searched_point_equals_scalar_closure(self, monkeypatch):
+        calls = []
+        lanes_for = binning_sim._bound_lanes_for
+
+        def spy(*args):
+            bounds = lanes_for(*args)
+
+            def spied(lanes, xs, overflow=None):
+                values = bounds(lanes, xs, overflow)
+                calls.append((lanes.tolist(), xs.tolist(), values))
+                return values
+            return spied
+
+        monkeypatch.setattr(binning_sim, "_bound_lanes_for", spy)
+        for ch, inp, rates in bound_cases(122, 6):
+            ns = [1, 2, 4]
+            del calls[:]
+            binning_sim._minimized_bounds(ch, inp, ns, rates)
+            assert len(calls) > 50
+            kinds = [("error", n) for n in ns] + [("leakage", n) for n in ns]
+            for lanes, xs, values in calls:
+                assert values == [self.scalar(ch, inp, rates, *kinds[lane], x)
+                                  for lane, x in zip(lanes, xs)]
+
+    def test_searches_equal_scalar_searches(self):
+        vacuous = 0
+        for ch, inp, rates in bound_cases(123, 40):
+            ns = [1, 2, 3, 4, 5]
+            got = binning_sim._minimized_bounds(ch, inp, ns, rates)
+            want = [(minimize_error_bound(ch, inp, n, rates),
+                     minimize_leakage_bound(ch, inp, n, rates)) for n in ns]
+            assert got == want
+            vacuous += sum(error == (0.0, 1.0) for error, _ in got)
+        assert vacuous > 0
+
+    def test_one_n_takes_the_scalar_searches(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("lane evaluator built for one n")
+
+        monkeypatch.setattr(binning_sim, "_bound_lanes_for", refuse)
+        ch = random_degraded_binary_channel(np.random.default_rng(124))
+        assert binning_sim._minimized_bounds(ch, UNIFORM, [4], RATES) == [
+            (minimize_error_bound(ch, UNIFORM, 4, RATES),
+             minimize_leakage_bound(ch, UNIFORM, 4, RATES))]
+
+    @pytest.mark.parametrize("seed,error", [(126, (0.0, 1.0)),
+                                            (122, (0.1093773550443281, 0.017682719023781976))])
+    def test_unrepresentable_trial_bound_is_never_the_minimum(self, seed, error):
+        # at n = 1500 and r_m = 0 the error bound's total**n overflows at
+        # rho = 1; its minimum is bound(0) = 1 on one channel and below 1 on
+        # the other.  On the first, the leakage tail at alpha = 1 meets an
+        # overflowing |K|^a |Phi|^a and an underflowing total**n (NaN).
+        ch = random_degraded_binary_channel(np.random.default_rng(seed))
+        rates = RatePoint(0.1, 0.6, 0.0)
+        with pytest.raises(OverflowError):
+            binning_sim._error_bound_for(ch, UNIFORM, 1500, rates)(1.0)
+        leakage = binning_sim._leakage_bound_for(ch, UNIFORM, 1500, rates)(1.0)
+        assert not 0.0 < leakage < math.inf
+        assert minimize_error_bound(ch, UNIFORM, 1500, rates) == error
+        alpha, leak = minimize_leakage_bound(ch, UNIFORM, 1500, rates)
+        assert 0.0 < alpha < 1.0 and 0.0 < leak < math.inf
+        assert binning_sim._minimized_bounds(ch, UNIFORM, [1400, 1500], rates) == [
+            (minimize_error_bound(ch, UNIFORM, n, rates),
+             minimize_leakage_bound(ch, UNIFORM, n, rates)) for n in (1400, 1500)]
+        lanes = binning_sim._bound_lanes_for(ch, UNIFORM, rates, [1500], [])
+        with pytest.raises(OverflowError):
+            lanes(np.array([0]), np.array([1.0]))
+        assert lanes(np.array([0]), np.array([1.0]), math.inf) == [math.inf]
+
+
 class TestEnsembleAverage:
     def test_single_key_ensemble(self):
         rng = np.random.default_rng(88)
@@ -1160,6 +1283,28 @@ class TestWorkspace:
     def test_one_workspace_per_ensemble_call(self, monkeypatch):
         # |Phi| = 4 bins of 16 rows
         self.one_workspace_rows(monkeypatch, 3, RATES)
+
+    def test_one_workspace_per_simulate_call(self, monkeypatch, tmp_path):
+        # the stacks of every blocklength share the call's one workspace
+        made, stacks = [], []
+
+        class CountingWorkspace(_Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+            def reserve(self, **nbytes):
+                stacks.append(self)
+                super().reserve(**nbytes)
+
+        monkeypatch.setattr(binning_sim, "_Workspace", CountingWorkspace)
+        path = tmp_path / "ch.json"
+        save_channel(random_binary_channel(np.random.default_rng(114)), path)
+        rc = main(["simulate", "--channel", str(path), "--rsk-rate", "0.25",
+                   "--rphi-rate", "0.5", "--rm-rate", "0.25", "--n", "1:4",
+                   "--codebooks", "6", "--seed", "4", "--out", str(tmp_path / "s.csv")])
+        assert rc in (0, 1)
+        assert len(made) == 1 and len(stacks) >= 4 and set(stacks) == set(made)
 
     def test_one_workspace_when_decoded_by_rank(self, monkeypatch):
         # |Phi| = 32 bins for 32 rows

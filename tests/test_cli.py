@@ -181,6 +181,49 @@ class TestSimulateCommand:
                           "exact_leakage_bits"]
         assert len(rows) == 16
 
+    def test_equals_ensemble_average_per_n(self, degraded_channel_file, tmp_path):
+        # every n's bound searches run as lanes of one set and every stack
+        # shares one workspace, yet the bytes are those of ensemble_average
+        # at each n with the CLI's spawned children
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--channel", degraded_channel_file,
+                   "--rsk-rate", "0.2", "--rphi-rate", "0.6", "--rm-rate", "0",
+                   "--n", "1:5", "--codebooks", "20", "--seed", "9",
+                   "--out", str(out)])
+        channel = skagree.load_channel(degraded_channel_file)
+        rates = skagree.RatePoint(0.2, 0.6, 0.0)
+        lines, checks = ["n,codebook_index,exact_error,exact_leakage_bits"], {}
+        for n, child in zip(range(1, 6), np.random.SeedSequence(9).spawn(5)):
+            avg_e, avg_l, check = skagree.ensemble_average(
+                channel, skagree.Pmf.bernoulli(0.5), n, rates, 20, child)
+            lines += ["%d,%d,%.17g,%.17g" % (n, i, err, leak)
+                      for i, (err, leak) in enumerate(check["per_codebook"])]
+            checks[str(n)] = {
+                "avg_error": avg_e, "avg_leakage_bits": avg_l,
+                **{key: check[key] for key in (
+                    "error_bound", "rho_star", "error_slack", "leakage_bound",
+                    "alpha_star", "leakage_slack")},
+                "bound_check": "pass" if check["error_ok"] and check["leakage_ok"]
+                else "fail"}
+        assert out.read_text() == "\n".join(lines) + "\n"
+        assert (tmp_path / "s.csv.bounds.json").read_text() == \
+            json.dumps(checks, indent=2) + "\n"
+        verdicts = {doc["bound_check"] for doc in checks.values()}
+        assert rc == (0 if verdicts == {"pass"} else 1)
+
+    def test_later_n_over_table_budget_exit_2(self, degraded_channel_file, tmp_path,
+                                              capsys, monkeypatch):
+        # |M|*|X|^n = 2*8, 2*16 and then 4*32 entries at n = 3, 4, 5
+        monkeypatch.setattr(skagree.binning_sim, "TABLE_BUDGET", 64)
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--channel", degraded_channel_file,
+                   "--rsk-rate", "0.25", "--rphi-rate", "0.75", "--rm-rate", "0.25",
+                   "--n", "3:5", "--codebooks", "4", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: binning tables need |M|*|X|^n = 128 entries, over the budget 64\n")
+        assert not out.exists() and not (tmp_path / "s.csv.bounds.json").exists()
+
     def test_wide_leakage_rows_rerun_byte_identical(self, degraded_channel_file,
                                                     tmp_path, monkeypatch):
         # n=5 joints have rows wider than _WIDE_ROW_CELLS, summed by numpy;
