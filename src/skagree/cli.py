@@ -347,29 +347,36 @@ def cmd_simulate(args) -> int:
 def cmd_verify_bounds(args) -> int:
     """Check the algebraic ties between the finite-n ensemble bounds and the
     exponent objectives, using effective rates ceil(n*rate)/n, the code sizes'
-    own rounding, so the identity is exact.  Each n builds its bounds and
-    objectives once; every rho and alpha checked lies in their domains."""
+    own rounding, so the identity is exact.  Each n evaluates its 21 rho and
+    20 alpha points in one call of the bound lanes that simulate minimizes
+    with, and the objectives in one call of each exponent's lanes; every rho
+    and alpha checked lies in their domains."""
     channel = _resolve_discrete_channel(args)
     inp = _sim_input(args, channel)
     rates = expo.RatePoint(r_sk=args.rsk_rate, r_phi=args.rphi_rate, r_m=args.rm_rate)
+    rhos, alphas = np.linspace(0.0, 1.0, 21), np.linspace(0.05, 1.0, 20)
+    at_input = np.zeros(max(rhos.size, alphas.size), dtype=np.intp)
     worst_e, worst_f = 0.0, 0.0
     for n in _parse_n_range(args.n):
         r_m, r_phi, r_sk = (binning_sim._size_bits(n, r, name, binning_sim._FLOAT_BITS) / n
                             for r, name in ((rates.r_m, "|M|"), (rates.r_phi, "|Phi|"),
                                             (rates.r_sk, "|K|")))  # the bounds' check order
         eff = expo.RatePoint(r_sk=r_sk, r_phi=r_phi, r_m=r_m)
-        bound = binning_sim._error_bound_for(channel, inp, n, rates)
-        objective = expo._reliability_objective_for(channel, inp, eff)
-        for rho in np.linspace(0.0, 1.0, 21).tolist():
-            lhs = bound(rho)
-            rhs = 2.0 ** (-n * objective(rho))
+        bounds = binning_sim._bound_lanes_for(channel, inp, rates, [n] * rhos.size,
+                                              [n] * alphas.size)(
+            np.arange(rhos.size + alphas.size), np.concatenate((rhos, alphas)))
+        objectives = expo._reliability_lanes_for(
+            channel, [inp], at_input, [eff.r_phi - eff.r_m] * rhos.size)(
+            np.arange(rhos.size), rhos)
+        for lhs, objective in zip(bounds, objectives):
+            rhs = 2.0 ** (-n * objective)
             worst_e = max(worst_e, abs(lhs - rhs) / max(rhs, 1e-300))
-        bound = binning_sim._leakage_bound_for(channel, inp, n, rates)
-        objective = expo._secrecy_objective_for(channel, inp, eff)
-        for alpha in np.linspace(0.05, 1.0, 20).tolist():
-            lhs = bound(alpha)
+        objectives = expo._secrecy_lanes_for(
+            channel, [inp], at_input, [eff.r_sk + eff.r_phi - eff.r_m] * alphas.size)(
+            np.arange(alphas.size), alphas)
+        for alpha, lhs, objective in zip(alphas.tolist(), bounds[rhos.size:], objectives):
             c = math.log2(math.e) / alpha
-            rhs = c * 2.0 ** (-n * objective(alpha))
+            rhs = c * 2.0 ** (-n * objective)
             worst_f = max(worst_f, abs(lhs - rhs) / max(rhs, 1e-300))
     ok = worst_e <= 1e-10 and worst_f <= 1e-10
     doc = {"max_rel_error_identity_gap": worst_e,
