@@ -32,25 +32,36 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _parse_grid(spec: str):
-    """Grid syntax: 'a:b:k' (k evenly spaced points) or a comma list."""
-    if ":" in spec:
+def _parse_grid(spec: str, flag: str):
+    """Grid syntax: 'a:b:k' (k evenly spaced points) or a comma list.  A
+    malformed spec is a ValueError naming the flag and the spec."""
+    try:
+        if ":" not in spec:
+            return [float(v) for v in spec.split(",")]
         a, b, k = spec.split(":")
-        if int(k) < 1:
-            raise ValueError("grid %r needs at least one point (k >= 1)" % spec)
-        return list(np.linspace(float(a), float(b), int(k)))
-    return [float(v) for v in spec.split(",")]
+        a, b, k = float(a), float(b), int(k)
+    except ValueError:
+        raise ValueError("%s %r is not a:b:k or a comma list of numbers"
+                         % (flag, spec)) from None
+    if k < 1:
+        raise ValueError("%s %r needs at least one point (k >= 1)" % (flag, spec))
+    return list(np.linspace(a, b, k))
 
 
 def _parse_n_range(spec: str):
     """Blocklengths 'a:b' (a..b inclusive) or a comma list; each must be >= 1,
     the list must not be empty and no blocklength may repeat (simulate keys
-    its sidecar by n)."""
-    if ":" in spec:
-        a, b = spec.split(":")
-        n_list = list(range(int(a), int(b) + 1))
-    else:
-        n_list = [int(v) for v in spec.split(",")]
+    its sidecar by n).  A malformed spec is a ValueError naming --n and the
+    spec."""
+    try:
+        if ":" in spec:
+            a, b = spec.split(":")
+            n_list = list(range(int(a), int(b) + 1))
+        else:
+            n_list = [int(v) for v in spec.split(",")]
+    except ValueError:
+        raise ValueError("--n %r is not a:b or a comma list of integers"
+                         % spec) from None
     if not n_list:
         raise ValueError("--n %r lists no blocklength" % spec)
     if min(n_list) < 1:
@@ -275,10 +286,10 @@ def _monotone_summary(rows):
 
 def cmd_exponents(args) -> int:
     channel = _resolve_discrete_channel(args)
-    rsk_grid = _parse_grid(args.rsk)
-    rphi_grid = _parse_grid(args.rphi)
-    rm_grid = _parse_grid(args.rm)
-    beta_grid = _parse_grid(args.beta_grid) if args.beta_grid else [0.5]
+    rsk_grid = _parse_grid(args.rsk, "--rsk")
+    rphi_grid = _parse_grid(args.rphi, "--rphi")
+    rm_grid = _parse_grid(args.rm, "--rm")
+    beta_grid = _parse_grid(args.beta_grid, "--beta-grid") if args.beta_grid else [0.5]
     if channel.alphabet_sizes[0] != 2:
         raise ChannelError(
             "exponents sweeps Bernoulli inputs (--beta-grid, default 0.5), so it "

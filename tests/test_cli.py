@@ -434,6 +434,29 @@ class TestErrorHandling:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    RATES = ["--rsk-rate", "0.25", "--rphi-rate", "0.75", "--rm-rate", "0.25"]
+
+    @pytest.mark.parametrize("argv,flag,spec", [
+        (["simulate", "--seed", "1"] + RATES, "--n", "1:2:3"),
+        (["simulate", "--seed", "1"] + RATES, "--n", "1,"),
+        (["simulate", "--seed", "1"] + RATES, "--n", "a:3"),
+        (["verify-bounds"] + RATES, "--n", "2.5"),
+        (["exponents", "--rsk", "0.01", "--rm", "0"], "--rphi", "0:1"),
+        (["exponents", "--rsk", "0.01", "--rm", "0"], "--rphi", "0:1:x"),
+        (["exponents", "--rphi", "0.5", "--rm", "0"], "--rsk", "0.1,"),
+        (["exponents", "--rsk", "0.01", "--rphi", "0.5", "--rm", "0"],
+         "--beta-grid", "0.2:0.8:3:1")])
+    def test_malformed_spec_names_flag_exit_2(self, degraded_channel_file, tmp_path,
+                                              capsys, argv, flag, spec):
+        out = tmp_path / "out"
+        rc = main(argv + [flag, spec, "--channel", degraded_channel_file,
+                          "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        shape = "a:b or a comma list of integers" if flag == "--n" else \
+            "a:b:k or a comma list of numbers"
+        assert capsys.readouterr().err == "error: %s %r is not %s\n" % (flag, spec, shape)
+
     @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-2"])
     def test_empty_rate_grid_exit_2(self, degraded_channel_file, tmp_path, grid):
         out = tmp_path / "surface.csv"
