@@ -54,6 +54,7 @@ from .binning_sim import (
     SecretKeyCode,
     SimReport,
     ensemble_average,
+    ensemble_averages,
     ensemble_error_bound,
     ensemble_leakage_bound,
     exact_evaluate,

@@ -321,20 +321,14 @@ def cmd_simulate(args) -> int:
     inp = _sim_input(args, channel)
     rates = expo.RatePoint(r_sk=args.rsk_rate, r_phi=args.rphi_rate, r_m=args.rm_rate)
     n_list = _parse_n_range(args.n)
-    # ensemble_average's two pieces over every n: one workspace for all
-    # the stacks, and every bound search of the call in one lane set
-    work = binning_sim._Workspace()
-    children = np.random.SeedSequence(args.seed).spawn(len(n_list))
-    per_n = [binning_sim._codebook_rows(channel, inp, n, rates, args.codebooks,
-                                        child, work)
-             for n, child in zip(n_list, children)]
-    bounds = binning_sim._minimized_bounds(channel, inp, n_list, rates)
     rows = []
     checks = {}
     all_ok = True
-    for n, n_rows, n_bounds in zip(n_list, per_n, bounds):
-        avg_e, avg_l, check = binning_sim._bound_check(n_rows, n_bounds)
-        for idx, (err, leak) in enumerate(n_rows):
+    children = np.random.SeedSequence(args.seed).spawn(len(n_list))
+    results = binning_sim.ensemble_averages(channel, inp, n_list, rates,
+                                            args.codebooks, children)
+    for n, (avg_e, avg_l, check) in zip(n_list, results):
+        for idx, (err, leak) in enumerate(check["per_codebook"]):
             rows.append((n, idx, err, leak))
         ok = bool(check["error_ok"] and check["leakage_ok"])
         all_ok = all_ok and ok

@@ -14,6 +14,7 @@ from skagree import (
     RatePoint,
     build_binary_onoff,
     ensemble_average,
+    ensemble_averages,
     ensemble_error_bound,
     ensemble_leakage_bound,
     exact_evaluate,
@@ -1127,6 +1128,18 @@ class TestEnsembleAverage:
         b = ensemble_average(ch, UNIFORM, 4, RATES, num_codebooks=16, seed=7)
         assert a[0] == b[0] and a[1] == b[1]
         assert a[2]["error_ok"] and a[2]["leakage_ok"]
+
+    def test_several_blocklengths_equal_one_at_a_time(self):
+        # one workspace and one lane set of bound searches for the call,
+        # yet every result is ensemble_average's at its n and seed
+        ch = random_degraded_binary_channel(np.random.default_rng(95))
+        rates = RatePoint(r_sk=0.2, r_phi=0.6, r_m=0.0)
+        n_list, seeds = [1, 4, 2], [11, np.random.SeedSequence(12), 13]
+        assert ensemble_averages(ch, UNIFORM, n_list, rates, 7, seeds) == [
+            ensemble_average(ch, UNIFORM, n, rates, 7, seed)
+            for n, seed in zip(n_list, seeds)]
+        with pytest.raises(ValueError, match="one seed per blocklength"):
+            ensemble_averages(ch, UNIFORM, [1, 2], rates, 7, [1])
 
     def test_rejects_empty_ensemble(self):
         rng = np.random.default_rng(94)
