@@ -360,7 +360,9 @@ def cmd_verify_bounds(args) -> int:
     inp = _sim_input(args, channel)
     rates = expo.RatePoint(r_sk=args.rsk_rate, r_phi=args.rphi_rate, r_m=args.rm_rate)
     rhos, alphas = np.linspace(0.0, 1.0, 21), np.linspace(0.05, 1.0, 20)
-    at_input = np.zeros(max(rhos.size, alphas.size), dtype=np.intp)
+    points = np.concatenate((rhos, alphas))  # the error lanes, then the leakage lanes
+    lanes = np.arange(points.size)
+    at_input = np.zeros(points.size, dtype=np.intp)  # every lane's input is inp
     worst_e, worst_f = 0.0, 0.0
     for n in _parse_n_range(args.n):
         r_m, r_phi, r_sk = (binning_sim._size_bits(n, r, name, binning_sim._FLOAT_BITS) / n
@@ -368,18 +370,16 @@ def cmd_verify_bounds(args) -> int:
                                             (rates.r_sk, "|K|")))  # the bounds' check order
         eff = expo.RatePoint(r_sk=r_sk, r_phi=r_phi, r_m=r_m)
         bounds = binning_sim._bound_lanes_for(channel, inp, rates, [n] * rhos.size,
-                                              [n] * alphas.size)(
-            np.arange(rhos.size + alphas.size), np.concatenate((rhos, alphas)))
-        objectives = expo._reliability_lanes_for(
-            channel, [inp], at_input, [eff.r_phi - eff.r_m] * rhos.size)(
-            np.arange(rhos.size), rhos)
-        for lhs, objective in zip(bounds, objectives):
+                                              [n] * alphas.size)(lanes, points)
+        reliability = expo._reliability_lanes_for(
+            channel, [inp], at_input, [eff.r_phi - eff.r_m] * rhos.size)
+        for lhs, objective in zip(bounds, reliability(lanes[:rhos.size], rhos)):
             rhs = 2.0 ** (-n * objective)
             worst_e = max(worst_e, abs(lhs - rhs) / max(rhs, 1e-300))
-        objectives = expo._secrecy_lanes_for(
-            channel, [inp], at_input, [eff.r_sk + eff.r_phi - eff.r_m] * alphas.size)(
-            np.arange(alphas.size), alphas)
-        for alpha, lhs, objective in zip(alphas.tolist(), bounds[rhos.size:], objectives):
+        secrecy = expo._secrecy_lanes_for(
+            channel, [inp], at_input, [eff.r_sk + eff.r_phi - eff.r_m] * alphas.size)
+        for alpha, lhs, objective in zip(alphas.tolist(), bounds[rhos.size:],
+                                         secrecy(lanes[:alphas.size], alphas)):
             c = math.log2(math.e) / alpha
             rhs = c * 2.0 ** (-n * objective)
             worst_f = max(worst_f, abs(lhs - rhs) / max(rhs, 1e-300))
