@@ -1039,6 +1039,20 @@ class TestBoundLanes:
                             for lane, x in zip(lanes.tolist(), xs[lanes].tolist())]
                     assert got == want
 
+    def test_fast_path_lanes_take_the_scalar_total(self, monkeypatch):
+        # whether numpy's power takes its fast path for a lane's broadcast
+        # exponent depends on the loop order numpy picks, so a lane at rho =
+        # 1 (exponents 1/2 and 2) or alpha = 1/2 always takes the scalar total
+        taken = []
+        for name in ("_error_total", "_leakage_total"):
+            total = getattr(binning_sim, name)
+            monkeypatch.setattr(binning_sim, name, lambda *args, total=total, name=name:
+                                taken.append((name, args[-1])) or total(*args))
+        ch = random_degraded_binary_channel(np.random.default_rng(127))
+        bounds = binning_sim._bound_lanes_for(ch, UNIFORM, RATES, [2, 3], [2, 3])
+        bounds(np.arange(4), np.array([1.0, 0.4, 0.5, 0.7]))
+        assert taken == [("_error_total", 1.0), ("_leakage_total", 0.5)]
+
     def test_every_searched_point_equals_scalar_closure(self, monkeypatch):
         calls = []
         lanes_for = binning_sim._bound_lanes_for
