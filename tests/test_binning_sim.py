@@ -1040,9 +1040,10 @@ class TestBoundLanes:
                     assert got == want
 
     def test_fast_path_lanes_take_the_scalar_total(self, monkeypatch):
-        # whether numpy's power takes its fast path for a lane's broadcast
-        # exponent depends on the loop order numpy picks, so a lane at rho =
-        # 1 (exponents 1/2 and 2) or alpha = 1/2 always takes the scalar total
+        # whether numpy's power gives the fast path's bits for an array of
+        # exponents depends on the array layout, and an fsum often rounds a
+        # last-bit difference away, so a lane at rho = 1 (exponents 1/2 and
+        # 2) or alpha = 1/2 is checked to take the scalar total
         taken = []
         for name in ("_error_total", "_leakage_total"):
             total = getattr(binning_sim, name)
