@@ -252,26 +252,12 @@ def _spawn_prefix(seq: np.random.SeedSequence):
     and hash constant after all of a child's entropy words but its last,
     the child index.  A child's words are seq's entropy words, padded with
     zeros to the pool size, then the words of seq's spawn key and of its
-    index; the pool takes the first pool-size words, is mixed within, and
-    every later word is hashed into each pool word in turn."""
-    run = _words(seq.entropy)
-    words = run + [0] * (seq.pool_size - len(run)) + _words(seq.spawn_key)
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        xor, h = h, h * _MULT_A & _MASK32
-        return _hash(value, xor, h)
-
-    pool = [hashmix(word) for word in words[:seq.pool_size]]
-    for src in range(len(pool)):
-        for dst in range(len(pool)):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[seq.pool_size:]:
-        for dst in range(len(pool)):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return np.array(pool, dtype=np.uint32), h
+    index, so that pool is seq.pool.  Mixing W words takes pool size * W
+    hashes, each of which steps the constant by _MULT_A."""
+    words = max(len(_words(seq.entropy)), seq.pool_size) \
+        + len(_words(seq.spawn_key))
+    return seq.pool, _INIT_A * pow(_MULT_A, seq.pool_size * words, 2**32) \
+        & _MASK32
 
 
 def _child_pools(prefix, first: int, count: int) -> np.ndarray:

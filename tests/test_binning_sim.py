@@ -376,16 +376,19 @@ class TestSampler:
             ensemble_average(ch, UNIFORM, 4, RATES, 4, seed=1)
 
     # entropy values: one-word, two-word and three-word ints, OS entropy,
-    # a list with multi-word elements and a uint32 array
+    # a list with multi-word elements and a uint32 array; then ints of
+    # exactly 4 and 8 words, each a pool size, and of 9 words, past both
     ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30, None,
-                 [2**40 + 3, 7, 2**70], np.array([7, 2**31, 0], dtype=np.uint32)]
+                 [2**40 + 3, 7, 2**70], np.array([7, 2**31, 0], dtype=np.uint32),
+                 2**96 + 1, 2**224 + 1, 10**80]
 
     @pytest.mark.parametrize("entropy", ENTROPIES, ids=[
         "0", "1", "2^32-1", "2^32", "2^64+5", "10^30", "None", "list",
-        "uint32-array"])
+        "uint32-array", "2^96+1", "2^224+1", "10^80"])
     def test_derived_streams_equal_spawned_children(self, entropy):
+        # spawn keys of 0 to 3 words and one of 9, longer than either pool
         for spawn_key, pool_size, spawned in product(
-                [(), (3,), (2**33 + 1, 4)], [4, 8], [0, 7]):
+                [(), (3,), (2**33 + 1, 4), tuple(range(9))], [4, 8], [0, 7]):
             seq = np.random.SeedSequence(entropy, spawn_key=spawn_key,
                                          pool_size=pool_size,
                                          n_children_spawned=spawned)
