@@ -817,11 +817,23 @@ def _error_total(weights, py, p_x_given_ys, rho):
     return math.fsum(np.power(inner, 1.0 + rho).tolist())
 
 
+def _finite(bound: float) -> float:
+    """bound, or OverflowError if a tail's float product lost it: inf when
+    a product overflows, NaN when an overflowing factor meets an underflowing
+    one.  A ** that overflows raises OverflowError by itself."""
+    if not math.isfinite(bound):
+        raise OverflowError("ensemble bound %r is beyond the float range"
+                            % bound)
+    return bound
+
+
 def _error_tail_for(n, rates):
-    """(rho, total) -> |Phi|^-rho |M|^rho total^n, in Python floats."""
+    """(rho, total) -> |Phi|^-rho |M|^rho total^n, in Python floats, or
+    OverflowError beyond their range (_finite)."""
     num_m = _code_size(n, rates.r_m, "|M|")
     num_phi = _code_size(n, rates.r_phi, "|Phi|")
-    return lambda rho, total: float(num_phi**-rho * num_m**rho * total**n)
+    return lambda rho, total: _finite(
+        float(num_phi**-rho * num_m**rho * total**n))
 
 
 def _error_bound_for(channel, inp, n, rates):
@@ -836,7 +848,8 @@ def ensemble_error_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
                          n: int, rho: float, rates: RatePoint) -> float:
     """Ensemble-average error bound |Phi|^-rho |M|^rho [sum_y Psi4(y,rho)]^n,
     with the actual integer code sizes.  The raw value is returned (it can
-    exceed 1; clip only when reporting as a probability)."""
+    exceed 1; clip only when reporting as a probability); OverflowError if
+    it is beyond the float range."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0,1]")
     return _error_bound_for(channel, inp, n, rates)(rho)
@@ -867,14 +880,15 @@ def _leakage_total(joint, lift, alpha):
 
 def _leakage_tail_for(n, rates):
     """(alpha, total) -> c(alpha) |K|^a |Phi|^a |M|^-a total^n, in Python
-    floats."""
+    floats, or OverflowError beyond their range (_finite)."""
     num_m = _code_size(n, rates.r_m, "|M|")
     num_phi = _code_size(n, rates.r_phi, "|Phi|")
     num_k = _code_size(n, rates.r_sk, "|K|")
 
     def tail(alpha, total):
         c = math.log2(math.e) / alpha
-        return float(c * num_k**alpha * num_phi**alpha * num_m**-alpha * total**n)
+        return _finite(float(
+            c * num_k**alpha * num_phi**alpha * num_m**-alpha * total**n))
 
     return tail
 
@@ -891,7 +905,8 @@ def ensemble_leakage_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
                            n: int, alpha: float, rates: RatePoint) -> float:
     """Ensemble-average leakage bound in bits:
     c(alpha) |K|^a |Phi|^a |M|^-a [sum Upsilon(s,x,z,alpha)]^n with
-    c(alpha) = log2(e)/alpha."""
+    c(alpha) = log2(e)/alpha; OverflowError, never NaN, if it is beyond the
+    float range."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0,1]")
     return _leakage_bound_for(channel, inp, n, rates)(alpha)
@@ -939,7 +954,7 @@ def _bound_lanes_for(channel, inp, rates, error_ns, leakage_ns):
         for lane, x, total in zip(lane_list, x_list, totals):
             try:
                 values.append(tails[lane](x, total))
-            except OverflowError:  # total**n
+            except OverflowError:  # the tail's product, see _finite
                 if overflow is None:
                     raise
                 values.append(overflow)
@@ -950,9 +965,9 @@ def _bound_lanes_for(channel, inp, rates, error_ns, leakage_ns):
 
 def _neg_log2(bound: float) -> float:
     """-log2 bound, which a bound search maximizes.  A trial bound that the
-    Python-float tail cannot represent, inf when a power overflows, 0 when
-    one underflows and NaN when both meet, is -inf, never the minimum; so
-    the bound a search reports is one it evaluated."""
+    Python-float tail cannot represent, the lanes' overflow value inf or 0
+    when a power underflows, is -inf, never the minimum; so the bound a
+    search reports is one it evaluated."""
     return -math.log2(bound) if bound > 0.0 else -math.inf
 
 

@@ -1107,14 +1107,14 @@ class TestBoundLanes:
     def test_unrepresentable_trial_bound_is_never_the_minimum(self, seed, error):
         # at n = 1500 and r_m = 0 the error bound's total**n overflows at
         # rho = 1; its minimum is bound(0) = 1 on one channel and below 1 on
-        # the other.  On the first, the leakage tail at alpha = 1 meets an
-        # overflowing |K|^a |Phi|^a and an underflowing total**n (NaN).
+        # the other.  The leakage tail at alpha = 1 overflows in a float
+        # product (inf), on the first channel while total**n underflows (NaN).
         ch = random_degraded_binary_channel(np.random.default_rng(seed))
         rates = RatePoint(0.1, 0.6, 0.0)
         with pytest.raises(OverflowError):
             binning_sim._error_bound_for(ch, UNIFORM, 1500, rates)(1.0)
-        leakage = binning_sim._leakage_bound_for(ch, UNIFORM, 1500, rates)(1.0)
-        assert not 0.0 < leakage < math.inf
+        with pytest.raises(OverflowError):
+            binning_sim._leakage_bound_for(ch, UNIFORM, 1500, rates)(1.0)
         assert minimize_error_bound(ch, UNIFORM, 1500, rates) == error
         alpha, leak = minimize_leakage_bound(ch, UNIFORM, 1500, rates)
         assert 0.0 < alpha < 1.0 and 0.0 < leak < math.inf
@@ -1125,6 +1125,20 @@ class TestBoundLanes:
         with pytest.raises(OverflowError):
             lanes(np.array([0]), np.array([1.0]))
         assert lanes(np.array([0]), np.array([1.0]), math.inf) == [math.inf]
+
+    def test_public_bounds_raise_rather_than_return_nan(self):
+        # |K|^a |Phi|^a overflows in a float product while total**n
+        # underflows: inf * 0 would be NaN
+        ch = random_degraded_binary_channel(np.random.default_rng(126))
+        rates = RatePoint(0.1, 0.6, 0.0)
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            ensemble_leakage_bound(ch, UNIFORM, 1500, 1.0, rates)
+        # and a product that overflows to inf with no ** overflowing:
+        # |M|^rho = 2^1000 times total**n = 2^-1000, then 2^1000
+        tail = binning_sim._error_tail_for(1000, RatePoint(0.0, 0.0, 1.0))
+        assert tail(1.0, 0.5) == 1.0
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            tail(1.0, 2.0)
 
 
 class TestEnsembleAverage:
