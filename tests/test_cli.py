@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -17,7 +18,9 @@ from skagree import (
     binary_onoff_rate,
     build_binary_onoff,
     is_degraded,
+    load_channel,
     save_channel,
+    upper_bound,
 )
 import skagree
 from skagree import probability
@@ -46,6 +49,16 @@ def ternary_input_channel_file(tmp_path):
     tr = np.random.default_rng(201).dirichlet(np.ones(8), size=3)
     path = tmp_path / "ch3.json"
     save_channel(DiscreteBroadcastChannel(tr.reshape(3, 2, 2, 2), np.zeros(3)), path)
+    return str(path)
+
+
+@pytest.fixture
+def onoff_channel_file(tmp_path):
+    """The binary on-off law at the CLI's default parameters, which is not
+    degraded."""
+    path = tmp_path / "onoff.json"
+    save_channel(build_binary_onoff(
+        BinaryOnOffParams(q=0.5, q_tilde=0.8, delta=0.1, delta3=0.2)), path)
     return str(path)
 
 
@@ -91,6 +104,18 @@ class TestCapacityCommand:
         doc = json.loads(out.read_text())
         assert doc["upper_bound_only"] is False
         assert doc["capacity_bits"] >= -1e-12
+
+    def test_non_degraded_channel_file_is_upper_bound(self, tmp_path,
+                                                     onoff_channel_file):
+        out = tmp_path / "cap.json"
+        assert main(["capacity", "--channel", onoff_channel_file,
+                     "--out", str(out)]) == 0
+        channel = load_channel(onoff_channel_file)
+        assert is_degraded(channel) is False
+        pmf, value = upper_bound(channel, math.inf)
+        assert json.loads(out.read_text()) == {
+            "capacity_bits": value, "input_pmf": pmf.probs.tolist(),
+            "upper_bound_only": True}
 
     def test_missing_source_errors(self):
         assert main(["capacity"]) == 2
@@ -345,6 +370,67 @@ class TestVerifyBounds:
         assert rc == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestOutputStreams:
+    def test_stdout_equals_out_file(self, degraded_channel_file, tmp_path, capsys):
+        argv = ["upper-bound", "--channel", degraded_channel_file]
+        out = tmp_path / "ub.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_simulate_sidecar_on_stderr(self, degraded_channel_file, tmp_path,
+                                        capsys):
+        argv = ["simulate", "--channel", degraded_channel_file,
+                "--rsk-rate", "0.25", "--rphi-rate", "0.75", "--rm-rate", "0.25",
+                "--n", "2:3", "--codebooks", "4", "--seed", "5"]
+        out = tmp_path / "s.csv"
+        rc = main(argv + ["--out", str(out)])
+        assert capsys.readouterr() == ("", "")
+        assert main(argv) == rc
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text()
+        assert captured.err == (tmp_path / "s.csv.bounds.json").read_text()
+
+
+class TestFamilySource:
+    @pytest.mark.parametrize("argv", [
+        ["upper-bound"],
+        ["exponents", "--rsk", "0.01", "--rphi", "0.5", "--rm", "0"],
+        ["simulate", "--rsk-rate", "0.25", "--rphi-rate", "0.75",
+         "--rm-rate", "0.25", "--n", "2", "--codebooks", "4", "--seed", "3"],
+        ["verify-bounds", "--rsk-rate", "0.2", "--rphi-rate", "0.7",
+         "--rm-rate", "0.1", "--n", "2,5"],
+    ], ids=lambda argv: argv[0])
+    def test_binary_onoff_equals_saved_channel(self, onoff_channel_file,
+                                               tmp_path, argv):
+        # --family binary-onoff builds the law that --channel reads back
+        family, channel = tmp_path / "family.out", tmp_path / "channel.out"
+        rc = main(argv + ["--family", "binary-onoff", "--out", str(family)])
+        assert main(argv + ["--channel", onoff_channel_file,
+                            "--out", str(channel)]) == rc
+        assert family.read_bytes() == channel.read_bytes()
+        if argv[0] == "simulate":
+            assert (tmp_path / "family.out.bounds.json").read_bytes() == \
+                (tmp_path / "channel.out.bounds.json").read_bytes()
+
+
+def test_python_m_entry_point(degraded_channel_file, capsys, monkeypatch):
+    # python -m skagree.cli runs main on the command line and exits with
+    # its code; in process, so a line trace of the suite sees it
+    argv = ["upper-bound", "--channel", degraded_channel_file]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["skagree"] + argv)
+    with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+        # runpy notes that the package import already loaded skagree.cli
+        warnings.filterwarnings("ignore", "'skagree.cli' found in sys.modules",
+                                RuntimeWarning)
+        runpy.run_module("skagree.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == want
 
 
 class TestErrorHandling:
