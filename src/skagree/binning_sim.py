@@ -381,14 +381,10 @@ def generate_code(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
     seed is what np.random.PCG64 takes: None, an int, a sequence of ints or
     a SeedSequence.  The code reads the raw words of the PCG64 stream that
     np.random.PCG64(seed) would start, its state computed from
-    SeedSequence(seed).pool (_pcg64_states), in the order _draw_tables
-    describes: |M|*n doubles for the codewords (through the input's cdf),
-    then the key bins, then the public bins.  At the installed NumPy the
-    tables equal default_rng(seed).random((|M|, n)) through
-    Generator.choice's cdf, then integers(0, |K|) and integers(0, |Phi|);
-    TestSampler pins this.  A Generator or BitGenerator seed raises
-    ValueError (_seed_sequence).  ensemble_average draws each of its
-    codebooks the same way.
+    SeedSequence(seed).pool (_pcg64_states), as _draw_tables lays them out
+    and matches them to default_rng(seed)'s draws.  A Generator or
+    BitGenerator seed raises ValueError (_seed_sequence).  ensemble_average
+    draws each of its codebooks the same way.
     """
     seq = _seed_sequence(seed)
     num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp)
@@ -1018,21 +1014,19 @@ def _codebook_rows(channel: DiscreteBroadcastChannel, inp: Pmf, n: int,
 
     seed is wrapped in a SeedSequence if it is not one.  Codebook i is
     drawn from its child n_children_spawned + i, the child that
-    seed.spawn would give, exactly as generate_code draws from that child:
-    raw PCG64 words for |M|*n codeword doubles, then the key bins, then the
-    public bins, in the order _draw_tables describes; at the installed
-    NumPy these equal default_rng(child).random and .integers, which
-    TestSampler pins.  The children are not spawned: each stack's PCG64
-    states come from the seed's public attributes in one pass
-    (_spawn_prefix, _child_pools, _pcg64_states), and one bit generator
-    reads them all.  So a SeedSequence seed is read but not advanced, and
-    two calls with one SeedSequence draw the same codebooks.  A child index
-    must stay below 2^32 (a larger one needs a second spawn-key word), else
-    ValueError.  The codebooks are drawn straight into stacked tables and
-    evaluated in stacks of about _STACK_CELLS cells; every row equals
-    exact_evaluate on generate_code(..., child i).  The stacks share work's
-    float score store and scratch store, which grow only when a stack needs
-    more than an earlier one (_evaluate_stack)."""
+    seed.spawn would give, exactly as generate_code draws from that child
+    (the raw-word layout is _draw_tables').  The children are not spawned:
+    each stack's PCG64 states come from the seed's pool and other public
+    attributes in one pass (_spawn_prefix, _child_pools, _pcg64_states),
+    and one bit generator reads them all.  So a SeedSequence seed is read
+    but not advanced, and two calls with one SeedSequence draw the same
+    codebooks.  A child index must stay below 2^32 (a larger one needs a
+    second spawn-key word), else ValueError.  The codebooks are drawn
+    straight into stacked tables and evaluated in stacks of about
+    _STACK_CELLS cells; every row equals exact_evaluate on
+    generate_code(..., child i).  The stacks share work's float score store
+    and scratch store, which grow only when a stack needs more than an
+    earlier one (_evaluate_stack)."""
     if num_codebooks < 1:
         raise ValueError("num_codebooks must be >= 1")
     seq = _seed_sequence(seed)
