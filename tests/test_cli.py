@@ -425,7 +425,7 @@ def test_python_m_entry_point(degraded_channel_file, capsys, monkeypatch):
     want = capsys.readouterr().out
     monkeypatch.setattr(sys, "argv", ["skagree"] + argv)
     with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
-        # runpy notes that the package import already loaded skagree.cli
+        # runpy notes that this test module has imported skagree.cli already
         warnings.filterwarnings("ignore", "'skagree.cli' found in sys.modules",
                                 RuntimeWarning)
         runpy.run_module("skagree.cli", run_name="__main__")
