@@ -10,15 +10,20 @@ the exact evaluation's decoder, so it cross-checks the sampling of the
 protocol; the tests cross-check the decoder against a brute-force search.
 
 Each blocklength's codes are checked against the finite-n ensemble bounds,
-minimized over rho and alpha by golden-section search.  ensemble_average,
-at one n, runs the two scalar searches; ensemble_averages, which simulate
-calls with all its blocklengths, runs every search of the call as lanes of
-one golden_section_lanes set (_minimized_bounds), whose lane evaluator
-gives the scalar closures' values bit for bit.  As in
-exponents, the lane count picks the path: on 60 sim-ensemble channels
-(2-vCPU Xeon, Python 3.11, numpy 2.4), the ten lanes of n = 1..5 take
-0.55-0.65 of the time of the ten scalar searches, while one n as two lanes
-takes about twice the time of its two scalar searches.
+minimized over rho and alpha by golden-section search.  The error bound
+needs no search when it is vacuous: -log2 of it is concave in rho and 0 at
+rho = 0, where its slope is log2|Phi| - log2|M| - n*theta, with theta the
+reliability threshold H(X|Y,S) - I(S;Y) (exponents.positivity_thresholds).
+When that slope is <= 0 (reliability_exponent's rule at the code's
+effective rates), the minimum is the bound at rho* = 0, reported with no
+search.  ensemble_average, at one n, runs the remaining scalar searches;
+ensemble_averages, which simulate calls with all its blocklengths, runs
+every remaining search of the call as lanes of one golden_section_lanes set
+(_minimized_bounds), whose lane evaluator gives the scalar closures' values
+bit for bit.  As in exponents, the lane count picks the path: on 60
+sim-ensemble channels (2-vCPU Xeon, Python 3.11, numpy 2.4), the ten lanes
+of n = 1..5 take 0.55-0.65 of the time of the ten scalar searches, while
+one n as two lanes takes about twice the time of its two scalar searches.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ import numpy as np
 
 from .capacity import golden_section_lanes, golden_section_max
 from .channels import DiscreteBroadcastChannel, _input_probs, marginal_channel
-from .exponents import ALPHA_MIN, RatePoint, _fast_path_positions
+from .exponents import (ALPHA_MIN, RatePoint, _fast_path_positions,
+                        positivity_thresholds)
 # mutual_information is no longer called here but stays importable from this
 # module: benchmarks/test_benchmark.py checks the tracer's wrapping through it.
 from .probability import Pmf, mutual_information, mutual_information_rows  # noqa: F401
@@ -68,6 +74,15 @@ _CHILD_LIMIT = 2**32  # a child index below this is one spawn-key word
 
 class BudgetError(ValueError):
     pass
+
+
+def _positive_int(value, name: str) -> int:
+    """value as an int, or a ValueError naming it unless it is an integer
+    >= 1: a numpy integer counts, a bool does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 1:
+        raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+    return int(value)
 
 
 def _size_bits(n: int, rate: float, name: str = "|set|",
@@ -148,10 +163,9 @@ class SimReport:
 def _table_sizes(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
                  inp: Pmf):
     """(|M|, |Phi|, |K|, |X|^n) of the codes of one draw, after the checks
-    that every draw needs: n >= 1, an input over the channel's S alphabet and
-    binning tables within TABLE_BUDGET."""
-    if n < 1:
-        raise ValueError("blocklength must be >= 1")
+    that every draw needs: an integer n >= 1, an input over the channel's S
+    alphabet and binning tables within TABLE_BUDGET."""
+    n = _positive_int(n, "blocklength n")
     _input_probs(channel, inp)
     X = channel.alphabet_sizes[1]
     num_m, num_phi, num_k = _code_sizes(n, rates)
@@ -363,11 +377,14 @@ def _draw_tables(bit_gen: np.random.PCG64, states, cdf: np.ndarray, n: int,
     return codewords, tables[0], tables[1]
 
 
+_GENERATORS = (np.random.Generator, np.random.BitGenerator)
+
+
 def _seed_sequence(seed) -> np.random.SeedSequence:
     """seed itself if it is a SeedSequence, else SeedSequence(seed).  A
     Generator or BitGenerator seed raises ValueError: a raw draw cannot take
     up such a generator's position."""
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+    if isinstance(seed, _GENERATORS):
         raise ValueError("seed must be None, an int, a sequence of ints or a "
                          "SeedSequence, not %s" % type(seed).__name__)
     return seed if isinstance(seed, np.random.SeedSequence) \
@@ -736,24 +753,63 @@ def exact_evaluate(code: SecretKeyCode,
                      method="exact", trials=code.key_bins.size * Y**code.n)
 
 
+def _trial_draws(num_m: int, n: int, trials: int, seed):
+    """(messages, uniforms) of `trials` protocol runs: an int64 array of
+    each trial's message, drawn by integers(num_m), and a (trials, n) array
+    of the uniforms it then draws by random(n), in the order in which
+    default_rng(seed) draws them.
+
+    When num_m is a power of two 2^b <= 2^32 and seed is what
+    _seed_sequence takes, they come from one random_raw block of
+    np.random.PCG64(seed), which default_rng(seed) wraps.  Each pair of
+    trials first reads one word: its low 32-bit half gives the first
+    trial's message and its high half the second's, each as the top b bits
+    (the half-word rule of _draw_tables; Lemire's method never rejects at a
+    power-of-two size).  b = 0 reads no such word.  Each trial then reads n
+    words, each word w giving the uniform (w >> 11) * 2**-53.  An odd trial
+    count reads a whole last pair and uses its first trial only.  Any
+    other num_m, and a Generator or BitGenerator seed, take the per-trial
+    Generator calls."""
+    bits = num_m.bit_length() - 1
+    if num_m != 1 << bits or bits > 32 or isinstance(seed, _GENERATORS):
+        rng = np.random.default_rng(seed)
+        draws = [(rng.integers(num_m), rng.random(n)) for _ in range(trials)]
+        return (np.array([m for m, _ in draws], dtype=np.int64),
+                np.array([u for _, u in draws]))
+    bit_gen = np.random.PCG64(_seed_sequence(seed))
+    if bits == 0:
+        words = bit_gen.random_raw(trials * n).reshape(trials, n)
+        messages = np.zeros(trials, dtype=np.int64)
+    else:
+        pairs = (trials + 1) // 2
+        raw = bit_gen.random_raw(pairs * (2 * n + 1)).reshape(pairs, 2 * n + 1)
+        messages = _top_bits(raw, 0, 2, bits).ravel()[:trials].view(np.int64)
+        words = raw[:, 1:].reshape(2 * pairs, n)[:trials]
+    return messages, (words >> 11) * 2.0**-53
+
+
 def monte_carlo_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
                          trials: int, seed) -> SimReport:
     """Estimate the error probability by sampling the protocol.
 
+    trials must be an integer >= 1 (a bool is not), else ValueError.  seed
+    is what np.random.default_rng takes: trial by trial, the protocol draws
+    its message with integers(|M|) and then its n channel uniforms with
+    random(n) from default_rng(seed).  At a power-of-two |M| up to 2^32,
+    with a seed other than a Generator or BitGenerator, the same numbers are
+    read from one raw PCG64 block (_trial_draws, whose word layout follows
+    _draw_tables' half-word rule), so the results are those of the
+    per-trial draws bit for bit.
+
     Leakage is not estimated (mutual-information estimators are biased at
     these sample sizes); use exact_evaluate for leakage.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _positive_int(trials, "trials")
     _check_code(code, channel)
-    rng = np.random.default_rng(seed)
     W = marginal_channel(channel, "xy")
     S, X, Y = W.shape
     cdf = W.reshape(S, X * Y).cumsum(axis=1)
-    draws = [(rng.integers(code.num_messages), rng.random(code.n))
-             for _ in range(trials)]  # the per-trial RNG order of the protocol
-    messages = np.array([m for m, _ in draws])
-    uniforms = np.array([u for _, u in draws])
+    messages, uniforms = _trial_draws(code.num_messages, code.n, trials, seed)
     letters = code.codewords[messages]  # (trials, n)
     cells = np.empty_like(letters)
     for s in range(S):
@@ -845,7 +901,9 @@ def ensemble_error_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
     """Ensemble-average error bound |Phi|^-rho |M|^rho [sum_y Psi4(y,rho)]^n,
     with the actual integer code sizes.  The raw value is returned (it can
     exceed 1; clip only when reporting as a probability); OverflowError if
-    it is beyond the float range."""
+    it is beyond the float range.  n must be an integer >= 1, else
+    ValueError, as in every bound function here."""
+    n = _positive_int(n, "blocklength n")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0,1]")
     return _error_bound_for(channel, inp, n, rates)(rho)
@@ -903,6 +961,7 @@ def ensemble_leakage_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
     c(alpha) |K|^a |Phi|^a |M|^-a [sum Upsilon(s,x,z,alpha)]^n with
     c(alpha) = log2(e)/alpha; OverflowError, never NaN, if it is beyond the
     float range."""
+    n = _positive_int(n, "blocklength n")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0,1]")
     return _leakage_bound_for(channel, inp, n, rates)(alpha)
@@ -977,15 +1036,44 @@ def _search_objective(bound):
     return objective
 
 
-def minimize_error_bound(channel, inp, n, rates):
-    """(rho*, min over rho of the ensemble error bound); the log-bound is
-    convex in rho."""
+def _vacuous_error_bound(channel, inp, n, rates, threshold):
+    """(0.0, the error bound at rho = 0) if the bound is vacuous at n, that
+    is log2|Phi| - log2|M| <= n*threshold for the reliability threshold of
+    inp, else None.  -log2 of the bound is concave in rho and 0 at rho = 0,
+    where its slope is log2|Phi| - log2|M| - n*threshold, so its maximum is
+    at rho = 0 exactly when that is <= 0: reliability_exponent's rule at the
+    code's effective rates.  The bound is reported as a search would report
+    the point rho = 0.  The code sizes are read as _error_tail_for reads
+    them, |M| first, so an oversize code raises its ValueError."""
+    m_bits = _size_bits(n, rates.r_m, "|M|", _FLOAT_BITS)
+    phi_bits = _size_bits(n, rates.r_phi, "|Phi|", _FLOAT_BITS)
+    if phi_bits - m_bits > n * threshold:
+        return None
+    return 0.0, 2.0**-_neg_log2(_error_bound_for(channel, inp, n, rates)(0.0))
+
+
+def _minimize_error_bound(channel, inp, n, rates, threshold):
+    """minimize_error_bound with the reliability threshold of inp given."""
+    vacuous = _vacuous_error_bound(channel, inp, n, rates, threshold)
+    if vacuous is not None:
+        return vacuous
     rho, neg = golden_section_max(
         _search_objective(_error_bound_for(channel, inp, n, rates)), 0.0, 1.0)
     return rho, 2.0**-neg
 
 
+def minimize_error_bound(channel, inp, n, rates):
+    """(rho*, min over rho of the ensemble error bound); the log-bound is
+    convex in rho.  A vacuous bound (_vacuous_error_bound) is its value at
+    rho* = 0, decided from the reliability threshold with no search; any
+    other bound is found by golden-section search."""
+    n = _positive_int(n, "blocklength n")
+    return _minimize_error_bound(channel, inp, n, rates,
+                                 positivity_thresholds(channel, inp)[0])
+
+
 def minimize_leakage_bound(channel, inp, n, rates):
+    n = _positive_int(n, "blocklength n")
     alpha, neg = golden_section_max(
         _search_objective(_leakage_bound_for(channel, inp, n, rates)), ALPHA_MIN, 1.0)
     return alpha, 2.0**-neg
@@ -994,17 +1082,24 @@ def minimize_leakage_bound(channel, inp, n, rates):
 def _minimized_bounds(channel, inp, n_list, rates) -> list:
     """((rho*, error bound), (alpha*, leakage bound)) at each n of n_list,
     result for result what minimize_error_bound and minimize_leakage_bound
-    give.  Several n run all their searches in one golden_section_lanes set,
-    the error lanes and then the leakage lanes; a single n keeps the two
-    scalar searches, which are cheaper at two lanes."""
+    give.  The reliability threshold is computed once, and the vacuous error
+    bounds are decided from it.  Several n run all their other searches in
+    one golden_section_lanes set, the searched error lanes and then the
+    leakage lanes; a single n keeps the scalar searches, which are cheaper
+    at two lanes."""
+    threshold = positivity_thresholds(channel, inp)[0]
     if len(n_list) == 1:
-        return [(minimize_error_bound(channel, inp, n_list[0], rates),
+        return [(_minimize_error_bound(channel, inp, n_list[0], rates, threshold),
                  minimize_leakage_bound(channel, inp, n_list[0], rates))]
-    bounds = _bound_lanes_for(channel, inp, rates, n_list, n_list)
-    found = [(x, 2.0**-neg) for x, neg in golden_section_lanes(
+    errors = [_vacuous_error_bound(channel, inp, n, rates, threshold)
+              for n in n_list]
+    searched = [n for n, error in zip(n_list, errors) if error is None]
+    bounds = _bound_lanes_for(channel, inp, rates, searched, n_list)
+    found = ((x, 2.0**-neg) for x, neg in golden_section_lanes(
         lambda lanes, xs: [_neg_log2(b) for b in bounds(lanes, xs, math.inf)],
-        [(0.0, 1.0)] * len(n_list) + [(ALPHA_MIN, 1.0)] * len(n_list))]
-    return list(zip(found[:len(n_list)], found[len(n_list):]))
+        [(0.0, 1.0)] * len(searched) + [(ALPHA_MIN, 1.0)] * len(n_list)))
+    errors = [next(found) if error is None else error for error in errors]
+    return list(zip(errors, found))
 
 
 def _codebook_rows(channel: DiscreteBroadcastChannel, inp: Pmf, n: int,
@@ -1027,8 +1122,7 @@ def _codebook_rows(channel: DiscreteBroadcastChannel, inp: Pmf, n: int,
     generate_code(..., child i).  The stacks share work's float score store
     and scratch store, which grow only when a stack needs more than an
     earlier one (_evaluate_stack)."""
-    if num_codebooks < 1:
-        raise ValueError("num_codebooks must be >= 1")
+    num_codebooks = _positive_int(num_codebooks, "num_codebooks")
     seq = _seed_sequence(seed)
     num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp)
     cells = _enumeration_cells(channel, n, num_m * width, num_k, num_phi)
@@ -1092,7 +1186,8 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
     SeedSequence or what one is made from), as _codebook_rows describes.
     This is ensemble_averages at one blocklength: the codebook rows, with
     one workspace made by this call and dropped when it returns, and the
-    bound check, with the two scalar bound searches.
+    bound check, with the scalar leakage search and the error bound decided
+    from the reliability threshold when it is vacuous, searched otherwise.
     """
     return ensemble_averages(channel, inp, [n], rates, num_codebooks, [seed])[0]
 
@@ -1102,10 +1197,12 @@ def ensemble_averages(channel: DiscreteBroadcastChannel, inp: Pmf, n_list,
     """ensemble_average at each blocklength of n_list with the seed of equal
     position in seeds, result for result and bit for bit.  The codebook
     rows of every n are drawn and evaluated first, each n's stacks in one
-    workspace made by this call; then every bound search of the call runs
-    in one lane set (_minimized_bounds), a single n in the scalar searches.
-    A blocklength that fails a check (TABLE_BUDGET, ENUM_BUDGET) raises
-    before any later n is drawn, with the message ensemble_average gives."""
+    workspace made by this call; then the vacuous error bounds are decided
+    from one reliability threshold, and every other bound search of the call
+    runs in one lane set (_minimized_bounds), a single n in the scalar
+    searches.  A blocklength that fails a check (TABLE_BUDGET, ENUM_BUDGET)
+    raises before any later n is drawn, with the message ensemble_average
+    gives."""
     if len(seeds) != len(n_list):
         raise ValueError("ensemble_averages needs one seed per blocklength, "
                          "got %d for %d" % (len(seeds), len(n_list)))

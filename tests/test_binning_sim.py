@@ -40,8 +40,9 @@ from skagree.binning_sim import (
     minimize_leakage_bound,
     sequence_index,
 )
+from skagree.capacity import golden_section_max
 from skagree.cli import main
-from skagree.exponents import ALPHA_MIN
+from skagree.exponents import ALPHA_MIN, positivity_thresholds
 from skagree.probability import Pmf, mutual_information
 
 UNIFORM = Pmf.uniform(2)
@@ -867,8 +868,64 @@ class TestMonteCarlo:
         rng = np.random.default_rng(82)
         ch = random_binary_channel(rng)
         code = generate_code(ch, 3, RATES, UNIFORM, seed=31)
-        with pytest.raises(ValueError):
-            monte_carlo_evaluate(code, ch, trials=0, seed=7)
+        for trials in (0, -3, 2.5, 3.0, True, False, "3", None):
+            with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+                monte_carlo_evaluate(code, ch, trials=trials, seed=7)
+        assert monte_carlo_evaluate(code, ch, trials=np.int64(9), seed=7) == \
+            monte_carlo_evaluate(code, ch, trials=9, seed=7)
+
+    @staticmethod
+    def per_trial_draws(num_m, n, trials, seed):
+        """The protocol's draws trial by trial: integers(|M|), then random(n)."""
+        rng = np.random.default_rng(seed)
+        draws = [(rng.integers(num_m), rng.random(n)) for _ in range(trials)]
+        return np.array([m for m, _ in draws]), np.array([u for _, u in draws])
+
+    @pytest.mark.parametrize("num_m", [1, 2, 4, 8, 2**16, 2**32])
+    def test_raw_block_equals_per_trial_draws(self, monkeypatch, num_m):
+        seeds = [7, [3, num_m], np.random.SeedSequence(11)]
+        for n, trials, seed in product((1, 3, 6), (1, 2, 7, 500), seeds):
+            want = self.per_trial_draws(num_m, n, trials, seed)
+            with monkeypatch.context() as m:  # one raw block, no Generator
+                m.setattr(np.random, "default_rng", None)
+                got = binning_sim._trial_draws(num_m, n, trials, seed)
+            for arr, ref in zip(got, want):
+                assert arr.dtype == ref.dtype and arr.shape == ref.shape
+                assert (arr == ref).all()
+
+    def test_other_sizes_and_generator_seeds_draw_per_trial(self):
+        # |M| = 3 (a user-built code) or 2^33 is not a power of two of 32 bits
+        # or fewer; a Generator or BitGenerator seed is used where it stands
+        for num_m in (3, 2**33):
+            got = binning_sim._trial_draws(num_m, 3, 7, 5)
+            for arr, ref in zip(got, self.per_trial_draws(num_m, 3, 7, 5)):
+                assert (arr == ref).all()
+        for make in (np.random.default_rng, np.random.PCG64):
+            gen = make(5)
+            got = binning_sim._trial_draws(4, 3, 7, gen)
+            rng = np.random.default_rng(5)
+            for arr, ref in zip(got, self.per_trial_draws(4, 3, 7, rng)):
+                assert (arr == ref).all()
+            # the generator moved on by exactly the per-trial draws
+            after = gen if make is np.random.default_rng else np.random.default_rng(gen)
+            assert after.random() == rng.random()
+
+    def test_results_equal_the_trial_by_trial_oracle(self):
+        rng = np.random.default_rng(83)
+        ch = random_binary_channel(rng)
+        code = generate_code(ch, 3, RATES, UNIFORM, seed=31)  # |M| = 2
+        three = generate_code(ch, 3, RatePoint(0.25, 0.5, 0.5), UNIFORM, seed=32)
+        three = dataclasses.replace(three, codewords=three.codewords[:3],
+                                    key_bins=three.key_bins[:3],
+                                    public_bins=three.public_bins[:3])
+        assert three.num_messages == 3
+        for c in (code, three):
+            for seed in (7, [7, 1], np.random.SeedSequence(7)):
+                got = monte_carlo_evaluate(c, ch, trials=61, seed=seed)
+                assert got.error_probability == reference_monte_carlo_error(
+                    c, ch, 61, seed)
+            generator = monte_carlo_evaluate(c, ch, 61, np.random.default_rng(7))
+            assert generator == monte_carlo_evaluate(c, ch, 61, 7)
 
 
 class TestCodeFitsChannel:
@@ -1013,6 +1070,14 @@ def bound_cases(seed, count):
         yield ch, inp, rates
 
 
+def criterion9_rates(ch, inp):
+    """Criterion 9's rate point: r_sk = span/4, r_phi = rel_thr + span/4
+    with span = sec_thr - rel_thr, each at least 0, and r_m = 0."""
+    rel, sec = positivity_thresholds(ch, inp)
+    span = sec - rel
+    return RatePoint(max(0.0, 0.25 * span), max(0.0, rel + 0.25 * span), 0.0)
+
+
 class TestBoundLanes:
     """The lane evaluator of the finite-n bounds and the one lane set of
     searches give the scalar closures' and searches' values bit for bit."""
@@ -1058,10 +1123,13 @@ class TestBoundLanes:
         assert taken == [("_error_total", 1.0), ("_leakage_total", 0.5)]
 
     def test_every_searched_point_equals_scalar_closure(self, monkeypatch):
-        calls = []
+        # the lane set holds the error lanes of the n whose bound is not
+        # vacuous, then the leakage lanes of every n
+        calls, lane_ns = [], []
         lanes_for = binning_sim._bound_lanes_for
 
         def spy(*args):
+            lane_ns.append(args[3:])
             bounds = lanes_for(*args)
 
             def spied(lanes, xs, overflow=None):
@@ -1071,15 +1139,25 @@ class TestBoundLanes:
             return spied
 
         monkeypatch.setattr(binning_sim, "_bound_lanes_for", spy)
-        for ch, inp, rates in bound_cases(122, 6):
+        skipped = lanes_searched = 0
+        cases = [(ch, inp, r) for ch, inp, rates in bound_cases(122, 6)
+                 for r in (rates, criterion9_rates(ch, inp))]
+        for ch, inp, rates in cases:
             ns = [1, 2, 4]
-            del calls[:]
+            del calls[:], lane_ns[:]
             binning_sim._minimized_bounds(ch, inp, ns, rates)
             assert len(calls) > 50
-            kinds = [("error", n) for n in ns] + [("leakage", n) for n in ns]
+            threshold = positivity_thresholds(ch, inp)[0]
+            searched = [n for n in ns if binning_sim._vacuous_error_bound(
+                ch, inp, n, rates, threshold) is None]
+            assert lane_ns == [(searched, ns)]
+            skipped += len(ns) - len(searched)
+            lanes_searched += len(searched)
+            kinds = [("error", n) for n in searched] + [("leakage", n) for n in ns]
             for lanes, xs, values in calls:
                 assert values == [self.scalar(ch, inp, rates, *kinds[lane], x)
                                   for lane, x in zip(lanes, xs)]
+        assert skipped > 0 and lanes_searched > 0
 
     def test_searches_equal_scalar_searches(self):
         vacuous = 0
@@ -1141,6 +1219,107 @@ class TestBoundLanes:
             tail(1.0, 2.0)
 
 
+class TestVacuousErrorBound:
+    """A vacuous error bound is decided from the reliability threshold with
+    no search; the search it replaces stays here as the oracle."""
+
+    @staticmethod
+    def oracle(ch, inp, n, rates):
+        rho, neg = golden_section_max(binning_sim._search_objective(
+            binning_sim._error_bound_for(ch, inp, n, rates)), 0.0, 1.0)
+        return rho, 2.0**-neg
+
+    def test_decision_agrees_with_the_search(self):
+        rng = np.random.default_rng(130)
+        counts = {True: 0, False: 0}
+        for i in range(48):
+            sizes = (int(rng.integers(2, 4)),) + tuple(int(v) for v in rng.integers(2, 4, 3))
+            ch = (degraded_channel if i % 2 else random_channel)(rng, sizes)
+            inp = Pmf.uniform(sizes[0]) if i % 3 else Pmf(rng.dirichlet(np.ones(sizes[0])))
+            threshold = positivity_thresholds(ch, inp)[0]
+            for rates in (criterion9_rates(ch, inp), RatePoint(0.1, 0.6, 0.3)):
+                for n in range(1, 9):
+                    got = minimize_error_bound(ch, inp, n, rates)
+                    want = self.oracle(ch, inp, n, rates)
+                    vacuous = binning_sim._vacuous_error_bound(
+                        ch, inp, n, rates, threshold) is not None
+                    counts[vacuous] += 1
+                    if vacuous:
+                        assert got[0] == 0.0 and want[0] <= 1e-9
+                        at_zero = ensemble_error_bound(ch, inp, n, 0.0, rates)
+                        assert abs(got[1] - at_zero) <= 1e-12
+                        assert abs(want[1] - at_zero) <= 1e-12
+                    else:
+                        assert got == want
+        assert min(counts.values()) >= 100
+
+    def test_vacuous_bound_is_the_search_point_at_zero(self, monkeypatch):
+        ch = random_degraded_binary_channel(np.random.default_rng(131))
+        rates = RatePoint(0.1, 0.6, 0.3)
+        # at n = 8, log2|Phi| - log2|M| = 5 - 3 is at most n * threshold
+        assert 5 - 3 <= 8 * positivity_thresholds(ch, UNIFORM)[0]
+        bound = binning_sim._error_bound_for(ch, UNIFORM, 8, rates)(0.0)
+
+        def no_search(*args):
+            raise AssertionError("searched a vacuous error bound")
+
+        monkeypatch.setattr(binning_sim, "golden_section_max", no_search)
+        assert minimize_error_bound(ch, UNIFORM, 8, rates) == (
+            0.0, 2.0**-binning_sim._neg_log2(bound))
+
+    def test_oversize_code_raises_the_tail_message(self):
+        ch = random_degraded_binary_channel(np.random.default_rng(132))
+        for rates, name in ((RatePoint(0.1, 2.0, 2.0), "|M|"),
+                            (RatePoint(0.1, 2.0, 0.0), "|Phi|")):
+            with pytest.raises(ValueError) as tail:
+                binning_sim._error_tail_for(600, rates)
+            assert name in str(tail.value)
+            for n_list in ([600], [600, 601]):
+                with pytest.raises(ValueError) as got:
+                    binning_sim._minimized_bounds(ch, UNIFORM, n_list, rates)
+                assert str(got.value) == str(tail.value)
+            with pytest.raises(ValueError) as got:
+                minimize_error_bound(ch, UNIFORM, 600, rates)
+            assert str(got.value) == str(tail.value)
+
+
+class TestBlocklengthCheck:
+    """Every entry point takes an integer n >= 1, a numpy integer too, and
+    refuses anything else, a bool included, with a ValueError naming n."""
+
+    BAD = [0, -2, 2.5, 3.0, True, False, "3", None]
+    ENTRY_POINTS = {
+        "generate_code": lambda ch, n: generate_code(ch, n, RATES, UNIFORM, 1),
+        "ensemble_average": lambda ch, n: ensemble_average(ch, UNIFORM, n, RATES, 2, 1),
+        "ensemble_error_bound":
+            lambda ch, n: ensemble_error_bound(ch, UNIFORM, n, 0.5, RATES),
+        "ensemble_leakage_bound":
+            lambda ch, n: ensemble_leakage_bound(ch, UNIFORM, n, 0.5, RATES),
+        "minimize_error_bound": lambda ch, n: minimize_error_bound(ch, UNIFORM, n, RATES),
+        "minimize_leakage_bound":
+            lambda ch, n: minimize_leakage_bound(ch, UNIFORM, n, RATES),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_non_integer_or_small_n_refused(self, entry):
+        ch = random_degraded_binary_channel(np.random.default_rng(133))
+        call = self.ENTRY_POINTS[entry]
+        for n in self.BAD:
+            with pytest.raises(ValueError, match="blocklength n must be an integer >= 1"):
+                call(ch, n)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_numpy_integer_n_accepted(self, entry):
+        ch = random_degraded_binary_channel(np.random.default_rng(133))
+        call = self.ENTRY_POINTS[entry]
+        got, want = call(ch, np.int64(3)), call(ch, 3)
+        if entry == "generate_code":
+            got, want = dataclasses.astuple(got), dataclasses.astuple(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        else:
+            assert got == want
+
+
 class TestEnsembleAverage:
     def test_single_key_ensemble(self):
         rng = np.random.default_rng(88)
@@ -1176,8 +1355,8 @@ class TestEnsembleAverage:
     def test_rejects_empty_ensemble(self):
         rng = np.random.default_rng(94)
         ch = random_degraded_binary_channel(rng)
-        for count in (0, -1):
-            with pytest.raises(ValueError):
+        for count in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="num_codebooks must be an integer"):
                 ensemble_average(ch, UNIFORM, 3, RATES, num_codebooks=count, seed=1)
 
 
