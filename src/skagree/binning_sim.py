@@ -10,20 +10,28 @@ the exact evaluation's decoder, so it cross-checks the sampling of the
 protocol; the tests cross-check the decoder against a brute-force search.
 
 Each blocklength's codes are checked against the finite-n ensemble bounds,
-minimized over rho and alpha by golden-section search.  The error bound
-needs no search when it is vacuous: -log2 of it is concave in rho and 0 at
-rho = 0, where its slope is log2|Phi| - log2|M| - n*theta, with theta the
-reliability threshold H(X|Y,S) - I(S;Y) (exponents.positivity_thresholds).
-When that slope is <= 0 (reliability_exponent's rule at the code's
-effective rates), the minimum is the bound at rho* = 0, reported with no
-search.  ensemble_average, at one n, runs the remaining scalar searches;
+minimized over rho and alpha.  -log2 of each bound is concave, so a minimum
+on an edge of the domain is decided from the slope there, with no search
+(_decided_error_bound, _decided_leakage_bound).  The error bound's slope at
+rho = 0 is log2|Phi| - log2|M| - n*theta, with theta the reliability
+threshold H(X|Y,S) - I(S;Y) (exponents.positivity_thresholds); when it is
+<= 0 the bound is vacuous and its minimum is at rho* = 0
+(reliability_exponent's rule at the code's effective rates).  Its slope at
+rho = 1 takes the critical rate in place of theta, and the leakage bound's
+slope at alpha = 1 takes the secrecy critical rate G(1); a slope there of at
+least n*_EDGE_MARGIN puts the minimum at rho* = 1 or alpha* = 1, unless the
+float tail cannot represent the bound at that edge.  Only the bounds
+between the threshold and those edges, margin included, are searched, by
+golden-section search; a decided bound is within about 2.4e-15 (relative)
+of the searched one, and its rho* or alpha* within about 1e-13.
+ensemble_average, at one n, runs the remaining scalar searches;
 ensemble_averages, which simulate calls with all its blocklengths, runs
-every remaining search of the call as lanes of one golden_section_lanes set
-(_minimized_bounds), whose lane evaluator gives the scalar closures' values
-bit for bit.  As in exponents, the lane count picks the path: on 60
-sim-ensemble channels (2-vCPU Xeon, Python 3.11, numpy 2.4), the ten lanes
-of n = 1..5 take 0.55-0.65 of the time of the ten scalar searches, while
-one n as two lanes takes about twice the time of its two scalar searches.
+more than two remaining searches of the call as lanes of one
+golden_section_lanes set (_minimized_bounds), whose lane evaluator gives the
+scalar closures' values bit for bit.  As in exponents, the lane count picks
+the path: on 60 sim-ensemble channels (2-vCPU Xeon, Python 3.11, numpy 2.4),
+the ten lanes of n = 1..5 take 0.55-0.65 of the time of the ten scalar
+searches, while two lanes take about twice the time of two scalar searches.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ import numpy as np
 
 from .capacity import golden_section_lanes, golden_section_max
 from .channels import DiscreteBroadcastChannel, _input_probs, marginal_channel
-from .exponents import (ALPHA_MIN, RatePoint, _fast_path_positions,
+from .exponents import (_EDGE_MARGIN, ALPHA_MIN, RatePoint, _fast_path_positions,
+                        _reliability_critical_rate, _secrecy_critical_rates,
                         positivity_thresholds)
 # mutual_information is no longer called here but stays importable from this
 # module: benchmarks/test_benchmark.py checks the tracer's wrapping through it.
@@ -1036,70 +1045,126 @@ def _search_objective(bound):
     return objective
 
 
-def _vacuous_error_bound(channel, inp, n, rates, threshold):
-    """(0.0, the error bound at rho = 0) if the bound is vacuous at n, that
-    is log2|Phi| - log2|M| <= n*threshold for the reliability threshold of
-    inp, else None.  -log2 of the bound is concave in rho and 0 at rho = 0,
-    where its slope is log2|Phi| - log2|M| - n*threshold, so its maximum is
-    at rho = 0 exactly when that is <= 0: reliability_exponent's rule at the
-    code's effective rates.  The bound is reported as a search would report
-    the point rho = 0.  The code sizes are read as _error_tail_for reads
-    them, |M| first, so an oversize code raises its ValueError."""
+def _edge_bound(bound, x):
+    """(x, the bound at x as a search reports it) when bound(x) is a finite
+    positive float, else None: an edge whose bound the float tail cannot
+    represent is left to the search, which never reports such a point."""
+    try:
+        value = bound(x)
+    except OverflowError:
+        return None
+    return (x, 2.0**-_neg_log2(value)) if value > 0.0 else None
+
+
+def _decided_error_bound(channel, inp, n, rates, threshold, critical):
+    """(rho*, the error bound at rho*) when the minimum is at an edge of
+    [0, 1], else None: search.  -log2 of the bound is n times the
+    reliability objective at the code's effective rates, concave in rho, so
+    its slope at rho is log2|Phi| - log2|M| - n*T'(rho) with T' the slope of
+    the log term: the reliability threshold at rho = 0 and the critical rate
+    critical at rho = 1 (exponents._reliability_critical_rate).
+
+    The bound is vacuous, minimized at rho* = 0, exactly when the slope at
+    0 is <= 0 (reliability_exponent's rule at the code's effective rates).
+    It is minimized at rho* = 1 when the slope at 1 is at least
+    n*_EDGE_MARGIN and the bound at 1 is a finite positive float.  Either
+    bound is reported as a search would report that point.  The code sizes
+    are read as _error_tail_for reads them, |M| first, so an oversize code
+    raises its ValueError."""
     m_bits = _size_bits(n, rates.r_m, "|M|", _FLOAT_BITS)
     phi_bits = _size_bits(n, rates.r_phi, "|Phi|", _FLOAT_BITS)
-    if phi_bits - m_bits > n * threshold:
-        return None
-    return 0.0, 2.0**-_neg_log2(_error_bound_for(channel, inp, n, rates)(0.0))
+    if phi_bits - m_bits <= n * threshold:
+        return 0.0, 2.0**-_neg_log2(_error_bound_for(channel, inp, n, rates)(0.0))
+    if phi_bits - m_bits - n * critical >= n * _EDGE_MARGIN:
+        return _edge_bound(_error_bound_for(channel, inp, n, rates), 1.0)
+    return None
 
 
-def _minimize_error_bound(channel, inp, n, rates, threshold):
-    """minimize_error_bound with the reliability threshold of inp given."""
-    vacuous = _vacuous_error_bound(channel, inp, n, rates, threshold)
-    if vacuous is not None:
-        return vacuous
-    rho, neg = golden_section_max(
-        _search_objective(_error_bound_for(channel, inp, n, rates)), 0.0, 1.0)
-    return rho, 2.0**-neg
+def _decided_leakage_bound(channel, inp, n, rates, critical):
+    """(1.0, the leakage bound at alpha = 1) when the minimum is at alpha* =
+    1, else None: search.  -log2 of the bound is log2(alpha / log2 e) - alpha
+    (log2|K| + log2|Phi| - log2|M|) plus n times the secrecy objective's log
+    term, concave in alpha; its slope at alpha = 1 is log2 e - (log2|K| +
+    log2|Phi| - log2|M|) + n*critical, with critical the secrecy critical
+    rate G(1) (exponents._secrecy_critical_rates).  The rule needs that
+    slope to be at least n*_EDGE_MARGIN and the bound at 1 to be a finite
+    positive float.  (At ALPHA_MIN the log2 alpha term's slope, about 1.4e6,
+    points inward for every code the float tail can represent.)  The code
+    sizes are read as _leakage_tail_for reads them, so an oversize code
+    raises its ValueError."""
+    m_bits = _size_bits(n, rates.r_m, "|M|", _FLOAT_BITS)
+    phi_bits = _size_bits(n, rates.r_phi, "|Phi|", _FLOAT_BITS)
+    k_bits = _size_bits(n, rates.r_sk, "|K|", _FLOAT_BITS)
+    if math.log2(math.e) - (k_bits + phi_bits - m_bits) + n * critical \
+            >= n * _EDGE_MARGIN:
+        return _edge_bound(_leakage_bound_for(channel, inp, n, rates), 1.0)
+    return None
+
+
+def _searched_bound(bound, a):
+    """(x*, min of bound on [a, 1]) by golden-section search of -log2 bound."""
+    x, neg = golden_section_max(_search_objective(bound), a, 1.0)
+    return x, 2.0**-neg
 
 
 def minimize_error_bound(channel, inp, n, rates):
     """(rho*, min over rho of the ensemble error bound); the log-bound is
-    convex in rho.  A vacuous bound (_vacuous_error_bound) is its value at
-    rho* = 0, decided from the reliability threshold with no search; any
-    other bound is found by golden-section search."""
+    convex in rho.  A bound minimized at an edge of [0, 1]
+    (_decided_error_bound: rho* = 0 when it is vacuous, rho* = 1 past the
+    critical rate) is its value there, decided with no search; any other
+    bound is found by golden-section search."""
     n = _positive_int(n, "blocklength n")
-    return _minimize_error_bound(channel, inp, n, rates,
-                                 positivity_thresholds(channel, inp)[0])
+    decided = _decided_error_bound(channel, inp, n, rates,
+                                   positivity_thresholds(channel, inp)[0],
+                                   _reliability_critical_rate(channel, inp))
+    if decided is not None:
+        return decided
+    return _searched_bound(_error_bound_for(channel, inp, n, rates), 0.0)
 
 
 def minimize_leakage_bound(channel, inp, n, rates):
+    """(alpha*, min over alpha in [ALPHA_MIN, 1] of the ensemble leakage
+    bound): at alpha* = 1 with no search when _decided_leakage_bound decides
+    it, else by golden-section search."""
     n = _positive_int(n, "blocklength n")
-    alpha, neg = golden_section_max(
-        _search_objective(_leakage_bound_for(channel, inp, n, rates)), ALPHA_MIN, 1.0)
-    return alpha, 2.0**-neg
+    decided = _decided_leakage_bound(channel, inp, n, rates,
+                                     _secrecy_critical_rates(channel, inp)[0])
+    if decided is not None:
+        return decided
+    return _searched_bound(_leakage_bound_for(channel, inp, n, rates), ALPHA_MIN)
 
 
 def _minimized_bounds(channel, inp, n_list, rates) -> list:
     """((rho*, error bound), (alpha*, leakage bound)) at each n of n_list,
     result for result what minimize_error_bound and minimize_leakage_bound
-    give.  The reliability threshold is computed once, and the vacuous error
-    bounds are decided from it.  Several n run all their other searches in
-    one golden_section_lanes set, the searched error lanes and then the
-    leakage lanes; a single n keeps the scalar searches, which are cheaper
-    at two lanes."""
+    give.  The reliability threshold and the critical rates are computed
+    once, and the bounds minimized at an edge are decided from them.  More
+    than two remaining searches run in one golden_section_lanes set, the
+    searched error lanes and then the searched leakage lanes; one or two
+    run as scalar searches, which are cheaper at two lanes."""
     threshold = positivity_thresholds(channel, inp)[0]
-    if len(n_list) == 1:
-        return [(_minimize_error_bound(channel, inp, n_list[0], rates, threshold),
-                 minimize_leakage_bound(channel, inp, n_list[0], rates))]
-    errors = [_vacuous_error_bound(channel, inp, n, rates, threshold)
+    rel_critical = _reliability_critical_rate(channel, inp)
+    sec_critical = _secrecy_critical_rates(channel, inp)[0]
+    errors = [_decided_error_bound(channel, inp, n, rates, threshold, rel_critical)
               for n in n_list]
-    searched = [n for n, error in zip(n_list, errors) if error is None]
-    bounds = _bound_lanes_for(channel, inp, rates, searched, n_list)
-    found = ((x, 2.0**-neg) for x, neg in golden_section_lanes(
-        lambda lanes, xs: [_neg_log2(b) for b in bounds(lanes, xs, math.inf)],
-        [(0.0, 1.0)] * len(searched) + [(ALPHA_MIN, 1.0)] * len(n_list)))
+    leakages = [_decided_leakage_bound(channel, inp, n, rates, sec_critical)
+                for n in n_list]
+    error_ns = [n for n, error in zip(n_list, errors) if error is None]
+    leakage_ns = [n for n, leakage in zip(n_list, leakages) if leakage is None]
+    if len(error_ns) + len(leakage_ns) <= 2:
+        found = iter(
+            [_searched_bound(_error_bound_for(channel, inp, n, rates), 0.0)
+             for n in error_ns]
+            + [_searched_bound(_leakage_bound_for(channel, inp, n, rates), ALPHA_MIN)
+               for n in leakage_ns])
+    else:
+        bounds = _bound_lanes_for(channel, inp, rates, error_ns, leakage_ns)
+        found = ((x, 2.0**-neg) for x, neg in golden_section_lanes(
+            lambda lanes, xs: [_neg_log2(b) for b in bounds(lanes, xs, math.inf)],
+            [(0.0, 1.0)] * len(error_ns) + [(ALPHA_MIN, 1.0)] * len(leakage_ns)))
     errors = [next(found) if error is None else error for error in errors]
-    return list(zip(errors, found))
+    leakages = [next(found) if leakage is None else leakage for leakage in leakages]
+    return list(zip(errors, leakages))
 
 
 def _codebook_rows(channel: DiscreteBroadcastChannel, inp: Pmf, n: int,
@@ -1186,8 +1251,9 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
     SeedSequence or what one is made from), as _codebook_rows describes.
     This is ensemble_averages at one blocklength: the codebook rows, with
     one workspace made by this call and dropped when it returns, and the
-    bound check, with the scalar leakage search and the error bound decided
-    from the reliability threshold when it is vacuous, searched otherwise.
+    bound check, each bound decided at an edge of its domain when it peaks
+    there (_decided_error_bound, _decided_leakage_bound) and searched by a
+    scalar search otherwise.
     """
     return ensemble_averages(channel, inp, [n], rates, num_codebooks, [seed])[0]
 
@@ -1197,12 +1263,12 @@ def ensemble_averages(channel: DiscreteBroadcastChannel, inp: Pmf, n_list,
     """ensemble_average at each blocklength of n_list with the seed of equal
     position in seeds, result for result and bit for bit.  The codebook
     rows of every n are drawn and evaluated first, each n's stacks in one
-    workspace made by this call; then the vacuous error bounds are decided
-    from one reliability threshold, and every other bound search of the call
-    runs in one lane set (_minimized_bounds), a single n in the scalar
-    searches.  A blocklength that fails a check (TABLE_BUDGET, ENUM_BUDGET)
-    raises before any later n is drawn, with the message ensemble_average
-    gives."""
+    workspace made by this call; then the bounds minimized at an edge are
+    decided from one reliability threshold and one set of critical rates,
+    and more than two other bound searches of the call run in one lane set
+    (_minimized_bounds), one or two as scalar searches.  A blocklength that
+    fails a check (TABLE_BUDGET, ENUM_BUDGET) raises before any later n is
+    drawn, with the message ensemble_average gives."""
     if len(seeds) != len(n_list):
         raise ValueError("ensemble_averages needs one seed per blocklength, "
                          "got %d for %d" % (len(seeds), len(n_list)))

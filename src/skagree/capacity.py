@@ -63,6 +63,16 @@ class OptimizerConfig:
     grid_step: Optional[float] = None  # default 1e-3 for |S|<=2, 1e-2 for |S|=3
     refine_iters: int = 200
 
+    def __post_init__(self):
+        step = self.grid_step
+        if step is not None and (isinstance(step, bool)
+                                 or not isinstance(step, (int, float, np.integer, np.floating))
+                                 or not (math.isfinite(step) and step > 0.0)):
+            raise ChannelError("grid step must be finite and positive, got %r" % (step,))
+        iters = self.refine_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 0:
+            raise ChannelError("refine_iters must be an integer >= 0, got %r" % (iters,))
+
     def step_for(self, k: int) -> float:
         if self.grid_step is not None:
             return self.grid_step
@@ -158,9 +168,8 @@ def golden_section_lanes(F, brackets, iters: int = 200):
 
 
 def _grid_divisions(step: float) -> int:
-    """m = round(1/step), the number of grid intervals along each axis."""
-    if not (math.isfinite(step) and step > 0.0):
-        raise ChannelError("grid step must be finite and positive, got %r" % step)
+    """m = round(1/step), the number of grid intervals along each axis, for a
+    finite positive step (OptimizerConfig checks it)."""
     m = int(round(1.0 / step))
     if m < 1:
         raise ChannelError("grid step %g leaves no simplex grid" % step)
@@ -238,8 +247,15 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
     def feasible(p):
         return unconstrained or float(np.dot(p, cost)) <= gamma + 1e-12
 
+    # the refinement's values by row bytes: its searches revisit points,
+    # and f is pure, so a repeat is answered from here bit for bit
+    refined = {}
+
     def value(p):
-        return objective(p[None, :])[0] if feasible(p) else -math.inf
+        key = p.tobytes()
+        if key not in refined:
+            refined[key] = objective(p[None, :])[0] if feasible(p) else -math.inf
+        return refined[key]
 
     grid = _simplex_grid(k, step)
     # keep: the grid rows to scan, the feasible ones less any ruled out
@@ -397,8 +413,8 @@ def _difference_objective(channel: DiscreteBroadcastChannel):
     def f(ps):
         arr = ps[:, :, None, None, None] * tr  # (G,s,x,y,z)
         g = len(ps)
-        i_y = mutual_information_rows(arr.sum(axis=4).reshape(g, S * X, Y))
-        i_z = mutual_information_rows(arr.sum(axis=3).reshape(g, S * X, Z))
+        i_y = mutual_information_rows(np.add.reduce(arr, axis=4).reshape(g, S * X, Y))
+        i_z = mutual_information_rows(np.add.reduce(arr, axis=3).reshape(g, S * X, Z))
         return [a - b for a, b in zip(i_y, i_z)]
 
     return f

@@ -3,18 +3,31 @@
 The reliability exponent governs the decay of the key-mismatch probability;
 the secrecy exponent governs the decay of the key leakage toward the
 eavesdropper.  Both are single-parameter maximizations of concave objectives
-(over rho in [0,1] and alpha in (0,1] respectively), solved by golden-section
-search.  Input-distribution optimization reuses the simplex-grid machinery
-from the capacity module.
+(over rho in [0,1] and alpha in (0,1] respectively).  Input-distribution
+optimization reuses the simplex-grid machinery from the capacity module.
+
+A maximum on an edge of the domain is decided from the objective's slope
+there, in closed form, with no search.  E is 0 at rho* = 0 when R_phi - R_M
+is at most the reliability threshold, and its objective at rho* = 1 when
+R_phi - R_M is at least the critical rate (`_reliability_critical_rate`)
+plus _EDGE_MARGIN = 1e-6.  F is its objective at alpha* = 1 or ALPHA_MIN
+when R_SK + R_phi - R_M lies that margin beyond the critical rates of
+`_secrecy_critical_rates`.  Only the rates between the threshold and the
+critical rate, margin included, are searched, by golden-section search.  A
+decided result differs from the searched one only where the search would
+stop a few ulps short of the edge: by at most about 1e-12 in rho* or alpha*
+and 1e-15 in the value on the benchmark surfaces.
 
 Many independent searches, such as the rows of an exponent surface or the
 points of an input grid block, run as lanes of `golden_section_lanes`: one
 objective call per step evaluates every active lane's pending point, and the
-rate-free tensors and positivity thresholds are built once per distinct
-input.  The lane objectives give the scalar closures' values bit for bit.
-numpy's power takes a sqrt, square or reciprocal path for a scalar exponent
-of 0.5, 2 or -1, which an array of exponents does not, so a lane whose
-exponent is one of those is evaluated with the scalar call.  A single
+rate-free tensors, positivity thresholds and critical rates are built once
+per distinct input.  The rows decided at an edge take one objective call
+between them and enter no search.  The lane objectives give the scalar
+closures' values bit for bit.  numpy's power takes a sqrt, square or
+reciprocal path for a scalar exponent of 0.5, 2 or -1, which an array of
+exponents does not, so a lane whose exponent is one of those is evaluated
+with the scalar call.  A single
 search, such as each of the input refinement's one-row calls, keeps the
 scalar closure, which is cheaper at one lane.
 
@@ -114,7 +127,7 @@ def _distinct_inputs(channel, inputs):
 
 def _reliability_value(pxy, weighted, slope, rho):
     e = 1.0 / (1.0 + rho)
-    inner = (weighted * np.power(pxy, e)).sum(axis=(0, 1))  # over y
+    inner = np.add.reduce(weighted * np.power(pxy, e), axis=(0, 1))  # over y
     total = math.fsum(np.power(inner, 1.0 + rho).tolist())
     return rho * slope - math.log2(total)
 
@@ -218,6 +231,104 @@ def secrecy_objective(channel: DiscreteBroadcastChannel, inp: Pmf,
     return _secrecy_objective_for(channel, inp, rates)(alpha)
 
 
+# A search is skipped when the objective's slope at an edge of its domain
+# points outward by at least this many bits per unit of rho or alpha (n
+# times this for binning_sim's bounds).  The objective is concave, so its
+# maximum is then at that edge; a search would end within about 1e-12 of
+# it, as values that differ by less than their rounding steer its last
+# steps.  A slope inside the margin is searched.
+_EDGE_MARGIN = 1e-6
+
+
+def _reliability_critical_rate(channel: DiscreteBroadcastChannel, inp: Pmf) -> float:
+    """R_cr = d/drho log2 T(rho) at rho = 1, where T(rho) = sum_y
+    [sum_{s,x} p(s) p(x,y|s)^(1/(1+rho))]^(1+rho) is the log term of the
+    reliability objective.  With i_y = sum_{s,x} p(s) sqrt(p(x,y|s)) and
+    l_y = sum_{s,x} p(s) sqrt(p(x,y|s)) log2 p(x,y|s), it is
+    sum_y (i_y^2 log2 i_y - i_y l_y / 2) / sum_y i_y^2.
+
+    log2 T is convex in rho and its slope at rho = 0 is the reliability
+    threshold, so R_cr is at least the threshold, and the objective's slope
+    at rho = 1 is (R_phi - R_M) - R_cr."""
+    pxy = marginal_channel(channel, "xy")  # (S,X,Y)
+    root = _input_probs(channel, inp)[:, None, None] * np.sqrt(pxy)
+    log_p = np.log2(pxy, out=np.zeros_like(pxy), where=pxy > 0.0)
+    inner = np.add.reduce(root, axis=(0, 1))  # i_y
+    lifted = np.add.reduce(root * log_p, axis=(0, 1))  # l_y
+    on = inner > 0.0
+    i, l = inner[on], lifted[on]
+    return (math.fsum((i * i * np.log2(i) - 0.5 * i * l).tolist())
+            / math.fsum((i * i).tolist()))
+
+
+def _secrecy_critical_rates(channel: DiscreteBroadcastChannel, inp: Pmf):
+    """(G(1), G(ALPHA_MIN)) with G(alpha) = -d/dalpha log2 U(alpha), where
+    U(alpha) = sum p(s,x,z) r^alpha, r = p(x,z|s)/p(z), is the log term of
+    the secrecy objective: G(alpha) = -sum p(s,x,z) r^alpha log2 r / U(alpha).
+
+    The objective's slope at alpha is G(alpha) - (R_SK + R_phi - R_M).
+    log2 U is convex, so G falls with alpha, from the secrecy threshold
+    at alpha = 0."""
+    joint, ratio, support = _secrecy_tensors(marginal_channel(channel, "xz"),
+                                             _input_probs(channel, inp))
+    joint, ratio = joint[support], ratio[support]
+    log_r = np.log2(ratio)
+
+    def g(alpha):
+        w = joint * np.power(ratio, alpha)
+        return -math.fsum((w * log_r).tolist()) / math.fsum(w.tolist())
+
+    return g(1.0), g(ALPHA_MIN)
+
+
+def _reliability_edge(slope: float, critical: float):
+    """1.0 when the reliability objective at slope R_phi - R_M = slope
+    peaks at rho = 1 by the margin (its slope there, slope - critical, is at
+    least _EDGE_MARGIN), else None: search."""
+    return 1.0 if slope - critical >= _EDGE_MARGIN else None
+
+
+def _secrecy_edge(rate: float, critical):
+    """1.0 or ALPHA_MIN when the secrecy objective at R_SK + R_phi - R_M =
+    rate peaks there by the margin, given critical = (G(1), G(ALPHA_MIN)),
+    else None: search."""
+    g_one, g_min = critical
+    if g_one - rate >= _EDGE_MARGIN:
+        return 1.0
+    if rate - g_min >= _EDGE_MARGIN:
+        return ALPHA_MIN
+    return None
+
+
+def _edge_or_search(objective, edge, a: float, b: float):
+    """(edge, objective(edge)), as a search reports a point, or when edge
+    is None the golden-section search of objective on [a, b]."""
+    if edge is None:
+        return golden_section_max(objective, a, b)
+    return edge, objective(edge)
+
+
+def _lane_maxima(F, edges, bracket) -> list:
+    """Per lane, (edges[l], F's value there) or, when edges[l] is None, the
+    golden-section search on bracket: lane for lane what `_edge_or_search`
+    gives with that lane's scalar objective.  The decided lanes take one F
+    call; only the others enter `golden_section_lanes`."""
+    results = [None] * len(edges)
+    decided = [lane for lane, x in enumerate(edges) if x is not None]
+    if decided:
+        xs = [edges[lane] for lane in decided]
+        values = F(np.array(decided, dtype=np.intp), np.array(xs, dtype=float))
+        for lane, x, v in zip(decided, xs, values):
+            results[lane] = (x, v)
+    searched = np.array([lane for lane, x in enumerate(edges) if x is None],
+                        dtype=np.intp)
+    found = golden_section_lanes(lambda lanes, xs: F(searched[lanes], xs),
+                                 [bracket] * len(searched))
+    for lane, result in zip(searched.tolist(), found):
+        results[lane] = result
+    return results
+
+
 def _reliability_result(rho, val):
     if val <= 0.0:
         return ExponentResult(value=0.0, argmax=0.0, raw_value=val)
@@ -236,30 +347,37 @@ def reliability_exponent(channel: DiscreteBroadcastChannel, inp: Pmf,
     origin, (R_phi - R_M) minus the reliability threshold, is nonpositive.
     That case is decided analytically rather than numerically: near rho=0 the
     log term underflows to 0 before the linear term does, so a search could
-    otherwise report a spurious positive sliver.
+    otherwise report a spurious positive sliver.  When the slope at rho=1,
+    (R_phi - R_M) minus the critical rate, is at least _EDGE_MARGIN, the
+    maximum is the objective at rho* = 1, again with no search.
     """
     rel_threshold, _ = positivity_thresholds(channel, inp)
-    if rates.r_phi - rates.r_m - rel_threshold <= 0.0:
+    slope = rates.r_phi - rates.r_m
+    if slope - rel_threshold <= 0.0:
         return _RELIABILITY_ZERO
-    return _reliability_result(*golden_section_max(
-        _reliability_objective_for(channel, inp, rates), 0.0, 1.0))
+    return _reliability_result(*_edge_or_search(
+        _reliability_objective_for(channel, inp, rates),
+        _reliability_edge(slope, _reliability_critical_rate(channel, inp)), 0.0, 1.0))
 
 
 def reliability_exponents(channel: DiscreteBroadcastChannel, inputs, rates) -> list:
     """`reliability_exponent` at each (input, rate point) pair of two equally
     long sequences, result for result, with the searches run in lockstep
-    lanes.  The thresholds and tensors are built once per distinct input.
-    A single pair takes the scalar path, which is cheaper at one lane."""
+    lanes.  The thresholds, critical rates and tensors are built once per
+    distinct input.  A single pair takes the scalar path, which is cheaper
+    at one lane."""
     if len(inputs) <= 1:
         return [reliability_exponent(channel, inp, r) for inp, r in zip(inputs, rates)]
     distinct, which = _distinct_inputs(channel, inputs)
     thresholds = [positivity_thresholds(channel, inp)[0] for inp in distinct]
+    critical = [_reliability_critical_rate(channel, inp) for inp in distinct]
+    slopes = [r.r_phi - r.r_m for r in rates]
     results = [_RELIABILITY_ZERO] * len(inputs)
-    search = [i for i, (d, r) in enumerate(zip(which.tolist(), rates))
-              if not r.r_phi - r.r_m - thresholds[d] <= 0.0]
-    F = _reliability_lanes_for(channel, distinct, which[search],
-                               [rates[i].r_phi - rates[i].r_m for i in search])
-    for i, (rho, val) in zip(search, golden_section_lanes(F, [(0.0, 1.0)] * len(search))):
+    live = [i for i, (d, slope) in enumerate(zip(which.tolist(), slopes))
+            if not slope - thresholds[d] <= 0.0]
+    F = _reliability_lanes_for(channel, distinct, which[live], [slopes[i] for i in live])
+    edges = [_reliability_edge(slopes[i], critical[which[i]]) for i in live]
+    for i, (rho, val) in zip(live, _lane_maxima(F, edges, (0.0, 1.0))):
         results[i] = _reliability_result(rho, val)
     return results
 
@@ -271,9 +389,14 @@ def _secrecy_result(alpha, val):
 def secrecy_exponent(channel: DiscreteBroadcastChannel, inp: Pmf,
                      rates: RatePoint) -> ExponentResult:
     """sup over alpha in (0,1] of the secrecy objective, searched on
-    [ALPHA_MIN, 1]; reports both the raw supremum and the clamped max(0,.)."""
-    return _secrecy_result(*golden_section_max(
-        _secrecy_objective_for(channel, inp, rates), ALPHA_MIN, 1.0))
+    [ALPHA_MIN, 1]; reports both the raw supremum and the clamped max(0,.).
+    When the objective's slope at alpha = 1 is at least _EDGE_MARGIN, or at
+    ALPHA_MIN at most -_EDGE_MARGIN (`_secrecy_critical_rates`), the
+    supremum is the objective at that edge, with no search."""
+    edge = _secrecy_edge(rates.r_sk + rates.r_phi - rates.r_m,
+                         _secrecy_critical_rates(channel, inp))
+    return _secrecy_result(*_edge_or_search(
+        _secrecy_objective_for(channel, inp, rates), edge, ALPHA_MIN, 1.0))
 
 
 def secrecy_exponents(channel: DiscreteBroadcastChannel, inputs, rates) -> list:
@@ -283,10 +406,12 @@ def secrecy_exponents(channel: DiscreteBroadcastChannel, inputs, rates) -> list:
     if len(inputs) <= 1:
         return [secrecy_exponent(channel, inp, r) for inp, r in zip(inputs, rates)]
     distinct, which = _distinct_inputs(channel, inputs)
-    F = _secrecy_lanes_for(channel, distinct, which,
-                           [r.r_sk + r.r_phi - r.r_m for r in rates])
-    return [_secrecy_result(alpha, val) for alpha, val in
-            golden_section_lanes(F, [(ALPHA_MIN, 1.0)] * len(inputs))]
+    critical = [_secrecy_critical_rates(channel, inp) for inp in distinct]
+    sums = [r.r_sk + r.r_phi - r.r_m for r in rates]
+    F = _secrecy_lanes_for(channel, distinct, which, sums)
+    edges = [_secrecy_edge(rate, critical[d]) for rate, d in zip(sums, which.tolist())]
+    return [_secrecy_result(alpha, val)
+            for alpha, val in _lane_maxima(F, edges, (ALPHA_MIN, 1.0))]
 
 
 def positivity_thresholds(channel: DiscreteBroadcastChannel, inp: Pmf):

@@ -61,7 +61,7 @@ def _validate_rows(rows: np.ndarray) -> None:
     with fsum, in order, and checked as before."""
     if rows.size < 1:
         raise PmfError("empty probability array")
-    if not (rows >= 0.0).all():  # also false for NaN
+    if not np.minimum.reduce(rows, axis=None) >= 0.0:  # also false for NaN
         if np.isnan(rows).any():
             raise PmfError("non-finite probability entry")
         raise PmfError("negative probability entry: min=%r" % float(rows.min()))
@@ -149,7 +149,7 @@ def _entropy_rows(stack: np.ndarray) -> list:
     np.log2's SIMD code does."""
     rows = stack.reshape(stack.shape[0], -1)
     if rows.shape[1] <= _WIDE_ROW_CELLS:
-        return [-math.fsum(x * math.log2(x) for x in row if x > 0.0)
+        return [-math.fsum([x * math.log2(x) for x in row if x > 0.0])
                 for row in rows.tolist()]
     terms = np.zeros(rows.shape)
     np.log2(rows, out=terms, where=rows > 0.0)
@@ -183,8 +183,8 @@ def bsc_convolve(a: float, b: float) -> float:
 
 def _mi_rows(joints: np.ndarray) -> list:
     """I(A;B) = H(A) + H(B) - H(A,B) for each (A, B) joint stacked on axis 0."""
-    ha = _entropy_rows(joints.sum(axis=2))
-    hb = _entropy_rows(joints.sum(axis=1))
+    ha = _entropy_rows(np.add.reduce(joints, axis=2))
+    hb = _entropy_rows(np.add.reduce(joints, axis=1))
     hab = _entropy_rows(joints)
     return [a + b - ab for a, b, ab in zip(ha, hb, hab)]
 

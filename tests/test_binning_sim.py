@@ -42,7 +42,13 @@ from skagree.binning_sim import (
 )
 from skagree.capacity import golden_section_max
 from skagree.cli import main
-from skagree.exponents import ALPHA_MIN, positivity_thresholds
+from skagree.exponents import (
+    _EDGE_MARGIN,
+    ALPHA_MIN,
+    _reliability_critical_rate,
+    _secrecy_critical_rates,
+    positivity_thresholds,
+)
 from skagree.probability import Pmf, mutual_information
 
 UNIFORM = Pmf.uniform(2)
@@ -1070,6 +1076,18 @@ def bound_cases(seed, count):
         yield ch, inp, rates
 
 
+def searched_ns(ch, inp, ns, rates):
+    """(the n of ns whose error bound is searched, those whose leakage bound
+    is): the ones not decided at an edge."""
+    threshold = positivity_thresholds(ch, inp)[0]
+    rel = _reliability_critical_rate(ch, inp)
+    sec = _secrecy_critical_rates(ch, inp)[0]
+    return ([n for n in ns if binning_sim._decided_error_bound(
+                ch, inp, n, rates, threshold, rel) is None],
+            [n for n in ns if binning_sim._decided_leakage_bound(
+                ch, inp, n, rates, sec) is None])
+
+
 def criterion9_rates(ch, inp):
     """Criterion 9's rate point: r_sk = span/4, r_phi = rel_thr + span/4
     with span = sec_thr - rel_thr, each at least 0, and r_m = 0."""
@@ -1122,9 +1140,10 @@ class TestBoundLanes:
         bounds(np.arange(4), np.array([1.0, 0.4, 0.5, 0.7]))
         assert taken == [("_error_total", 1.0), ("_leakage_total", 0.5)]
 
-    def test_every_searched_point_equals_scalar_closure(self, monkeypatch):
-        # the lane set holds the error lanes of the n whose bound is not
-        # vacuous, then the leakage lanes of every n
+    @staticmethod
+    def spy_lanes(monkeypatch):
+        """Record the (error_ns, leakage_ns) of each lane evaluator built
+        and every (lanes, xs, values) call made to it."""
         calls, lane_ns = [], []
         lanes_for = binning_sim._bound_lanes_for
 
@@ -1139,36 +1158,48 @@ class TestBoundLanes:
             return spied
 
         monkeypatch.setattr(binning_sim, "_bound_lanes_for", spy)
-        skipped = lanes_searched = 0
+        return calls, lane_ns
+
+    def test_every_searched_point_equals_scalar_closure(self, monkeypatch):
+        # the lane set holds the error lanes and then the leakage lanes of
+        # the n whose bound is not decided at an edge; two or fewer
+        # searches build no lane set
+        calls, lane_ns = self.spy_lanes(monkeypatch)
+        decided = lane_sets = 0
         cases = [(ch, inp, r) for ch, inp, rates in bound_cases(122, 6)
                  for r in (rates, criterion9_rates(ch, inp))]
         for ch, inp, rates in cases:
-            ns = [1, 2, 4]
+            ns = [1, 2, 3, 4, 5]
             del calls[:], lane_ns[:]
             binning_sim._minimized_bounds(ch, inp, ns, rates)
+            error_ns, leakage_ns = searched_ns(ch, inp, ns, rates)
+            decided += 2 * len(ns) - len(error_ns) - len(leakage_ns)
+            if len(error_ns) + len(leakage_ns) <= 2:
+                assert lane_ns == calls == []
+                continue
+            assert lane_ns == [(error_ns, leakage_ns)]
             assert len(calls) > 50
-            threshold = positivity_thresholds(ch, inp)[0]
-            searched = [n for n in ns if binning_sim._vacuous_error_bound(
-                ch, inp, n, rates, threshold) is None]
-            assert lane_ns == [(searched, ns)]
-            skipped += len(ns) - len(searched)
-            lanes_searched += len(searched)
-            kinds = [("error", n) for n in searched] + [("leakage", n) for n in ns]
+            lane_sets += 1
+            kinds = [("error", n) for n in error_ns] + [("leakage", n) for n in leakage_ns]
             for lanes, xs, values in calls:
                 assert values == [self.scalar(ch, inp, rates, *kinds[lane], x)
                                   for lane, x in zip(lanes, xs)]
-        assert skipped > 0 and lanes_searched > 0
+        assert decided > 0 and lane_sets >= 4
 
-    def test_searches_equal_scalar_searches(self):
-        vacuous = 0
-        for ch, inp, rates in bound_cases(123, 40):
+    def test_searches_equal_scalar_searches(self, monkeypatch):
+        _, lane_ns = self.spy_lanes(monkeypatch)
+        vacuous = at_one = 0
+        cases = [(ch, inp, r) for ch, inp, rates in bound_cases(123, 40)
+                 for r in (rates, criterion9_rates(ch, inp))]
+        for ch, inp, rates in cases:
             ns = [1, 2, 3, 4, 5]
             got = binning_sim._minimized_bounds(ch, inp, ns, rates)
             want = [(minimize_error_bound(ch, inp, n, rates),
                      minimize_leakage_bound(ch, inp, n, rates)) for n in ns]
             assert got == want
             vacuous += sum(error == (0.0, 1.0) for error, _ in got)
-        assert vacuous > 0
+            at_one += sum(error[0] == 1.0 for error, _ in got)
+        assert vacuous > 0 and at_one > 0 and len(lane_ns) >= 20
 
     def test_one_n_takes_the_scalar_searches(self, monkeypatch):
         def refuse(*args):
@@ -1187,6 +1218,8 @@ class TestBoundLanes:
         # rho = 1; its minimum is bound(0) = 1 on one channel and below 1 on
         # the other.  The leakage tail at alpha = 1 overflows in a float
         # product (inf), on the first channel while total**n underflows (NaN).
+        # There the leakage slope at alpha = 1 points outward, but the edge
+        # is unrepresentable, so the search decides.
         ch = random_degraded_binary_channel(np.random.default_rng(seed))
         rates = RatePoint(0.1, 0.6, 0.0)
         with pytest.raises(OverflowError):
@@ -1196,9 +1229,12 @@ class TestBoundLanes:
         assert minimize_error_bound(ch, UNIFORM, 1500, rates) == error
         alpha, leak = minimize_leakage_bound(ch, UNIFORM, 1500, rates)
         assert 0.0 < alpha < 1.0 and 0.0 < leak < math.inf
-        assert binning_sim._minimized_bounds(ch, UNIFORM, [1400, 1500], rates) == [
+        outward = (math.log2(math.e) - 1500 * 0.7
+                   + 1500 * _secrecy_critical_rates(ch, UNIFORM)[0]) >= 1500 * _EDGE_MARGIN
+        assert outward == (seed == 126)
+        assert binning_sim._minimized_bounds(ch, UNIFORM, [1300, 1400, 1500], rates) == [
             (minimize_error_bound(ch, UNIFORM, n, rates),
-             minimize_leakage_bound(ch, UNIFORM, n, rates)) for n in (1400, 1500)]
+             minimize_leakage_bound(ch, UNIFORM, n, rates)) for n in (1300, 1400, 1500)]
         lanes = binning_sim._bound_lanes_for(ch, UNIFORM, rates, [1500], [])
         with pytest.raises(OverflowError):
             lanes(np.array([0]), np.array([1.0]))
@@ -1219,6 +1255,131 @@ class TestBoundLanes:
             tail(1.0, 2.0)
 
 
+def edge_cases(seed, count):
+    """(channel, input) on random |S| = 2 and 3 channels, degraded and
+    general, at the simplex's vertices (beta = 0 and 1 at |S| = 2), the
+    uniform input and a random one."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        sizes = (2 + i % 2,) + tuple(int(v) for v in rng.integers(2, 4, 3))
+        ch = (degraded_channel if i % 4 < 2 else random_channel)(rng, sizes)
+        k = sizes[0]
+        for p in list(np.eye(k)) + [np.full(k, 1.0 / k), rng.dirichlet(np.ones(k))]:
+            yield ch, Pmf(p)
+
+
+class TestEdgeBounds:
+    """A bound is decided at rho* = 1 or alpha* = 1 only where -log2 of it
+    slopes outward there by n * _EDGE_MARGIN; the decided bound is then the
+    forced search's, rho* or alpha* within 1e-9 and the bound within 1e-14
+    (relative)."""
+
+    @staticmethod
+    def forced(bound, a):
+        x, neg = golden_section_max(binning_sim._search_objective(bound), a, 1.0)
+        return x, 2.0**-neg
+
+    @staticmethod
+    def close(got, want):
+        assert abs(got[0] - want[0]) <= 1e-9, (got, want)
+        assert abs(got[1] - want[1]) <= 1e-14 * want[1], (got, want)
+
+    def test_error_edge_against_forced_search(self):
+        counts = {0.0: 0, 1.0: 0, None: 0}
+        for ch, inp in edge_cases(150, 12):
+            threshold = positivity_thresholds(ch, inp)[0]
+            critical = _reliability_critical_rate(ch, inp)
+            for offset in (-0.3, -0.05, 0.05, 0.3):
+                rates = RatePoint(0.0, max(0.0, critical + offset), 0.0)
+                for n in (1, 2, 3, 5, 8):
+                    got = minimize_error_bound(ch, inp, n, rates)
+                    want = self.forced(binning_sim._error_bound_for(ch, inp, n, rates), 0.0)
+                    decided = binning_sim._decided_error_bound(
+                        ch, inp, n, rates, threshold, critical)
+                    edge = None if decided is None else decided[0]
+                    counts[edge] += 1
+                    if edge is None:
+                        assert got == want
+                    else:
+                        assert got == decided and got[0] == edge
+                        self.close(got, want)
+        assert min(counts.values()) >= 30, counts
+
+    def test_leakage_edge_against_forced_search(self):
+        counts = {1.0: 0, None: 0}
+        for ch, inp in edge_cases(151, 12):
+            critical = _secrecy_critical_rates(ch, inp)[0]
+            for offset in (-0.3, -0.05, 0.05, 0.3):
+                rates = RatePoint(max(0.0, critical + offset), 0.0, 0.0)
+                for n in (1, 2, 3, 5, 8):
+                    got = minimize_leakage_bound(ch, inp, n, rates)
+                    want = self.forced(binning_sim._leakage_bound_for(ch, inp, n, rates),
+                                       ALPHA_MIN)
+                    decided = binning_sim._decided_leakage_bound(ch, inp, n, rates, critical)
+                    counts[None if decided is None else decided[0]] += 1
+                    if decided is None:
+                        assert got == want
+                    else:
+                        assert got == decided and got[0] == 1.0
+                        self.close(got, want)
+        assert min(counts.values()) >= 30, counts
+
+    def test_edge_bound_that_underflows_is_searched(self):
+        # Z is constant and X uniform given S, so the leakage total at
+        # alpha = 1 is 1/2: at n = 1,100 and rates 0 the bound there
+        # underflows to 0 although its slope points outward
+        ch = lossless_channel()
+        rates = RatePoint(0.0, 0.0, 0.0)
+        bound = binning_sim._leakage_bound_for(ch, UNIFORM, 1100, rates)
+        assert bound(1.0) == 0.0
+        critical = _secrecy_critical_rates(ch, UNIFORM)[0]
+        assert math.log2(math.e) + 1100 * critical >= 1100 * _EDGE_MARGIN
+        assert binning_sim._decided_leakage_bound(ch, UNIFORM, 1100, rates, critical) is None
+        alpha, leak = minimize_leakage_bound(ch, UNIFORM, 1100, rates)
+        assert (alpha, leak) == self.forced(bound, ALPHA_MIN)
+        assert ALPHA_MIN < alpha < 1.0 and 0.0 < leak < math.inf
+
+    def test_nothing_inside_the_margin_is_decided(self):
+        # the critical rate is set so that the slope at the edge is a
+        # fraction of n * _EDGE_MARGIN: inside the margin, then just past it
+        ch = degraded_channel(np.random.default_rng(152), (2, 2, 3, 2))
+        rates = RatePoint(0.25, 0.5, 0.25)
+        for n in (1, 4, 7):
+            m_bits, phi_bits, k_bits = (math.ceil(n * r - 1e-9)
+                                        for r in (rates.r_m, rates.r_phi, rates.r_sk))
+            error_edge = (phi_bits - m_bits) / n
+            leakage_edge = (k_bits + phi_bits - m_bits - math.log2(math.e)) / n
+            for fraction, decided in ((0.5, False), (2.0, True)):
+                shift = fraction * _EDGE_MARGIN
+                error = binning_sim._decided_error_bound(
+                    ch, UNIFORM, n, rates, -math.inf, error_edge - shift)
+                leakage = binning_sim._decided_leakage_bound(
+                    ch, UNIFORM, n, rates, leakage_edge + shift)
+                assert (error is not None) == decided
+                assert (leakage is not None) == decided
+                if decided:
+                    assert error[0] == leakage[0] == 1.0
+
+    @pytest.mark.parametrize("kind", ["error", "leakage"])
+    def test_chord_concavity(self, kind):
+        # -log2 of each bound is concave in rho or alpha, which the edge
+        # rule needs: above every chord, up to rounding
+        rng = np.random.default_rng(153)
+        lo, bound_for = ((0.0, binning_sim._error_bound_for) if kind == "error"
+                         else (ALPHA_MIN, binning_sim._leakage_bound_for))
+        for ch, inp in edge_cases(154, 6):
+            for n in (1, 3, 8):
+                bound = bound_for(ch, inp, n, RatePoint(0.2, 0.6, 0.1))
+
+                def f(x):
+                    return -math.log2(bound(x))
+
+                for a, b, t in zip(rng.uniform(lo, 1.0, 10), rng.uniform(lo, 1.0, 10),
+                                   rng.random(10)):
+                    mid = t * a + (1.0 - t) * b
+                    assert f(mid) >= t * f(a) + (1.0 - t) * f(b) - 1e-11 * n
+
+
 class TestVacuousErrorBound:
     """A vacuous error bound is decided from the reliability threshold with
     no search; the search it replaces stays here as the oracle."""
@@ -1230,28 +1391,35 @@ class TestVacuousErrorBound:
         return rho, 2.0**-neg
 
     def test_decision_agrees_with_the_search(self):
+        # a bound decided at rho* = 1 (past the critical rate) is the
+        # search's up to the rounding that steers its last steps
         rng = np.random.default_rng(130)
-        counts = {True: 0, False: 0}
+        counts = {0.0: 0, 1.0: 0, None: 0}
         for i in range(48):
             sizes = (int(rng.integers(2, 4)),) + tuple(int(v) for v in rng.integers(2, 4, 3))
             ch = (degraded_channel if i % 2 else random_channel)(rng, sizes)
             inp = Pmf.uniform(sizes[0]) if i % 3 else Pmf(rng.dirichlet(np.ones(sizes[0])))
             threshold = positivity_thresholds(ch, inp)[0]
+            critical = _reliability_critical_rate(ch, inp)
             for rates in (criterion9_rates(ch, inp), RatePoint(0.1, 0.6, 0.3)):
                 for n in range(1, 9):
                     got = minimize_error_bound(ch, inp, n, rates)
                     want = self.oracle(ch, inp, n, rates)
-                    vacuous = binning_sim._vacuous_error_bound(
-                        ch, inp, n, rates, threshold) is not None
-                    counts[vacuous] += 1
-                    if vacuous:
+                    decided = binning_sim._decided_error_bound(
+                        ch, inp, n, rates, threshold, critical)
+                    edge = None if decided is None else decided[0]
+                    counts[edge] += 1
+                    if edge == 0.0:
                         assert got[0] == 0.0 and want[0] <= 1e-9
                         at_zero = ensemble_error_bound(ch, inp, n, 0.0, rates)
                         assert abs(got[1] - at_zero) <= 1e-12
                         assert abs(want[1] - at_zero) <= 1e-12
+                    elif edge == 1.0:
+                        assert got[0] == 1.0 and abs(want[0] - 1.0) <= 1e-9
+                        assert abs(got[1] - want[1]) <= 1e-14 * want[1]
                     else:
                         assert got == want
-        assert min(counts.values()) >= 100
+        assert min(counts.values()) >= 80, counts
 
     def test_vacuous_bound_is_the_search_point_at_zero(self, monkeypatch):
         ch = random_degraded_binary_channel(np.random.default_rng(131))

@@ -381,6 +381,45 @@ def full_scan_maximize(objective, k=3, cost=None, gamma=math.inf,
     return best_p, best_v
 
 
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("iters", [2.5, math.nan, -3, True, "3", None])
+    def test_rejects_bad_refine_iters(self, iters):
+        with pytest.raises(ChannelError, match="refine_iters"):
+            OptimizerConfig(refine_iters=iters)
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf, True, "0.1"])
+    def test_rejects_bad_grid_step(self, step):
+        with pytest.raises(ChannelError, match="finite and positive"):
+            OptimizerConfig(grid_step=step)
+
+    def test_accepts_integers_and_no_refinement(self):
+        assert OptimizerConfig(grid_step=1, refine_iters=np.int64(3)).step_for(2) == 1
+        # refine_iters = 0 still scores each bracket's ends and inner points
+        p, _ = maximize_over_inputs(lambda ps: [-(p[1] - 0.3) ** 2 for p in ps], 2,
+                                    config=OptimizerConfig(grid_step=0.1, refine_iters=0))
+        assert p[1] == pytest.approx(0.3, abs=0.1)
+
+
+class TestRefinementMemo:
+    @pytest.mark.parametrize("k,seed", [(2, 0), (3, 3), (3, 11)])
+    def test_each_refinement_row_is_scored_once(self, k, seed):
+        # the refinement's searches revisit points; a repeat is answered
+        # from the values already computed, with the same result
+        ch = random_channel(np.random.default_rng(seed), (k, 2, 2, 2), False)
+        f = _conditional_objective(ch)
+        rows = []
+
+        def counted(ps):
+            if len(ps) == 1:
+                rows.append(ps[0].tobytes())
+            return f(ps)
+
+        got = maximize_over_inputs(counted, k, config=COARSE)
+        assert len(rows) == len(set(rows)) > 20
+        want = full_scan_maximize(f, k, config=COARSE)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+
 class TestCoordinateRefineEarlyStop:
     # (random_channel seed, zeros, objective); seed 11 puts the argmax of
     # I(X,S;Y|Z) on the edge p(s=2) = 0 of the simplex

@@ -37,12 +37,20 @@ from skagree import (
     secrecy_objective,
     strong_achievability_bound,
 )
+from skagree.capacity import golden_section_max
 from skagree.exponents import (
+    _EDGE_MARGIN,
     ALPHA_MIN,
+    _reliability_critical_rate,
+    _reliability_edge,
     _reliability_lanes_for,
     _reliability_objective_for,
+    _reliability_result,
+    _secrecy_critical_rates,
+    _secrecy_edge,
     _secrecy_lanes_for,
     _secrecy_objective_for,
+    _secrecy_result,
 )
 
 UNIFORM = Pmf.uniform(2)
@@ -506,3 +514,159 @@ class TestOptimizedExponentsLanes:
         (e, e_in), (f, f_in) = optimized_exponents(ch, rates, cfg)
         assert [result_bits(e) + e_in.probs.tobytes(),
                 result_bits(f) + f_in.probs.tobytes()] == want
+
+
+def edge_channels(seed, count):
+    """(channel, inputs) on random |S| = 2 and 3 channels, degraded (Z a
+    random degradation of Y) and general, some with zero entries; the
+    inputs are the simplex's vertices (beta = 0 and beta = 1 at |S| = 2),
+    the uniform input and a random one."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        sizes = (2 + i % 2,) + tuple(int(v) for v in rng.integers(2, 4, 3))
+        if i % 4 < 2:
+            S, X, Y, Z = sizes
+            pxy = rng.dirichlet(np.ones(X * Y), size=S).reshape(S, X, Y)
+            pzy = rng.dirichlet(np.ones(Z), size=Y)
+            ch = DiscreteBroadcastChannel(pxy[:, :, :, None] * pzy[None, None],
+                                          np.zeros(S))
+        else:
+            ch = random_channel(rng, sizes, zeros=i % 3 == 0)
+        k = sizes[0]
+        yield ch, [Pmf(p) for p in np.eye(k)] + [Pmf.uniform(k),
+                                                 Pmf(rng.dirichlet(np.ones(k)))]
+
+
+def close_to_search(got, want):
+    """A decided result against the forced search's: the argmax within 1e-9
+    and the value within 1e-14, relative to it when it exceeds 1."""
+    assert abs(got.argmax - want.argmax) <= 1e-9, (got, want)
+    for a, b in ((got.value, want.value), (got.raw_value, want.raw_value)):
+        assert abs(a - b) <= 1e-14 * max(1.0, abs(b)), (got, want)
+
+
+class TestEdgeRule:
+    """A search is skipped only where the objective peaks on its domain
+    edge by the margin; the decided result is then the forced search's up
+    to the rounding that steers the search's last steps."""
+
+    # offsets of the rate from a critical rate, in bits: far, near, just
+    # past the margin and inside it, on both sides
+    OFFSETS = (-0.3, -0.01, -2 * _EDGE_MARGIN, -0.5 * _EDGE_MARGIN,
+               0.5 * _EDGE_MARGIN, 2 * _EDGE_MARGIN, 0.01, 0.3)
+
+    def test_reliability_edge_against_forced_search(self):
+        counts = {"zero": 0, "edge": 0, "searched": 0, "in_margin": 0}
+        for ch, inputs in edge_channels(140, 16):
+            for inp in inputs:
+                threshold = positivity_thresholds(ch, inp)[0]
+                critical = _reliability_critical_rate(ch, inp)
+                assert critical >= threshold - 1e-12
+                for base in (threshold, critical):
+                    for offset in self.OFFSETS:
+                        slope = base + offset
+                        rates = RatePoint(0.0, max(slope, 0.0) + 0.25, 0.25 - min(slope, 0.0))
+                        slope = rates.r_phi - rates.r_m
+                        got = reliability_exponent(ch, inp, rates)
+                        if slope - threshold <= 0.0:
+                            counts["zero"] += 1
+                            continue
+                        edge = _reliability_edge(slope, critical)
+                        search = golden_section_max(
+                            _reliability_objective_for(ch, inp, rates), 0.0, 1.0)
+                        want = _reliability_result(*search)
+                        if slope - critical < _EDGE_MARGIN:
+                            assert edge is None
+                            assert result_bits(got) == result_bits(want)
+                            counts["searched"] += 1
+                            counts["in_margin"] += slope - critical > 0.0
+                        else:
+                            assert edge == 1.0 and got.argmax == 1.0
+                            close_to_search(got, want)
+                            counts["edge"] += 1
+        assert min(counts.values()) >= 20, counts
+
+    def test_secrecy_edges_against_forced_search(self):
+        counts = {"one": 0, "alpha_min": 0, "searched": 0, "in_margin": 0}
+        for ch, inputs in edge_channels(141, 16):
+            for inp in inputs:
+                g_one, g_min = _secrecy_critical_rates(ch, inp)
+                assert g_one <= g_min + 1e-12
+                for base in (g_one, g_min):
+                    for offset in self.OFFSETS:
+                        rate = base + offset
+                        rates = RatePoint(max(rate, 0.0), 0.0, -min(rate, 0.0))
+                        rate = rates.r_sk + rates.r_phi - rates.r_m
+                        got = secrecy_exponent(ch, inp, rates)
+                        edge = _secrecy_edge(rate, (g_one, g_min))
+                        want = _secrecy_result(*golden_section_max(
+                            _secrecy_objective_for(ch, inp, rates), ALPHA_MIN, 1.0))
+                        if g_one - rate >= _EDGE_MARGIN:
+                            assert edge == 1.0 == got.argmax
+                            close_to_search(got, want)
+                            counts["one"] += 1
+                        elif rate - g_min >= _EDGE_MARGIN:
+                            assert edge == ALPHA_MIN == got.argmax
+                            close_to_search(got, want)
+                            counts["alpha_min"] += 1
+                        else:
+                            assert edge is None
+                            assert result_bits(got) == result_bits(want)
+                            counts["searched"] += 1
+                            counts["in_margin"] += (0.0 < g_one - rate
+                                                    or 0.0 < rate - g_min)
+        assert min(counts.values()) >= 20, counts
+
+    def test_critical_rates_are_the_edge_slopes(self):
+        # an explicit-loop oracle of each slope formula, then central
+        # differences of the objectives at rate 0 (at ALPHA_MIN with a
+        # step that stays inside (0, 1]) for the formulas themselves
+        h = 1e-6
+        for ch, inputs in edge_channels(142, 8):
+            for inp in inputs:
+                pxy, pxz = marginal_channel(ch, "xy"), marginal_channel(ch, "xz")
+                S, X, Y = pxy.shape
+                num = den = 0.0
+                for y in range(Y):
+                    i = sum(inp.probs[s] * math.sqrt(pxy[s, x, y])
+                            for s in range(S) for x in range(X))
+                    lift = sum(inp.probs[s] * math.sqrt(pxy[s, x, y]) * math.log2(pxy[s, x, y])
+                               for s in range(S) for x in range(X) if pxy[s, x, y] > 0)
+                    if i > 0:
+                        num += i * i * math.log2(i) - 0.5 * i * lift
+                        den += i * i
+                assert _reliability_critical_rate(ch, inp) == pytest.approx(num / den, abs=1e-12)
+                pz = (inp.probs[:, None, None] * pxz).sum(axis=(0, 1))
+                terms = [(inp.probs[s] * pxz[s, x, z], pxz[s, x, z] / pz[z])
+                         for s, x, z in product(*(range(k) for k in pxz.shape))
+                         if inp.probs[s] * pxz[s, x, z] > 0]
+                for alpha, g in zip((1.0, ALPHA_MIN), _secrecy_critical_rates(ch, inp)):
+                    u = sum(m * r**alpha for m, r in terms)
+                    assert g == pytest.approx(
+                        -sum(m * r**alpha * math.log2(r) for m, r in terms) / u, abs=1e-12)
+                rel = _reliability_objective_for(ch, inp, RatePoint(0.0, 0.0, 0.0))
+                assert -(rel(1.0 + h) - rel(1.0 - h)) / (2 * h) == pytest.approx(
+                    _reliability_critical_rate(ch, inp), abs=1e-7)
+                sec = _secrecy_objective_for(ch, inp, RatePoint(0.0, 0.0, 0.0))
+                g_one, g_min = _secrecy_critical_rates(ch, inp)
+                assert (sec(1.0 + h) - sec(1.0 - h)) / (2 * h) == pytest.approx(
+                    g_one, abs=1e-7)
+                d = 1e-8
+                assert (sec(ALPHA_MIN + d) - sec(ALPHA_MIN - d)) / (2 * d) == \
+                    pytest.approx(g_min, abs=1e-5)
+
+    @pytest.mark.parametrize("kind", ["reliability", "secrecy"])
+    def test_chord_concavity(self, kind):
+        # the rule reads a maximum off one edge slope, so it needs the
+        # objective concave: above every chord, up to rounding
+        rng = np.random.default_rng(143)
+        lo = 0.0 if kind == "reliability" else ALPHA_MIN
+        objective_for = (_reliability_objective_for if kind == "reliability"
+                         else _secrecy_objective_for)
+        for ch, inputs in edge_channels(144, 12):
+            for inp in inputs:
+                f = objective_for(ch, inp, RatePoint(0.0, 0.0, 0.0))
+                for a, b, t in zip(rng.uniform(lo, 1.0, 20), rng.uniform(lo, 1.0, 20),
+                                   rng.random(20)):
+                    mid = t * a + (1.0 - t) * b
+                    assert f(mid) >= t * f(a) + (1.0 - t) * f(b) - 1e-12
