@@ -14,6 +14,12 @@ plane f(q) + g(q).(p - q), so the planes at a few sample points q bound f at
 every grid point, and a point whose least bound, raised by a rounding
 margin, is below the best sample value is never scored.
 
+Each objective validates the (G, |S|) block of p(s) it is handed, the only
+array that enters it.  The joints it derives from that block and the
+channel's transition, which the channel validated, go to the private
+kernels ``_mi_rows`` and ``_cmi_rows`` unchecked.  ``rate_split`` runs once
+per result and keeps the public, validating kernels.
+
 There is one golden-section loop, the generator `_golden_search`: it yields
 each point it needs and is sent back the value there.  `golden_section_max`
 drives one search with a scalar function; `golden_section_lanes` drives many
@@ -41,13 +47,14 @@ from .channels import (
 )
 from .probability import (
     Pmf,
+    _cmi_rows,
     _entropy_rows,
+    _mi_rows,
+    _validate_rows,
     binary_entropy,
     bsc_convolve,
     conditional_mutual_information,
-    conditional_mutual_information_rows,
     mutual_information,
-    mutual_information_rows,
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -411,10 +418,11 @@ def _difference_objective(channel: DiscreteBroadcastChannel):
     S, X, Y, Z = tr.shape
 
     def f(ps):
+        _validate_rows(ps)
         arr = ps[:, :, None, None, None] * tr  # (G,s,x,y,z)
         g = len(ps)
-        i_y = mutual_information_rows(np.add.reduce(arr, axis=4).reshape(g, S * X, Y))
-        i_z = mutual_information_rows(np.add.reduce(arr, axis=3).reshape(g, S * X, Z))
+        i_y = _mi_rows(np.add.reduce(arr, axis=4).reshape(g, S * X, Y))
+        i_z = _mi_rows(np.add.reduce(arr, axis=3).reshape(g, S * X, Z))
         return [a - b for a, b in zip(i_y, i_z)]
 
     return f
@@ -426,8 +434,9 @@ def _conditional_objective(channel: DiscreteBroadcastChannel):
     S, X, Y, Z = tr.shape
 
     def f(ps):
+        _validate_rows(ps)
         arr = ps[:, :, None, None, None] * tr  # (G,s,x,y,z)
-        return conditional_mutual_information_rows(arr.reshape(len(ps), S * X, Y, Z))
+        return _cmi_rows(arr.reshape(len(ps), S * X, Y, Z))
 
     return f
 

@@ -55,12 +55,7 @@ from .capacity import (
     golden_section_max,
     maximize_over_inputs,
 )
-from .channels import (
-    DiscreteBroadcastChannel,
-    _input_probs,
-    joint_distribution,
-    marginal_channel,
-)
+from .channels import DiscreteBroadcastChannel, _input_probs, marginal_channel
 from .probability import Pmf, _entropy_rows
 
 ALPHA_MIN = 1e-6
@@ -78,6 +73,10 @@ class RatePoint:
         for v, name in ((self.r_sk, "r_sk"), (self.r_phi, "r_phi"), (self.r_m, "r_m")):
             if not math.isfinite(v) or v < 0:
                 raise ValueError("%s must be finite and >= 0, got %r" % (name, v))
+        # the secrecy objective's rate R_SK + R_phi - R_M
+        if not math.isfinite(self.r_sk + self.r_phi):
+            raise ValueError("r_sk + r_phi must be finite, got %r + %r"
+                             % (self.r_sk, self.r_phi))
 
 
 @dataclass(frozen=True)
@@ -421,7 +420,8 @@ def positivity_thresholds(channel: DiscreteBroadcastChannel, inp: Pmf):
     the (clamped) secrecy exponent is positive iff R_SK + R_phi - R_M is
     below the second.
     """
-    arr = joint_distribution(channel, inp).probs  # (s,x,y,z)
+    # p(s,x,y,z) from a validated input and channel, not checked again
+    arr = _input_probs(channel, inp)[:, None, None, None] * channel.transition
     p_sxy = arr.sum(axis=3)
     p_sxz = arr.sum(axis=2)
     p_sy = p_sxy.sum(axis=1)
@@ -431,7 +431,6 @@ def positivity_thresholds(channel: DiscreteBroadcastChannel, inp: Pmf):
     p_z = p_sz.sum(axis=0)
 
     def h(m):
-        # the marginals of a validated joint need no validation of their own
         return _entropy_rows(m.reshape(1, -1))[0]
 
     h_s, h_sy, h_sz = h(p_s), h(p_sy), h(p_sz)
@@ -447,21 +446,25 @@ def optimized_exponents(channel: DiscreteBroadcastChannel, rates: RatePoint,
     """Maximize E_o and F_o separately over p(s) (simplex grid + refinement).
 
     Returns ((E_result, E_input), (F_result, F_input)); the two maximizing
-    inputs generally differ.
+    inputs generally differ.  Each result is the one the objective computed
+    at its maximizing input, which is always a row it scored.
     """
     k = channel.alphabet_sizes[0]
 
-    def block(exponents):
-        """A block objective for maximize_over_inputs: the grid's multi-row
-        blocks run as lanes, the refinement's one-row calls as scalars."""
+    def maximize(exponents):
+        """(result, input) at the maximum of one exponent.  The grid's
+        multi-row blocks run as lanes, the refinement's one-row calls as
+        scalars; each row's result is kept by its bytes, as the optimizer's
+        own memo keys a row."""
+        results = {}
+
         def objective(ps):
             inputs = [Pmf(p) for p in ps]
-            return [r.value for r in exponents(channel, inputs, [rates] * len(inputs))]
-        return objective
+            found = exponents(channel, inputs, [rates] * len(inputs))
+            results.update(zip([p.tobytes() for p in ps], found))
+            return [r.value for r in found]
 
-    e_obj, f_obj = block(reliability_exponents), block(secrecy_exponents)
-    p_e, _ = maximize_over_inputs(e_obj, k, channel.cost, math.inf, config)
-    p_f, _ = maximize_over_inputs(f_obj, k, channel.cost, math.inf, config)
-    e_inp, f_inp = Pmf(p_e), Pmf(p_f)
-    return ((reliability_exponent(channel, e_inp, rates), e_inp),
-            (secrecy_exponent(channel, f_inp, rates), f_inp))
+        p_star, _ = maximize_over_inputs(objective, k, channel.cost, math.inf, config)
+        return results[p_star.tobytes()], Pmf(p_star)
+
+    return maximize(reliability_exponents), maximize(secrecy_exponents)

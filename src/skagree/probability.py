@@ -17,6 +17,14 @@ every row.  A wide row is first screened by its numpy sum, whose error
 bound is far inside the screen's margin, so only rows the screen cannot
 clear are summed with ``fsum``.  The conditional kernel stacks all its
 conditioning slabs and makes one pass over them.
+
+Each probability array is validated once, where it enters: by ``Pmf`` and
+``JointPmf``, by the public kernels ``entropy``, ``mutual_information(_rows)``
+and ``conditional_mutual_information(_rows)``, and by the channel and the
+capacity objectives upstream.  An array derived from validated ones, such as
+p(s) times a validated transition, is not checked again: the private kernels
+``_entropy_rows``, ``_mi_rows`` and ``_cmi_rows`` take it as it is and expect
+a valid stack.
 """
 
 from __future__ import annotations
@@ -182,7 +190,8 @@ def bsc_convolve(a: float, b: float) -> float:
 
 
 def _mi_rows(joints: np.ndarray) -> list:
-    """I(A;B) = H(A) + H(B) - H(A,B) for each (A, B) joint stacked on axis 0."""
+    """I(A;B) = H(A) + H(B) - H(A,B) for each (A, B) joint stacked on axis 0,
+    with no mass check: the stack must already be valid."""
     ha = _entropy_rows(np.add.reduce(joints, axis=2))
     hb = _entropy_rows(np.add.reduce(joints, axis=1))
     hab = _entropy_rows(joints)
@@ -197,7 +206,15 @@ def mutual_information_rows(joints: np.ndarray) -> list:
 
 def conditional_mutual_information_rows(joints: np.ndarray) -> list:
     """I(A;B|C) for each validated three-axis joint of a (G, A, B, C) stack,
-    conditioning on the last axis: the fsum over c of p(c) I(A;B|C=c).
+    conditioning on the last axis: the fsum over c of p(c) I(A;B|C=c)."""
+    g, _, _, _ = joints.shape
+    _validate_rows(joints.reshape(g, -1))
+    return _cmi_rows(joints)
+
+
+def _cmi_rows(joints: np.ndarray) -> list:
+    """I(A;B|C) for each (A, B, C) joint stacked on axis 0, with no mass
+    check: the stack must already be valid.
 
     All G*C slabs p(a,b,c) go to one C-ordered (G*C, A, B) copy, so one fsum
     pass gives every p(c), one division the p(a,b|c) and one ``_mi_rows``
@@ -205,7 +222,6 @@ def conditional_mutual_information_rows(joints: np.ndarray) -> list:
     ``joints``, so numpy sums each slab's marginals in the same order as a
     lone C-ordered slab, and a row's result does not depend on its stack."""
     g, a, b, c = joints.shape
-    _validate_rows(joints.reshape(g, -1))
     slabs = np.ascontiguousarray(joints.transpose(0, 3, 1, 2)).reshape(g * c, a, b)
     pc = list(map(math.fsum, slabs.reshape(g * c, -1).tolist()))
     scale = np.array([p if p > 0.0 else 1.0 for p in pc])

@@ -39,7 +39,7 @@ from skagree import (
     strong_achievability_bound,
     upper_bound,
 )
-from skagree import capacity, exponents
+from skagree import capacity, exponents, probability
 from skagree.capacity import (
     _conditional_objective,
     _conditional_slopes,
@@ -268,12 +268,45 @@ class TestBatchedObjectives:
             assert _simplex_grid(k, step).tolist() == expect
 
     def test_block_validation(self):
-        f = _difference_objective(random_channel(np.random.default_rng(3),
-                                                 (2, 2, 2, 2), False))
-        with pytest.raises(ValueError):
-            f(np.array([[0.5, 0.5], [0.5, np.nan]]))
-        with pytest.raises(ValueError):
-            f(np.array([[0.5, 0.5], [1.2, -0.2]]))
+        ch = random_channel(np.random.default_rng(3), (2, 2, 2, 2), False)
+        for f in (_difference_objective(ch), _conditional_objective(ch)):
+            for bad in ([0.5, np.nan], [1.2, -0.2], [0.6, 0.6]):
+                with pytest.raises(ValueError):
+                    f(np.array([[0.5, 0.5], bad]))
+
+    @pytest.mark.parametrize("s_size", [2, 3])
+    @pytest.mark.parametrize("gamma", [math.inf, 0.6])
+    @pytest.mark.parametrize("solve", [degraded_capacity, upper_bound])
+    def test_search_validates_only_input_blocks(self, monkeypatch, solve, s_size, gamma):
+        # while maximize_over_inputs runs, the objectives check the p(s)
+        # block they are handed and no joint derived from it; rate_split's
+        # public kernels run after the search
+        rng = np.random.default_rng(30 + s_size)
+        pxy = rng.dirichlet(np.ones(4), size=s_size).reshape(s_size, 2, 2)
+        pzy = rng.dirichlet(np.ones(2), size=2)
+        ch = DiscreteBroadcastChannel(pxy[:, :, :, None] * pzy[None, None],
+                                      np.linspace(0.0, 1.0, s_size))
+        seen, searching = [], [False]
+        check, search = probability._validate_rows, capacity.maximize_over_inputs
+
+        def spy(rows):
+            if searching[0]:
+                seen.append(rows.shape)
+            check(rows)
+
+        def timed(*args, **kwargs):
+            searching[0] = True
+            try:
+                return search(*args, **kwargs)
+            finally:
+                searching[0] = False
+
+        for module in (probability, capacity):
+            monkeypatch.setattr(module, "_validate_rows", spy)
+        monkeypatch.setattr(capacity, "maximize_over_inputs", timed)
+        solve(ch, gamma, COARSE)
+        assert seen and all(len(shape) == 2 and shape[1] == s_size
+                            for shape in seen), seen
 
     def test_batched_and_pointwise_maximizers_agree(self):
         ch = random_channel(np.random.default_rng(4), (3, 2, 2, 2), True)

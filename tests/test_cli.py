@@ -176,6 +176,16 @@ class TestExponentsCommand:
         err = capsys.readouterr().err
         assert "--beta-grid" in err and "binary S alphabet" in err and "|S| = 3" in err
 
+    def test_overflowing_rate_sum_exit_2(self, degraded_channel_file, tmp_path, capsys):
+        # each rate is finite, but R_SK + R_phi is inf
+        out = tmp_path / "exp.csv"
+        rc = main(["exponents", "--channel", degraded_channel_file,
+                   "--rsk", "1e308", "--rphi", "1e308", "--rm", "0", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert not (tmp_path / "exp.csv.summary.json").exists()
+        assert capsys.readouterr().err.startswith("error: r_sk + r_phi must be finite")
+
 
 class TestSimulateCommand:
     def test_requires_seed(self, degraded_channel_file, tmp_path):

@@ -37,6 +37,7 @@ from skagree import (
     secrecy_objective,
     strong_achievability_bound,
 )
+from skagree import exponents as expo
 from skagree.capacity import golden_section_max
 from skagree.exponents import (
     _EDGE_MARGIN,
@@ -88,6 +89,12 @@ class TestRatePoint:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             RatePoint(r_sk=math.nan, r_phi=0.0, r_m=0.0)
+
+    def test_rejects_overflowing_sum(self):
+        # the secrecy rate R_SK + R_phi - R_M would be inf
+        with pytest.raises(ValueError, match="r_sk \\+ r_phi must be finite"):
+            RatePoint(r_sk=1e308, r_phi=1e308, r_m=0.0)
+        RatePoint(r_sk=1e308, r_phi=0.0, r_m=1e308)  # a finite sum is accepted
 
 
 class TestReliabilityObjective:
@@ -514,6 +521,34 @@ class TestOptimizedExponentsLanes:
         (e, e_in), (f, f_in) = optimized_exponents(ch, rates, cfg)
         assert [result_bits(e) + e_in.probs.tobytes(),
                 result_bits(f) + f_in.probs.tobytes()] == want
+
+    @pytest.mark.parametrize("s_size", [1, 2, 3])
+    def test_no_exponent_call_after_the_maximizations(self, monkeypatch, s_size):
+        # the results come from the objective's own calls, not a re-run
+        ch = random_channel(np.random.default_rng(95 + s_size), (s_size, 2, 3, 2),
+                            zeros=False)
+        events = []
+        maximize = expo.maximize_over_inputs
+
+        def spy_maximize(*args, **kwargs):
+            found = maximize(*args, **kwargs)
+            events.append("maximized")
+            return found
+
+        monkeypatch.setattr(expo, "maximize_over_inputs", spy_maximize)
+        for name in ("reliability_exponent", "reliability_exponents",
+                     "secrecy_exponent", "secrecy_exponents"):
+            def spy(*args, _fn=getattr(expo, name), _name=name, **kwargs):
+                events.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(expo, name, spy)
+        cfg = OptimizerConfig(grid_step=0.1, refine_iters=40)
+        optimized_exponents(ch, RatePoint(0.02, 0.6, 0.0), cfg)
+        first = events.index("maximized")
+        assert events.count("maximized") == 2 and events[-1] == "maximized"
+        assert set(events[:first]) >= {"reliability_exponents"}
+        assert set(events[first + 1:-1]) >= {"secrecy_exponents"}
+        assert not {"secrecy_exponent", "secrecy_exponents"} & set(events[:first])
 
 
 def edge_channels(seed, count):
