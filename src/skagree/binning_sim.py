@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import mmap
 from dataclasses import dataclass
 from itertools import takewhile
 from typing import Optional
@@ -66,10 +65,6 @@ _DECODE_BLOCK_CELLS = 2**22  # Monte-Carlo decodes at most this many cells at on
 # joint; so peak RSS grows with it.  The stores are one _Workspace,
 # made by one ensemble_averages call and reused by each of its stacks.
 _STACK_CELLS = 2**14
-# A workspace buffer of at least _MAPPED_BYTES is a mapping of its own, on a
-# _HUGE_PAGE boundary and advised for transparent huge pages (_buffer).
-_MAPPED_BYTES = 2**22
-_HUGE_PAGE = 2**21
 # bytes per (pair, column) cell of _rank_winners' loop tables: float64 best
 # and candidate scores, intp winning rows and a bool mask
 _RANK_CELL_BYTES = 25
@@ -446,36 +441,12 @@ def index_sequence(idx: int, base: int, n: int) -> np.ndarray:
     return out
 
 
-def _buffer(nbytes: int) -> np.ndarray:
-    """A byte buffer of nbytes for a _Workspace.
-
-    One of _MAPPED_BYTES or more is not taken from the heap: it starts on a
-    _HUGE_PAGE boundary of a fresh anonymous mapping, advised for huge
-    pages where the system has them.  A heap block's speed depends on where
-    the heap puts it: one reused after earlier frees is already backed by
-    small pages, and which one the block gets moves with any change in the
-    size of the program's other allocations.  On a 2-vCPU x86-64 VM (Linux,
-    transparent huge pages on madvise, numpy 2.4), adding a paragraph to a
-    module docstring made sim-enum's median job about 9% slower with a
-    heap buffer; with this one, three such edits were within 1.5% of the
-    unedited program."""
-    if nbytes < _MAPPED_BYTES:
-        return np.empty(nbytes, dtype=np.uint8)
-    region = mmap.mmap(-1, nbytes + _HUGE_PAGE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        region.madvise(mmap.MADV_HUGEPAGE)
-    whole = np.frombuffer(region, dtype=np.uint8)
-    start = -whole.ctypes.data % _HUGE_PAGE
-    return whole[start:start + nbytes]
-
-
 class _Workspace:
     """Scratch memory that one call reuses from stack to stack: the stores
     "scores" and "scratch", the two ends of one byte buffer.  One buffer, not
     two: two large blocks freed together at the top of the heap let the C
     allocator return their pages to the system, and the next call faults
-    them in again; a buffer large enough to be a mapping of its own is one
-    mapping (_buffer).  A larger buffer replaces the buffer when a stack asks a
+    them in again.  A larger buffer replaces the buffer when a stack asks a
     store for more than it holds.  array() views a store as an array that
     is not initialized, so a caller writes every cell before it reads it.
     Views of one store over the same bytes share them, so a caller uses
@@ -493,7 +464,7 @@ class _Workspace:
                 # whole cache lines, so "scratch" starts aligned for any dtype
                 self._sizes[name] = max(self._sizes[name], -(-size // 64) * 64)
             self._buffer = None  # freed before its successor is allocated
-            self._buffer = _buffer(sum(self._sizes.values()))
+            self._buffer = np.empty(sum(self._sizes.values()), dtype=np.uint8)
 
     def array(self, name: str, shape, dtype=np.float64, offset: int = 0):
         """An uninitialized C-contiguous array of the given shape and dtype

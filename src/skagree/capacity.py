@@ -222,7 +222,10 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
     refinement scores one-row blocks.  Feasibility means dot(p, cost) <=
     gamma, and gamma must be positive.  Returns (p_star, value).
     Deterministic: the grid maximum is the first in grid order (ties keep
-    the earlier point), then refined.
+    the earlier point), then refined.  p_star is always a row that
+    ``objective`` was called on, byte for byte: a copy of a grid row, or the
+    row the refinement built for the point its search returned, so a
+    caller may key what its objective computed by ``p_star.tobytes()``.
 
     ``gradient``, if given, states that the objective f is concave on the
     whole simplex and returns its (G, k) gradients on a block.  The scan

@@ -144,9 +144,15 @@ def _input_probs(channel: DiscreteBroadcastChannel, inp: Pmf) -> np.ndarray:
     return inp.probs
 
 
+def _joint_probs(channel: DiscreteBroadcastChannel, inp: Pmf) -> np.ndarray:
+    """The array p(s,x,y,z) = p(s) p(x,y,z|s), not validated again: the
+    channel and the input were validated where they were made."""
+    return _input_probs(channel, inp)[:, None, None, None] * channel.transition
+
+
 def joint_distribution(channel: DiscreteBroadcastChannel, inp: Pmf) -> JointPmf:
     """Full joint p(s,x,y,z) = p(s) p(x,y,z|s)."""
-    return JointPmf(_input_probs(channel, inp)[:, None, None, None] * channel.transition)
+    return JointPmf(_joint_probs(channel, inp))
 
 
 _AXIS_OF = {"x": 1, "y": 2, "z": 3}

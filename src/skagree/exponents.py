@@ -55,7 +55,8 @@ from .capacity import (
     golden_section_max,
     maximize_over_inputs,
 )
-from .channels import DiscreteBroadcastChannel, _input_probs, marginal_channel
+from .channels import (DiscreteBroadcastChannel, _input_probs, _joint_probs,
+                       marginal_channel)
 from .probability import Pmf, _entropy_rows
 
 ALPHA_MIN = 1e-6
@@ -420,8 +421,7 @@ def positivity_thresholds(channel: DiscreteBroadcastChannel, inp: Pmf):
     the (clamped) secrecy exponent is positive iff R_SK + R_phi - R_M is
     below the second.
     """
-    # p(s,x,y,z) from a validated input and channel, not checked again
-    arr = _input_probs(channel, inp)[:, None, None, None] * channel.transition
+    arr = _joint_probs(channel, inp)  # (s,x,y,z)
     p_sxy = arr.sum(axis=3)
     p_sxz = arr.sum(axis=2)
     p_sy = p_sxy.sum(axis=1)

@@ -1722,34 +1722,3 @@ class TestWorkspace:
         levels = rank_levels(monkeypatch)
         self.one_workspace_rows(monkeypatch, 3, RatePoint(0.25, 0.0, 0.25))
         assert levels and all(len(calls) == 2 for calls in levels)
-
-    def test_large_buffer_is_a_huge_page_aligned_mapping(self):
-        work = _Workspace()
-        work.reserve(scores=100, scratch=binning_sim._MAPPED_BYTES)
-        buf = work._buffer
-        assert buf.size == 128 + binning_sim._MAPPED_BYTES
-        assert buf.ctypes.data % binning_sim._HUGE_PAGE == 0
-        assert buf.flags.writeable and buf.base is not None
-        # a smaller buffer stays on the heap
-        assert _Workspace()._buffer.base is None
-        small = binning_sim._buffer(binning_sim._MAPPED_BYTES - 1)
-        assert small.base is None and small.size == binning_sim._MAPPED_BYTES - 1
-
-    def test_mapped_workspace_gives_heap_bits(self, monkeypatch):
-        # every buffer a mapping: the poisoned workspace of each call gives
-        # the bits of a heap workspace
-        rng = np.random.default_rng(115)
-        channel = ternary_channel(rng)
-        rates = RatePoint(r_sk=0.5, r_phi=1.0, r_m=0.5)
-        cases = []
-        for n in (1, 2, 3):
-            args = (_score_tables(channel, n),
-                    *self.stack(self.codes(channel, n, rates, 4, n)))
-            cases.append((args, _evaluate_stack(*args, _Workspace())))
-        monkeypatch.setattr(binning_sim, "_MAPPED_BYTES", 0)
-        for args, rows in cases:
-            work = _Workspace()
-            assert _evaluate_stack(*args, work) == rows
-            assert work._buffer.base is not None
-            self.poison(work)
-            assert _evaluate_stack(*args, work) == rows
