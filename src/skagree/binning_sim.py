@@ -47,8 +47,8 @@ import numpy as np
 from .capacity import golden_section_lanes, golden_section_max
 from .channels import DiscreteBroadcastChannel, _input_probs, marginal_channel
 from .exponents import (_EDGE_MARGIN, ALPHA_MIN, RatePoint, _fast_path_positions,
-                        _reliability_critical_rate, _secrecy_critical_rates,
-                        positivity_thresholds)
+                        _reliability_critical_rate, _reliability_threshold,
+                        _secrecy_critical_rates)
 from .probability import Pmf, _mi_rows
 # mutual_information is no longer called here but stays importable from this
 # module: benchmarks/test_benchmark.py checks the tracer's wrapping through it.
@@ -1117,7 +1117,7 @@ def minimize_error_bound(channel, inp, n, rates):
     bound is found by golden-section search."""
     n = _positive_int(n, "blocklength n")
     decided = _decided_error_bound(channel, inp, n, rates,
-                                   positivity_thresholds(channel, inp)[0],
+                                   _reliability_threshold(channel, inp),
                                    _reliability_critical_rate(channel, inp))
     if decided is not None:
         return decided
@@ -1144,7 +1144,7 @@ def _minimized_bounds(channel, inp, n_list, rates) -> list:
     than two remaining searches run in one golden_section_lanes set, the
     searched error lanes and then the searched leakage lanes; one or two
     run as scalar searches, which are cheaper at two lanes."""
-    threshold = positivity_thresholds(channel, inp)[0]
+    threshold = _reliability_threshold(channel, inp)
     rel_critical = _reliability_critical_rate(channel, inp)
     sec_critical = _secrecy_critical_rates(channel, inp)[0]
     errors = [_decided_error_bound(channel, inp, n, rates, threshold, rel_critical)

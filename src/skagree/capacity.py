@@ -14,6 +14,23 @@ plane f(q) + g(q).(p - q), so the planes at a few sample points q bound f at
 every grid point, and a point whose least bound, raised by a rounding
 margin, is below the best sample value is never scored.
 
+The gradient also serves the refinement.  Each of its golden-section
+searches runs along a segment t -> q(t) of the simplex on a bracket
+[lo, hi] inside [0, top], where q(0) and q(top) lie on faces.  The search is
+face-bound when hi = top and the slope g_i - g_j along t is finite and
+positive at q(top), or when lo = 0 and it is finite and negative at q(0).
+A concave f is then monotone on the whole bracket, so every comparison of
+the search keeps the side toward the face, and the points it will ask for
+are known before it runs: `_face_points` lists them, up to the first that
+lies within _FACE_GAP = 1e-14 of the face, where values tie within
+rounding and the search's path can no longer be told.  Those points are
+scored in one objective call into the refinement's memo, and the unchanged
+search reads them from there, scoring one row for each point the list
+missed.  No byte of the result can change: the memo holds the objective's
+own value for each row, a row's value does not depend on its block, and
+the search, its comparisons and the row it returns are the same.  A wrong
+list costs one wasted block.
+
 Each objective validates the (G, |S|) block of p(s) it is handed, the only
 array that enters it.  The joints it derives from that block and the
 channel's transition, which the channel validated, go to the private
@@ -61,6 +78,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_BLOCK = 128  # grid points per objective call; bounds memory
 _MARGIN = 1e-9  # bits; computed objective values lie within ~1e-13 of exact
 _REFINE_SWEEPS = 4  # most sweeps of the |S| = 3 coordinate refinement
+_FACE_GAP = 1e-14  # how near the face a face-bound search's point list runs
 
 
 @dataclass(frozen=True)
@@ -120,6 +138,23 @@ def _golden_search(a: float, b: float, iters: int):
         if v > best_v:
             best_x, best_v = x, v
     return best_x, best_v
+
+
+def _face_points(a: float, b: float, iters: int, up: bool) -> list:
+    """The points, in order, that ``golden_section_max`` asks for on [a, b]
+    of a function that rises strictly toward b (``up``) or falls toward a:
+    every comparison keeps the side toward that end, the face.  The list
+    stops at the first point after the two ends that lies within _FACE_GAP
+    of the face, where a real search's values tie within rounding."""
+    face, sign = (b, 1.0) if up else (a, -1.0)
+    search = _golden_search(a, b, iters)
+    points = [next(search)]
+    try:
+        while len(points) < 3 or abs(points[-1] - face) > _FACE_GAP:
+            points.append(search.send(sign * points[-1]))
+    except StopIteration:
+        pass
+    return points
 
 
 def golden_section_max(f, a: float, b: float, iters: int = 200):
@@ -219,7 +254,9 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
     ``objective`` takes a (G, k) block of probability vectors and returns the
     G values in row order, each row's value independent of the rest of the
     block.  The grid is scored in blocks of ``_GRID_BLOCK`` points and the
-    refinement scores one-row blocks.  Feasibility means dot(p, cost) <=
+    refinement scores one-row blocks, except that, given ``gradient``, a
+    face-bound search's listed points are scored in one block first (see
+    the module docstring).  Feasibility means dot(p, cost) <=
     gamma, and gamma must be positive.  Returns (p_star, value).
     Deterministic: the grid maximum is the first in grid order (ties keep
     the earlier point), then refined.  p_star is always a row that
@@ -257,8 +294,9 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
     def feasible(p):
         return unconstrained or float(np.dot(p, cost)) <= gamma + 1e-12
 
-    # the refinement's values by row bytes: its searches revisit points,
-    # and f is pure, so a repeat is answered from here bit for bit
+    # the refinement's values by row bytes: its searches revisit points and
+    # read the rows scored ahead of them, and f is pure, so these are
+    # answered from here bit for bit
     refined = {}
 
     def value(p):
@@ -266,6 +304,34 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
         if key not in refined:
             refined[key] = objective(p[None, :])[0] if feasible(p) else -math.inf
         return refined[key]
+
+    def heads_for_face(row, i, j, lo, hi, top):
+        """True if f(row(t)) rises at t = hi = top, False if it falls at
+        t = lo = 0, else None: by concavity f is then monotone on [lo, hi].
+        One gradient row per bracket end that lies on a face."""
+        for up, end, face in ((True, hi, top), (False, lo, 0.0)):
+            if end == face:
+                g = gradient(row(end)[None, :])[0]
+                slope = float(g[i]) - float(g[j])  # d/dt f(row(t))
+                if math.isfinite(slope) and (slope > 0.0 if up else slope < 0.0):
+                    return up
+        return None
+
+    def refine(row, i, j, lo, hi, top):
+        """golden_section_max of value(row(t)) on [lo, hi], where row(t) puts
+        t on coordinate i and top - t on j.  A search that heads for a face
+        has the points it will ask for scored first, in one block."""
+        up = None if gradient is None else heads_for_face(row, i, j, lo, hi, top)
+        if up is not None:
+            new = {}
+            for t in _face_points(lo, hi, config.refine_iters, up):
+                q = row(t)
+                key = q.tobytes()
+                if key not in refined and feasible(q):
+                    new[key] = q
+            if new:
+                refined.update(zip(new, objective(np.array(list(new.values())))))
+        return golden_section_max(lambda t: value(row(t)), lo, hi, config.refine_iters)
 
     grid = _simplex_grid(k, step)
     # keep: the grid rows to scan, the feasible ones less any ruled out
@@ -313,8 +379,7 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
     if k == 2:
         beta = best_p[1]
         lo, hi = max(0.0, beta - step), min(1.0, beta + step)
-        b_ref, v_ref = golden_section_max(lambda b: value(np.array([1.0 - b, b])),
-                                          lo, hi, config.refine_iters)
+        b_ref, v_ref = refine(lambda b: np.array([1.0 - b, b]), 1, 0, lo, hi, 1.0)
         if v_ref > best_v or (v_ref == best_v and b_ref < beta):
             best_p, best_v = np.array([1.0 - b_ref, b_ref]), v_ref
     elif k == 3:
@@ -334,14 +399,13 @@ def maximize_over_inputs(objective, k: int, cost=None, gamma: float = math.inf,
             if mass <= 0.0:
                 continue
 
-            def g(t, i=i, j=j, mass=mass, p=p):
+            def row(t, i=i, j=j, mass=mass, p=p):
                 q = p.copy()
                 q[i], q[j] = t, mass - t
-                return value(q)
+                return q
 
-            t_ref, v_ref = golden_section_max(
-                g, max(0.0, p[i] - step), min(mass, p[i] + step),
-                config.refine_iters)
+            t_ref, v_ref = refine(row, i, j, max(0.0, p[i] - step),
+                                  min(mass, p[i] + step), mass)
             if v_ref > v_cur:
                 p = p.copy()
                 p[i], p[j] = t_ref, mass - t_ref

@@ -351,7 +351,7 @@ def reliability_exponent(channel: DiscreteBroadcastChannel, inp: Pmf,
     (R_phi - R_M) minus the critical rate, is at least _EDGE_MARGIN, the
     maximum is the objective at rho* = 1, again with no search.
     """
-    rel_threshold, _ = positivity_thresholds(channel, inp)
+    rel_threshold = _reliability_threshold(channel, inp)
     slope = rates.r_phi - rates.r_m
     if slope - rel_threshold <= 0.0:
         return _RELIABILITY_ZERO
@@ -369,7 +369,7 @@ def reliability_exponents(channel: DiscreteBroadcastChannel, inputs, rates) -> l
     if len(inputs) <= 1:
         return [reliability_exponent(channel, inp, r) for inp, r in zip(inputs, rates)]
     distinct, which = _distinct_inputs(channel, inputs)
-    thresholds = [positivity_thresholds(channel, inp)[0] for inp in distinct]
+    thresholds = [_reliability_threshold(channel, inp) for inp in distinct]
     critical = [_reliability_critical_rate(channel, inp) for inp in distinct]
     slopes = [r.r_phi - r.r_m for r in rates]
     results = [_RELIABILITY_ZERO] * len(inputs)
@@ -422,23 +422,29 @@ def positivity_thresholds(channel: DiscreteBroadcastChannel, inp: Pmf):
     below the second.
     """
     arr = _joint_probs(channel, inp)  # (s,x,y,z)
-    p_sxy = arr.sum(axis=3)
-    p_sxz = arr.sum(axis=2)
+    p_sxy, p_sxz = arr.sum(axis=3), arr.sum(axis=2)
     p_sy = p_sxy.sum(axis=1)
-    p_sz = p_sxz.sum(axis=1)
-    p_s = p_sy.sum(axis=1)
-    p_y = p_sy.sum(axis=0)
-    p_z = p_sz.sum(axis=0)
+    h_s = _h(p_sy.sum(axis=1))
+    return _threshold(p_sxy, p_sy, h_s), _threshold(p_sxz, p_sxz.sum(axis=1), h_s)
 
-    def h(m):
-        return _entropy_rows(m.reshape(1, -1))[0]
 
-    h_s, h_sy, h_sz = h(p_s), h(p_sy), h(p_sz)
-    h_x_given_ys = h(p_sxy) - h_sy
-    h_x_given_zs = h(p_sxz) - h_sz
-    i_sy = h_s + h(p_y) - h_sy
-    i_sz = h_s + h(p_z) - h_sz
-    return h_x_given_ys - i_sy, h_x_given_zs - i_sz
+def _reliability_threshold(channel: DiscreteBroadcastChannel, inp: Pmf) -> float:
+    """H(X|Y,S) - I(S;Y): the first of `positivity_thresholds`, bit for bit,
+    for the callers that read only it."""
+    p_sxy = _joint_probs(channel, inp).sum(axis=3)
+    p_sy = p_sxy.sum(axis=1)
+    return _threshold(p_sxy, p_sy, _h(p_sy.sum(axis=1)))
+
+
+def _h(m) -> float:
+    """The entropy of all of m's entries as one distribution."""
+    return _entropy_rows(m.reshape(1, -1))[0]
+
+
+def _threshold(p_sxo, p_so, h_s) -> float:
+    """H(X|O,S) - I(S;O) for the output O, from p(s,x,o), p(s,o) and H(S)."""
+    h_so = _h(p_so)
+    return (_h(p_sxo) - h_so) - (h_s + _h(p_so.sum(axis=0)) - h_so)
 
 
 def optimized_exponents(channel: DiscreteBroadcastChannel, rates: RatePoint,

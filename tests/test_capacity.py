@@ -246,14 +246,28 @@ class TestBatchedObjectives:
             arr = p[:, None, None, None] * ch.transition
             return conditional_mutual_information(arr.reshape(sx, y_size, z_size))
 
+        # off-grid rows too: random inputs and, at |S| = 3, the rows of a
+        # refinement segment p(s=0) + p(s=1) = mass, the last of them the
+        # points a face-bound search lists toward p(s=1) = 0
+        points = [grid, rng.dirichlet(np.ones(s_size), size=150)]
+        if s_size == 3:
+            p = rng.dirichlet(np.ones(3))
+            mass = p[0] + p[1]
+            ts = list(np.linspace(0.0, mass, 90)) + capacity._face_points(
+                max(0.0, mass - 0.01), mass, 200, True)
+            segment = np.repeat(p[None], len(ts), axis=0)
+            for q, t in zip(segment, ts):
+                q[0], q[1] = t, mass - t
+            points.append(segment)
         for factory, point in ((_difference_objective, difference),
                                (_conditional_objective, conditional)):
             f = factory(ch)
-            expect = [point(p) for p in grid]
-            for block in (1, 7, 128):
-                got = [v for i in range(0, len(grid), block)
-                       for v in f(grid[i:i + block])]
-                assert got == expect, (factory.__name__, block)
+            for rows in points:
+                expect = [point(p) for p in rows]
+                for block in (1, 7, 73, 128):
+                    got = [v for i in range(0, len(rows), block)
+                           for v in f(rows[i:i + block])]
+                    assert got == expect, (factory.__name__, len(rows), block)
 
     def test_grid_is_the_nested_loop_enumeration(self):
         for k, step in ((1, 0.1), (2, 1e-3), (3, 1e-2), (3, 0.3)):
@@ -451,6 +465,102 @@ class TestRefinementMemo:
         assert len(rows) == len(set(rows)) > 20
         want = full_scan_maximize(f, k, config=COARSE)
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+    @pytest.mark.parametrize("solve", [upper_bound, degraded_capacity])
+    @pytest.mark.parametrize("k,seed", [(2, 0), (3, 2031), (3, 5)])
+    def test_with_the_gradient_each_refinement_row_is_scored_once(
+            self, monkeypatch, solve, k, seed):
+        # upper_bound and degraded_capacity pass the gradient, so face-bound
+        # searches score their listed points in one block first; a row the
+        # refinement scores, in a block or alone, is scored once (the grid
+        # scan's rows, which go through capacity._score, may come again)
+        ch = DiscreteBroadcastChannel(recipe_degraded(np.random.default_rng(seed), k),
+                                      np.zeros(k))
+        rows, blocks, scanning = [], [], [False]
+        search, score = capacity.maximize_over_inputs, capacity._score
+
+        def scan(*args):
+            scanning[0] = True
+            try:
+                return score(*args)
+            finally:
+                scanning[0] = False
+
+        def counting(objective, *args, **kwargs):
+            def counted(ps):
+                if not scanning[0]:
+                    rows.extend(p.tobytes() for p in ps)
+                    blocks.append(len(ps))
+                return objective(ps)
+            return search(counted, *args, **kwargs)
+
+        monkeypatch.setattr(capacity, "_score", scan)
+        monkeypatch.setattr(capacity, "maximize_over_inputs", counting)
+        got = solve(ch, config=COARSE)
+        assert max(blocks) > 1  # some search was face-bound
+        assert len(rows) == len(set(rows)) > 20
+        f = (_conditional_objective if solve is upper_bound else _difference_objective)(ch)
+        want = full_scan_maximize(f, k, config=COARSE)[0]
+        p_star = got[0] if solve is upper_bound else got.input_pmf
+        assert p_star.probs.tobytes() == want.tobytes()
+
+
+class TestFacePrefetch:
+    """A refinement search that heads for a face of the simplex has the
+    points it will ask for listed by capacity._face_points and scored in
+    one block; the search then reads them from the memo."""
+
+    @pytest.mark.parametrize("iters", [200, 12])
+    @pytest.mark.parametrize("up", [True, False])
+    @pytest.mark.parametrize("a,b", [(0.0, 0.02), (0.0, 0.013), (0.98, 1.0),
+                                     (0.3, 1.0)])
+    def test_lists_what_a_monotone_search_asks_for(self, a, b, up, iters):
+        asked = []
+
+        def f(t):
+            asked.append(t)
+            return math.log1p(t) if up else -math.expm1(t)
+
+        golden_section_max(f, a, b, iters)
+        listed = capacity._face_points(a, b, iters, up)
+        assert listed == asked[:len(listed)]
+        face = b if up else a
+        near = [abs(t - face) <= capacity._FACE_GAP for t in listed[2:]]
+        # the list runs to the first point within the gap, or to the end
+        assert not any(near[:-1])
+        assert near[-1] or listed == asked
+
+    @pytest.mark.parametrize("channel", ["recipe", "edge"])
+    def test_cuts_the_one_row_calls(self, monkeypatch, channel):
+        # a guard on the refinement, as
+        # test_skipping_scores_under_a_tenth_of_the_grid is on the scan.  On
+        # these channels the prefetch cuts upper_bound's one-row calls from
+        # 500 to 320 and from 485 to 249.  What is left is the tail of each
+        # face-bound search, among values that tie within rounding, which no
+        # list can foresee (all 320 on "recipe", 35 on "edge"), and the
+        # interior searches (214 on "edge")
+        if channel == "recipe":
+            tr = recipe_degraded(np.random.default_rng(2031), 3)
+        else:
+            tr = skip_scan_transition("edge", 3, 0)
+        ch = DiscreteBroadcastChannel(tr, np.zeros(3))
+        calls = []
+        search = capacity.maximize_over_inputs
+
+        def counting(objective, *args, **kwargs):
+            def counted(ps):
+                calls[-1] += len(ps) == 1
+                return objective(ps)
+            return search(counted, *args, **kwargs)
+
+        monkeypatch.setattr(capacity, "maximize_over_inputs", counting)
+        calls.append(0)
+        p_with, v_with = upper_bound(ch)
+        monkeypatch.setattr(capacity, "_face_points", lambda a, b, iters, up: [])
+        calls.append(0)
+        p_without, v_without = upper_bound(ch)
+        assert 0 < calls[0] <= 0.7 * calls[1]
+        assert bits(*p_with.probs, v_with) == bits(*p_without.probs, v_without)
 
 
 class TestCoordinateRefineEarlyStop:
@@ -688,9 +798,11 @@ class TestMajorantSkipping:
             seen.extend(map(tuple, ps.tolist()))
             return f(ps)
 
-        # no refinement: every row the wrapper sees comes from the grid scan
+        # no refinement, and no face-bound search's points scored ahead of
+        # it: every row the wrapper sees comes from the grid scan
         monkeypatch.setattr(capacity, "golden_section_max",
                             lambda g, a, b, iters: (a, -math.inf))
+        monkeypatch.setattr(capacity, "_face_points", lambda a, b, iters, up: [])
         maximize_over_inputs(wrapped, 3, gradient=_conditional_slopes(ch))
         assert 0 < len(seen) == len(set(seen)) < len(_simplex_grid(3, 1e-2))
 

@@ -47,6 +47,7 @@ from skagree.exponents import (
     _reliability_lanes_for,
     _reliability_objective_for,
     _reliability_result,
+    _reliability_threshold,
     _secrecy_critical_rates,
     _secrecy_edge,
     _secrecy_lanes_for,
@@ -332,7 +333,10 @@ class TestPositivityThresholds:
                 p[rng.integers(s_size)] = 0.0
                 p /= p.sum()
             inp = Pmf(p)
-            assert positivity_thresholds(ch, inp) == validated(ch, inp), trial
+            want = validated(ch, inp)
+            assert positivity_thresholds(ch, inp) == want, trial
+            # the reliability half alone, as its callers that read only it
+            assert _reliability_threshold(ch, inp) == want[0], trial
 
     def test_singleton_s(self):
         # with |S| = 1 the thresholds are plain conditional entropies
