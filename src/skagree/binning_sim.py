@@ -12,26 +12,23 @@ protocol; the tests cross-check the decoder against a brute-force search.
 Each blocklength's codes are checked against the finite-n ensemble bounds,
 minimized over rho and alpha.  -log2 of each bound is concave, so a minimum
 on an edge of the domain is decided from the slope there, with no search
-(_decided_error_bound, _decided_leakage_bound).  The error bound's slope at
-rho = 0 is log2|Phi| - log2|M| - n*theta, with theta the reliability
-threshold H(X|Y,S) - I(S;Y) (exponents.positivity_thresholds); when it is
-<= 0 the bound is vacuous and its minimum is at rho* = 0
-(reliability_exponent's rule at the code's effective rates).  Its slope at
-rho = 1 takes the critical rate in place of theta, and the leakage bound's
-slope at alpha = 1 takes the secrecy critical rate G(1); a slope there of at
-least n*_EDGE_MARGIN puts the minimum at rho* = 1 or alpha* = 1, unless the
-float tail cannot represent the bound at that edge.  Only the bounds
-between the threshold and those edges, margin included, are searched, by
-golden-section search; a decided bound is within about 2.4e-15 (relative)
-of the searched one, and its rho* or alpha* within about 1e-13.
-ensemble_average, at one n, runs the remaining scalar searches;
-ensemble_averages, which simulate calls with all its blocklengths, runs
-more than two remaining searches of the call as lanes of one
-golden_section_lanes set (_minimized_bounds), whose lane evaluator gives the
-scalar closures' values bit for bit.  As in exponents, the lane count picks
-the path: on 60 sim-ensemble channels (2-vCPU Xeon, Python 3.11, numpy 2.4),
-the ten lanes of n = 1..5 take 0.55-0.65 of the time of the ten scalar
-searches, while two lanes take about twice the time of two scalar searches.
+(_error_edge, _leakage_edge).  The error bound's slope at rho = 0 is
+log2|Phi| - log2|M| - n*theta, with theta the reliability threshold
+H(X|Y,S) - I(S;Y) (exponents.positivity_thresholds); when it is <= 0 the
+bound is vacuous and its minimum is at rho* = 0 (reliability_exponent's
+rule at the code's effective rates).  Its slope at rho = 1 takes the
+critical rate in place of theta, and the leakage bound's slope at alpha = 1
+takes the secrecy critical rate G(1); a slope there of at least
+n*_EDGE_MARGIN puts the minimum at rho* = 1 or alpha* = 1, unless the float
+tail cannot represent the bound at that edge.  Only the bounds between the
+threshold and those edges, margin included, are searched, by golden-section
+search; a decided bound is within about 2.4e-15 (relative) of the searched
+one, and its rho* or alpha* within about 1e-13.  Every blocklength of an
+ensemble_averages call, the one n of ensemble_average included, takes one
+path (_minimized_bounds): exponents._lane_maxima over one lane evaluator,
+which evaluates the decided bounds in one call and runs the searches as
+lanes of one golden_section_lanes set.  The lane evaluator gives the
+scalar closures' values (_error_bound_for, _leakage_bound_for) bit for bit.
 """
 
 from __future__ import annotations
@@ -44,14 +41,15 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import golden_section_lanes, golden_section_max
 from .channels import DiscreteBroadcastChannel, _input_probs, marginal_channel
 from .exponents import (_EDGE_MARGIN, ALPHA_MIN, RatePoint, _fast_path_positions,
-                        _reliability_critical_rate, _reliability_threshold,
-                        _secrecy_critical_rates)
+                        _lane_maxima, _reliability_critical_rate,
+                        _reliability_threshold, _secrecy_critical_rates)
 from .probability import Pmf, _mi_rows
-# mutual_information is no longer called here but stays importable from this
-# module: benchmarks/test_benchmark.py checks the tracer's wrapping through it.
+# golden_section_max and mutual_information are no longer called here but stay
+# importable from this module: benchmarks/test_benchmark.py checks the
+# tracer's wrapping through them.
+from .capacity import golden_section_max  # noqa: F401
 from .probability import mutual_information  # noqa: F401
 
 TABLE_BUDGET = 2**24  # most binning-table entries, |M|*|X|^n, of one code
@@ -1030,143 +1028,78 @@ def _bound_lanes_for(channel, inp, rates, error_ns, leakage_ns):
 
 
 def _neg_log2(bound: float) -> float:
-    """-log2 bound, which a bound search maximizes.  A trial bound that the
+    """-log2 bound, which a bound search maximizes.  A bound that the
     Python-float tail cannot represent, the lanes' overflow value inf or 0
-    when a power underflows, is -inf, never the minimum; so the bound a
-    search reports is one it evaluated."""
+    when a power underflows, is -inf: never the minimum, and at an edge
+    left to the search (exponents._lane_maxima); so the bound reported is
+    one that was evaluated."""
     return -math.log2(bound) if bound > 0.0 else -math.inf
 
 
-def _search_objective(bound):
-    """x -> _neg_log2(bound(x)), with the tail's OverflowError as inf."""
-    def objective(x):
-        try:
-            return _neg_log2(bound(x))
-        except OverflowError:
-            return -math.inf
-    return objective
-
-
-def _edge_bound(bound, x):
-    """(x, the bound at x as a search reports it) when bound(x) is a finite
-    positive float, else None: an edge whose bound the float tail cannot
-    represent is left to the search, which never reports such a point."""
-    try:
-        value = bound(x)
-    except OverflowError:
-        return None
-    return (x, 2.0**-_neg_log2(value)) if value > 0.0 else None
-
-
-def _decided_error_bound(channel, inp, n, rates, threshold, critical):
-    """(rho*, the error bound at rho*) when the minimum is at an edge of
-    [0, 1], else None: search.  -log2 of the bound is n times the
-    reliability objective at the code's effective rates, concave in rho, so
-    its slope at rho is log2|Phi| - log2|M| - n*T'(rho) with T' the slope of
-    the log term: the reliability threshold at rho = 0 and the critical rate
+def _error_edge(n, rates, threshold, critical):
+    """0.0 or 1.0 when the error bound's minimum is at that edge of [0, 1],
+    else None: search.  -log2 of the bound is n times the reliability
+    objective at the code's effective rates, concave in rho, so its slope at
+    rho is log2|Phi| - log2|M| - n*T'(rho) with T' the slope of the log
+    term: the reliability threshold at rho = 0 and the critical rate
     critical at rho = 1 (exponents._reliability_critical_rate).
 
     The bound is vacuous, minimized at rho* = 0, exactly when the slope at
     0 is <= 0 (reliability_exponent's rule at the code's effective rates).
     It is minimized at rho* = 1 when the slope at 1 is at least
-    n*_EDGE_MARGIN and the bound at 1 is a finite positive float.  Either
-    bound is reported as a search would report that point.  The code sizes
-    are read as _error_tail_for reads them, |M| first, so an oversize code
-    raises its ValueError."""
+    n*_EDGE_MARGIN.  The code sizes are read as _error_tail_for reads them,
+    |M| first, so an oversize code raises its ValueError."""
     m_bits = _size_bits(n, rates.r_m, "|M|", _FLOAT_BITS)
     phi_bits = _size_bits(n, rates.r_phi, "|Phi|", _FLOAT_BITS)
     if phi_bits - m_bits <= n * threshold:
-        return 0.0, 2.0**-_neg_log2(_error_bound_for(channel, inp, n, rates)(0.0))
+        return 0.0
     if phi_bits - m_bits - n * critical >= n * _EDGE_MARGIN:
-        return _edge_bound(_error_bound_for(channel, inp, n, rates), 1.0)
+        return 1.0
     return None
 
 
-def _decided_leakage_bound(channel, inp, n, rates, critical):
-    """(1.0, the leakage bound at alpha = 1) when the minimum is at alpha* =
-    1, else None: search.  -log2 of the bound is log2(alpha / log2 e) - alpha
-    (log2|K| + log2|Phi| - log2|M|) plus n times the secrecy objective's log
-    term, concave in alpha; its slope at alpha = 1 is log2 e - (log2|K| +
+def _leakage_edge(n, rates, critical):
+    """1.0 when the leakage bound's minimum is at alpha* = 1, else None:
+    search.  -log2 of the bound is log2(alpha / log2 e) - alpha (log2|K| +
+    log2|Phi| - log2|M|) plus n times the secrecy objective's log term,
+    concave in alpha; its slope at alpha = 1 is log2 e - (log2|K| +
     log2|Phi| - log2|M|) + n*critical, with critical the secrecy critical
     rate G(1) (exponents._secrecy_critical_rates).  The rule needs that
-    slope to be at least n*_EDGE_MARGIN and the bound at 1 to be a finite
-    positive float.  (At ALPHA_MIN the log2 alpha term's slope, about 1.4e6,
-    points inward for every code the float tail can represent.)  The code
-    sizes are read as _leakage_tail_for reads them, so an oversize code
-    raises its ValueError."""
+    slope to be at least n*_EDGE_MARGIN.  (At ALPHA_MIN the log2 alpha
+    term's slope, about 1.4e6, points inward for every code the float tail
+    can represent.)  The code sizes are read as _leakage_tail_for reads
+    them, so an oversize code raises its ValueError."""
     m_bits = _size_bits(n, rates.r_m, "|M|", _FLOAT_BITS)
     phi_bits = _size_bits(n, rates.r_phi, "|Phi|", _FLOAT_BITS)
     k_bits = _size_bits(n, rates.r_sk, "|K|", _FLOAT_BITS)
     if math.log2(math.e) - (k_bits + phi_bits - m_bits) + n * critical \
             >= n * _EDGE_MARGIN:
-        return _edge_bound(_leakage_bound_for(channel, inp, n, rates), 1.0)
+        return 1.0
     return None
 
 
-def _searched_bound(bound, a):
-    """(x*, min of bound on [a, 1]) by golden-section search of -log2 bound."""
-    x, neg = golden_section_max(_search_objective(bound), a, 1.0)
-    return x, 2.0**-neg
-
-
-def minimize_error_bound(channel, inp, n, rates):
-    """(rho*, min over rho of the ensemble error bound); the log-bound is
-    convex in rho.  A bound minimized at an edge of [0, 1]
-    (_decided_error_bound: rho* = 0 when it is vacuous, rho* = 1 past the
-    critical rate) is its value there, decided with no search; any other
-    bound is found by golden-section search."""
-    n = _positive_int(n, "blocklength n")
-    decided = _decided_error_bound(channel, inp, n, rates,
-                                   _reliability_threshold(channel, inp),
-                                   _reliability_critical_rate(channel, inp))
-    if decided is not None:
-        return decided
-    return _searched_bound(_error_bound_for(channel, inp, n, rates), 0.0)
-
-
-def minimize_leakage_bound(channel, inp, n, rates):
-    """(alpha*, min over alpha in [ALPHA_MIN, 1] of the ensemble leakage
-    bound): at alpha* = 1 with no search when _decided_leakage_bound decides
-    it, else by golden-section search."""
-    n = _positive_int(n, "blocklength n")
-    decided = _decided_leakage_bound(channel, inp, n, rates,
-                                     _secrecy_critical_rates(channel, inp)[0])
-    if decided is not None:
-        return decided
-    return _searched_bound(_leakage_bound_for(channel, inp, n, rates), ALPHA_MIN)
-
-
 def _minimized_bounds(channel, inp, n_list, rates) -> list:
-    """((rho*, error bound), (alpha*, leakage bound)) at each n of n_list,
-    result for result what minimize_error_bound and minimize_leakage_bound
-    give.  The reliability threshold and the critical rates are computed
-    once, and the bounds minimized at an edge are decided from them.  More
-    than two remaining searches run in one golden_section_lanes set, the
-    searched error lanes and then the searched leakage lanes; one or two
-    run as scalar searches, which are cheaper at two lanes."""
+    """((rho*, min over rho in [0, 1] of the error bound), (alpha*, min over
+    alpha in [ALPHA_MIN, 1] of the leakage bound)) at each n of n_list.
+
+    The reliability threshold and the critical rates are computed once, and
+    the edge rules (_error_edge, _leakage_edge) decide the bounds minimized
+    at an edge of their domain.  exponents._lane_maxima then maximizes
+    -log2 of every bound on one lane evaluator (_bound_lanes_for), the
+    error lanes and then the leakage lanes, with a bound beyond the float
+    range as -inf: the decided lanes take one call, and the rest, with any
+    decided lane whose bound the float tail cannot represent, one
+    golden_section_lanes set.  Each bound is reported as 2^-(-log2 bound)."""
     threshold = _reliability_threshold(channel, inp)
     rel_critical = _reliability_critical_rate(channel, inp)
     sec_critical = _secrecy_critical_rates(channel, inp)[0]
-    errors = [_decided_error_bound(channel, inp, n, rates, threshold, rel_critical)
-              for n in n_list]
-    leakages = [_decided_leakage_bound(channel, inp, n, rates, sec_critical)
-                for n in n_list]
-    error_ns = [n for n, error in zip(n_list, errors) if error is None]
-    leakage_ns = [n for n, leakage in zip(n_list, leakages) if leakage is None]
-    if len(error_ns) + len(leakage_ns) <= 2:
-        found = iter(
-            [_searched_bound(_error_bound_for(channel, inp, n, rates), 0.0)
-             for n in error_ns]
-            + [_searched_bound(_leakage_bound_for(channel, inp, n, rates), ALPHA_MIN)
-               for n in leakage_ns])
-    else:
-        bounds = _bound_lanes_for(channel, inp, rates, error_ns, leakage_ns)
-        found = ((x, 2.0**-neg) for x, neg in golden_section_lanes(
-            lambda lanes, xs: [_neg_log2(b) for b in bounds(lanes, xs, math.inf)],
-            [(0.0, 1.0)] * len(error_ns) + [(ALPHA_MIN, 1.0)] * len(leakage_ns)))
-    errors = [next(found) if error is None else error for error in errors]
-    leakages = [next(found) if leakage is None else leakage for leakage in leakages]
-    return list(zip(errors, leakages))
+    edges = ([_error_edge(n, rates, threshold, rel_critical) for n in n_list]
+             + [_leakage_edge(n, rates, sec_critical) for n in n_list])
+    bounds = _bound_lanes_for(channel, inp, rates, n_list, n_list)
+    found = [(x, 2.0**-neg) for x, neg in _lane_maxima(
+        lambda lanes, xs: [_neg_log2(b) for b in bounds(lanes, xs, math.inf)],
+        edges, [(0.0, 1.0)] * len(n_list) + [(ALPHA_MIN, 1.0)] * len(n_list))]
+    return list(zip(found[:len(n_list)], found[len(n_list):]))
 
 
 def _codebook_rows(channel: DiscreteBroadcastChannel, inp: Pmf, n: int,
@@ -1254,8 +1187,8 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
     This is ensemble_averages at one blocklength: the codebook rows, with
     one workspace made by this call and dropped when it returns, and the
     bound check, each bound decided at an edge of its domain when it peaks
-    there (_decided_error_bound, _decided_leakage_bound) and searched by a
-    scalar search otherwise.
+    there (_error_edge, _leakage_edge) and searched otherwise
+    (_minimized_bounds).
     """
     return ensemble_averages(channel, inp, [n], rates, num_codebooks, [seed])[0]
 
@@ -1267,8 +1200,8 @@ def ensemble_averages(channel: DiscreteBroadcastChannel, inp: Pmf, n_list,
     rows of every n are drawn and evaluated first, each n's stacks in one
     workspace made by this call; then the bounds minimized at an edge are
     decided from one reliability threshold and one set of critical rates,
-    and more than two other bound searches of the call run in one lane set
-    (_minimized_bounds), one or two as scalar searches.  A blocklength that
+    and the other bound searches of the call run in one lane set
+    (_minimized_bounds).  A blocklength that
     fails a check (TABLE_BUDGET, ENUM_BUDGET) raises before any later n is
     drawn, with the message ensemble_average gives."""
     if len(seeds) != len(n_list):

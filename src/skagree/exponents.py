@@ -308,23 +308,27 @@ def _edge_or_search(objective, edge, a: float, b: float):
     return edge, objective(edge)
 
 
-def _lane_maxima(F, edges, bracket) -> list:
+def _lane_maxima(F, edges, brackets) -> list:
     """Per lane, (edges[l], F's value there) or, when edges[l] is None, the
-    golden-section search on bracket: lane for lane what `_edge_or_search`
-    gives with that lane's scalar objective.  The decided lanes take one F
-    call; only the others enter `golden_section_lanes`."""
+    golden-section search on brackets[l]: lane for lane what
+    `_edge_or_search` gives with that lane's scalar objective.  The decided
+    lanes take one F call; only the others enter `golden_section_lanes`,
+    with any decided lane whose value is -inf (an edge where the objective
+    cannot be represented, never a maximum).  F is never called with no
+    lanes."""
     results = [None] * len(edges)
     decided = [lane for lane, x in enumerate(edges) if x is not None]
     if decided:
         xs = [edges[lane] for lane in decided]
         values = F(np.array(decided, dtype=np.intp), np.array(xs, dtype=float))
         for lane, x, v in zip(decided, xs, values):
-            results[lane] = (x, v)
-    searched = np.array([lane for lane, x in enumerate(edges) if x is None],
-                        dtype=np.intp)
-    found = golden_section_lanes(lambda lanes, xs: F(searched[lanes], xs),
-                                 [bracket] * len(searched))
-    for lane, result in zip(searched.tolist(), found):
+            if v != -math.inf:
+                results[lane] = (x, v)
+    searched = [lane for lane, result in enumerate(results) if result is None]
+    lane_of = np.array(searched, dtype=np.intp)
+    found = golden_section_lanes(lambda lanes, xs: F(lane_of[lanes], xs),
+                                 [brackets[lane] for lane in searched])
+    for lane, result in zip(searched, found):
         results[lane] = result
     return results
 
@@ -377,7 +381,7 @@ def reliability_exponents(channel: DiscreteBroadcastChannel, inputs, rates) -> l
             if not slope - thresholds[d] <= 0.0]
     F = _reliability_lanes_for(channel, distinct, which[live], [slopes[i] for i in live])
     edges = [_reliability_edge(slopes[i], critical[which[i]]) for i in live]
-    for i, (rho, val) in zip(live, _lane_maxima(F, edges, (0.0, 1.0))):
+    for i, (rho, val) in zip(live, _lane_maxima(F, edges, [(0.0, 1.0)] * len(edges))):
         results[i] = _reliability_result(rho, val)
     return results
 
@@ -411,7 +415,7 @@ def secrecy_exponents(channel: DiscreteBroadcastChannel, inputs, rates) -> list:
     F = _secrecy_lanes_for(channel, distinct, which, sums)
     edges = [_secrecy_edge(rate, critical[d]) for rate, d in zip(sums, which.tolist())]
     return [_secrecy_result(alpha, val)
-            for alpha, val in _lane_maxima(F, edges, (ALPHA_MIN, 1.0))]
+            for alpha, val in _lane_maxima(F, edges, [(ALPHA_MIN, 1.0)] * len(edges))]
 
 
 def positivity_thresholds(channel: DiscreteBroadcastChannel, inp: Pmf):

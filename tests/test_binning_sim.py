@@ -36,8 +36,6 @@ from skagree.binning_sim import (
     _stacked_likelihoods,
     _size_bits,
     index_sequence,
-    minimize_error_bound,
-    minimize_leakage_bound,
     sequence_index,
 )
 from skagree.capacity import golden_section_max
@@ -1039,8 +1037,8 @@ class TestEnsembleBounds:
     def test_minimizers_beat_fixed_parameters(self):
         rng = np.random.default_rng(86)
         ch = random_degraded_binary_channel(rng)
-        rho_star, b_err = minimize_error_bound(ch, UNIFORM, 6, RATES)
-        alpha_star, b_leak = minimize_leakage_bound(ch, UNIFORM, 6, RATES)
+        (rho_star, b_err), (alpha_star, b_leak) = binning_sim._minimized_bounds(
+            ch, UNIFORM, [6], RATES)[0]
         for t in np.linspace(0.05, 1.0, 20):
             assert b_err <= ensemble_error_bound(ch, UNIFORM, 6, t, RATES) + 1e-12
             assert b_leak <= ensemble_leakage_bound(ch, UNIFORM, 6, t, RATES) + 1e-12
@@ -1076,16 +1074,51 @@ def bound_cases(seed, count):
         yield ch, inp, rates
 
 
-def searched_ns(ch, inp, ns, rates):
-    """(the n of ns whose error bound is searched, those whose leakage bound
-    is): the ones not decided at an edge."""
+def bound_edges(ch, inp, ns, rates):
+    """The edge rules' result for each lane of a _minimized_bounds call on
+    ns: the error lanes, then the leakage lanes."""
     threshold = positivity_thresholds(ch, inp)[0]
     rel = _reliability_critical_rate(ch, inp)
     sec = _secrecy_critical_rates(ch, inp)[0]
-    return ([n for n in ns if binning_sim._decided_error_bound(
-                ch, inp, n, rates, threshold, rel) is None],
-            [n for n in ns if binning_sim._decided_leakage_bound(
-                ch, inp, n, rates, sec) is None])
+    return ([binning_sim._error_edge(n, rates, threshold, rel) for n in ns]
+            + [binning_sim._leakage_edge(n, rates, sec) for n in ns])
+
+
+def neg_log2_of(bound):
+    """x -> -log2 bound(x), with -inf where the scalar closure overflows
+    or underflows to 0."""
+    def f(x):
+        try:
+            value = bound(x)
+        except OverflowError:
+            return -math.inf
+        return -math.log2(value) if value > 0.0 else -math.inf
+    return f
+
+
+def forced_search(bound, a):
+    """(x*, min of bound on [a, 1]) by a scalar golden-section search of
+    -log2 bound, whatever the edge rules say."""
+    x, neg = golden_section_max(neg_log2_of(bound), a, 1.0)
+    return x, 2.0**-neg
+
+
+def scalar_minimum(bound, edge, a):
+    """One bound's minimum as the scalar oracle finds it: (edge, the bound
+    there) when the edge rule gives an edge and the scalar closure has a
+    positive float there, else its forced_search on [a, 1]."""
+    neg = -math.inf if edge is None else neg_log2_of(bound)(edge)
+    return forced_search(bound, a) if neg == -math.inf else (edge, 2.0**-neg)
+
+
+def scalar_minima(ch, inp, ns, rates):
+    """The scalar oracle of _minimized_bounds(ch, inp, ns, rates)."""
+    edges = bound_edges(ch, inp, ns, rates)
+    errors = [scalar_minimum(binning_sim._error_bound_for(ch, inp, n, rates), edge, 0.0)
+              for n, edge in zip(ns, edges)]
+    leakages = [scalar_minimum(binning_sim._leakage_bound_for(ch, inp, n, rates), edge,
+                               ALPHA_MIN) for n, edge in zip(ns, edges[len(ns):])]
+    return list(zip(errors, leakages))
 
 
 def criterion9_rates(ch, inp):
@@ -1161,9 +1194,9 @@ class TestBoundLanes:
         return calls, lane_ns
 
     def test_every_searched_point_equals_scalar_closure(self, monkeypatch):
-        # the lane set holds the error lanes and then the leakage lanes of
-        # the n whose bound is not decided at an edge; two or fewer
-        # searches build no lane set
+        # one lane evaluator holds the error lanes and then the leakage
+        # lanes of every n; the lanes decided at an edge take the first
+        # call, at their edges, and the lane set searches the others
         calls, lane_ns = self.spy_lanes(monkeypatch)
         decided = lane_sets = 0
         cases = [(ch, inp, r) for ch, inp, rates in bound_cases(122, 6)
@@ -1172,15 +1205,19 @@ class TestBoundLanes:
             ns = [1, 2, 3, 4, 5]
             del calls[:], lane_ns[:]
             binning_sim._minimized_bounds(ch, inp, ns, rates)
-            error_ns, leakage_ns = searched_ns(ch, inp, ns, rates)
-            decided += 2 * len(ns) - len(error_ns) - len(leakage_ns)
-            if len(error_ns) + len(leakage_ns) <= 2:
-                assert lane_ns == calls == []
-                continue
-            assert lane_ns == [(error_ns, leakage_ns)]
-            assert len(calls) > 50
-            lane_sets += 1
-            kinds = [("error", n) for n in error_ns] + [("leakage", n) for n in leakage_ns]
+            assert lane_ns == [(ns, ns)]
+            edges = bound_edges(ch, inp, ns, rates)
+            at_edge = [lane for lane, edge in enumerate(edges) if edge is not None]
+            searched = [lane for lane, edge in enumerate(edges) if edge is None]
+            decided += len(at_edge)
+            if at_edge:
+                assert calls[0][:2] == (at_edge, [edges[lane] for lane in at_edge])
+            search_calls = calls[1:] if at_edge else calls
+            assert sorted({lane for lanes, _, _ in search_calls for lane in lanes}) == searched
+            if searched:
+                assert len(search_calls) > 50
+                lane_sets += 1
+            kinds = [("error", n) for n in ns] + [("leakage", n) for n in ns]
             for lanes, xs, values in calls:
                 assert values == [self.scalar(ch, inp, rates, *kinds[lane], x)
                                   for lane, x in zip(lanes, xs)]
@@ -1194,22 +1231,22 @@ class TestBoundLanes:
         for ch, inp, rates in cases:
             ns = [1, 2, 3, 4, 5]
             got = binning_sim._minimized_bounds(ch, inp, ns, rates)
-            want = [(minimize_error_bound(ch, inp, n, rates),
-                     minimize_leakage_bound(ch, inp, n, rates)) for n in ns]
-            assert got == want
+            assert got == scalar_minima(ch, inp, ns, rates)
             vacuous += sum(error == (0.0, 1.0) for error, _ in got)
             at_one += sum(error[0] == 1.0 for error, _ in got)
-        assert vacuous > 0 and at_one > 0 and len(lane_ns) >= 20
+        assert vacuous > 0 and at_one > 0 and len(lane_ns) == len(cases)
 
-    def test_one_n_takes_the_scalar_searches(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("lane evaluator built for one n")
-
-        monkeypatch.setattr(binning_sim, "_bound_lanes_for", refuse)
+    def test_one_n_builds_one_lane_evaluator(self, monkeypatch):
+        # at criterion 9's rates the leakage bound is decided at alpha = 1
+        # and the error bound searched, both on the one evaluator
+        calls, lane_ns = self.spy_lanes(monkeypatch)
         ch = random_degraded_binary_channel(np.random.default_rng(124))
-        assert binning_sim._minimized_bounds(ch, UNIFORM, [4], RATES) == [
-            (minimize_error_bound(ch, UNIFORM, 4, RATES),
-             minimize_leakage_bound(ch, UNIFORM, 4, RATES))]
+        rates = criterion9_rates(ch, UNIFORM)
+        got = binning_sim._minimized_bounds(ch, UNIFORM, [4], rates)
+        assert lane_ns == [([4], [4])]
+        assert calls[0][:2] == ([1], [1.0]) and len(calls) > 50
+        assert {lane for lanes, _, _ in calls[1:] for lane in lanes} == {0}
+        assert got == scalar_minima(ch, UNIFORM, [4], rates)
 
     @pytest.mark.parametrize("seed,error", [(126, (0.0, 1.0)),
                                             (122, (0.1093773550443281, 0.017682719023781976))])
@@ -1218,23 +1255,26 @@ class TestBoundLanes:
         # rho = 1; its minimum is bound(0) = 1 on one channel and below 1 on
         # the other.  The leakage tail at alpha = 1 overflows in a float
         # product (inf), on the first channel while total**n underflows (NaN).
-        # There the leakage slope at alpha = 1 points outward, but the edge
-        # is unrepresentable, so the search decides.
+        # There the leakage slope at alpha = 1 points outward, so the edge
+        # rule gives alpha = 1, but the edge is unrepresentable (-inf), so
+        # the search decides.
         ch = random_degraded_binary_channel(np.random.default_rng(seed))
         rates = RatePoint(0.1, 0.6, 0.0)
         with pytest.raises(OverflowError):
             binning_sim._error_bound_for(ch, UNIFORM, 1500, rates)(1.0)
         with pytest.raises(OverflowError):
             binning_sim._leakage_bound_for(ch, UNIFORM, 1500, rates)(1.0)
-        assert minimize_error_bound(ch, UNIFORM, 1500, rates) == error
-        alpha, leak = minimize_leakage_bound(ch, UNIFORM, 1500, rates)
+        [(got_error, (alpha, leak))] = binning_sim._minimized_bounds(
+            ch, UNIFORM, [1500], rates)
+        assert got_error == error
         assert 0.0 < alpha < 1.0 and 0.0 < leak < math.inf
         outward = (math.log2(math.e) - 1500 * 0.7
                    + 1500 * _secrecy_critical_rates(ch, UNIFORM)[0]) >= 1500 * _EDGE_MARGIN
         assert outward == (seed == 126)
-        assert binning_sim._minimized_bounds(ch, UNIFORM, [1300, 1400, 1500], rates) == [
-            (minimize_error_bound(ch, UNIFORM, n, rates),
-             minimize_leakage_bound(ch, UNIFORM, n, rates)) for n in (1300, 1400, 1500)]
+        assert bound_edges(ch, UNIFORM, [1500], rates)[1] == (1.0 if outward else None)
+        ns = [1300, 1400, 1500]
+        assert binning_sim._minimized_bounds(ch, UNIFORM, ns, rates) == scalar_minima(
+            ch, UNIFORM, ns, rates)
         lanes = binning_sim._bound_lanes_for(ch, UNIFORM, rates, [1500], [])
         with pytest.raises(OverflowError):
             lanes(np.array([0]), np.array([1.0]))
@@ -1275,68 +1315,62 @@ class TestEdgeBounds:
     (relative)."""
 
     @staticmethod
-    def forced(bound, a):
-        x, neg = golden_section_max(binning_sim._search_objective(bound), a, 1.0)
-        return x, 2.0**-neg
-
-    @staticmethod
     def close(got, want):
         assert abs(got[0] - want[0]) <= 1e-9, (got, want)
         assert abs(got[1] - want[1]) <= 1e-14 * want[1], (got, want)
 
     def test_error_edge_against_forced_search(self):
         counts = {0.0: 0, 1.0: 0, None: 0}
+        ns = [1, 2, 3, 5, 8]
         for ch, inp in edge_cases(150, 12):
-            threshold = positivity_thresholds(ch, inp)[0]
             critical = _reliability_critical_rate(ch, inp)
             for offset in (-0.3, -0.05, 0.05, 0.3):
                 rates = RatePoint(0.0, max(0.0, critical + offset), 0.0)
-                for n in (1, 2, 3, 5, 8):
-                    got = minimize_error_bound(ch, inp, n, rates)
-                    want = self.forced(binning_sim._error_bound_for(ch, inp, n, rates), 0.0)
-                    decided = binning_sim._decided_error_bound(
-                        ch, inp, n, rates, threshold, critical)
-                    edge = None if decided is None else decided[0]
+                minima = binning_sim._minimized_bounds(ch, inp, ns, rates)
+                edges = bound_edges(ch, inp, ns, rates)
+                for n, (got, _), edge in zip(ns, minima, edges):
+                    bound = binning_sim._error_bound_for(ch, inp, n, rates)
                     counts[edge] += 1
-                    if edge is None:
-                        assert got == want
-                    else:
-                        assert got == decided and got[0] == edge
-                        self.close(got, want)
+                    # the oracle is the forced search when edge is None
+                    assert got == scalar_minimum(bound, edge, 0.0)
+                    if edge is not None:
+                        assert got[0] == edge
+                        self.close(got, forced_search(bound, 0.0))
         assert min(counts.values()) >= 30, counts
 
     def test_leakage_edge_against_forced_search(self):
         counts = {1.0: 0, None: 0}
+        ns = [1, 2, 3, 5, 8]
         for ch, inp in edge_cases(151, 12):
             critical = _secrecy_critical_rates(ch, inp)[0]
             for offset in (-0.3, -0.05, 0.05, 0.3):
                 rates = RatePoint(max(0.0, critical + offset), 0.0, 0.0)
-                for n in (1, 2, 3, 5, 8):
-                    got = minimize_leakage_bound(ch, inp, n, rates)
-                    want = self.forced(binning_sim._leakage_bound_for(ch, inp, n, rates),
-                                       ALPHA_MIN)
-                    decided = binning_sim._decided_leakage_bound(ch, inp, n, rates, critical)
-                    counts[None if decided is None else decided[0]] += 1
-                    if decided is None:
-                        assert got == want
-                    else:
-                        assert got == decided and got[0] == 1.0
-                        self.close(got, want)
+                minima = binning_sim._minimized_bounds(ch, inp, ns, rates)
+                edges = bound_edges(ch, inp, ns, rates)[len(ns):]
+                for n, (_, got), edge in zip(ns, minima, edges):
+                    bound = binning_sim._leakage_bound_for(ch, inp, n, rates)
+                    counts[edge] += 1
+                    # the oracle is the forced search when edge is None
+                    assert got == scalar_minimum(bound, edge, ALPHA_MIN)
+                    if edge is not None:
+                        assert got[0] == 1.0
+                        self.close(got, forced_search(bound, ALPHA_MIN))
         assert min(counts.values()) >= 30, counts
 
     def test_edge_bound_that_underflows_is_searched(self):
         # Z is constant and X uniform given S, so the leakage total at
         # alpha = 1 is 1/2: at n = 1,100 and rates 0 the bound there
-        # underflows to 0 although its slope points outward
+        # underflows to 0 although its slope points outward, so the edge
+        # rule gives alpha = 1 and the search decides
         ch = lossless_channel()
         rates = RatePoint(0.0, 0.0, 0.0)
         bound = binning_sim._leakage_bound_for(ch, UNIFORM, 1100, rates)
         assert bound(1.0) == 0.0
         critical = _secrecy_critical_rates(ch, UNIFORM)[0]
         assert math.log2(math.e) + 1100 * critical >= 1100 * _EDGE_MARGIN
-        assert binning_sim._decided_leakage_bound(ch, UNIFORM, 1100, rates, critical) is None
-        alpha, leak = minimize_leakage_bound(ch, UNIFORM, 1100, rates)
-        assert (alpha, leak) == self.forced(bound, ALPHA_MIN)
+        assert binning_sim._leakage_edge(1100, rates, critical) == 1.0
+        [(_, (alpha, leak))] = binning_sim._minimized_bounds(ch, UNIFORM, [1100], rates)
+        assert (alpha, leak) == forced_search(bound, ALPHA_MIN)
         assert ALPHA_MIN < alpha < 1.0 and 0.0 < leak < math.inf
 
     def test_nothing_inside_the_margin_is_decided(self):
@@ -1351,14 +1385,9 @@ class TestEdgeBounds:
             leakage_edge = (k_bits + phi_bits - m_bits - math.log2(math.e)) / n
             for fraction, decided in ((0.5, False), (2.0, True)):
                 shift = fraction * _EDGE_MARGIN
-                error = binning_sim._decided_error_bound(
-                    ch, UNIFORM, n, rates, -math.inf, error_edge - shift)
-                leakage = binning_sim._decided_leakage_bound(
-                    ch, UNIFORM, n, rates, leakage_edge + shift)
-                assert (error is not None) == decided
-                assert (leakage is not None) == decided
-                if decided:
-                    assert error[0] == leakage[0] == 1.0
+                error = binning_sim._error_edge(n, rates, -math.inf, error_edge - shift)
+                leakage = binning_sim._leakage_edge(n, rates, leakage_edge + shift)
+                assert error == leakage == (1.0 if decided else None)
 
     @pytest.mark.parametrize("kind", ["error", "leakage"])
     def test_chord_concavity(self, kind):
@@ -1382,13 +1411,8 @@ class TestEdgeBounds:
 
 class TestVacuousErrorBound:
     """A vacuous error bound is decided from the reliability threshold with
-    no search; the search it replaces stays here as the oracle."""
-
-    @staticmethod
-    def oracle(ch, inp, n, rates):
-        rho, neg = golden_section_max(binning_sim._search_objective(
-            binning_sim._error_bound_for(ch, inp, n, rates)), 0.0, 1.0)
-        return rho, 2.0**-neg
+    no search; the search it replaces stays here as the oracle
+    (forced_search)."""
 
     def test_decision_agrees_with_the_search(self):
         # a bound decided at rho* = 1 (past the critical rate) is the
@@ -1399,16 +1423,18 @@ class TestVacuousErrorBound:
             sizes = (int(rng.integers(2, 4)),) + tuple(int(v) for v in rng.integers(2, 4, 3))
             ch = (degraded_channel if i % 2 else random_channel)(rng, sizes)
             inp = Pmf.uniform(sizes[0]) if i % 3 else Pmf(rng.dirichlet(np.ones(sizes[0])))
-            threshold = positivity_thresholds(ch, inp)[0]
-            critical = _reliability_critical_rate(ch, inp)
+            ns = list(range(1, 9))
             for rates in (criterion9_rates(ch, inp), RatePoint(0.1, 0.6, 0.3)):
-                for n in range(1, 9):
-                    got = minimize_error_bound(ch, inp, n, rates)
-                    want = self.oracle(ch, inp, n, rates)
-                    decided = binning_sim._decided_error_bound(
-                        ch, inp, n, rates, threshold, critical)
-                    edge = None if decided is None else decided[0]
+                minima = binning_sim._minimized_bounds(ch, inp, ns, rates)
+                edges = bound_edges(ch, inp, ns, rates)
+                for n, (got, _), edge in zip(ns, minima, edges):
+                    bound = binning_sim._error_bound_for(ch, inp, n, rates)
                     counts[edge] += 1
+                    # the oracle is the forced search when edge is None
+                    assert got == scalar_minimum(bound, edge, 0.0)
+                    if edge is None:
+                        continue
+                    want = forced_search(bound, 0.0)
                     if edge == 0.0:
                         assert got[0] == 0.0 and want[0] <= 1e-9
                         at_zero = ensemble_error_bound(ch, inp, n, 0.0, rates)
@@ -1417,8 +1443,6 @@ class TestVacuousErrorBound:
                     elif edge == 1.0:
                         assert got[0] == 1.0 and abs(want[0] - 1.0) <= 1e-9
                         assert abs(got[1] - want[1]) <= 1e-14 * want[1]
-                    else:
-                        assert got == want
         assert min(counts.values()) >= 80, counts
 
     def test_vacuous_bound_is_the_search_point_at_zero(self, monkeypatch):
@@ -1427,13 +1451,11 @@ class TestVacuousErrorBound:
         # at n = 8, log2|Phi| - log2|M| = 5 - 3 is at most n * threshold
         assert 5 - 3 <= 8 * positivity_thresholds(ch, UNIFORM)[0]
         bound = binning_sim._error_bound_for(ch, UNIFORM, 8, rates)(0.0)
-
-        def no_search(*args):
-            raise AssertionError("searched a vacuous error bound")
-
-        monkeypatch.setattr(binning_sim, "golden_section_max", no_search)
-        assert minimize_error_bound(ch, UNIFORM, 8, rates) == (
-            0.0, 2.0**-binning_sim._neg_log2(bound))
+        calls, _ = TestBoundLanes.spy_lanes(monkeypatch)
+        [(error, _)] = binning_sim._minimized_bounds(ch, UNIFORM, [8], rates)
+        assert error == (0.0, 2.0**-binning_sim._neg_log2(bound))
+        # the error lane, lane 0, is evaluated once, at rho = 0: no search
+        assert [xs[lanes.index(0)] for lanes, xs, _ in calls if 0 in lanes] == [0.0]
 
     def test_oversize_code_raises_the_tail_message(self):
         ch = random_degraded_binary_channel(np.random.default_rng(132))
@@ -1446,9 +1468,6 @@ class TestVacuousErrorBound:
                 with pytest.raises(ValueError) as got:
                     binning_sim._minimized_bounds(ch, UNIFORM, n_list, rates)
                 assert str(got.value) == str(tail.value)
-            with pytest.raises(ValueError) as got:
-                minimize_error_bound(ch, UNIFORM, 600, rates)
-            assert str(got.value) == str(tail.value)
 
 
 class TestBlocklengthCheck:
@@ -1463,9 +1482,6 @@ class TestBlocklengthCheck:
             lambda ch, n: ensemble_error_bound(ch, UNIFORM, n, 0.5, RATES),
         "ensemble_leakage_bound":
             lambda ch, n: ensemble_leakage_bound(ch, UNIFORM, n, 0.5, RATES),
-        "minimize_error_bound": lambda ch, n: minimize_error_bound(ch, UNIFORM, n, RATES),
-        "minimize_leakage_bound":
-            lambda ch, n: minimize_leakage_bound(ch, UNIFORM, n, RATES),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

@@ -20,7 +20,7 @@ from skagree import (
     save_channel,
 )
 import skagree
-from skagree import binning_sim, channels
+from skagree import channels
 
 
 class TestChannelValidation:
@@ -161,10 +161,6 @@ _TAKES_AN_INPUT = {
         lambda ch, inp: skagree.ensemble_error_bound(ch, inp, 3, 0.5, _RATES),
     "ensemble_leakage_bound":
         lambda ch, inp: skagree.ensemble_leakage_bound(ch, inp, 3, 0.5, _RATES),
-    "minimize_error_bound":
-        lambda ch, inp: binning_sim.minimize_error_bound(ch, inp, 3, _RATES),
-    "minimize_leakage_bound":
-        lambda ch, inp: binning_sim.minimize_leakage_bound(ch, inp, 3, _RATES),
     "rate_split": lambda ch, inp: skagree.rate_split(ch, inp),
     "generate_code": lambda ch, inp: skagree.generate_code(ch, 3, _RATES, inp, seed=1),
 }

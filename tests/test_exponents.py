@@ -42,6 +42,7 @@ from skagree.capacity import golden_section_max
 from skagree.exponents import (
     _EDGE_MARGIN,
     ALPHA_MIN,
+    _lane_maxima,
     _reliability_critical_rate,
     _reliability_edge,
     _reliability_lanes_for,
@@ -501,6 +502,60 @@ class TestExponentLanes:
                 want = [scalar(ch, i, r)(x) for i, r in zip(inputs, rates)]
                 assert struct.pack("%dd" % len(got), *got) == \
                     struct.pack("%dd" % len(want), *want), x
+
+
+class TestLaneMaxima:
+    """_lane_maxima: each lane at its edge or searched on its own bracket,
+    lane for lane what the scalar edge-or-search gives."""
+
+    FUNCTIONS = [lambda x: -(x - 0.3) ** 2, lambda x: -(x - 0.05) ** 2,
+                 lambda x: x, lambda x: -math.inf if x == 1.0 else -(x - 0.4) ** 2]
+
+    @classmethod
+    def recorder(cls, calls):
+        """F over FUNCTIONS that records (lanes, xs) of each call and checks
+        that its lanes are ascending and not empty."""
+        def F(lanes, xs):
+            assert lanes.dtype.kind == "i" and len(lanes) > 0
+            assert (np.diff(lanes) > 0).all()
+            calls.append((lanes.tolist(), xs.tolist()))
+            return [cls.FUNCTIONS[lane](x) for lane, x in zip(lanes.tolist(), xs.tolist())]
+        return F
+
+    def test_brackets_are_per_lane(self):
+        calls = []
+        brackets = [(0.0, 1.0), (0.1, 1.0), (0.2, 0.6), (ALPHA_MIN, 1.0)]
+        got = _lane_maxima(self.recorder(calls), [None] * 4, brackets)
+        assert got == [golden_section_max(f, a, b)
+                       for f, (a, b) in zip(self.FUNCTIONS, brackets)]
+        assert got[1][0] == 0.1 and got[2][0] == pytest.approx(0.6)
+        for lanes, xs in calls:
+            for lane, x in zip(lanes, xs):
+                assert brackets[lane][0] <= x <= brackets[lane][1]
+
+    def test_decided_lane_at_minus_inf_is_searched(self):
+        # lane 3 is -inf at its edge 1.0, so it joins the searched lane 2;
+        # lanes 0 and 1 keep their edges
+        calls = []
+        brackets = [(0.0, 1.0)] * 3 + [(ALPHA_MIN, 1.0)]
+        got = _lane_maxima(self.recorder(calls), [1.0, 0.0, None, 1.0], brackets)
+        assert calls[0] == ([0, 1, 3], [1.0, 0.0, 1.0])
+        assert {lane for lanes, _ in calls[1:] for lane in lanes} == {2, 3}
+        assert got == [(1.0, self.FUNCTIONS[0](1.0)), (0.0, self.FUNCTIONS[1](0.0)),
+                       golden_section_max(self.FUNCTIONS[2], 0.0, 1.0),
+                       golden_section_max(self.FUNCTIONS[3], ALPHA_MIN, 1.0)]
+        assert got[3][0] == pytest.approx(0.4) and got[3][1] > -math.inf
+
+    def test_no_call_with_zero_lanes(self):
+        # all decided: one call; none decided: no edge call; no lanes: none
+        for edges, count in (([0.0, 1.0, 0.5], 1), ([None] * 3, None), ([], 0)):
+            calls = []
+            got = _lane_maxima(self.recorder(calls), edges, [(0.0, 1.0)] * len(edges))
+            assert len(got) == len(edges) and None not in got
+            if count is None:
+                assert calls[0][0] == [0, 1, 2] and len(calls) > 50
+            else:
+                assert len(calls) == count
 
 
 class TestOptimizedExponentsLanes:
