@@ -60,8 +60,12 @@ _DECODE_BLOCK_CELLS = 2**22  # Monte-Carlo decodes at most this many cells at on
 # the y- and then the z-scores, and a scratch store of the same size for the
 # partial products, the bin winners' loop tables, the error mask and the
 # leakage index (_evaluate_stack), plus its winner tables and leakage
-# joint; so peak RSS grows with it.  The stores are one _Workspace,
-# made by one ensemble_averages call and reused by each of its stacks.
+# joint; so peak RSS grows with it.  A code whose z-scores alone are over
+# it is a stack of its own, and its leakage joint is built from the two
+# halves of its blocklength, with no z-score table, unless the halves'
+# spread table would be the larger (_takes_halves).  The stores are one
+# _Workspace, made by one ensemble_averages call and reused by each of its
+# stacks.
 _STACK_CELLS = 2**14
 # bytes per (pair, column) cell of _rank_winners' loop tables: float64 best
 # and candidate scores, intp winning rows and a bool mask
@@ -197,11 +201,13 @@ def _enumeration_cells(channel: DiscreteBroadcastChannel, n: int, m_x: int,
     int64 K_B gather and a bool mask, then the z-scores and an int64 leakage
     index.  The bin winners' loop tables stay within the scores' bytes in
     "scratch" (_rank_winners).  A leakage joint larger than the score
-    tables adds itself and its entropy terms.  By tracemalloc, one binary
-    n=9 code at rates (0.1, r_phi, 0.3), 4,096 rows, peaks at 33.0 MiB at
-    r_phi = 0 (|Phi| = 1), 32.6 MiB at 0.6 (|Phi| = 64), 36.4 MiB at 1.0
-    (|Phi| = 512) and 140.1 MiB at 1.4 (|Phi| = 8,192; the leakage
-    joint)."""
+    tables adds itself and its entropy terms, and a joint built from the
+    halves of the blocklength (_takes_halves) adds their spread table, at
+    most the size of the z-scores.  By tracemalloc, one binary n=9 code at
+    rates (0.1, r_phi, 0.3), 4,096 rows, peaks at 33.0 MiB at r_phi = 0
+    (|Phi| = 1, halves), 36.7 MiB at 0.6 (|Phi| = 64, halves: a 4 MiB
+    spread table), 36.4 MiB at 1.0 (|Phi| = 512) and 140.1 MiB at 1.4
+    (|Phi| = 8,192; the leakage joint)."""
     Y, Z = channel.alphabet_sizes[2:]
     cells = max(m_x * Y**n, m_x * Z**n, num_k * num_phi * Z**n)
     if cells > ENUM_BUDGET:
@@ -449,7 +455,13 @@ class _Workspace:
     is not initialized, so a caller writes every cell before it reads it.
     Views of one store over the same bytes share them, so a caller uses
     such views one at a time.  A view made before the buffer was replaced
-    keeps the old one."""
+    keeps the old one.
+
+    _evaluate_stack's leakage takes one of two paths.  The direct one puts
+    the z-scores in "scores" and its bincount index in "scratch".  The
+    halves of the blocklength (_halves_joint) put the last letters'
+    z-scores in "scores" and the bincount's weights and index in
+    "scratch", then the first letters' z-scores in "scores"."""
 
     def __init__(self):
         self._sizes = {"scores": 0, "scratch": 0}
@@ -668,7 +680,8 @@ def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
     y_seq = _check_code(code, channel, y_seq)
     if y_seq.shape != (code.n,):
         raise ValueError("y sequence length must equal the blocklength")
-    if not isinstance(phi, (int, np.integer)) or not 0 <= phi < code.num_public:
+    if isinstance(phi, bool) or not isinstance(phi, (int, np.integer)) \
+            or not 0 <= phi < code.num_public:
         raise ValueError("public message index must be an integer in [0, %d)"
                          % code.num_public)
     scores = _likelihoods(code, marginal_channel(channel, "xy"), y_seq[:, None])
@@ -687,6 +700,53 @@ def _score_tables(channel: DiscreteBroadcastChannel, n: int):
             (marginal_channel(channel, "xz"), np.indices((Z,) * n).reshape(n, -1)))
 
 
+def _takes_halves(n: int, X: int, Z: int, m_x: int, code_cells: int) -> bool:
+    """Whether the leakage joint of a code of blocklength n, with m_x =
+    |M|*|X|^n rows and code_cells = |K|*|Phi|, is built from the halves of
+    its blocklength (_halves_joint): when n >= 2, its z-score table is over
+    _STACK_CELLS, and the halves' spread table is smaller than that one."""
+    return n >= 2 and m_x * Z**n > _STACK_CELLS \
+        and code_cells < X**(n - n // 2) * Z**(n // 2)
+
+
+def _halves_joint(table_z: np.ndarray, z_seqs: np.ndarray,
+                  codewords: np.ndarray, cell: np.ndarray, code_cells: int,
+                  work: _Workspace):
+    """(C, code_cells, Z^n1, Z^n2) leakage joint p(cell, z^n) of a stack of
+    codes with (C, |M|*|X|^n) cells key*|Phi| + phi, built from the two
+    halves of the blocklength, n1 = n // 2 and n2 = n - n1 letters, with
+    no (m, x^n, z^n) table.  The z-scores B ("tail", in "scores") of
+    (m, x2) on the last n2 letters are spread over every x1 as the weights
+    of one bincount, with its index in "scratch":
+    D[(m, x1), c, z2] = sum over x2 of [cell(m, x1 x2) = c] * B[(m, x2), z2].
+    The z-scores A ("head") of (m, x1) on the first n1 letters then give
+    p(c, z1 z2) = (1/|M|) sum over (m, x1) of A[(m, x1), z1] D[(m, x1), c, z2]
+    by np.einsum: a BLAS product of these shapes ran its threads far slower
+    than the sum itself."""
+    num_codes, num_m, n = codewords.shape
+    n1, n2 = n // 2, n - n // 2
+    X, Z = table_z.shape[1:]
+    rows = num_codes * num_m * X**n1  # (code, m, x1)
+    # the first Z^k columns of z_seqs' last k rows list the k-letter z's
+    tail = _stacked_likelihoods(codewords[:, :, n1:], table_z,
+                                z_seqs[n1:, :Z**n2], work)
+    weights = work.array("scratch", (rows, X**n2, Z**n2))
+    np.copyto(weights.reshape(-1, X**n1, X**n2, Z**n2),
+              tail.reshape(-1, 1, X**n2, Z**n2))
+    index = work.array("scratch", weights.shape, np.intp, offset=weights.nbytes)
+    row_cell = np.arange(rows)[:, None] * code_cells + cell.reshape(rows, X**n2)
+    np.add((row_cell * Z**n2)[:, :, None], np.arange(Z**n2), out=index)
+    spread = np.bincount(index.ravel(), weights=weights.ravel(),
+                         minlength=rows * code_cells * Z**n2)
+    head = _stacked_likelihoods(codewords[:, :, :n1], table_z,
+                                z_seqs[n2:, :Z**n1], work)
+    head /= num_m
+    # summed into (code, z1, c, z2), whose last two axes make a long inner
+    # loop, and then moved to (code, c, z1, z2)
+    return np.einsum("crz,crkw->czkw", head, spread.reshape(
+        num_codes, -1, code_cells, Z**n2)).transpose(0, 2, 1, 3)
+
+
 def _evaluate_stack(tables, codewords: np.ndarray, key: np.ndarray,
                     pub: np.ndarray, num_k: int, num_phi: int,
                     work: Optional[_Workspace] = None):
@@ -696,16 +756,22 @@ def _evaluate_stack(tables, codewords: np.ndarray, key: np.ndarray,
     with the channel's _score_tables at n.  A leakage is never below 0,
     and is 0 for a single key.
 
+    The leakage joint p(k, phi, z^n) of a code that _takes_halves comes
+    from the two halves of its blocklength (_halves_joint), within 1e-13
+    bits of the direct path's leakage.  Every other code takes the direct
+    path: its z-scores, divided by |M|, summed by one bincount.  The errors
+    never depend on the path.
+
     work (a fresh _Workspace if None) holds two stores of 8 bytes per cell
     of the wider score table: "scores", for the y- and then the z-scores,
     and "scratch", for in turn the partial products of the y-scores, the
     bin winners' loop tables (which fit in the scores' bytes), the K_B
     gather and error mask, the partial products of the z-scores and the
-    leakage index."""
+    leakage path's bincount arrays."""
     work = _Workspace() if work is None else work
     (table_y, y_seqs), (table_z, z_seqs) = tables
     y_cols, z_cols = y_seqs.shape[1], z_seqs.shape[1]
-    num_codes, num_m, _ = codewords.shape
+    num_codes, num_m, n = codewords.shape
     code_idx = np.arange(num_codes)[:, None]
     cells = key.size * max(y_cols, z_cols)  # of the wider score table
     work.reserve(scores=8 * cells, scratch=8 * cells)
@@ -731,15 +797,20 @@ def _evaluate_stack(tables, codewords: np.ndarray, key: np.ndarray,
         return [(error, 0.0) for error in errors]
 
     # Exact joint of (K_A, Phi, Z^n) for the leakage, one block per code.
-    score_z = _stacked_likelihoods(codewords, table_z, z_seqs, work)
-    score_z /= num_m
     code_cells = num_k * num_phi
-    cell = key * num_phi + pub + code_cells * code_idx
-    index = work.array("scratch", score_z.shape, np.intp)
-    np.add((cell * z_cols)[:, :, None], np.arange(z_cols), out=index)
-    joint = np.bincount(index.ravel(), weights=score_z.ravel(),
-                        minlength=num_codes * code_cells * z_cols)
-    del score_z, index, work  # a workspace made here is freed before the MI
+    cell = key * num_phi + pub
+    if _takes_halves(n, *table_z.shape[1:], key.shape[1], code_cells):
+        joint = _halves_joint(table_z, z_seqs, codewords, cell, code_cells, work)
+    else:
+        score_z = _stacked_likelihoods(codewords, table_z, z_seqs, work)
+        score_z /= num_m
+        index = work.array("scratch", score_z.shape, np.intp)
+        np.add(((cell + code_cells * code_idx) * z_cols)[:, :, None],
+               np.arange(z_cols), out=index)
+        joint = np.bincount(index.ravel(), weights=score_z.ravel(),
+                            minlength=num_codes * code_cells * z_cols)
+        del score_z, index
+    del work  # a workspace made here is freed before the MI
     # H(K) + H(Phi,Z^n) - H(K,Phi,Z^n) rounds a few ulps to either side of
     # I(K;Phi,Z^n) >= 0.  The joint is built from a validated channel and
     # code, so it is not checked again.

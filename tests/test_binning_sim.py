@@ -540,6 +540,18 @@ class TestMlMapDecode:
         with pytest.raises(ValueError):
             mlmap_decode(code, ch, [0, 1, 0], code.num_public)
 
+    def test_bool_public_index_refused(self):
+        # a bool is an int to isinstance, but not a public message index
+        ch = random_binary_channel(np.random.default_rng(75))
+        code = generate_code(ch, 3, RATES, UNIFORM, seed=9)
+        assert code.num_public > 1
+        for phi in (True, False, np.bool_(True)):
+            with pytest.raises(ValueError, match="public message index"):
+                mlmap_decode(code, ch, [0, 1, 0], phi)
+        (m_np, x_np), (m_int, x_int) = (mlmap_decode(code, ch, [0, 1, 0], phi)
+                                        for phi in (np.int64(1), 1))
+        assert m_np == m_int and np.array_equal(x_np, x_int)
+
 
 def first_maximum_oracle(scores, pub, num_public):
     """(C, num_public, columns) winners by an explicit scan: the first row,
@@ -1587,14 +1599,20 @@ class TestStackedBitIdentity:
     ]
 
     def test_rows_match_per_code_reference(self, monkeypatch):
+        # The n=8 code's leakage joint is built from the halves of its
+        # blocklength, so its leakages agree within LEAKAGE_TOL; every
+        # other row, and every error, is the reference's bit for bit.
         rng = np.random.default_rng(96)
         empty_bins = 0
         levels = rank_levels(monkeypatch)
+        halves = halves_calls(monkeypatch)
+        split_cases = []
         for sizes, quantized, n, rate_tuple, count in self.CASES:
             ch = (quantized_channel if quantized else random_channel)(rng, sizes)
             rates = RatePoint(*rate_tuple)
             inp = Pmf.uniform(sizes[0])
             seed = int(rng.integers(1 << 30))
+            before = len(halves)
             _, _, check = ensemble_average(ch, inp, n, rates, count, seed)
             expect = []
             for child in np.random.SeedSequence(seed).spawn(count):
@@ -1602,10 +1620,15 @@ class TestStackedBitIdentity:
                 expect.append(reference_exact(code, ch))
                 empty_bins += int(np.bincount(code.public_bins.ravel(),
                                               minlength=code.num_public).min() == 0)
-            assert check["per_codebook"] == expect, (sizes, n, rate_tuple)
             rep = exact_evaluate(code, ch)
-            assert (rep.error_probability, rep.leakage_bits) == expect[-1]
+            rows = check["per_codebook"] + [(rep.error_probability, rep.leakage_bits)]
+            if len(halves) > before:
+                split_cases.append(n)
+                assert_rows_agree(rows, expect + expect[-1:])
+            else:
+                assert rows == expect + expect[-1:], (sizes, n, rate_tuple)
         assert empty_bins > 0
+        assert split_cases == [8]
         assert {len(calls) for calls in levels} == {1, 2}
 
     def test_stack_size_does_not_change_rows(self, monkeypatch):
@@ -1622,6 +1645,99 @@ class TestStackedBitIdentity:
         expect = [reference_exact(generate_code(ch, 3, rates, inp, child), ch)
                   for child in np.random.SeedSequence(5).spawn(8)]
         assert rows[0] == expect
+
+
+# bits: a leakage whose joint is built from the halves of the blocklength
+# (_halves_joint) against the one from the direct (m, x^n, z^n) table
+LEAKAGE_TOL = 1e-13
+
+
+def halves_calls(monkeypatch):
+    """Spy on _halves_joint: the size of each stack it builds a joint of."""
+    calls = []
+    halves_joint = binning_sim._halves_joint
+
+    def spy(table_z, z_seqs, codewords, *rest):
+        calls.append(codewords.shape[0])
+        return halves_joint(table_z, z_seqs, codewords, *rest)
+
+    monkeypatch.setattr(binning_sim, "_halves_joint", spy)
+    return calls
+
+
+def assert_rows_agree(rows, expect):
+    """Equal errors, and leakages within LEAKAGE_TOL bits of expect's."""
+    assert [error for error, _ in rows] == [error for error, _ in expect]
+    assert all(abs(got - want) <= LEAKAGE_TOL
+               for (_, got), (_, want) in zip(rows, expect)), (rows, expect)
+
+
+class TestHalvesJoint:
+    """A large code's leakage joint, built from the halves of its
+    blocklength, against the direct path's: _STACK_CELLS = 0 sends every
+    code with n >= 2 and |K|*|Phi| < |X|^n2 * |Z|^n1 to the halves, and a
+    _STACK_CELLS above every table keeps every code on the direct path."""
+
+    def test_halves_agree_with_direct_path(self, monkeypatch):
+        rng = np.random.default_rng(150)
+        halves = halves_calls(monkeypatch)
+        split = empty_bins = odd = unequal = quantized_codes = direct = 0
+        while split < 200:
+            S, X, Y, Z = (int(size) for size in rng.integers(2, 4, size=4))
+            n, m_bits = int(rng.integers(1, 10)), int(rng.integers(0, 3))
+            if 2**m_bits * X**n * max(Y, Z)**n > 2**19:
+                continue
+            rates = RatePoint(int(rng.integers(1, 4)) / n,
+                              int(rng.integers(0, n + 2)) / n, m_bits / n)
+            quantized = bool(rng.random() < 0.3)
+            ch = (quantized_channel if quantized else random_channel)(
+                rng, (S, X, Y, Z))
+            codes = [generate_code(ch, n, rates, Pmf.uniform(S), int(seed))
+                     for seed in rng.integers(1 << 30, size=2)]
+            tables, stack = _score_tables(ch, n), TestWorkspace.stack(codes)
+            monkeypatch.setattr(binning_sim, "_STACK_CELLS", 2**62)
+            expect = _evaluate_stack(tables, *stack)
+            monkeypatch.setattr(binning_sim, "_STACK_CELLS", 0)
+            before = len(halves)
+            rows = _evaluate_stack(tables, *stack)
+            code = codes[0]
+            if len(halves) == before:
+                assert n == 1 or code.num_keys * code.num_public >= \
+                    X**(n - n // 2) * Z**(n // 2)
+                assert rows == expect
+                direct += 1
+                continue
+            assert halves[before:] == [2] and n >= 2
+            assert_rows_agree(rows, expect)
+            split += 2
+            odd += 2 * (n % 2)
+            unequal += 2 * (Y != Z)
+            quantized_codes += 2 * quantized
+            empty_bins += sum(int(np.bincount(c.public_bins.ravel(),
+                                              minlength=c.num_public).min() == 0)
+                              for c in codes)
+        assert min(odd, unequal, quantized_codes, empty_bins, direct) > 0
+
+    def test_many_key_cells_keep_the_direct_path(self, monkeypatch):
+        # At n = 6, |M| = 8, a binary code has 32,768 z-score cells, over
+        # _STACK_CELLS.  |K|*|Phi| = 64 = |X|^3 * |Z|^3 would make the
+        # halves' spread table as large as the z-scores, so that code keeps
+        # the direct path bit for bit; at |Phi| = 16 it takes the halves.
+        halves = halves_calls(monkeypatch)
+        ch = random_binary_channel(np.random.default_rng(151))
+        for phi_bits, calls in ((5, []), (4, [1])):
+            code = generate_code(ch, 6, RatePoint(1 / 6, phi_bits / 6, 3 / 6),
+                                 UNIFORM, seed=7)
+            assert code.key_bins.size * 2**6 == 32768 > binning_sim._STACK_CELLS
+            assert code.num_keys * code.num_public == 2 * 2**phi_bits
+            rep = exact_evaluate(code, ch)
+            assert halves == calls
+            rows, expect = [(rep.error_probability, rep.leakage_bits)], \
+                [reference_exact(code, ch)]
+            if calls:
+                assert_rows_agree(rows, expect)
+            else:
+                assert rows == expect
 
 
 class TestWorkspace:
