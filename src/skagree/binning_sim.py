@@ -56,19 +56,16 @@ TABLE_BUDGET = 2**24  # most binning-table entries, |M|*|X|^n, of one code
 ENUM_BUDGET = 2**26   # most enumeration cells of one code
 _DECODE_BLOCK_CELLS = 2**22  # Monte-Carlo decodes at most this many cells at once
 # ensemble_average evaluates its codes in stacks of at most this many cells
-# (one code may exceed it).  A stack holds a float score store, reused for
-# the y- and then the z-scores, and a scratch store of the same size for the
-# partial products, the bin winners' loop tables, the error mask and the
-# leakage index (_evaluate_stack), plus its winner tables and leakage
-# joint; so peak RSS grows with it.  A code whose z-scores alone are over
-# it is a stack of its own, and its leakage joint is built from the two
-# halves of its blocklength, with no z-score table, unless the halves'
-# spread table would be the larger (_takes_halves).  The stores are one
-# _Workspace, made by one ensemble_averages call and reused by each of its
-# stacks.
+# (one code may exceed it).  A stack's arrays are its float y-scores with
+# their partial products, the bin winners' loop tables, the error mask, and
+# its z-scores, leakage index and leakage joint (_evaluate_stack); so peak
+# RSS grows with it.  A code whose z-scores alone are over it is a stack of
+# its own, and its leakage joint is built from the two halves of its
+# blocklength, with no z-score table, unless the halves' spread table would
+# be the larger (_takes_halves).
 _STACK_CELLS = 2**14
-# bytes per (pair, column) cell of _rank_winners' loop tables: float64 best
-# and candidate scores, intp winning rows and a bool mask
+# bytes per (pair, column) cell of the rank loop's tables (_block_winners):
+# float64 best and candidate scores, intp winning rows and a bool mask
 _RANK_CELL_BYTES = 25
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _TABLE_BITS = 62    # code sizes in the int64 codebook and bin tables
@@ -195,17 +192,18 @@ def _enumeration_cells(channel: DiscreteBroadcastChannel, n: int, m_x: int,
     score tables, m_x = |M|*|X|^n rows each, and its (k, phi, z^n) leakage
     joint.  Raises BudgetError when that is over ENUM_BUDGET.
 
-    The evaluation holds two stores of 8 bytes per cell of the wider score
-    table (_evaluate_stack): 1 GiB at ENUM_BUDGET = 2^26 score cells.
-    Without them the peak was 17 bytes per cell, 1088 MiB: the y-scores, an
-    int64 K_B gather and a bool mask, then the z-scores and an int64 leakage
-    index.  The bin winners' loop tables stay within the scores' bytes in
-    "scratch" (_rank_winners).  A leakage joint larger than the score
-    tables adds itself and its entropy terms, and a joint built from the
-    halves of the blocklength (_takes_halves) adds their spread table, at
-    most the size of the z-scores.  By tracemalloc, one binary n=9 code at
-    rates (0.1, r_phi, 0.3), 4,096 rows, peaks at 33.0 MiB at r_phi = 0
-    (|Phi| = 1, halves), 36.7 MiB at 0.6 (|Phi| = 64, halves: a 4 MiB
+    The evaluation makes each array where it is computed (_evaluate_stack).
+    Its direct leakage path holds the z-scores and their int64 bincount
+    index, 16 bytes per cell: 1 GiB at ENUM_BUDGET = 2^26 score cells.  The
+    y-scores are held with at most as many bytes again: their last partial
+    product (1/|X| of them), the bin winners' loop tables (in blocks within
+    the scores' bytes, _rank_winners), or the K_B of each row's bin and an
+    error mask.  A leakage joint larger than the score tables adds itself
+    and its entropy terms, and a joint built from the halves of the
+    blocklength (_takes_halves) needs no z-score table, only their spread
+    table, at most the size of the z-scores.  By tracemalloc, one binary
+    n=9 code at rates (0.1, r_phi, 0.3), 4,096 rows, peaks at 24.3 MiB at
+    r_phi = 0 (|Phi| = 1, halves) and at 0.6 (|Phi| = 64, halves: a 4 MiB
     spread table), 36.4 MiB at 1.0 (|Phi| = 512) and 140.1 MiB at 1.4
     (|Phi| = 8,192; the leakage joint)."""
     Y, Z = channel.alphabet_sizes[2:]
@@ -445,85 +443,22 @@ def index_sequence(idx: int, base: int, n: int) -> np.ndarray:
     return out
 
 
-class _Workspace:
-    """Scratch memory that one call reuses from stack to stack: the stores
-    "scores" and "scratch", the two ends of one byte buffer.  One buffer, not
-    two: two large blocks freed together at the top of the heap let the C
-    allocator return their pages to the system, and the next call faults
-    them in again.  A larger buffer replaces the buffer when a stack asks a
-    store for more than it holds.  array() views a store as an array that
-    is not initialized, so a caller writes every cell before it reads it.
-    Views of one store over the same bytes share them, so a caller uses
-    such views one at a time.  A view made before the buffer was replaced
-    keeps the old one.
-
-    _evaluate_stack's leakage takes one of two paths.  The direct one puts
-    the z-scores in "scores" and its bincount index in "scratch".  The
-    halves of the blocklength (_halves_joint) put the last letters'
-    z-scores in "scores" and the bincount's weights and index in
-    "scratch", then the first letters' z-scores in "scores"."""
-
-    def __init__(self):
-        self._sizes = {"scores": 0, "scratch": 0}
-        self._buffer = np.empty(0, dtype=np.uint8)
-
-    def reserve(self, **nbytes: int):
-        """Make each named store hold at least the given number of bytes."""
-        if any(size > self._sizes[name] for name, size in nbytes.items()):
-            for name, size in nbytes.items():
-                # whole cache lines, so "scratch" starts aligned for any dtype
-                self._sizes[name] = max(self._sizes[name], -(-size // 64) * 64)
-            self._buffer = None  # freed before its successor is allocated
-            self._buffer = np.empty(sum(self._sizes.values()), dtype=np.uint8)
-
-    def array(self, name: str, shape, dtype=np.float64, offset: int = 0):
-        """An uninitialized C-contiguous array of the given shape and dtype
-        over the bytes of the store name from offset on."""
-        dtype = np.dtype(dtype)
-        end = offset + math.prod(shape) * dtype.itemsize
-        if end > self._sizes[name]:
-            self.reserve(**{name: end})
-        if name == "scratch":
-            offset += self._sizes["scores"]
-        return np.ndarray(shape, dtype, self._buffer, offset)
-
-
 def _stacked_likelihoods(codewords: np.ndarray, table: np.ndarray,
-                         outputs: np.ndarray, work: Optional[_Workspace] = None):
+                         outputs: np.ndarray):
     """(C, |M|*|X|^n, D) array of prod_i table[s_i(m), x_i, outputs[i, d]]
     for each code of a (C, |M|, n) codeword stack, rows (m, x^n) in
     lexicographic order.  The product runs left to right over i and the
     result is C-contiguous: both fix the bits of the sums taken over it.
-
-    The result is a view of work's "scores" store (of a fresh workspace if
-    work is None).  The partial products alternate between the "scores"
-    and "scratch" stores, starting in whichever makes the last one land in
-    "scores", so "scratch" holds at most 1/|X| of the result.  Each is
-    written in full before the next step reads it.
     """
-    work = _Workspace() if work is None else work
     num_codes, num_m, n = codewords.shape
-    X, num_cols = table.shape[1], outputs.shape[1]
+    num_cols = outputs.shape[1]
     rows = num_codes * num_m
     letters = codewords.reshape(rows, n)
-    size = rows * num_cols
-    # The product of letters 0..i has size * X^(i+1) cells and goes to
-    # flats[(n - 1 - i) % 2], so the last one lands in "scores".
-    work.reserve(scores=8 * size * X**n,
-                 scratch=8 * size * X**(n - 1) if n > 1 else 0)
-    flats = (work.array("scores", (size * X**n,)),
-             work.array("scratch", (size * X**(n - 1),)) if n > 1 else None)
-    scores = flats[(n - 1) % 2][:size * X].reshape(rows, X, num_cols)
-    # letters and outputs index in range, so "clip" never clips; it spares
-    # the copy of out that the default mode makes
-    table.take(outputs[0], axis=2).take(letters[:, 0], axis=0, out=scores,
-                                        mode="clip")
+    scores = table.take(outputs[0], axis=2)[letters[:, 0]]  # (C*M, X, D)
     for i in range(1, n):
-        letter = table.take(outputs[i], axis=2)[letters[:, i]]  # (C*M, X, D)
-        product = flats[(n - 1 - i) % 2][:size * X**(i + 1)].reshape(
-            rows, X**i, X, num_cols)
-        np.multiply(scores[:, :, None, :], letter[:, None, :, :], out=product)
-        scores = product.reshape(rows, -1, num_cols)
+        letter = table.take(outputs[i], axis=2)[letters[:, i]]
+        scores = (scores[:, :, None, :] * letter[:, None, :, :]).reshape(
+            rows, -1, num_cols)
     return scores.reshape(num_codes, -1, num_cols)
 
 
@@ -551,12 +486,9 @@ def _likelihoods(code: SecretKeyCode, table: np.ndarray, outputs: np.ndarray):
     return _stacked_likelihoods(code.codewords[None], table, outputs)[0]
 
 
-def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int,
-                         work: Optional[_Workspace] = None):
+def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int):
     """(C, num_public, columns) array: the winning row of each code's bins
     per column, for (C, rows, columns) scores and (C, rows) public bins.
-    The loop's tables are views of work's "scratch" store (of a fresh
-    workspace if work is None), which must not hold scores.
 
     Each bin takes the first maximum over its own rows in their original
     order (smallest m, then lexicographically smallest x^n); an empty bin
@@ -580,31 +512,30 @@ def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int,
     keys = keys[order]
     counts = np.bincount(keys, minlength=num_codes * num_public)
     rank = np.arange(keys.size) - (np.cumsum(counts) - counts)[keys]
-    work = _Workspace() if work is None else work
     width = int(counts.max())
     if width**2 < scores.size:
-        winners = _rank_winners(scores, keys, order, rank, counts, work)
+        winners = _rank_winners(scores, keys, order, rank, counts)
     else:
         step = math.isqrt(width - 1) + 1  # ceil(sqrt(W))
         runs = -(-counts // step)  # of each pair
         first = np.cumsum(runs) - runs  # each pair's first run
         run = first[keys] + rank // step  # each listed row's run
         run_rows = _rank_winners(scores, run, order, rank % step,
-                                 np.bincount(run), work)
+                                 np.bincount(run))
         pair = np.repeat(np.arange(counts.size), runs)  # each run's pair
         base = num_rows * (pair // num_public)  # flat row 0 of its code
         run_best = np.take_along_axis(scores.reshape(-1, num_cols),
                                       run_rows + base[:, None], axis=0)
         listed = np.arange(pair.size)
         won = _rank_winners(run_best[None], pair, listed, listed - first[pair],
-                            runs, work)  # each pair's first maximal run
+                            runs)  # each pair's first maximal run
         winners = np.take_along_axis(run_rows, won, axis=0)
         winners[counts == 0] = 0
     return winners.reshape(num_codes, num_public, num_cols)
 
 
 def _rank_winners(scores: np.ndarray, keys: np.ndarray, order: np.ndarray,
-                  rank: np.ndarray, counts: np.ndarray, work: _Workspace):
+                  rank: np.ndarray, counts: np.ndarray):
     """(pairs, columns) array: the first maximum of each pair per column,
     as its row within its code, for (C, rows, columns) scores, the pair
     key, flat row index and rank of each row as the pairs list them, and
@@ -613,14 +544,9 @@ def _rank_winners(scores: np.ndarray, keys: np.ndarray, order: np.ndarray,
 
     An empty pair takes row 0 and a pair of one row takes that row.  The
     pairs of two or more rows are sorted fullest first, so the pairs
-    holding a rank form a prefix of them.  The rank-0 scores start a
-    table of the best scores; each later rank of every pair holding it is
-    taken in one gather and replaces the best only where it is strictly
-    greater, so the first maximum wins, in one step per rank of the
-    fullest pair.  The loop's tables are views of work's "scratch" store,
-    _RANK_CELL_BYTES per (pair, column) cell; the pairs go through it in
-    blocks whose tables fit in the scores' bytes, at most two as such a
-    pair holds at least two rows.
+    holding a rank form a prefix of them, and go through the rank loop
+    (_block_winners) in blocks whose tables fit in the scores' bytes, at
+    most two as such a pair holds at least two rows.
     """
     num_codes, num_rows, num_cols = scores.shape
     flat = scores.reshape(num_codes * num_rows, num_cols)
@@ -637,31 +563,44 @@ def _rank_winners(scores: np.ndarray, keys: np.ndarray, order: np.ndarray,
     listed = counts[keys] > 1
     ranked = np.argsort(rank[listed] * fullest.size + place[keys[listed]])
     rows, local = order[listed][ranked], local[listed][ranked]
-    holding = np.bincount(rank[listed]).tolist()  # pairs holding each rank
-    at = np.cumsum([0] + holding).tolist()
+    at = np.cumsum([0] + np.bincount(rank[listed]).tolist()).tolist()
     block = max(1, scores.nbytes // (_RANK_CELL_BYTES * num_cols))
     for lo in range(0, fullest.size, block):
         size = min(block, fullest.size - lo)
-        shape = (size, num_cols)
-        work.reserve(scratch=_RANK_CELL_BYTES * size * num_cols)
-        best = work.array("scratch", shape)
-        cand = work.array("scratch", shape, offset=best.nbytes)
-        win = work.array("scratch", shape, np.intp, offset=2 * best.nbytes)
-        better = work.array("scratch", shape, bool, offset=3 * best.nbytes)
-        # the rows index in range, so "clip" only spares a copy of out
-        flat.take(rows[lo:lo + size], axis=0, out=best, mode="clip")
-        np.copyto(win, local[lo:lo + size, None])
-        for j in range(1, len(holding)):
-            m = min(holding[j] - lo, size)  # the block's pairs holding rank j
-            if m <= 0:
-                break
-            now = slice(at[j] + lo, at[j] + lo + m)
-            flat.take(rows[now], axis=0, out=cand[:m], mode="clip")
-            np.greater(cand[:m], best[:m], out=better[:m])
-            np.maximum(best[:m], cand[:m], out=best[:m])
-            np.copyto(win[:m], local[now, None], where=better[:m])
-        winners[fullest[lo:lo + size]] = win
+        winners[fullest[lo:lo + size]] = _block_winners(flat, rows, local, at,
+                                                        lo, size)
     return winners
+
+
+def _block_winners(flat: np.ndarray, rows: np.ndarray, local: np.ndarray,
+                   at: list, lo: int, size: int):
+    """(size, columns) array: the first maximum per column of the pairs lo
+    .. lo + size - 1 of _rank_winners' fullest-first order, for (rows,
+    columns) scores flat and the listed rows rank by rank, as flat rows and
+    as rows within their codes (local); rank j of the pairs holding it is
+    rows[at[j]:at[j + 1]].
+
+    The rank-0 scores start a table of the best scores; each later rank of
+    every pair holding it is taken in one gather and replaces the best only
+    where it is strictly greater, so the first maximum wins, in one step
+    per rank of the fullest pair.  The loop's tables take _RANK_CELL_BYTES
+    per (pair, column) cell.
+    """
+    shape = (size, flat.shape[1])
+    best = flat[rows[lo:lo + size]]
+    win = local[lo:lo + size, None].repeat(shape[1], axis=1)
+    cand, better = np.empty(shape), np.empty(shape, bool)
+    for j in range(1, len(at) - 1):
+        m = min(at[j + 1] - at[j] - lo, size)  # the block's pairs holding rank j
+        if m <= 0:
+            break
+        now = slice(at[j] + lo, at[j] + lo + m)
+        # the rows index in range, so "clip" only spares a copy of out
+        flat.take(rows[now], axis=0, out=cand[:m], mode="clip")
+        np.greater(cand[:m], best[:m], out=better[:m])
+        np.maximum(best[:m], cand[:m], out=best[:m])
+        np.copyto(win[:m], local[now, None], where=better[:m])
+    return win
 
 
 def _bin_winners(scores: np.ndarray, pub_flat: np.ndarray, num_public: int):
@@ -710,14 +649,13 @@ def _takes_halves(n: int, X: int, Z: int, m_x: int, code_cells: int) -> bool:
 
 
 def _halves_joint(table_z: np.ndarray, z_seqs: np.ndarray,
-                  codewords: np.ndarray, cell: np.ndarray, code_cells: int,
-                  work: _Workspace):
+                  codewords: np.ndarray, cell: np.ndarray, code_cells: int):
     """(C, code_cells, Z^n1, Z^n2) leakage joint p(cell, z^n) of a stack of
     codes with (C, |M|*|X|^n) cells key*|Phi| + phi, built from the two
     halves of the blocklength, n1 = n // 2 and n2 = n - n1 letters, with
-    no (m, x^n, z^n) table.  The z-scores B ("tail", in "scores") of
-    (m, x2) on the last n2 letters are spread over every x1 as the weights
-    of one bincount, with its index in "scratch":
+    no (m, x^n, z^n) table.  The z-scores B ("tail") of (m, x2) on the
+    last n2 letters are spread over every x1 as the weights of one
+    bincount:
     D[(m, x1), c, z2] = sum over x2 of [cell(m, x1 x2) = c] * B[(m, x2), z2].
     The z-scores A ("head") of (m, x1) on the first n1 letters then give
     p(c, z1 z2) = (1/|M|) sum over (m, x1) of A[(m, x1), z1] D[(m, x1), c, z2]
@@ -729,17 +667,17 @@ def _halves_joint(table_z: np.ndarray, z_seqs: np.ndarray,
     rows = num_codes * num_m * X**n1  # (code, m, x1)
     # the first Z^k columns of z_seqs' last k rows list the k-letter z's
     tail = _stacked_likelihoods(codewords[:, :, n1:], table_z,
-                                z_seqs[n1:, :Z**n2], work)
-    weights = work.array("scratch", (rows, X**n2, Z**n2))
-    np.copyto(weights.reshape(-1, X**n1, X**n2, Z**n2),
-              tail.reshape(-1, 1, X**n2, Z**n2))
-    index = work.array("scratch", weights.shape, np.intp, offset=weights.nbytes)
+                                z_seqs[n1:, :Z**n2])
+    weights = np.broadcast_to(tail.reshape(-1, 1, X**n2 * Z**n2),
+                              (rows // X**n1, X**n1, X**n2 * Z**n2)).ravel()
+    del tail
     row_cell = np.arange(rows)[:, None] * code_cells + cell.reshape(rows, X**n2)
-    np.add((row_cell * Z**n2)[:, :, None], np.arange(Z**n2), out=index)
-    spread = np.bincount(index.ravel(), weights=weights.ravel(),
+    index = (row_cell * Z**n2)[:, :, None] + np.arange(Z**n2)
+    spread = np.bincount(index.ravel(), weights=weights,
                          minlength=rows * code_cells * Z**n2)
+    del weights, index
     head = _stacked_likelihoods(codewords[:, :, :n1], table_z,
-                                z_seqs[n2:, :Z**n1], work)
+                                z_seqs[n2:, :Z**n1])
     head /= num_m
     # summed into (code, z1, c, z2), whose last two axes make a long inner
     # loop, and then moved to (code, c, z1, z2)
@@ -748,8 +686,7 @@ def _halves_joint(table_z: np.ndarray, z_seqs: np.ndarray,
 
 
 def _evaluate_stack(tables, codewords: np.ndarray, key: np.ndarray,
-                    pub: np.ndarray, num_k: int, num_phi: int,
-                    work: Optional[_Workspace] = None):
+                    pub: np.ndarray, num_k: int, num_phi: int):
     """[(error, leakage)] of each code of a stack, by full enumeration: (C,
     |M|, n) codewords and (C, |M|*|X|^n) key and public bins, rows (m, x^n)
     in lexicographic order, of codes with |K| = num_k and |Phi| = num_phi,
@@ -762,37 +699,28 @@ def _evaluate_stack(tables, codewords: np.ndarray, key: np.ndarray,
     path: its z-scores, divided by |M|, summed by one bincount.  The errors
     never depend on the path.
 
-    work (a fresh _Workspace if None) holds two stores of 8 bytes per cell
-    of the wider score table: "scores", for the y- and then the z-scores,
-    and "scratch", for in turn the partial products of the y-scores, the
-    bin winners' loop tables (which fit in the scores' bytes), the K_B
-    gather and error mask, the partial products of the z-scores and the
-    leakage path's bincount arrays."""
-    work = _Workspace() if work is None else work
+    Every array is made where it is computed and dropped once read: the
+    y-scores, the bin winners' loop tables (which fit in the scores'
+    bytes), the K_B of each row's public bin and the error mask, and then
+    the leakage path's z-scores or halves and its bincount arrays."""
     (table_y, y_seqs), (table_z, z_seqs) = tables
     y_cols, z_cols = y_seqs.shape[1], z_seqs.shape[1]
     num_codes, num_m, n = codewords.shape
     code_idx = np.arange(num_codes)[:, None]
-    cells = key.size * max(y_cols, z_cols)  # of the wider score table
-    work.reserve(scores=8 * cells, scratch=8 * cells)
 
     # Decode table: K_B for every (code, phi, y^n).
-    score_y = _stacked_likelihoods(codewords, table_y, y_seqs, work)
-    winners = _stacked_bin_winners(score_y, pub, num_phi, work)
+    score_y = _stacked_likelihoods(codewords, table_y, y_seqs)
+    winners = _stacked_bin_winners(score_y, pub, num_phi)
     narrow = np.min_scalar_type(num_k - 1)  # holds every key index
     k_b = key[code_idx[:, :, None], winners].astype(narrow)
     del winners
-    # The K_B of each row's public bin, then the error mask, in "scratch"
-    # (the bins are in range, so "clip" only spares a copy of out).
-    gather = work.array("scratch", score_y.shape, narrow)
-    np.take(k_b.reshape(-1, y_cols), (pub + num_phi * code_idx).ravel(), axis=0,
-            out=gather.reshape(-1, y_cols), mode="clip")
-    mask = work.array("scratch", score_y.shape, bool, offset=gather.nbytes)
-    np.not_equal(key.astype(narrow)[:, :, None], gather, out=mask)
-    np.multiply(score_y, mask, out=score_y)
+    # The K_B of each row's public bin, then the error mask.
+    gather = k_b.reshape(-1, y_cols)[(pub + num_phi * code_idx).ravel()]
+    score_y *= key.astype(narrow)[:, :, None] != gather.reshape(score_y.shape)
+    del gather
     # one pairwise sum per code's contiguous scores, as score_y[c].sum()
     errors = (score_y.reshape(num_codes, -1).sum(axis=1) / num_m).tolist()
-    del score_y, gather, mask
+    del score_y
     if num_k == 1:  # a single key leaks nothing
         return [(error, 0.0) for error in errors]
 
@@ -800,17 +728,15 @@ def _evaluate_stack(tables, codewords: np.ndarray, key: np.ndarray,
     code_cells = num_k * num_phi
     cell = key * num_phi + pub
     if _takes_halves(n, *table_z.shape[1:], key.shape[1], code_cells):
-        joint = _halves_joint(table_z, z_seqs, codewords, cell, code_cells, work)
+        joint = _halves_joint(table_z, z_seqs, codewords, cell, code_cells)
     else:
-        score_z = _stacked_likelihoods(codewords, table_z, z_seqs, work)
+        score_z = _stacked_likelihoods(codewords, table_z, z_seqs)
         score_z /= num_m
-        index = work.array("scratch", score_z.shape, np.intp)
-        np.add(((cell + code_cells * code_idx) * z_cols)[:, :, None],
-               np.arange(z_cols), out=index)
+        index = ((cell + code_cells * code_idx) * z_cols)[:, :, None] \
+            + np.arange(z_cols)
         joint = np.bincount(index.ravel(), weights=score_z.ravel(),
                             minlength=num_codes * code_cells * z_cols)
         del score_z, index
-    del work  # a workspace made here is freed before the MI
     # H(K) + H(Phi,Z^n) - H(K,Phi,Z^n) rounds a few ulps to either side of
     # I(K;Phi,Z^n) >= 0.  The joint is built from a validated channel and
     # code, so it is not checked again.
@@ -1174,9 +1100,9 @@ def _minimized_bounds(channel, inp, n_list, rates) -> list:
 
 
 def _codebook_rows(channel: DiscreteBroadcastChannel, inp: Pmf, n: int,
-                   rates: RatePoint, num_codebooks: int, seed, work: _Workspace):
+                   rates: RatePoint, num_codebooks: int, seed):
     """[(error, leakage)] of num_codebooks codebooks at blocklength n, each
-    by exact enumeration, with the stacks' stores in work.
+    by exact enumeration.
 
     seed is wrapped in a SeedSequence if it is not one.  Codebook i is
     drawn from its child n_children_spawned + i, the child that
@@ -1190,9 +1116,7 @@ def _codebook_rows(channel: DiscreteBroadcastChannel, inp: Pmf, n: int,
     second spawn-key word), else ValueError.  The codebooks are drawn
     straight into stacked tables and evaluated in stacks of about
     _STACK_CELLS cells; every row equals exact_evaluate on
-    generate_code(..., child i).  The stacks share work's float score store
-    and scratch store, which grow only when a stack needs more than an
-    earlier one (_evaluate_stack)."""
+    generate_code(..., child i)."""
     num_codebooks = _positive_int(num_codebooks, "num_codebooks")
     seq = _seed_sequence(seed)
     num_m, num_phi, num_k, width = _table_sizes(channel, n, rates, inp)
@@ -1214,8 +1138,7 @@ def _codebook_rows(channel: DiscreteBroadcastChannel, inp: Pmf, n: int,
         codewords, key, pub = _draw_tables(bit_gen, states, cdf, n, num_m,
                                            width, num_k, num_phi)
         _check_bins(key, num_k, pub, num_phi)
-        rows += _evaluate_stack(tables, codewords, key, pub, num_k, num_phi,
-                                work)
+        rows += _evaluate_stack(tables, codewords, key, pub, num_k, num_phi)
     return rows
 
 
@@ -1255,8 +1178,7 @@ def ensemble_average(channel: DiscreteBroadcastChannel, inp: Pmf,
     the 3*sigma/sqrt(N) slack terms, per-codebook rows, and pass verdicts.
     Codebook i is drawn from child n_children_spawned + i of seed (a
     SeedSequence or what one is made from), as _codebook_rows describes.
-    This is ensemble_averages at one blocklength: the codebook rows, with
-    one workspace made by this call and dropped when it returns, and the
+    This is ensemble_averages at one blocklength: the codebook rows and the
     bound check, each bound decided at an edge of its domain when it peaks
     there (_error_edge, _leakage_edge) and searched otherwise
     (_minimized_bounds).
@@ -1268,18 +1190,16 @@ def ensemble_averages(channel: DiscreteBroadcastChannel, inp: Pmf, n_list,
                       rates: RatePoint, num_codebooks: int, seeds) -> list:
     """ensemble_average at each blocklength of n_list with the seed of equal
     position in seeds, result for result and bit for bit.  The codebook
-    rows of every n are drawn and evaluated first, each n's stacks in one
-    workspace made by this call; then the bounds minimized at an edge are
-    decided from one reliability threshold and one set of critical rates,
-    and the other bound searches of the call run in one lane set
-    (_minimized_bounds).  A blocklength that
-    fails a check (TABLE_BUDGET, ENUM_BUDGET) raises before any later n is
-    drawn, with the message ensemble_average gives."""
+    rows of every n are drawn and evaluated first; then the bounds minimized
+    at an edge are decided from one reliability threshold and one set of
+    critical rates, and the other bound searches of the call run in one
+    lane set (_minimized_bounds).  A blocklength that fails a check
+    (TABLE_BUDGET, ENUM_BUDGET) raises before any later n is drawn, with
+    the message ensemble_average gives."""
     if len(seeds) != len(n_list):
         raise ValueError("ensemble_averages needs one seed per blocklength, "
                          "got %d for %d" % (len(seeds), len(n_list)))
-    work = _Workspace()
-    rows = [_codebook_rows(channel, inp, n, rates, num_codebooks, seed, work)
+    rows = [_codebook_rows(channel, inp, n, rates, num_codebooks, seed)
             for n, seed in zip(n_list, seeds)]
     return [_bound_check(n_rows, n_bounds) for n_rows, n_bounds in
             zip(rows, _minimized_bounds(channel, inp, n_list, rates))]

@@ -391,10 +391,8 @@ def cmd_verify_bounds(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser(only=None) -> argparse.ArgumentParser:
-    """The skagree parser.  Every subcommand is listed with its help text, so
-    the top-level help and usage are the same either way; with ``only``, a
-    command name, only that subcommand gets its flags."""
+def build_parser() -> argparse.ArgumentParser:
+    """The skagree parser, every subcommand with its help text and flags."""
     parser = argparse.ArgumentParser(
         prog="skagree",
         description="Secret-key capacities, exponents, and binning simulations "
@@ -405,13 +403,12 @@ def build_parser(only=None) -> argparse.ArgumentParser:
         """A subcommand that parses only the flag groups it reads, plus --out
         and then its own ``extra`` flags."""
         p = sub.add_parser(name, help=help)
-        if only in (None, name):
-            for add in flag_groups:
-                add(p)
-            p.add_argument("--out", help="output path (default: stdout)")
-            if extra:
-                extra(p)
-            p.set_defaults(func=func)
+        for add in flag_groups:
+            add(p)
+        p.add_argument("--out", help="output path (default: stdout)")
+        if extra:
+            extra(p)
+        p.set_defaults(func=func)
 
     def discrete(p):  # a channel file or the on-off law
         _add_source_flags(p, ["binary-onoff"])
@@ -467,19 +464,18 @@ def build_parser(only=None) -> argparse.ArgumentParser:
     return parser
 
 
-# One parser per command name (None: the whole parser), kept for the
-# process's later main calls; a name is stored only once a call parsed.
-_PARSERS = {}
+# The parser, built by the process's first main call and kept for its later
+# ones.
+_PARSER = None
 
 
 def main(argv=None) -> int:
+    global _PARSER
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a command comes first; after an option such as --help or "--" the
-    # whole parser is built
-    only = argv[0] if argv and not argv[0].startswith("-") else None
-    parser = _PARSERS.get(only) or build_parser(only)
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
-    _PARSERS[only] = parser
     if hasattr(args, "family"):  # commands with a channel-source choice
         unread = _unread_source_flags(args)
         if unread:

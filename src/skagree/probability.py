@@ -12,11 +12,8 @@ error of order log2(width) * eps, a few ulps of the ``fsum`` value (tests
 allow 1e-14 bits), and bit-identical for a given row on one machine and
 numpy build.
 
-Mass validation gives the verdict and message of an ``fsum`` total for
-every row.  A wide row is first screened by its numpy sum, whose error
-bound is far inside the screen's margin, so only rows the screen cannot
-clear are summed with ``fsum``.  The conditional kernel stacks all its
-conditioning slabs and makes one pass over them.
+Mass validation sums every row with ``fsum``.  The conditional kernel
+stacks all its conditioning slabs and makes one pass over them.
 
 Each probability array is validated once, where it enters: by ``Pmf`` and
 ``JointPmf``, by the public kernels ``entropy``, ``mutual_information(_rows)``
@@ -47,39 +44,19 @@ class PmfError(ValueError):
 # 9.9 us for one of 128, and 3,716 against 87 us for 60 rows of 512.
 _WIDE_ROW_CELLS = 64
 
-# numpy sums each row of a C-ordered (G, n) array pairwise: 8 running sums
-# over blocks of at most 128 cells, halved recursively above that.  Each
-# term is rounded at most 24 + ceil(log2(n / 128)) times, so a row of n <=
-# 2**27 nonnegative cells sums to within 5e-15 * sum of its exact sum.  The
-# mass screen's margin is 20 times that, and it stays above the bound for
-# any row numpy can allocate.
-_SCREEN_MARGIN = 1e-13
-
 
 def _validate_rows(rows: np.ndarray) -> None:
     """Probability-mass checks on each row of a 2-D array: every entry is
     finite and nonnegative, and each row sums to 1 within MASS_TOL.
 
-    The verdicts and messages are those of each row's ``math.fsum`` total.
-    A row of more than ``_WIDE_ROW_CELLS`` cells is screened first: one
-    numpy row sum over a C-ordered copy (pairwise, see ``_SCREEN_MARGIN``)
-    clears a row whose sum lies within MASS_TOL - ``_SCREEN_MARGIN`` of 1.
-    Its exact total is then within MASS_TOL of 1 and fsum's would pass, so
-    only the rows the screen leaves (a non-finite or off sum) are summed
-    with fsum, in order, and checked as before."""
+    Each row is summed with ``math.fsum``; a total that overflows, or else
+    the first one off, gives the message."""
     if rows.size < 1:
         raise PmfError("empty probability array")
     if not np.minimum.reduce(rows, axis=None) >= 0.0:  # also false for NaN
         if np.isnan(rows).any():
             raise PmfError("non-finite probability entry")
         raise PmfError("negative probability entry: min=%r" % float(rows.min()))
-    if rows.shape[1] > _WIDE_ROW_CELLS:
-        with np.errstate(over="ignore"):  # an overflowing row goes to fsum
-            sums = np.ascontiguousarray(rows).sum(axis=1)
-        unclear = np.abs(sums - 1.0) > MASS_TOL - _SCREEN_MARGIN  # also inf
-        if not unclear.any():
-            return
-        rows = rows[unclear]
     try:
         totals = list(map(math.fsum, rows.tolist()))
     except OverflowError:  # fsum's partial sums left the float range

@@ -23,23 +23,19 @@ from skagree import (
     mlmap_decode,
     monte_carlo_evaluate,
     reliability_objective,
-    save_channel,
     secrecy_objective,
 )
 from skagree import binning_sim, probability
 from skagree.binning_sim import (
-    _Workspace,
     _bin_winners,
     _evaluate_stack,
     _likelihoods,
     _score_tables,
-    _stacked_likelihoods,
     _size_bits,
     index_sequence,
     sequence_index,
 )
 from skagree.capacity import golden_section_max
-from skagree.cli import main
 from skagree.exponents import (
     _EDGE_MARGIN,
     ALPHA_MIN,
@@ -591,9 +587,9 @@ def rank_levels(monkeypatch):
     rank_winners = binning_sim._rank_winners
     bin_winners = binning_sim._stacked_bin_winners
 
-    def level(scores, keys, order, rank, counts, work):
+    def level(scores, keys, order, rank, counts):
         levels[-1].append(int(counts.max()))
-        return rank_winners(scores, keys, order, rank, counts, work)
+        return rank_winners(scores, keys, order, rank, counts)
 
     def call(*args):
         levels.append([])
@@ -674,29 +670,29 @@ class TestBinWinners:
                 assert len(levels[-1]) == 2 and max(levels[-1]) <= step
         assert {len(calls) for calls in levels} == {1, 2}
 
-    def test_rank_tables_fit_in_the_scores(self):
+    def test_rank_tables_fit_in_the_scores(self, monkeypatch):
         # bins of two rows: the pairs' tables would need 25/16 of the
         # scores' bytes, so the rank loop takes them in two blocks; and
         # one public bin of 40 rows, cut into runs of 7 ranks
         rng = np.random.default_rng(119)
         pub = np.stack([rng.permutation(np.arange(40) // 2) for _ in range(3)])
         pub[1, pub[1] == 7] = 8  # one bin of four rows and one empty bin
-        reserved = []
+        tables = []  # the bytes of each block's loop tables
+        block_winners = binning_sim._block_winners
 
-        class Recording(_Workspace):
-            def reserve(self, **nbytes):
-                reserved.append(nbytes["scratch"])
-                super().reserve(**nbytes)
+        def spy(flat, rows, local, at, lo, size):
+            tables.append(binning_sim._RANK_CELL_BYTES * size * flat.shape[1])
+            return block_winners(flat, rows, local, at, lo, size)
 
+        monkeypatch.setattr(binning_sim, "_block_winners", spy)
         for pub, num_public in ((pub, 20), (np.zeros_like(pub), 1)):
             for scores in (rng.random((3, 40, 3)), rng.integers(0, 3, (3, 40, 3)) / 2.0):
-                got = binning_sim._stacked_bin_winners(scores, pub, num_public,
-                                                       Recording())
+                got = binning_sim._stacked_bin_winners(scores, pub, num_public)
                 assert np.array_equal(
                     got, first_maximum_oracle(scores, pub, num_public))
                 # two blocks of one level, or one block of each of two
-                assert len(reserved) == 2 and max(reserved) <= scores.nbytes
-                reserved.clear()
+                assert len(tables) == 2 and max(tables) <= scores.nbytes
+                tables.clear()
 
 
 class TestExactEvaluate:
@@ -757,7 +753,8 @@ class TestExactEvaluate:
 
     def test_one_public_bin_peak_memory(self):
         # |Phi| = 1: the bin winners copy no cells-sized table, so the
-        # peak is the two 8-byte stores per score cell and small tables
+        # peak is the y-scores, the rank loop's tables (at most the scores'
+        # bytes) and small tables
         ch = random_binary_channel(np.random.default_rng(120))
         code = generate_code(ch, 8, RatePoint(0.1, 0.0, 0.3), UNIFORM, seed=5)
         assert code.num_public == 1
@@ -768,6 +765,23 @@ class TestExactEvaluate:
         finally:
             tracemalloc.stop()
         assert peak <= 17 * code.key_bins.size * 2**8
+
+    def test_halves_code_peak_memory(self):
+        # |Y| = 2, |Z| = 3 at n = 7: 1,024 rows, whose z-scores would take
+        # 17.9 MB.  The leakage joint comes from the halves of the
+        # blocklength, so nothing is sized by the z-scores.
+        ch = random_channel(np.random.default_rng(121), (2, 2, 2, 3))
+        code = generate_code(ch, 7, RatePoint(0.1, 0.6, 0.3), UNIFORM, seed=5)
+        assert code.key_bins.size == 1024
+        assert binning_sim._takes_halves(7, 2, 3, code.key_bins.size,
+                                         code.num_keys * code.num_public)
+        tracemalloc.start()
+        try:
+            exact_evaluate(code, ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_report_fields(self):
         rng = np.random.default_rng(79)
@@ -1537,8 +1551,8 @@ class TestEnsembleAverage:
         assert a[2]["error_ok"] and a[2]["leakage_ok"]
 
     def test_several_blocklengths_equal_one_at_a_time(self):
-        # one workspace and one lane set of bound searches for the call,
-        # yet every result is ensemble_average's at its n and seed
+        # one lane set of bound searches for the call, yet every result is
+        # ensemble_average's at its n and seed
         ch = random_degraded_binary_channel(np.random.default_rng(95))
         rates = RatePoint(r_sk=0.2, r_phi=0.6, r_m=0.0)
         n_list, seeds = [1, 4, 2], [11, np.random.SeedSequence(12), 13]
@@ -1576,11 +1590,12 @@ class TestStackedBitIdentity:
     # |M| > 1 in most cases; r_phi > log2|X| + r_m leaves public bins empty;
     # at n=5 with binary letters a stack holds 16 codes, so 37 codebooks
     # cross two stack boundaries; n=6 at |M|=4 and n=8 at |M|=8 are one code
-    # per stack, so the second stack reuses the first one's workspace.  Of
-    # the last three, n=5 at |Phi| = 32 has bins of a few rows each, |Y| !=
-    # |Z| at |Phi| = 32 > |M|*|X|^n = 8, and n=6 at |Phi| = 1 puts 256 rows
-    # in one bin, which _stacked_bin_winners cuts into runs (256^2 >= its
-    # 16,384 cells).
+    # per stack.  Of the next three, n=5 at |Phi| = 32 has bins of a few
+    # rows each, |Y| != |Z| at |Phi| = 32 > |M|*|X|^n = 8, and n=6 at |Phi|
+    # = 1 puts 256 rows in one bin, which _stacked_bin_winners cuts into
+    # runs (256^2 >= its 16,384 cells).  The last three are a ternary
+    # channel (|X| = |Z| = 3, |Y| = 2) at n = 1, with no product step, and
+    # at n = 2 and 3.
     CASES = [
         ((2, 2, 2, 2), False, 1, (0.5, 1.0, 1.0), 40),
         ((3, 2, 3, 2), False, 3, (0.4, 0.7, 0.4), 9),
@@ -1596,6 +1611,9 @@ class TestStackedBitIdentity:
         ((2, 2, 2, 2), False, 5, (0.2, 1.0, 0.0), 20),
         ((2, 2, 3, 2), True, 2, (0.5, 2.5, 0.5), 9),
         ((2, 2, 2, 2), True, 6, (0.2, 0.0, 0.2), 3),
+        ((2, 3, 2, 3), False, 1, (0.5, 1.0, 0.5), 4),
+        ((2, 3, 2, 3), False, 2, (0.5, 1.0, 0.5), 4),
+        ((2, 3, 2, 3), False, 3, (0.5, 1.0, 0.5), 4),
     ]
 
     def test_rows_match_per_code_reference(self, monkeypatch):
@@ -1632,19 +1650,33 @@ class TestStackedBitIdentity:
         assert {len(calls) for calls in levels} == {1, 2}
 
     def test_stack_size_does_not_change_rows(self, monkeypatch):
-        # stacks of 1, 2, 3 and all 8 codes give the same rows
-        ch = quantized_channel(np.random.default_rng(97), (3, 2, 3, 2))
-        rates = RatePoint(r_sk=0.4, r_phi=0.7, r_m=0.4)
-        inp = Pmf.uniform(3)
-        cells = 4 * 2**3 * 3**3  # |M| * |X|^n * |Y|^n at n=3
-        rows = []
-        for stack in (1, 2, 3, 8):
-            monkeypatch.setattr(binning_sim, "_STACK_CELLS", stack * cells)
-            rows.append(ensemble_average(ch, inp, 3, rates, 8, 5)[2]["per_codebook"])
-        assert rows[0] == rows[1] == rows[2] == rows[3]
-        expect = [reference_exact(generate_code(ch, 3, rates, inp, child), ch)
-                  for child in np.random.SeedSequence(5).spawn(8)]
-        assert rows[0] == expect
+        # stacks of 1, 2, 3 and all the codes give the reference's rows.
+        # The binary cases: |Phi| = 4 bins of 16 rows at n = 3, 32 bins for
+        # 32 rows at n = 5, and |Phi| = 1 at n = 3, whose 16-row bins are
+        # cut into runs of 4 ranks in stacks of one or two codes.
+        levels = rank_levels(monkeypatch)
+        binary = random_binary_channel(np.random.default_rng(113))
+        cases = [
+            (quantized_channel(np.random.default_rng(97), (3, 2, 3, 2)), 3,
+             RatePoint(r_sk=0.4, r_phi=0.7, r_m=0.4), 8, 5),
+            (binary, 3, RATES, 6, 4),
+            (binary, 5, RatePoint(0.2, 1.0, 0.0), 6, 4),
+            (binary, 3, RatePoint(0.25, 0.0, 0.25), 6, 4),
+        ]
+        for ch, n, rates, count, seed in cases:
+            inp = Pmf.uniform(ch.alphabet_sizes[0])
+            num_m, num_phi, num_k = binning_sim._code_sizes(n, rates)
+            cells = binning_sim._enumeration_cells(
+                ch, n, num_m * ch.alphabet_sizes[1]**n, num_k, num_phi)
+            rows = []
+            for stack in (1, 2, 3, count):
+                monkeypatch.setattr(binning_sim, "_STACK_CELLS", stack * cells)
+                rows.append(ensemble_average(ch, inp, n, rates, count, seed)[2][
+                    "per_codebook"])
+            expect = [reference_exact(generate_code(ch, n, rates, inp, child), ch)
+                      for child in np.random.SeedSequence(seed).spawn(count)]
+            assert rows == [expect] * 4, (n, rates)
+        assert {len(calls) for calls in levels} == {1, 2}
 
 
 # bits: a leakage whose joint is built from the halves of the blocklength
@@ -1663,6 +1695,14 @@ def halves_calls(monkeypatch):
 
     monkeypatch.setattr(binning_sim, "_halves_joint", spy)
     return calls
+
+
+def stacked(codes):
+    """(codewords, key, pub, |K|, |Phi|) of codes of one size, stacked."""
+    return (np.stack([c.codewords for c in codes]),
+            np.stack([c.key_bins.ravel() for c in codes]),
+            np.stack([c.public_bins.ravel() for c in codes]),
+            codes[0].num_keys, codes[0].num_public)
 
 
 def assert_rows_agree(rows, expect):
@@ -1694,7 +1734,7 @@ class TestHalvesJoint:
                 rng, (S, X, Y, Z))
             codes = [generate_code(ch, n, rates, Pmf.uniform(S), int(seed))
                      for seed in rng.integers(1 << 30, size=2)]
-            tables, stack = _score_tables(ch, n), TestWorkspace.stack(codes)
+            tables, stack = _score_tables(ch, n), stacked(codes)
             monkeypatch.setattr(binning_sim, "_STACK_CELLS", 2**62)
             expect = _evaluate_stack(tables, *stack)
             monkeypatch.setattr(binning_sim, "_STACK_CELLS", 0)
@@ -1738,119 +1778,3 @@ class TestHalvesJoint:
                 assert_rows_agree(rows, expect)
             else:
                 assert rows == expect
-
-
-class TestWorkspace:
-    """A workspace left over from earlier stacks gives the bits of a fresh
-    one: every cell of it is written before it is read."""
-
-    @staticmethod
-    def poison(work):
-        # all-ones bytes read as NaN floats, True masks and index -1
-        work._buffer.fill(255)
-
-    @staticmethod
-    def codes(channel, n, rates, count, seed):
-        return [generate_code(channel, n, rates, Pmf.uniform(2), child)
-                for child in np.random.SeedSequence(seed).spawn(count)]
-
-    @staticmethod
-    def stack(codes):
-        """(codewords, key, pub, |K|, |Phi|) of codes of one size, stacked."""
-        return (np.stack([c.codewords for c in codes]),
-                np.stack([c.key_bins.ravel() for c in codes]),
-                np.stack([c.public_bins.ravel() for c in codes]),
-                codes[0].num_keys, codes[0].num_public)
-
-    def test_stale_workspace_gives_fresh_bits(self):
-        # n = 1 has no product step; n = 2 and 3 start the alternating
-        # products in either store.  The ternary channel (|Y| = 2, |Z| = 3)
-        # sizes the stores by Z^n, and its n = 4 call leaves a workspace
-        # larger than any later call needs.
-        rng = np.random.default_rng(112)
-        channel = ternary_channel(rng)
-        rates = RatePoint(r_sk=0.5, r_phi=1.0, r_m=0.5)
-        leftover = _Workspace()
-        _evaluate_stack(_score_tables(channel, 4),
-                        *self.stack(self.codes(channel, 4, rates, 3, 0)), leftover)
-        for n in (1, 2, 3):
-            codes = self.codes(channel, n, rates, 4, n)
-            codewords, key, pub, num_k, num_phi = self.stack(codes)
-            outputs = np.indices((3,) * n).reshape(n, -1)
-            table = marginal_channel(channel, "xz")
-            expect = _stacked_likelihoods(codewords, table, outputs)
-            tables = _score_tables(channel, n)
-            rows = _evaluate_stack(tables, codewords, key, pub, num_k, num_phi)
-            assert rows == [reference_exact(code, channel) for code in codes]
-            reused = _Workspace()
-            _evaluate_stack(tables, codewords, key, pub, num_k, num_phi, reused)
-            for work in (reused, leftover):
-                self.poison(work)
-                got = _stacked_likelihoods(codewords, table, outputs, work)
-                assert got.tobytes() == expect.tobytes(), n
-                self.poison(work)
-                assert _evaluate_stack(tables, codewords, key, pub, num_k,
-                                       num_phi, work) == rows, n
-
-    @staticmethod
-    def one_workspace_rows(monkeypatch, n, rates):
-        """6 codebooks in stacks of 2: one workspace, whose buffer is
-        allocated once, for the first stack, and never replaced."""
-        made, buffers = [], []
-
-        class CountingWorkspace(_Workspace):
-            def __init__(self):
-                super().__init__()
-                made.append(self)
-
-            def reserve(self, **nbytes):
-                super().reserve(**nbytes)
-                if not any(b is self._buffer for b in buffers):
-                    buffers.append(self._buffer)
-
-        ch = random_binary_channel(np.random.default_rng(113))
-        num_m, _, _ = binning_sim._code_sizes(n, rates)
-        cells = num_m * 2**n * 2**n  # |M| * |X|^n * |Y|^n
-        monkeypatch.setattr(binning_sim, "_STACK_CELLS", 2 * cells)
-        monkeypatch.setattr(binning_sim, "_Workspace", CountingWorkspace)
-        rows = ensemble_average(ch, UNIFORM, n, rates, 6, 4)[2]["per_codebook"]
-        assert len(made) == 1 and len(buffers) == 1
-        expect = [reference_exact(generate_code(ch, n, rates, UNIFORM, child), ch)
-                  for child in np.random.SeedSequence(4).spawn(6)]
-        assert rows == expect
-
-    def test_one_workspace_per_ensemble_call(self, monkeypatch):
-        # |Phi| = 4 bins of 16 rows
-        self.one_workspace_rows(monkeypatch, 3, RATES)
-
-    def test_one_workspace_per_simulate_call(self, monkeypatch, tmp_path):
-        # the stacks of every blocklength share the call's one workspace
-        made, stacks = [], []
-
-        class CountingWorkspace(_Workspace):
-            def __init__(self):
-                super().__init__()
-                made.append(self)
-
-            def reserve(self, **nbytes):
-                stacks.append(self)
-                super().reserve(**nbytes)
-
-        monkeypatch.setattr(binning_sim, "_Workspace", CountingWorkspace)
-        path = tmp_path / "ch.json"
-        save_channel(random_binary_channel(np.random.default_rng(114)), path)
-        rc = main(["simulate", "--channel", str(path), "--rsk-rate", "0.25",
-                   "--rphi-rate", "0.5", "--rm-rate", "0.25", "--n", "1:4",
-                   "--codebooks", "6", "--seed", "4", "--out", str(tmp_path / "s.csv")])
-        assert rc in (0, 1)
-        assert len(made) == 1 and len(stacks) >= 4 and set(stacks) == set(made)
-
-    def test_one_workspace_when_decoded_by_rank(self, monkeypatch):
-        # |Phi| = 32 bins for 32 rows
-        self.one_workspace_rows(monkeypatch, 5, RatePoint(0.2, 1.0, 0.0))
-
-    def test_one_workspace_when_bins_are_cut(self, monkeypatch):
-        # |Phi| = 1: a stack of two 16-row codes, cut into runs of 4 ranks
-        levels = rank_levels(monkeypatch)
-        self.one_workspace_rows(monkeypatch, 3, RatePoint(0.25, 0.0, 0.25))
-        assert levels and all(len(calls) == 2 for calls in levels)

@@ -676,8 +676,6 @@ def test_readme_cli_calls_parse():
     parser = build_parser()
     for argv in calls:
         assert parser.parse_args(argv).command == argv[0]
-        # the parser main builds for the call parses it the same way
-        assert build_parser(argv[0]).parse_args(argv) == parser.parse_args(argv)
     assert {argv[0] for argv in calls} == {
         "capacity", "upper-bound", "sweep-gaussian", "sweep-binary",
         "exponents", "simulate", "verify-bounds"}
@@ -701,8 +699,7 @@ def test_readme_library_snippet_runs():
     ["exponents", "--rsk", "1"], ["simulate", "--seed", "x"],
     ["upper-bound", "--q", "0.5"]])
 def test_help_and_usage_errors_match_the_whole_parser(argv, capsys):
-    # main builds only the named command's flags; what it prints is what
-    # the parser with every command's flags prints
+    # what main prints is what a freshly built parser prints
     with pytest.raises(SystemExit) as whole:
         args = build_parser().parse_args(argv)
         build_parser().error(skagree.cli._unread_source_flags(args))
@@ -715,24 +712,28 @@ def test_help_and_usage_errors_match_the_whole_parser(argv, capsys):
 
 def test_main_reuses_one_parser_per_command(degraded_channel_file, tmp_path,
                                             monkeypatch):
+    # one parser for the process: built by the first main call and reused
+    # by every later one, whatever its command
     built = []
 
-    def counting_build_parser(only=None):
-        built.append(only)
-        return build_parser(only)
+    def counting_build_parser():
+        built.append(build_parser())
+        return built[-1]
 
-    monkeypatch.setattr(skagree.cli, "_PARSERS", {}, raising=False)
+    monkeypatch.setattr(skagree.cli, "_PARSER", None)
     monkeypatch.setattr(skagree.cli, "build_parser", counting_build_parser)
     outs = [tmp_path / "first.json", tmp_path / "second.json"]
     for out in outs:
         assert main(["upper-bound", "--channel", degraded_channel_file,
                      "--out", str(out)]) == 0
-    assert built == ["upper-bound"]
     assert outs[0].read_bytes() == outs[1].read_bytes()
-    # an unknown command is refused and leaves no parser behind
-    with pytest.raises(SystemExit):
+    assert main(["capacity", "--family", "binary-onoff",
+                 "--out", str(tmp_path / "capacity.json")]) == 0
+    # an unknown command still exits 2, and the parser stays
+    with pytest.raises(SystemExit) as refused:
         main(["bogus"])
-    assert list(skagree.cli._PARSERS) == ["upper-bound"]
+    assert refused.value.code == 2
+    assert len(built) == 1 and skagree.cli._PARSER is built[0]
 
 
 def test_imports_and_an_upper_bound_load_no_scipy():

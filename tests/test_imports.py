@@ -4,10 +4,14 @@ A module-level import in src/skagree/*.py (the package __init__ re-exports,
 so it is left out) must be referenced somewhere in its module.  An import on
 a line marked ``# noqa: F401`` is kept on purpose and skipped.  A top-level
 private name (leading ``_``) must be referenced somewhere in the package
-besides the statement that defines it.
+besides the statement that defines it.  A private name that a docstring or
+comment mentions must be defined somewhere in the package.
 """
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -106,3 +110,67 @@ def test_private_guard_flags_an_orphan_and_follows_references():
     }
     assert unreferenced_private_names(sources) == [("a", 2, "_ORPHAN"),
                                                    ("a", 3, "_recursive")]
+
+
+def defined_names(sources: dict):
+    """Every name a def, class, assignment target, attribute or argument of
+    the sources defines, at any depth."""
+    names = set()
+    for source in sources.values():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(n.name)
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+                names.add(n.attr)
+            elif isinstance(n, ast.arg):
+                names.add(n.arg)
+    return names
+
+
+# a private name in prose: not part of a longer word (r_sk, s^n(m)), and not
+# an optional suffix such as mutual_information(_rows)
+PROSE_NAME = re.compile(r"(?<![\w(])_[A-Za-z]\w*")
+
+
+def prose_names(source: str):
+    """(line, name) of each private name in a docstring or comment."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef,
+                          ast.ClassDef)) and ast.get_docstring(n, clean=False):
+            doc = n.body[0].value
+            for i, line in enumerate(doc.value.splitlines()):
+                found += [(doc.lineno + i, m) for m in PROSE_NAME.findall(line)]
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            found += [(tok.start[0], m) for m in PROSE_NAME.findall(tok.string)]
+    return found
+
+
+def stale_prose_names(sources: dict):
+    """(module, line, name) of each private name that a docstring or comment
+    mentions and no module defines."""
+    defined = defined_names(sources)
+    return sorted((module, line, name) for module, source in sources.items()
+                  for line, name in prose_names(source) if name not in defined)
+
+
+def test_every_private_name_in_prose_is_defined():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert stale_prose_names(sources) == []
+
+
+def test_prose_guard_flags_a_deleted_name():
+    sources = {
+        "a": ('"""Scores go to the _Workspace (see mutual_information(_rows))."""\n'
+              "_TOL = 1e-9  # below _SCREEN_MARGIN\n"
+              "class _Kept:\n"
+              '    """Reads self._held, _TOL, r_sk and _argument."""\n'
+              "    def f(self, _argument):\n"
+              "        self._held = _TOL  # _held, _Gone\n"),
+    }
+    assert stale_prose_names(sources) == [("a", 1, "_Workspace"),
+                                          ("a", 2, "_SCREEN_MARGIN"),
+                                          ("a", 6, "_Gone")]

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +14,7 @@ from skagree import (
     entropy,
     mutual_information,
 )
-from skagree import probability
 from skagree.probability import (
-    _SCREEN_MARGIN,
     _WIDE_ROW_CELLS,
     MASS_TOL,
     _entropy_rows,
@@ -312,7 +309,7 @@ class TestWideRows:
 
 
 def _fsum_validate(rows):
-    """_validate_rows without the wide-row screen: every row's fsum total."""
+    """The mass checks written out: every row's fsum total, in order."""
     if rows.size < 1:
         raise PmfError("empty probability array")
     if not (rows >= 0.0).all():
@@ -347,13 +344,14 @@ def _first_failing_total(outward):
 
 
 class TestMassScreen:
-    """_validate_rows screens wide rows with a numpy sum; every verdict and
-    message must be the fsum loop's."""
+    """_validate_rows on wide, narrow, Fortran-ordered and reversed stacks:
+    every verdict and message must be the fsum loop's."""
 
     EDGES = [_first_failing_total(2.0), _first_failing_total(0.0)]
-    BAND = MASS_TOL - _SCREEN_MARGIN
+    BAND = MASS_TOL - 1e-13
     # 1 +- MASS_TOL (1 +- 1e-6), the floats on each side of the MASS_TOL
-    # boundary, and just inside and outside the screen's band
+    # boundary, and totals about 1e-13 inside the boundary, where a pairwise
+    # numpy sum's rounding could take them across
     TOTALS = [1.0, 1.0 + MASS_TOL * (1 + 1e-6), 1.0 + MASS_TOL * (1 - 1e-6),
               1.0 - MASS_TOL * (1 + 1e-6), 1.0 - MASS_TOL * (1 - 1e-6),
               *EDGES, *(float(np.nextafter(t, 1.0)) for t in EDGES),
@@ -395,8 +393,7 @@ class TestMassScreen:
     @pytest.mark.parametrize("width", [65, 4096])
     def test_rounded_sum_on_the_wrong_side(self, width):
         # rows of random cells whose fsum total is the first float past the
-        # tolerance, but whose numpy sum rounds back inside it: only the
-        # screen's margin sends them to fsum
+        # tolerance, but whose numpy sum rounds back inside it: they fail
         rng = np.random.default_rng(width + 3)
         for total in self.EDGES:
             found = 0
@@ -445,18 +442,3 @@ class TestMassScreen:
             assert _verdict(Pmf, row) == _verdict(_fsum_validate, row[None])
             assert _verdict(JointPmf, row.reshape(5, 13)) \
                 == _verdict(_fsum_validate, row[None])
-
-    def test_cleared_rows_skip_fsum(self, monkeypatch):
-        rng = np.random.default_rng(66)
-        rows = np.stack([self.row_with_total(rng, 65, 1.0) for _ in range(40)])
-
-        def fsum(values):
-            raise AssertionError("fsum called")
-
-        monkeypatch.setattr(probability, "math", SimpleNamespace(fsum=fsum))
-        _validate_rows(rows)
-        _validate_rows(np.asfortranarray(rows))
-        # narrow rows are not screened
-        narrow = rows[:, :_WIDE_ROW_CELLS]
-        with pytest.raises(AssertionError, match="fsum called"):
-            _validate_rows(narrow / narrow.sum(axis=1, keepdims=True))
