@@ -28,14 +28,16 @@ ensemble_averages call, the one n of ensemble_average included, takes one
 path (_minimized_bounds): exponents._lane_maxima over one lane evaluator,
 which evaluates the decided bounds in one call and runs the searches as
 lanes of one golden_section_lanes set.  The lane evaluator gives the
-scalar closures' values (_error_bound_for, _leakage_bound_for) bit for bit.
+values of the public bounds (ensemble_error_bound, ensemble_leakage_bound),
+each a tail applied to a scalar total (_error_total, _leakage_total), bit
+for bit.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import takewhile
 from typing import Optional
 
@@ -139,16 +141,10 @@ class SecretKeyCode:
             raise ValueError("binning tables must share shape")
         if not all(t.dtype.kind in "iu" for t in (self.key_bins, self.public_bins)):
             raise ValueError("binning tables must have an integer dtype")
-        _check_bins(self.key_bins, self.num_keys, self.public_bins,
-                    self.num_public)
-
-
-def _check_bins(key, num_keys: int, pub, num_public: int):
-    """ValueError unless every key bin lies in [0, num_keys) and every public
-    bin in [0, num_public)."""
-    for table, size in ((key, num_keys), (pub, num_public)):
-        if table.min() < 0 or table.max() >= size:
-            raise ValueError("bin index out of range")
+        for table, size in ((self.key_bins, self.num_keys),
+                            (self.public_bins, self.num_public)):
+            if table.min() < 0 or table.max() >= size:
+                raise ValueError("bin index out of range")
 
 
 @dataclass(frozen=True)
@@ -160,13 +156,7 @@ class SimReport:
     error_half_width: Optional[float] = None  # Wilson 95% half width (MC only)
 
     def to_json(self) -> dict:
-        return {
-            "error_probability": self.error_probability,
-            "leakage_bits": self.leakage_bits,
-            "method": self.method,
-            "trials": self.trials,
-            "error_half_width": self.error_half_width,
-        }
+        return asdict(self)
 
 
 def _table_sizes(channel: DiscreteBroadcastChannel, n: int, rates: RatePoint,
@@ -481,11 +471,6 @@ def _check_code(code: SecretKeyCode, channel: DiscreteBroadcastChannel, y_seq=()
     return y_seq.astype(np.int64)
 
 
-def _likelihoods(code: SecretKeyCode, table: np.ndarray, outputs: np.ndarray):
-    """One code's (|M|*|X|^n, D) slice of _stacked_likelihoods."""
-    return _stacked_likelihoods(code.codewords[None], table, outputs)[0]
-
-
 def _stacked_bin_winners(scores: np.ndarray, pub: np.ndarray, num_public: int):
     """(C, num_public, columns) array: the winning row of each code's bins
     per column, for (C, rows, columns) scores and (C, rows) public bins.
@@ -603,11 +588,6 @@ def _block_winners(flat: np.ndarray, rows: np.ndarray, local: np.ndarray,
     return win
 
 
-def _bin_winners(scores: np.ndarray, pub_flat: np.ndarray, num_public: int):
-    """One code's (num_public, columns) slice of _stacked_bin_winners."""
-    return _stacked_bin_winners(scores[None], pub_flat[None], num_public)[0]
-
-
 def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
                  y_seq, phi: int):
     """Joint ML-MAP decoding of (m, x^n) within the public bin phi.
@@ -623,8 +603,10 @@ def mlmap_decode(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
             or not 0 <= phi < code.num_public:
         raise ValueError("public message index must be an integer in [0, %d)"
                          % code.num_public)
-    scores = _likelihoods(code, marginal_channel(channel, "xy"), y_seq[:, None])
-    winners = _bin_winners(scores, code.public_bins.ravel(), code.num_public)
+    scores = _stacked_likelihoods(code.codewords[None],
+                                  marginal_channel(channel, "xy"), y_seq[:, None])
+    winners = _stacked_bin_winners(scores, code.public_bins.reshape(1, -1),
+                                   code.num_public)[0]
     X = channel.alphabet_sizes[1]
     m_hat, x_idx = divmod(int(winners[phi, 0]), X**code.n)
     return m_hat, index_sequence(x_idx, X, code.n)
@@ -829,13 +811,14 @@ def monte_carlo_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
 
     # Decode each distinct y^n once, for every public bin.
     _, first, y_col = np.unique(y_idx, return_index=True, return_inverse=True)
-    pub_flat, key_flat = code.public_bins.ravel(), code.key_bins.ravel()
+    pub, key_flat = code.public_bins.reshape(1, -1), code.key_bins.ravel()
     k_b = np.empty((code.num_public, len(first)), dtype=np.int64)
-    block = max(1, _DECODE_BLOCK_CELLS // pub_flat.size)
+    block = max(1, _DECODE_BLOCK_CELLS // pub.size)
     for lo in range(0, len(first), block):
-        scores = _likelihoods(code, W, ys[first[lo:lo + block]].T)
+        scores = _stacked_likelihoods(code.codewords[None], W,
+                                      ys[first[lo:lo + block]].T)
         k_b[:, lo:lo + block] = key_flat[
-            _bin_winners(scores, pub_flat, code.num_public)]
+            _stacked_bin_winners(scores, pub, code.num_public)[0]]
     failures = int(np.count_nonzero(k_a != k_b[phi, y_col]))
     p_hat = failures / trials
     z2 = _WILSON_Z**2
@@ -847,15 +830,10 @@ def monte_carlo_evaluate(code: SecretKeyCode, channel: DiscreteBroadcastChannel,
                      error_half_width=half + abs(center - p_hat))
 
 
-def _code_size(n: int, rate: float, name: str) -> float:
-    """|set| = 2^ceil(n*rate) as a float, or a ValueError if it has none."""
-    return 2.0 ** _size_bits(n, rate, name, _FLOAT_BITS)
-
-
 # A bound is a rate-free sum of terms, "total", which depends on the input and
 # on rho or alpha, raised to the n-th power and scaled by the code sizes: the
-# tail.  The scalar closures and the lane evaluator share the tensors behind
-# the total, the scalar total and the tail, so their values agree bit for bit.
+# tail.  The public bounds and the lane evaluator share the tensors behind the
+# total, the scalar total and the tail, so their values agree bit for bit.
 
 def _error_tensors(channel, inp):
     """(p(s) as (S,1), p(y|s) as (S,Y), p(x|y,s) as (S,X,Y)): the rho-free
@@ -888,18 +866,10 @@ def _finite(bound: float) -> float:
 def _error_tail_for(n, rates):
     """(rho, total) -> |Phi|^-rho |M|^rho total^n, in Python floats, or
     OverflowError beyond their range (_finite)."""
-    num_m = _code_size(n, rates.r_m, "|M|")
-    num_phi = _code_size(n, rates.r_phi, "|Phi|")
+    num_m = 2.0 ** _size_bits(n, rates.r_m, "|M|", _FLOAT_BITS)
+    num_phi = 2.0 ** _size_bits(n, rates.r_phi, "|Phi|", _FLOAT_BITS)
     return lambda rho, total: _finite(
         float(num_phi**-rho * num_m**rho * total**n))
-
-
-def _error_bound_for(channel, inp, n, rates):
-    """rho -> the raw ensemble error bound at a fixed input and n; the
-    rho-free tensors are built once."""
-    tail = _error_tail_for(n, rates)
-    tensors = _error_tensors(channel, inp)
-    return lambda rho: tail(rho, _error_total(*tensors, rho))
 
 
 def ensemble_error_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
@@ -912,7 +882,8 @@ def ensemble_error_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
     n = _positive_int(n, "blocklength n")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0,1]")
-    return _error_bound_for(channel, inp, n, rates)(rho)
+    return _error_tail_for(n, rates)(
+        rho, _error_total(*_error_tensors(channel, inp), rho))
 
 
 def _leakage_tensors(channel, inp):
@@ -941,9 +912,9 @@ def _leakage_total(joint, lift, alpha):
 def _leakage_tail_for(n, rates):
     """(alpha, total) -> c(alpha) |K|^a |Phi|^a |M|^-a total^n, in Python
     floats, or OverflowError beyond their range (_finite)."""
-    num_m = _code_size(n, rates.r_m, "|M|")
-    num_phi = _code_size(n, rates.r_phi, "|Phi|")
-    num_k = _code_size(n, rates.r_sk, "|K|")
+    num_m = 2.0 ** _size_bits(n, rates.r_m, "|M|", _FLOAT_BITS)
+    num_phi = 2.0 ** _size_bits(n, rates.r_phi, "|Phi|", _FLOAT_BITS)
+    num_k = 2.0 ** _size_bits(n, rates.r_sk, "|K|", _FLOAT_BITS)
 
     def tail(alpha, total):
         c = math.log2(math.e) / alpha
@@ -951,14 +922,6 @@ def _leakage_tail_for(n, rates):
             c * num_k**alpha * num_phi**alpha * num_m**-alpha * total**n))
 
     return tail
-
-
-def _leakage_bound_for(channel, inp, n, rates):
-    """alpha -> the ensemble leakage bound at a fixed input and n; the
-    alpha-free tensors are built once."""
-    tail = _leakage_tail_for(n, rates)
-    tensors = _leakage_tensors(channel, inp)
-    return lambda alpha: tail(alpha, _leakage_total(*tensors, alpha))
 
 
 def ensemble_leakage_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
@@ -970,7 +933,8 @@ def ensemble_leakage_bound(channel: DiscreteBroadcastChannel, inp: Pmf,
     n = _positive_int(n, "blocklength n")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0,1]")
-    return _leakage_bound_for(channel, inp, n, rates)(alpha)
+    return _leakage_tail_for(n, rates)(
+        alpha, _leakage_total(*_leakage_tensors(channel, inp), alpha))
 
 
 def _bound_lanes_for(channel, inp, rates, error_ns, leakage_ns):
@@ -980,8 +944,8 @@ def _bound_lanes_for(channel, inp, rates, error_ns, leakage_ns):
     leakage_ns[l - len(error_ns)] and alpha xs (lanes an ascending int
     array, xs a float array, as golden_section_lanes passes them).
 
-    Each value is the scalar closure's (_error_bound_for,
-    _leakage_bound_for) bit for bit.  One numpy pass per kind computes the
+    Each value is the public bound's (ensemble_error_bound,
+    ensemble_leakage_bound) bit for bit.  One numpy pass per kind computes the
     powers of every lane's terms; each lane then takes its own fsum and its
     Python-float tail.  A lane whose rho or alpha gives one of numpy power's
     fast-path exponents (exponents._fast_path_positions) takes the scalar
@@ -1137,7 +1101,6 @@ def _codebook_rows(channel: DiscreteBroadcastChannel, inp: Pmf, n: int,
             prefix, first + lo, min(stack, num_codebooks - lo)))
         codewords, key, pub = _draw_tables(bit_gen, states, cdf, n, num_m,
                                            width, num_k, num_phi)
-        _check_bins(key, num_k, pub, num_phi)
         rows += _evaluate_stack(tables, codewords, key, pub, num_k, num_phi)
     return rows
 

@@ -116,7 +116,7 @@ def _golden_search(a: float, b: float, iters: int):
     fc = yield c
     fd = yield d
     before_last = last = None  # states after the two previous iterations
-    for i in range(iters):
+    for _ in range(iters):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INVPHI
@@ -129,9 +129,8 @@ def _golden_search(a: float, b: float, iters: int):
             break
         state = (a, b, c, d, fc, fd)
         if state == before_last:
-            # a 2-cycle: the remaining iterations alternate last, state, ...
-            if (iters - 1 - i) % 2:
-                a, b, c, d, fc, fd = last
+            # a 2-cycle: the remaining iterations alternate last and state,
+            # which select the same point
             break
         before_last, last = last, state
     for x, v in ((c, fc), (d, fd)):

@@ -258,15 +258,13 @@ def load_channel(path, renormalize: bool = False) -> DiscreteBroadcastChannel:
         raise ChannelError("negative transition probability in channel file")
     row_mass = tr.sum(axis=(1, 2, 3))
     dev = float(np.abs(row_mass - 1.0).max())
-    if dev > JSON_ROW_TOL:
-        if not renormalize:
-            raise ChannelError(
-                "transition rows deviate from unit mass by %g; pass --renormalize to accept"
-                % dev
-            )
-        tr = tr / row_mass[:, None, None, None]
-    elif dev > ROW_MASS_TOL:
-        # Inside the accept window but beyond constructor tolerance: snap to mass 1.
+    if dev > JSON_ROW_TOL and not renormalize:
+        raise ChannelError(
+            "transition rows deviate from unit mass by %g; pass --renormalize to accept"
+            % dev
+        )
+    if dev > ROW_MASS_TOL:
+        # Accepted but beyond constructor tolerance: snap to mass 1.
         tr = tr / row_mass[:, None, None, None]
     return DiscreteBroadcastChannel(transition=tr, cost=cost)
 

@@ -16,9 +16,9 @@ Mass validation sums every row with ``fsum``.  The conditional kernel
 stacks all its conditioning slabs and makes one pass over them.
 
 Each probability array is validated once, where it enters: by ``Pmf`` and
-``JointPmf``, by the public kernels ``entropy``, ``mutual_information(_rows)``
-and ``conditional_mutual_information(_rows)``, and by the channel and the
-capacity objectives upstream.  An array derived from validated ones, such as
+``JointPmf``, by the public kernels ``entropy``, ``mutual_information`` and
+``conditional_mutual_information``, and by the channel and the capacity
+objectives upstream.  An array derived from validated ones, such as
 p(s) times a validated transition, is not checked again: the private kernels
 ``_entropy_rows``, ``_mi_rows`` and ``_cmi_rows`` take it as it is and expect
 a valid stack.
@@ -67,10 +67,6 @@ def _validate_rows(rows: np.ndarray) -> None:
                            % (total, MASS_TOL))
 
 
-def _validate_mass(arr: np.ndarray) -> None:
-    _validate_rows(arr.reshape(1, -1))
-
-
 @dataclass(frozen=True)
 class Pmf:
     """A validated probability mass function over one finite alphabet."""
@@ -81,7 +77,7 @@ class Pmf:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1:
             raise PmfError("Pmf must be one-dimensional, got shape %r" % (arr.shape,))
-        _validate_mass(arr)
+        _validate_rows(arr.reshape(1, -1))
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -110,7 +106,7 @@ class JointPmf:
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=float)
-        _validate_mass(arr)
+        _validate_rows(arr.reshape(1, -1))
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -175,20 +171,6 @@ def _mi_rows(joints: np.ndarray) -> list:
     return [a + b - ab for a, b, ab in zip(ha, hb, hab)]
 
 
-def mutual_information_rows(joints: np.ndarray) -> list:
-    """I(A;B) for each validated two-axis joint of a (G, A, B) stack."""
-    _validate_rows(joints.reshape(joints.shape[0], -1))
-    return _mi_rows(joints)
-
-
-def conditional_mutual_information_rows(joints: np.ndarray) -> list:
-    """I(A;B|C) for each validated three-axis joint of a (G, A, B, C) stack,
-    conditioning on the last axis: the fsum over c of p(c) I(A;B|C=c)."""
-    g, _, _, _ = joints.shape
-    _validate_rows(joints.reshape(g, -1))
-    return _cmi_rows(joints)
-
-
 def _cmi_rows(joints: np.ndarray) -> list:
     """I(A;B|C) for each (A, B, C) joint stacked on axis 0, with no mass
     check: the stack must already be valid.
@@ -212,14 +194,17 @@ def mutual_information(joint) -> float:
     arr = _as_array(joint)
     if arr.ndim != 2:
         raise ValueError("mutual_information expects a 2-axis joint, got ndim=%d" % arr.ndim)
-    return mutual_information_rows(arr[None])[0]
+    _validate_rows(arr.reshape(1, -1))
+    return _mi_rows(arr[None])[0]
 
 
 def conditional_mutual_information(joint) -> float:
-    """I(A;B|C) from a three-axis joint, conditioning on the last axis."""
+    """I(A;B|C) from a three-axis joint, conditioning on the last axis: the
+    fsum over c of p(c) I(A;B|C=c)."""
     arr = _as_array(joint)
     if arr.ndim != 3:
         raise ValueError(
             "conditional_mutual_information expects a 3-axis joint, got ndim=%d" % arr.ndim
         )
-    return conditional_mutual_information_rows(arr[None])[0]
+    _validate_rows(arr.reshape(1, -1))
+    return _cmi_rows(arr[None])[0]

@@ -27,11 +27,12 @@ from skagree import (
 )
 from skagree import binning_sim, probability
 from skagree.binning_sim import (
-    _bin_winners,
+    _FLOAT_BITS,
     _evaluate_stack,
-    _likelihoods,
     _score_tables,
     _size_bits,
+    _stacked_bin_winners,
+    _stacked_likelihoods,
     index_sequence,
     sequence_index,
 )
@@ -180,7 +181,7 @@ class TestSizing:
             _size_bits(1, 63.0, "|K|")
         assert 2 ** _size_bits(1, 63.0, "|K|", 1023) == 2**63
         with pytest.raises(ValueError, match=r"\|Phi\|"):
-            binning_sim._code_size(1, 1024.0, "|Phi|")
+            _size_bits(1, 1024.0, "|Phi|", _FLOAT_BITS)
 
     def test_leakage_joint_counts_against_enum_budget(self, monkeypatch):
         # |K| |Phi| |Z|^n = 16 * 2 * 2 = 64 leakage cells, while the decoder
@@ -499,9 +500,10 @@ class TestMlMapDecode:
         for channel, code in cases:
             W = marginal_channel(channel, "xy")
             m_x = code.key_bins.size
-            scores = _likelihoods(code, W, np.indices((2,) * 3).reshape(3, -1))
-            table = _bin_winners(scores, code.public_bins.reshape(m_x),
-                                 code.num_public)  # (phi, y^n) -> winner row
+            scores = _stacked_likelihoods(code.codewords[None], W,
+                                          np.indices((2,) * 3).reshape(3, -1))[0]
+            table = _stacked_bin_winners(scores[None], code.public_bins.reshape(1, m_x),
+                                         code.num_public)[0]  # (phi, y^n) -> winner row
             error = 0.0
             for y_idx in range(8):
                 ys = index_sequence(y_idx, 2, 3)
@@ -793,6 +795,10 @@ class TestExactEvaluate:
         assert 0.0 <= rep.error_probability <= 1.0
         doc = rep.to_json()
         assert doc["method"] == "exact"
+        assert list(doc.items()) == [
+            ("error_probability", rep.error_probability),
+            ("leakage_bits", rep.leakage_bits), ("method", "exact"),
+            ("trials", rep.trials), ("error_half_width", None)]
 
 
 def independent_z_channel(rng):
@@ -1023,6 +1029,16 @@ class TestCodeFitsChannel:
         with pytest.raises(ValueError, match="integer dtype"):
             dataclasses.replace(code, **{field: getattr(code, field).astype(float)})
 
+    @pytest.mark.parametrize("field,size", [("key_bins", "num_keys"),
+                                            ("public_bins", "num_public")])
+    def test_bin_index_out_of_range_refused(self, field, size):
+        _, code = self.onoff_code()
+        for value in (-1, getattr(code, size)):
+            table = getattr(code, field).copy()
+            table[0, 0] = value
+            with pytest.raises(ValueError, match="bin index out of range"):
+                dataclasses.replace(code, **{field: table})
+
     @pytest.mark.parametrize("phi", [0.5, 1.0])
     def test_public_index_not_an_integer(self, phi):
         ch, code = self.onoff_code()
@@ -1110,6 +1126,23 @@ def bound_edges(ch, inp, ns, rates):
             + [binning_sim._leakage_edge(n, rates, sec) for n in ns])
 
 
+def error_bound_at(ch, inp, n, rates):
+    """rho -> the error bound at one input, n and rate point: the tail of
+    the scalar total, as ensemble_error_bound computes it, with the tensors
+    and the tail built once."""
+    tail = binning_sim._error_tail_for(n, rates)
+    tensors = binning_sim._error_tensors(ch, inp)
+    return lambda rho: tail(rho, binning_sim._error_total(*tensors, rho))
+
+
+def leakage_bound_at(ch, inp, n, rates):
+    """alpha -> the leakage bound, as error_bound_at gives the error bound
+    (ensemble_leakage_bound)."""
+    tail = binning_sim._leakage_tail_for(n, rates)
+    tensors = binning_sim._leakage_tensors(ch, inp)
+    return lambda alpha: tail(alpha, binning_sim._leakage_total(*tensors, alpha))
+
+
 def neg_log2_of(bound):
     """x -> -log2 bound(x), with -inf where the scalar closure overflows
     or underflows to 0."""
@@ -1140,9 +1173,9 @@ def scalar_minimum(bound, edge, a):
 def scalar_minima(ch, inp, ns, rates):
     """The scalar oracle of _minimized_bounds(ch, inp, ns, rates)."""
     edges = bound_edges(ch, inp, ns, rates)
-    errors = [scalar_minimum(binning_sim._error_bound_for(ch, inp, n, rates), edge, 0.0)
+    errors = [scalar_minimum(error_bound_at(ch, inp, n, rates), edge, 0.0)
               for n, edge in zip(ns, edges)]
-    leakages = [scalar_minimum(binning_sim._leakage_bound_for(ch, inp, n, rates), edge,
+    leakages = [scalar_minimum(leakage_bound_at(ch, inp, n, rates), edge,
                                ALPHA_MIN) for n, edge in zip(ns, edges[len(ns):])]
     return list(zip(errors, leakages))
 
@@ -1157,12 +1190,13 @@ def criterion9_rates(ch, inp):
 
 class TestBoundLanes:
     """The lane evaluator of the finite-n bounds and the one lane set of
-    searches give the scalar closures' and searches' values bit for bit."""
+    searches give the public bounds' and the scalar searches' values bit for
+    bit."""
 
     @staticmethod
     def scalar(ch, inp, rates, kind, n, x):
-        return (binning_sim._error_bound_for if kind == "error"
-                else binning_sim._leakage_bound_for)(ch, inp, n, rates)(x)
+        return (ensemble_error_bound if kind == "error"
+                else ensemble_leakage_bound)(ch, inp, n, x, rates)
 
     def test_values_equal_scalar_closures(self):
         # the edges and numpy power's fast-path exponents (rho = 1, alpha =
@@ -1287,9 +1321,9 @@ class TestBoundLanes:
         ch = random_degraded_binary_channel(np.random.default_rng(seed))
         rates = RatePoint(0.1, 0.6, 0.0)
         with pytest.raises(OverflowError):
-            binning_sim._error_bound_for(ch, UNIFORM, 1500, rates)(1.0)
+            ensemble_error_bound(ch, UNIFORM, 1500, 1.0, rates)
         with pytest.raises(OverflowError):
-            binning_sim._leakage_bound_for(ch, UNIFORM, 1500, rates)(1.0)
+            ensemble_leakage_bound(ch, UNIFORM, 1500, 1.0, rates)
         [(got_error, (alpha, leak))] = binning_sim._minimized_bounds(
             ch, UNIFORM, [1500], rates)
         assert got_error == error
@@ -1355,7 +1389,7 @@ class TestEdgeBounds:
                 minima = binning_sim._minimized_bounds(ch, inp, ns, rates)
                 edges = bound_edges(ch, inp, ns, rates)
                 for n, (got, _), edge in zip(ns, minima, edges):
-                    bound = binning_sim._error_bound_for(ch, inp, n, rates)
+                    bound = error_bound_at(ch, inp, n, rates)
                     counts[edge] += 1
                     # the oracle is the forced search when edge is None
                     assert got == scalar_minimum(bound, edge, 0.0)
@@ -1374,7 +1408,7 @@ class TestEdgeBounds:
                 minima = binning_sim._minimized_bounds(ch, inp, ns, rates)
                 edges = bound_edges(ch, inp, ns, rates)[len(ns):]
                 for n, (_, got), edge in zip(ns, minima, edges):
-                    bound = binning_sim._leakage_bound_for(ch, inp, n, rates)
+                    bound = leakage_bound_at(ch, inp, n, rates)
                     counts[edge] += 1
                     # the oracle is the forced search when edge is None
                     assert got == scalar_minimum(bound, edge, ALPHA_MIN)
@@ -1390,7 +1424,7 @@ class TestEdgeBounds:
         # rule gives alpha = 1 and the search decides
         ch = lossless_channel()
         rates = RatePoint(0.0, 0.0, 0.0)
-        bound = binning_sim._leakage_bound_for(ch, UNIFORM, 1100, rates)
+        bound = leakage_bound_at(ch, UNIFORM, 1100, rates)
         assert bound(1.0) == 0.0
         critical = _secrecy_critical_rates(ch, UNIFORM)[0]
         assert math.log2(math.e) + 1100 * critical >= 1100 * _EDGE_MARGIN
@@ -1420,8 +1454,8 @@ class TestEdgeBounds:
         # -log2 of each bound is concave in rho or alpha, which the edge
         # rule needs: above every chord, up to rounding
         rng = np.random.default_rng(153)
-        lo, bound_for = ((0.0, binning_sim._error_bound_for) if kind == "error"
-                         else (ALPHA_MIN, binning_sim._leakage_bound_for))
+        lo, bound_for = ((0.0, error_bound_at) if kind == "error"
+                         else (ALPHA_MIN, leakage_bound_at))
         for ch, inp in edge_cases(154, 6):
             for n in (1, 3, 8):
                 bound = bound_for(ch, inp, n, RatePoint(0.2, 0.6, 0.1))
@@ -1454,7 +1488,7 @@ class TestVacuousErrorBound:
                 minima = binning_sim._minimized_bounds(ch, inp, ns, rates)
                 edges = bound_edges(ch, inp, ns, rates)
                 for n, (got, _), edge in zip(ns, minima, edges):
-                    bound = binning_sim._error_bound_for(ch, inp, n, rates)
+                    bound = error_bound_at(ch, inp, n, rates)
                     counts[edge] += 1
                     # the oracle is the forced search when edge is None
                     assert got == scalar_minimum(bound, edge, 0.0)
@@ -1476,7 +1510,7 @@ class TestVacuousErrorBound:
         rates = RatePoint(0.1, 0.6, 0.3)
         # at n = 8, log2|Phi| - log2|M| = 5 - 3 is at most n * threshold
         assert 5 - 3 <= 8 * positivity_thresholds(ch, UNIFORM)[0]
-        bound = binning_sim._error_bound_for(ch, UNIFORM, 8, rates)(0.0)
+        bound = ensemble_error_bound(ch, UNIFORM, 8, 0.0, rates)
         calls, _ = TestBoundLanes.spy_lanes(monkeypatch)
         [(error, _)] = binning_sim._minimized_bounds(ch, UNIFORM, [8], rates)
         assert error == (0.0, 2.0**-binning_sim._neg_log2(bound))

@@ -129,9 +129,8 @@ def defined_names(sources: dict):
     return names
 
 
-# a private name in prose: not part of a longer word (r_sk, s^n(m)), and not
-# an optional suffix such as mutual_information(_rows)
-PROSE_NAME = re.compile(r"(?<![\w(])_[A-Za-z]\w*")
+# a private name in prose: not part of a longer word (r_sk, s^n(m))
+PROSE_NAME = re.compile(r"(?<!\w)_[A-Za-z]\w*")
 
 
 def prose_names(source: str):
@@ -164,7 +163,7 @@ def test_every_private_name_in_prose_is_defined():
 
 def test_prose_guard_flags_a_deleted_name():
     sources = {
-        "a": ('"""Scores go to the _Workspace (see mutual_information(_rows))."""\n'
+        "a": ('"""Scores go to the _Workspace (_bin_winners, _TOL)."""\n'
               "_TOL = 1e-9  # below _SCREEN_MARGIN\n"
               "class _Kept:\n"
               '    """Reads self._held, _TOL, r_sk and _argument."""\n'
@@ -172,5 +171,6 @@ def test_prose_guard_flags_a_deleted_name():
               "        self._held = _TOL  # _held, _Gone\n"),
     }
     assert stale_prose_names(sources) == [("a", 1, "_Workspace"),
+                                          ("a", 1, "_bin_winners"),
                                           ("a", 2, "_SCREEN_MARGIN"),
                                           ("a", 6, "_Gone")]

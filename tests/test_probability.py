@@ -17,10 +17,10 @@ from skagree import (
 from skagree.probability import (
     _WIDE_ROW_CELLS,
     MASS_TOL,
+    _cmi_rows,
     _entropy_rows,
+    _mi_rows,
     _validate_rows,
-    conditional_mutual_information_rows,
-    mutual_information_rows,
 )
 
 # A row wider than _WIDE_ROW_CELLS is summed pairwise by numpy, not by fsum;
@@ -63,12 +63,14 @@ class TestPmfValidation:
             Pmf(arr)
         with pytest.raises(PmfError):
             JointPmf(arr.reshape(1, -1))
-        # the batched kernels validate every row of the stack
-        stack = np.stack([normalized(vals), arr])[:, :, None]
+        # the row check validates every row of a stack, and the MI kernels
+        # validate their joint
         with pytest.raises(PmfError):
-            mutual_information_rows(stack)
+            _validate_rows(np.stack([normalized(vals), arr]))
         with pytest.raises(PmfError):
-            conditional_mutual_information_rows(stack[:, :, :, None])
+            mutual_information(arr[:, None])
+        with pytest.raises(PmfError):
+            conditional_mutual_information(arr[:, None, None])
 
     def test_overflowing_mass_rejected(self):
         # fsum raises OverflowError when its partial sums leave the float range
@@ -78,7 +80,9 @@ class TestPmfValidation:
             with pytest.raises(PmfError):
                 JointPmf(np.array(big).reshape(1, -1))
             with pytest.raises(PmfError):
-                mutual_information_rows(np.array([[[0.5, 0.5]], [big[:2]]]))
+                _validate_rows(np.array([[0.5, 0.5], big[:2]]))
+            with pytest.raises(PmfError):
+                mutual_information(np.array([big[:2]]))
 
 
 class TestEntropy:
@@ -230,7 +234,8 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (9, 2), (3, 11), (12, 9)])
     def test_mutual_information_rows(self, shape):
         stack = self.joints(np.random.default_rng(shape), shape, 20)
-        rows = mutual_information_rows(stack)
+        _validate_rows(stack.reshape(len(stack), -1))
+        rows = _mi_rows(stack)
         assert rows == [mutual_information(j) for j in stack]
         entropies = [entropy(j) for j in stack]
         loop_rows = [_loop_mi(j) for j in stack]
@@ -250,15 +255,16 @@ class TestBatchedKernels:
             stack[0, :, :, 0] = 0.0
             stack[0] /= math.fsum(stack[0].ravel().tolist())
         want = [_loop_cmi(j) for j in stack]
-        rows = conditional_mutual_information_rows(stack)
+        _validate_rows(stack.reshape(len(stack), -1))
+        rows = _cmi_rows(stack)
         assert rows == want
         assert rows == [conditional_mutual_information(j) for j in stack]
         # one joint alone (G = 1), an F-ordered stack, and rate_split's
         # transposed view of (c, a, b)-ordered data give the same bits
-        assert [conditional_mutual_information_rows(j[None])[0] for j in stack] == want
-        assert conditional_mutual_information_rows(np.asfortranarray(stack)) == want
+        assert [_cmi_rows(j[None])[0] for j in stack] == want
+        assert _cmi_rows(np.asfortranarray(stack)) == want
         view = np.ascontiguousarray(stack.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
-        assert conditional_mutual_information_rows(view) == want
+        assert _cmi_rows(view) == want
         assert [conditional_mutual_information(j) for j in view] == want
 
 
